@@ -21,10 +21,16 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-__all__ = ["MomentCache", "default_cache_dir", "moment_key"]
+__all__ = ["MomentCache", "SAMPLER_VERSION", "default_cache_dir", "moment_key"]
 
 _SCHEMA = 1
 _FILENAME = "moments.json"
+
+# Version of the replica sampler that produced a moment.  It enters every
+# key, so a change to the draws or the field synthesis never reads the
+# moments an earlier sampler wrote.  Version 1 (unkeyed) synthesized each
+# replica with a complex ifft2; version 2 is the batched irfft2 engine.
+SAMPLER_VERSION = 2
 
 
 def default_cache_dir() -> Path:
@@ -53,10 +59,11 @@ def moment_key(
 
     Floats enter as exact hex so the key never aliases two distinct
     configurations; mu is deliberately absent (the moment does not depend
-    on it).
+    on it).  SAMPLER_VERSION enters too.
     """
     payload = {
         "kind": "negative-moment",
+        "sampler": SAMPLER_VERSION,
         "tau": [float(tau.real).hex(), float(tau.imag).hex()],
         "gamma": float(gamma).hex(),
         "insertions": [

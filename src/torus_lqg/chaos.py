@@ -28,12 +28,10 @@ import numpy as np
 from .config import FieldResolution, MonteCarloConfig
 from .errors import InvalidGamma, ValidationError
 from .gff import (
-    RngStream,
     SpectralField,
-    draw_hermitian_modes,
     evaluate_on_grid,
-    modes_to_grid,
     regularized_variance,
+    replica_grids,
     scaled_mode_weights,
 )
 from .green import theta_offset
@@ -105,13 +103,17 @@ def chaos_measure(
     return ChaosMeasure(tau=fld.tau, gamma=gamma, eps=fld.eps, weights=w)
 
 
+def _critical_prefactor(tau: complex, eps: float) -> float:
+    """sqrt(pi/2) sqrt(ln 1/eps) times the gamma = 2 prefactor."""
+    if not 0.0 < eps < 1.0:
+        raise ValidationError(f"critical correction needs eps in (0, 1), got {eps:g}")
+    push = math.sqrt(0.5 * math.pi) * math.sqrt(math.log(1.0 / eps))
+    return push * chaos_prefactor(tau, 2.0, 2.0)
+
+
 def critical_chaos_measure(fld: SpectralField, grid: int | None = None) -> ChaosMeasure:
     """Critical measure at gamma = 2 with the sqrt(ln 1/eps) correction."""
-    if not 0.0 < fld.eps < 1.0:
-        raise ValidationError("critical correction needs eps in (0, 1)")
-    tau = complex(fld.tau)
-    push = math.sqrt(0.5 * math.pi) * math.sqrt(math.log(1.0 / fld.eps))
-    scale = push * math.exp(2.0 * theta_offset(tau) - 2.0 * math.log(tau.imag))
+    scale = _critical_prefactor(fld.tau, fld.eps)
     w = _cell_weights(fld, 2.0, scale, grid)
     return ChaosMeasure(tau=fld.tau, gamma=2.0, eps=fld.eps, weights=w, critical=True)
 
@@ -153,24 +155,19 @@ def sample_total_masses(
     """Replica array of total chaos masses, deterministic per (seed, stream)."""
     tau = complex(tau)
     eps = res.eps_for(tau)
-    sigma2 = regularized_variance(tau, res.cutoff, eps)
     if critical:
-        scale = (
-            math.sqrt(0.5 * math.pi)
-            * math.sqrt(math.log(1.0 / eps))
-            * math.exp(2.0 * theta_offset(tau) - 2.0 * math.log(tau.imag))
-        )
+        scale = _critical_prefactor(tau, eps)
         gamma = 2.0
     else:
         if not 0.0 < gamma < 2.0:
             raise InvalidGamma(f"subcritical chaos needs 0 < gamma < 2, got {gamma}")
         scale = chaos_prefactor(tau, gamma, q)
+    sigma2 = regularized_variance(tau, res.cutoff, eps)
     g = res.grid
     area = tau.imag / (g * g)
     weights = scaled_mode_weights(tau, res.cutoff, eps)
     out = np.empty(mc.replicas)
-    for r in range(mc.replicas):
-        gen = RngStream(mc.seed, mc.base_stream + r).generator()
-        x = modes_to_grid(draw_hermitian_modes(gen, weights), g)
-        out[r] = scale * area * float(np.sum(np.exp(gamma * x - 0.5 * gamma * gamma * sigma2)))
+    for start, _, (x,) in replica_grids([weights], g, mc):
+        cells = np.exp(gamma * x - 0.5 * gamma * gamma * sigma2)
+        out[start : start + len(x)] = scale * area * cells.sum(axis=(1, 2))
     return out

@@ -317,7 +317,6 @@ def _build_table(args):
         t_max=args.t_max,
         tail_tol=args.tail_tol,
         cache=cache,
-        threads=args.threads,
     )
 
 
@@ -435,7 +434,6 @@ def build_parser() -> tuple[_Parser, dict]:
     parser = _Parser(prog="torus-lqg", description=__doc__)
     parser.add_argument("--version", action="version", version=f"torus-lqg {__version__}")
     parser.add_argument("--config", help="key = value defaults, overridden by flags")
-    parser.add_argument("--threads", type=int, default=1)
     groups = parser.add_subparsers(dest="group", required=True, parser_class=_Parser)
     registry: dict[tuple[str, str], argparse.ArgumentParser] = {}
 

@@ -17,6 +17,16 @@ coefficient sum, which the chaos normalization downstream relies on.
 Sampling is deterministic per (seed, stream): streams are independent
 keys of a counter-based generator, so replica r of a run can be
 regenerated in isolation.
+
+Monte Carlo estimators draw their replicas through one batched engine,
+replica_grids.  Each replica's Hermitized unit modes come from its own
+stream, so a batch holds exactly the draws a per-replica loop would make.
+The engine scales the stacked draws by one weight box per modulus and
+synthesizes each stack with a single inverse real FFT over the
+Hermitian half-spectrum.  A batch holds at most 2^16 grid cells (at
+least one replica), so its memory is bounded independently of the
+replica count: 50 replicas at G = 36, one at G = 260.  Several weight
+boxes applied to the same batch give common random numbers across moduli.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import j0
 
+from .config import MonteCarloConfig
 from .errors import IndexOutOfCutoff, ValidationError
 from .green import spectral_coefficient
 from .modular import ModularElement, reduce_to_fundamental
@@ -39,6 +50,7 @@ __all__ = [
     "scaled_mode_weights",
     "draw_hermitian_modes",
     "modes_to_grid",
+    "replica_grids",
     "evaluate_on_grid",
     "circle_average",
     "bessel_multiplier",
@@ -50,6 +62,10 @@ __all__ = [
     "dirichlet_energy",
     "dirichlet_energy_grid",
 ]
+
+
+# grid cells per replica batch: bounds the engine's working set
+_BATCH_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -121,12 +137,14 @@ def scaled_mode_weights(tau: complex, cutoff: int, eps: float = 0.0) -> np.ndarr
     return w
 
 
+def _unit_modes(gen: np.random.Generator, n: int) -> np.ndarray:
+    z = (gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))) / math.sqrt(2.0)
+    return (z + np.conj(z[::-1, ::-1])) / math.sqrt(2.0)
+
+
 def draw_hermitian_modes(gen: np.random.Generator, weights: np.ndarray) -> np.ndarray:
     """One GFF coefficient draw: unit complex normals Hermitized, then scaled."""
-    n = weights.shape[0]
-    z = (gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))) / math.sqrt(2.0)
-    alpha = (z + np.conj(z[::-1, ::-1])) / math.sqrt(2.0)
-    return alpha * weights
+    return _unit_modes(gen, weights.shape[0]) * weights
 
 
 def sample_gff(tau: complex, cutoff: int, rng: RngStream | np.random.Generator) -> SpectralField:
@@ -146,15 +164,42 @@ def sample_gff(tau: complex, cutoff: int, rng: RngStream | np.random.Generator) 
 
 
 def modes_to_grid(coeffs: np.ndarray, grid: int) -> np.ndarray:
-    """Real-space values at x = (i/G, j/G) from a centered coefficient box."""
-    n2 = coeffs.shape[0]
+    """Real-space values at x = (i/G, j/G) from a centered coefficient box.
+
+    coeffs is one (2N+1)^2 box or a stack of them along leading axes; the
+    whole stack goes through one inverse real FFT.  Only the Hermitian
+    part of a box reaches the real field, so the half-spectrum m >= 0 of
+    that part is all the transform needs.
+    """
+    n2 = coeffs.shape[-1]
     N = (n2 - 1) // 2
     if grid <= 2 * N:
         raise ValidationError(f"grid {grid} too coarse for cutoff {N}")
-    slots = np.zeros((grid, grid), dtype=complex)
-    idx = np.arange(-N, N + 1)
-    slots[np.ix_(idx % grid, idx % grid)] = coeffs
-    return grid * grid * np.real(np.fft.ifft2(slots))
+    half = 0.5 * (coeffs[..., :, N:] + np.conj(coeffs[..., ::-1, N::-1]))
+    slots = np.zeros(coeffs.shape[:-2] + (grid, grid // 2 + 1), dtype=complex)
+    slots[..., np.arange(-N, N + 1) % grid, : N + 1] = half
+    return np.fft.irfft2(slots, s=(grid, grid), norm="forward")
+
+
+def replica_grids(weights, grid: int, mc: MonteCarloConfig):
+    """Batched replica engine: real fields of mc.replicas replicas on a G x G grid.
+
+    Yields (start, generators, grids) per batch of replicas start ..
+    start + B - 1.  Replica r draws its Hermitized unit modes from
+    RngStream(mc.seed, mc.base_stream + r); generators holds those streams,
+    positioned after the draw, for callers that continue them.  grids
+    yields, lazily and in the order of weights, one (B, G, G) stack of
+    modes_to_grid(alpha * w) per weight box w, so one draw serves every
+    modulus (common random numbers).  Consume grids before advancing to
+    the next batch.
+    """
+    n = weights[0].shape[0]
+    batch = max(1, _BATCH_CELLS // (grid * grid))
+    for start in range(0, mc.replicas, batch):
+        stop = min(start + batch, mc.replicas)
+        gens = [RngStream(mc.seed, mc.base_stream + r).generator() for r in range(start, stop)]
+        alpha = np.stack([_unit_modes(gen, n) for gen in gens])
+        yield start, gens, (modes_to_grid(alpha * w, grid) for w in weights)
 
 
 def evaluate_on_grid(fld: SpectralField, grid: int | None = None) -> np.ndarray:
@@ -297,19 +342,8 @@ def dirichlet_energy_grid(fld: SpectralField, grid: int | None = None) -> float:
     N = fld.cutoff
     tau = complex(fld.tau)
     n, m = _mode_grid(N)
-    d1 = replace(fld, coeffs=fld.coeffs * (2j * np.pi * n))
-    d2 = replace(fld, coeffs=fld.coeffs * (2j * np.pi * m))
     G = 4 * (N + 1) if grid is None else int(grid)
-    g1 = _evaluate_complex(d1, G)
-    g2 = _evaluate_complex(d2, G)
+    g1 = modes_to_grid(fld.coeffs * (2j * np.pi * n), G)
+    g2 = modes_to_grid(fld.coeffs * (2j * np.pi * m), G)
     return float(np.mean(np.abs(tau * g1 - g2) ** 2) / tau.imag)
 
-
-def _evaluate_complex(fld: SpectralField, grid: int) -> np.ndarray:
-    N = fld.cutoff
-    if grid <= 2 * N:
-        raise ValidationError(f"grid {grid} too coarse for cutoff {N}")
-    slots = np.zeros((grid, grid), dtype=complex)
-    idx = np.arange(-N, N + 1)
-    slots[np.ix_(idx % grid, idx % grid)] = fld.coeffs
-    return grid * grid * np.fft.ifft2(slots)

@@ -36,13 +36,11 @@ from .errors import (
     ValidationError,
 )
 from .gff import (
-    RngStream,
     SpectralField,
     dirichlet_energy,
-    draw_hermitian_modes,
     free_field_partition,
-    modes_to_grid,
     regularized_variance,
+    replica_grids,
     scaled_mode_weights,
 )
 from .green import (
@@ -65,6 +63,7 @@ __all__ = [
     "insertion_potential",
     "insertion_potential_grid",
     "insertion_mass_samples",
+    "insertion_mass_table",
     "partition_function",
     "weyl_anomaly_factor",
     "weyl_anomaly_log_factor",
@@ -201,6 +200,46 @@ class PartitionEstimate:
     diagnostic: str | None = None
 
 
+def _tilted_setup(params: LQFTParams, tau: complex, ins: InsertionSet, res: FieldResolution):
+    """Per-modulus constants of the tilted mass: (mode weights, H grid,
+    cell scale, variance offset)."""
+    gamma = params.gamma
+    eps = res.eps_for(tau)
+    g = res.grid
+    weights = scaled_mode_weights(tau, res.cutoff, eps)
+    h_grid = insertion_potential_grid(tau, ins, g, eps)
+    scale = chaos_prefactor(tau, gamma, params.q) * tau.imag / (g * g)
+    offset = -0.5 * gamma * gamma * regularized_variance(tau, res.cutoff, eps)
+    return weights, h_grid, scale, offset
+
+
+def insertion_mass_table(
+    params: LQFTParams,
+    taus,
+    ins: InsertionSet,
+    mc: MonteCarloConfig,
+    res: FieldResolution,
+) -> np.ndarray:
+    """Replica arrays of I at several moduli, shape (len(taus), replicas).
+
+    Every modulus reuses the same replica draws (common random numbers),
+    so row k equals insertion_mass_samples at taus[k].  Holds one
+    G x G tilt grid per modulus while the batches run.
+    """
+    gamma = params.gamma
+    points = []
+    for tau in taus:
+        weights, h_grid, scale, offset = _tilted_setup(params, complex(tau), ins, res)
+        points.append((weights, np.exp(gamma * h_grid), scale, offset))
+    out = np.empty((len(points), mc.replicas))
+    for start, _, grids in replica_grids([pt[0] for pt in points], res.grid, mc):
+        for k, x in enumerate(grids):
+            _, tilt, scale, offset = points[k]
+            cells = np.exp(gamma * x + offset) * tilt
+            out[k, start : start + len(x)] = scale * cells.sum(axis=(1, 2))
+    return out
+
+
 def insertion_mass_samples(
     params: LQFTParams,
     tau: complex,
@@ -214,22 +253,7 @@ def insertion_mass_samples(
     exact per cell, so resolution bias enters only through truncation of
     the field itself and the eps cap on H.
     """
-    tau = complex(tau)
-    gamma = params.gamma
-    eps = res.eps_for(tau)
-    g = res.grid
-    sigma2 = regularized_variance(tau, res.cutoff, eps)
-    weights = scaled_mode_weights(tau, res.cutoff, eps)
-    h_grid = insertion_potential_grid(tau, ins, g, eps)
-    tilt = np.exp(gamma * h_grid)
-    scale = chaos_prefactor(tau, gamma, params.q) * tau.imag / (g * g)
-    offset = -0.5 * gamma * gamma * sigma2
-    out = np.empty(mc.replicas)
-    for r in range(mc.replicas):
-        gen = RngStream(mc.seed, mc.base_stream + r).generator()
-        x = modes_to_grid(draw_hermitian_modes(gen, weights), g)
-        out[r] = scale * float(np.sum(np.exp(gamma * x + offset) * tilt))
-    return out
+    return insertion_mass_table(params, [tau], ins, mc, res)[0]
 
 
 def partition_function(
@@ -324,27 +348,19 @@ def liouville_field_law_sampler(
     if not ins.seiberg_local_ok(params.q):
         raise SeibergViolationLocal(f"every alpha must stay below Q = {params.q:g}")
     gamma = params.gamma
-    s = ins.alpha_sum
-    p = s / gamma
-    eps = res.eps_for(tau)
-    g = res.grid
-    sigma2 = regularized_variance(tau, res.cutoff, eps)
-    weights = scaled_mode_weights(tau, res.cutoff, eps)
-    h_grid = insertion_potential_grid(tau, ins, g, eps)
+    p = ins.alpha_sum / gamma
+    weights, h_grid, scale, offset = _tilted_setup(params, tau, ins, res)
     tilt = np.exp(gamma * h_grid)
-    scale = chaos_prefactor(tau, gamma, params.q) * tau.imag / (g * g)
-    offset = -0.5 * gamma * gamma * sigma2
     shift = -0.5 * params.q * math.log(tau.imag)
-    for r in range(mc.replicas):
-        gen = RngStream(mc.seed, mc.base_stream + r).generator()
-        x = modes_to_grid(draw_hermitian_modes(gen, weights), g)
-        cells = scale * np.exp(gamma * x + offset) * tilt
-        mass = float(np.sum(cells))
-        y = float(gen.gamma(p, 1.0 / params.mu)) if y_volume is None else float(y_volume)
-        c = (math.log(y) - math.log(mass)) / gamma
-        yield LiouvilleSample(
-            field=c + x + h_grid + shift,
-            measure=(y / mass) * cells,
-            volume=y,
-            weight=mass ** (-p),
-        )
+    for _, gens, (xs,) in replica_grids([weights], res.grid, mc):
+        for gen, x in zip(gens, xs):
+            cells = scale * np.exp(gamma * x + offset) * tilt
+            mass = float(np.sum(cells))
+            y = float(gen.gamma(p, 1.0 / params.mu)) if y_volume is None else float(y_volume)
+            c = (math.log(y) - math.log(mass)) / gamma
+            yield LiouvilleSample(
+                field=c + x + h_grid + shift,
+                measure=(y / mass) * cells,
+                volume=y,
+                weight=mass ** (-p),
+            )

@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .gff import RngStream, free_field_partition
-from .lqft import InsertionSet, LQFTParams, insertion_constant, insertion_mass_samples
+from .lqft import InsertionSet, LQFTParams, insertion_constant, insertion_mass_table
 from .lqft import liouville_field_law_sampler
 from .special import dedekind_eta, theta_aux
 
@@ -172,45 +172,59 @@ def negative_moment(
     cache: MomentCache | None = None,
 ) -> tuple[float, float]:
     """(estimate, SE) of E[I^{-s/gamma}], memoized when a cache is given."""
-    tau = complex(tau)
+    return _negative_moments(params, [complex(tau)], ins, mc, res, cache)[0]
+
+
+def _negative_moments(params, taus, ins, mc, res, cache):
+    """negative_moment at every tau of taus from one common-random-numbers
+    pass: every tau is looked up in the cache first, and replicas are
+    drawn only when some tau misses, once for all of them."""
     if not ins.seiberg_local_ok(params.q):
         raise SeibergViolationLocal(
             f"insertion weight reaches Q = {params.q:g}; "
             "the modulus law is not defined there"
         )
-    key = None
+    keys = [None] * len(taus)
+    found = [None] * len(taus)
     if cache is not None:
-        key = moment_key(
-            tau,
-            params.gamma,
-            ins.insertions,
-            res.cutoff,
-            res.grid_factor,
-            res.eps_for(tau),
-            mc.replicas,
-            mc.seed,
-            mc.base_stream,
-        )
-        hit = cache.get(key)
-        if hit is not None:
-            return float(hit["moment"]), float(hit["std_error"])
+        for i, tau in enumerate(taus):
+            keys[i] = moment_key(
+                tau,
+                params.gamma,
+                ins.insertions,
+                res.cutoff,
+                res.grid_factor,
+                res.eps_for(tau),
+                mc.replicas,
+                mc.seed,
+                mc.base_stream,
+            )
+            hit = cache.get(keys[i])
+            if hit is not None:
+                found[i] = (float(hit["moment"]), float(hit["std_error"]))
+    missing = [i for i, f in enumerate(found) if f is None]
+    if not missing:
+        return found
     p = ins.alpha_sum / params.gamma
-    masses = insertion_mass_samples(params, tau, ins, mc, res)
-    vals = masses ** (-p)
-    moment = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
-    if cache is not None:
-        cache.put(
-            key,
-            {
-                "tau": [tau.real, tau.imag],
-                "gamma": params.gamma,
-                "moment": moment,
-                "std_error": se,
-                "replicas": mc.replicas,
-            },
-        )
-    return moment, se
+    masses = insertion_mass_table(params, [taus[i] for i in missing], ins, mc, res)
+    for i, row in zip(missing, masses):
+        vals = row ** (-p)
+        moment = float(np.mean(vals))
+        se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+        found[i] = (moment, se)
+        if cache is not None:
+            tau = taus[i]
+            cache.put(
+                keys[i],
+                {
+                    "tau": [tau.real, tau.imag],
+                    "gamma": params.gamma,
+                    "moment": moment,
+                    "std_error": se,
+                    "replicas": mc.replicas,
+                },
+            )
+    return found
 
 
 def _deterministic_factor(
@@ -302,7 +316,6 @@ def build_density_table(
     t_max: float = 8.0,
     tail_tol: float = 1e-3,
     cache: MomentCache | None = None,
-    threads: int = 1,
 ) -> DensityTable:
     """Tabulate the unnormalized density over the fundamental domain.
 
@@ -310,9 +323,17 @@ def build_density_table(
     above t_max is bounded by an exponential with the KPZ-compensated
     rate (pi/6)(1 - c_m) anchored at the last populated row; if the
     bound exceeds tail_tol of the total, TruncationTooTight asks for a
-    larger t_max.  All grid points share the replica streams (common
-    random numbers), so the table is smooth in tau and bit-for-bit
-    reproducible for a fixed (seed, grid).
+    larger t_max.
+
+    All grid points share the replica streams (common random numbers),
+    so the table is smooth in tau and bit-for-bit reproducible for a
+    fixed (seed, grid); each cell equals modulus_density at its center.
+    Every point is looked up in the cache first.  Only when some point
+    misses are the replicas drawn, each one once, batch by batch, and
+    every batch is reused for all missing points; each point then gets
+    its own cache entry.  Besides one replica batch (at most 2^16 grid
+    cells), the pass holds a mode-weight box and a G x G tilt grid per
+    missing point.
     """
     if t_max <= 2.0:
         raise ValidationError("t_max must exceed 2")
@@ -323,26 +344,18 @@ def build_density_table(
     density = np.zeros((re_cells, im_cells))
     stderr = np.zeros((re_cells, im_cells))
 
-    tasks = []
-    for a in range(re_cells):
-        for b in range(im_cells):
-            if _in_fundamental_domain(float(re_c[a]), float(im_c[b])):
-                tasks.append((a, b, complex(re_c[a], im_c[b])))
-
-    def work(item):
-        a, b, tau = item
-        return a, b, modulus_density(matter, params, ins, tau, mc, res, cache)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, tasks))
-    else:
-        results = [work(t) for t in tasks]
-    for a, b, (val, se) in results:
-        density[a, b] = val
-        stderr[a, b] = se
+    cells = [
+        (a, b)
+        for a in range(re_cells)
+        for b in range(im_cells)
+        if _in_fundamental_domain(float(re_c[a]), float(im_c[b]))
+    ]
+    taus = [complex(re_c[a], im_c[b]) for a, b in cells]
+    moments = _negative_moments(params, taus, ins, mc, res, cache)
+    for (a, b), tau, (moment, se) in zip(cells, taus, moments):
+        det = _deterministic_factor(matter, params, ins, tau)
+        density[a, b] = det * moment
+        stderr[a, b] = det * se
 
     # exact lambda_S area of each rectangle, masked to the domain
     d_re = np.diff(re_edges)

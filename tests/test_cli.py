@@ -73,6 +73,18 @@ def test_validation_error_exits_1(capsys):
     assert "--z" in err
 
 
+def test_critical_eps_outside_unit_interval_exits_1(tmp_path, capsys):
+    out = tmp_path / "masses.csv"
+    for eps in ("1.5", "1.0"):
+        code, _, err = run(
+            capsys, "gmc", "sample", "--tau", "0,1", "--critical", "--eps", eps,
+            "--replicas", "4", "--cutoff", "4", "--out", str(out),
+        )
+        assert code == 1
+        assert "eps in (0, 1)" in err
+        assert not out.exists()
+
+
 def test_numeric_failure_exits_2(capsys):
     code, _, err = run(
         capsys,

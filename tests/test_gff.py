@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from torus_lqg import gff
+from torus_lqg.config import MonteCarloConfig
 from torus_lqg.errors import IndexOutOfCutoff, ValidationError
 from torus_lqg.gff import (
     LogConformalFactor,
@@ -20,6 +24,7 @@ from torus_lqg.gff import (
     free_field_partition,
     modes_to_grid,
     regularized_variance,
+    replica_grids,
     sample_gff,
     scaled_mode_weights,
     truncated_covariance,
@@ -240,3 +245,63 @@ def test_dirichlet_energy_quadratic():
     fld = build_log_conformal_factor(small_spec(), TAU)
     doubled = SpectralField(tau=fld.tau, cutoff=fld.cutoff, coeffs=2.0 * fld.coeffs)
     assert abs(dirichlet_energy(doubled) - 4.0 * dirichlet_energy(fld)) < 1e-12
+
+
+def reference_grid(coeffs, grid):
+    """Per-replica synthesis: scatter the full box, complex ifft2, real part."""
+    N = (coeffs.shape[0] - 1) // 2
+    slots = np.zeros((grid, grid), dtype=complex)
+    idx = np.arange(-N, N + 1) % grid
+    slots[np.ix_(idx, idx)] = coeffs
+    return grid * grid * np.real(np.fft.ifft2(slots))
+
+
+def engine_grids(weights, grid, mc):
+    out = []
+    for start, gens, (xs,) in replica_grids([weights], grid, mc):
+        assert start == len(out) and len(gens) == len(xs)
+        out.extend(xs)
+    return np.array(out)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    cutoff=st.integers(1, 12),
+    grid_factor=st.integers(2, 5),
+    batch=st.integers(1, 6),
+    replicas=st.integers(2, 20),
+    base_stream=st.integers(0, 2**40),
+    data=st.data(),
+)
+def test_replica_engine_matches_per_replica_reference(
+    cutoff, grid_factor, batch, replicas, base_stream, data
+):
+    grid = grid_factor * (cutoff + 1)
+    mc = MonteCarloConfig(replicas=replicas, seed=SEED, base_stream=base_stream)
+    weights = scaled_mode_weights(TAU, cutoff, 0.1)
+    # shrink the cell budget to `batch` replicas per batch so runs cross
+    # batch boundaries at every grid size
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gff, "_BATCH_CELLS", batch * grid * grid)
+        grids = engine_grids(weights, grid, mc)
+        r = data.draw(st.integers(0, replicas - 1))
+        # a run needs two replicas; its first is replica r regenerated alone
+        alone = engine_grids(weights, grid, MonteCarloConfig(2, SEED, base_stream + r))[0]
+    assert grids.shape == (replicas, grid, grid)
+    for k in range(replicas):
+        gen = RngStream(SEED, base_stream + k).generator()
+        want = reference_grid(draw_hermitian_modes(gen, weights), grid)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(grids[k] - want)) <= 1e-12 * scale
+        assert abs(np.exp(grids[k]).sum() - np.exp(want).sum()) <= 1e-12 * np.exp(want).sum()
+    # replica r regenerated on its own gives the same mass as in the full run
+    mass = np.exp(grids[r]).sum()
+    assert abs(np.exp(alone).sum() - mass) <= 1e-12 * mass
+
+
+def test_replica_batches_follow_cell_budget():
+    # 2^16 cells per batch: 50 replicas at G = 36, one at G = 260
+    for grid, size in ((36, 50), (260, 1)):
+        mc = MonteCarloConfig(replicas=size + 1, seed=SEED)
+        weights = scaled_mode_weights(TAU, grid // 4 - 1)
+        assert [len(gens) for _, gens, _ in replica_grids([weights], grid, mc)] == [size, 1]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from torus_lqg import cache as cache_module
 from torus_lqg.cache import MomentCache, moment_key
 from torus_lqg.config import FieldResolution, MonteCarloConfig
 from torus_lqg.errors import (
@@ -188,6 +189,23 @@ def test_negative_moment_cache_roundtrip(tmp_path):
     assert rec["moment"] == a[0]
 
 
+def test_cache_key_carries_sampler_version(tmp_path, monkeypatch):
+    matter, params, ins = pure_setup()
+    args = (TAU, params.gamma, ins.insertions, 8, 4, 0.05, 100, 0, 0)
+    current = moment_key(*args)
+    monkeypatch.setattr(cache_module, "SAMPLER_VERSION", cache_module.SAMPLER_VERSION - 1)
+    old_key = moment_key(*args)
+    assert old_key != current
+    # a store written under the old sampler version is never served
+    cache = MomentCache(tmp_path)
+    negative_moment(params, TAU, ins, MC, RES, cache=cache)
+    monkeypatch.undo()
+    assert cache.get(moment_key(TAU, params.gamma, ins.insertions, RES.cutoff, RES.grid_factor,
+                                RES.eps_for(TAU), MC.replicas, MC.seed, MC.base_stream)) is None
+    negative_moment(params, TAU, ins, MC, RES, cache=cache)
+    assert len(json.loads(cache.path.read_text())["entries"]) == 2
+
+
 def test_cache_tolerates_corruption(tmp_path):
     matter, params, ins = pure_setup()
     cache = MomentCache(tmp_path)
@@ -257,11 +275,42 @@ def test_density_table_deterministic():
     assert a.tail_fraction == b.tail_fraction
 
 
-def test_density_table_threads_match_serial():
+def test_density_table_batched_matches_per_point(tmp_path):
     matter, params, ins = pure_setup()
-    a = build_density_table(matter, params, ins, MC, RES, re_cells=6, im_cells=6, t_max=12.0)
-    c = build_density_table(matter, params, ins, MC, RES, re_cells=6, im_cells=6, t_max=12.0, threads=4)
-    assert np.array_equal(a.density, c.density)
+    kw = dict(re_cells=6, im_cells=6, t_max=12.0)
+    plain = build_density_table(matter, params, ins, MC, RES, **kw)
+    re_c, im_c = plain.re_centers, plain.im_centers
+    inside = 0
+    for a in range(6):
+        for b in range(6):
+            if plain.density[a, b] > 0:
+                inside += 1
+                tau = complex(re_c[a], im_c[b])
+                want, want_se = modulus_density(matter, params, ins, tau, MC, RES)
+                assert abs(plain.density[a, b] - want) <= 1e-12 * want
+                assert abs(plain.std_error[a, b] - want_se) <= 1e-12 * want_se
+    assert inside > 0
+    cache = MomentCache(tmp_path)
+    cold = build_density_table(matter, params, ins, MC, RES, cache=cache, **kw)
+    warm = build_density_table(matter, params, ins, MC, RES, cache=cache, **kw)
+    for tab in (cold, warm):
+        assert np.array_equal(tab.density, plain.density)
+        assert np.array_equal(tab.std_error, plain.std_error)
+        assert np.array_equal(tab.cell_mass, plain.cell_mass)
+
+
+def test_warm_density_table_draws_no_replicas(tmp_path, monkeypatch):
+    matter, params, ins = pure_setup()
+    cache = MomentCache(tmp_path)
+    kw = dict(re_cells=4, im_cells=4, t_max=12.0, cache=cache)
+    cold = build_density_table(matter, params, ins, MC, RES, **kw)
+
+    def no_draw(self):
+        raise AssertionError("warm table drew a replica")
+
+    monkeypatch.setattr(RngStream, "generator", no_draw)
+    warm = build_density_table(matter, params, ins, MC, RES, **kw)
+    assert np.array_equal(warm.density, cold.density)
 
 
 def test_sample_modulus_law():
