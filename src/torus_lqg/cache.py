@@ -2,11 +2,12 @@
 
 Building a modulus-density table costs one negative-moment estimate per
 grid point; these are pure functions of (tau, coupling, insertions,
-resolution, seed), so they are memoized in a JSON file keyed by a content
-hash of that configuration.  Writes go through a temp file in the same
-directory followed by os.replace, so concurrent readers never observe a
-partially written store.  A corrupt or foreign-schema file is treated as
-empty rather than trusted.
+resolution, seed), so each is memoized in its own file, <key>.json, named
+by a content hash of that configuration.  A write goes to a temp file in
+the same directory and is moved into place with os.replace, so readers
+never observe a partial record and concurrent writers, threads or
+processes, never lose one another's moments.  A file that is missing or
+does not parse as a JSON object is a miss, never trusted.
 
 The default location is ~/.cache/torus-lqg; the TORUS_LQG_CACHE_DIR
 environment variable overrides it.
@@ -22,9 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = ["MomentCache", "SAMPLER_VERSION", "default_cache_dir", "moment_key"]
-
-_SCHEMA = 1
-_FILENAME = "moments.json"
 
 # Version of the replica sampler that produced a moment.  It enters every
 # key, so a change to the draws or the field synthesis never reads the
@@ -89,34 +87,21 @@ class MomentCache:
             self.directory = default_cache_dir()
         self.directory = Path(self.directory)
 
-    @property
-    def path(self) -> Path:
-        return self.directory / _FILENAME
-
-    def _load(self) -> dict:
-        try:
-            with open(self.path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (FileNotFoundError, json.JSONDecodeError):
-            return {}
-        if not isinstance(data, dict) or data.get("schema") != _SCHEMA:
-            return {}
-        entries = data.get("entries")
-        return entries if isinstance(entries, dict) else {}
-
     def get(self, key: str) -> dict | None:
-        return self._load().get(key)
+        try:
+            with open(self.directory / f"{key}.json", encoding="utf-8") as fh:
+                record = json.load(fh)
+        except (FileNotFoundError, ValueError):
+            return None
+        return record if isinstance(record, dict) else None
 
     def put(self, key: str, record: dict) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
-        entries = self._load()
-        entries[key] = record
-        payload = {"schema": _SCHEMA, "entries": entries}
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True)
-            os.replace(tmp, self.path)
+                json.dump(record, fh, sort_keys=True)
+            os.replace(tmp, self.directory / f"{key}.json")
         except BaseException:
             try:
                 os.unlink(tmp)

@@ -64,6 +64,7 @@ __all__ = [
     "insertion_potential_grid",
     "insertion_mass_samples",
     "insertion_mass_table",
+    "inverse_power_mean",
     "partition_function",
     "weyl_anomaly_factor",
     "weyl_anomaly_log_factor",
@@ -256,6 +257,12 @@ def insertion_mass_samples(
     return insertion_mass_table(params, [tau], ins, mc, res)[0]
 
 
+def inverse_power_mean(masses: np.ndarray, p: float) -> tuple[float, float]:
+    """(mean, SE) of masses^{-p} over a replica array."""
+    vals = masses ** (-p)
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+
+
 def partition_function(
     params: LQFTParams,
     tau: complex,
@@ -287,8 +294,7 @@ def partition_function(
         )
     s = ins.alpha_sum
     p = s / params.gamma
-    masses = insertion_mass_samples(params, tau, ins, mc, res)
-    moments = masses ** (-p)
+    mean, se = inverse_power_mean(insertion_mass_samples(params, tau, ins, mc, res), p)
     front = (
         free_field_partition(tau)
         * math.exp(insertion_constant(tau, ins, params.q))
@@ -296,8 +302,6 @@ def partition_function(
         * params.mu ** (-p)
         / params.gamma
     )
-    mean = float(np.mean(moments))
-    se = float(np.std(moments, ddof=1) / math.sqrt(len(moments)))
     return PartitionEstimate(
         value=front * mean, std_error=front * se, replicas=mc.replicas
     )

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .gff import RngStream, free_field_partition
 from .lqft import InsertionSet, LQFTParams, insertion_constant, insertion_mass_table
-from .lqft import liouville_field_law_sampler
+from .lqft import inverse_power_mean, liouville_field_law_sampler
 from .special import dedekind_eta, theta_aux
 
 __all__ = [
@@ -208,9 +208,7 @@ def _negative_moments(params, taus, ins, mc, res, cache):
     p = ins.alpha_sum / params.gamma
     masses = insertion_mass_table(params, [taus[i] for i in missing], ins, mc, res)
     for i, row in zip(missing, masses):
-        vals = row ** (-p)
-        moment = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+        moment, se = inverse_power_mean(row, p)
         found[i] = (moment, se)
         if cache is not None:
             tau = taus[i]

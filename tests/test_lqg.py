@@ -1,7 +1,7 @@
 """Matter coupling, modulus density table, and the joint law sampler."""
 
-import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -192,28 +192,48 @@ def test_negative_moment_cache_roundtrip(tmp_path):
 def test_cache_key_carries_sampler_version(tmp_path, monkeypatch):
     matter, params, ins = pure_setup()
     args = (TAU, params.gamma, ins.insertions, 8, 4, 0.05, 100, 0, 0)
+    live = (TAU, params.gamma, ins.insertions, RES.cutoff, RES.grid_factor,
+            RES.eps_for(TAU), MC.replicas, MC.seed, MC.base_stream)
     current = moment_key(*args)
     monkeypatch.setattr(cache_module, "SAMPLER_VERSION", cache_module.SAMPLER_VERSION - 1)
     old_key = moment_key(*args)
     assert old_key != current
     # a store written under the old sampler version is never served
+    old_live = moment_key(*live)
     cache = MomentCache(tmp_path)
-    negative_moment(params, TAU, ins, MC, RES, cache=cache)
+    old = negative_moment(params, TAU, ins, MC, RES, cache=cache)
     monkeypatch.undo()
-    assert cache.get(moment_key(TAU, params.gamma, ins.insertions, RES.cutoff, RES.grid_factor,
-                                RES.eps_for(TAU), MC.replicas, MC.seed, MC.base_stream)) is None
-    negative_moment(params, TAU, ins, MC, RES, cache=cache)
-    assert len(json.loads(cache.path.read_text())["entries"]) == 2
+    assert cache.get(moment_key(*live)) is None
+    new = negative_moment(params, TAU, ins, MC, RES, cache=cache)
+    # each version keeps its own record
+    assert cache.get(old_live)["moment"] == old[0]
+    assert cache.get(moment_key(*live))["moment"] == new[0]
 
 
 def test_cache_tolerates_corruption(tmp_path):
     matter, params, ins = pure_setup()
     cache = MomentCache(tmp_path)
     a = negative_moment(params, TAU, ins, MC, RES, cache=cache)
-    for f in tmp_path.iterdir():
-        f.write_text("not json at all")
-    b = negative_moment(params, TAU, ins, MC, RES, cache=cache)
-    assert a == b
+    # neither garbage, undecodable bytes nor JSON that is not an object is trusted
+    for junk in (b"not json at all", b"[]", b"\xff\xfe"):
+        for f in tmp_path.iterdir():
+            f.write_bytes(junk)
+        b = negative_moment(params, TAU, ins, MC, RES, cache=cache)
+        assert a == b
+
+
+def test_cache_concurrent_writers_lose_nothing(tmp_path):
+    caches = [MomentCache(tmp_path), MomentCache(tmp_path)]
+
+    def fill(w):
+        for k in range(100):
+            caches[w].put(f"{w}-{k}", {"writer": w, "k": k})
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        list(pool.map(fill, range(2)))
+    for w in range(2):
+        for k in range(100):
+            assert caches[1 - w].get(f"{w}-{k}") == {"writer": w, "k": k}
 
 
 def test_cache_key_sensitivity():
