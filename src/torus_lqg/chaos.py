@@ -11,6 +11,8 @@ with sigma_eps^2 the exact variance of the truncated circle-averaged
 field.  That makes every cell weight unit-mean at any resolution, so
 E[total mass] = prefactor * Im(tau) holds exactly and convergence
 studies only fight genuine chaos fluctuations, not normalization drift.
+cell_constants, chaos_cells and chaos_batches are the one home of this
+weight; the Liouville functionals reuse them with a tilt e^{gamma H}.
 
 At the critical point gamma = 2 the same recipe acquires the
 sqrt(ln(1/eps)) push and a sqrt(pi/2) constant; the critical mass has
@@ -39,12 +41,16 @@ from .modular import ModularElement
 
 __all__ = [
     "ChaosMeasure",
+    "cell_constants",
+    "chaos_batches",
+    "chaos_cells",
     "chaos_measure",
     "chaos_prefactor",
     "critical_chaos_measure",
     "expected_total_mass",
     "pushforward",
     "sample_total_masses",
+    "total_mass_table",
 ]
 
 
@@ -81,41 +87,94 @@ def expected_total_mass(tau: complex, gamma: float, q: float) -> float:
     return chaos_prefactor(tau, gamma, q) * complex(tau).imag
 
 
-def _cell_weights(fld: SpectralField, gamma: float, scale: float, grid: int | None):
-    tau = complex(fld.tau)
+def cell_constants(
+    tau: complex, gamma: float, q: float, cutoff: int, eps: float, grid: int, critical: bool = False
+) -> tuple[float, float]:
+    """(scale, offset) of one modulus: a cell weighs scale * chaos_cells.
+
+    scale = prefactor * Im(tau) / G^2, with the critical prefactor when
+    critical is set; offset = -(gamma^2/2) sigma_eps^2.  Callers validate
+    gamma.
+    """
+    tau = complex(tau)
+    if critical:
+        if not 0.0 < eps < 1.0:
+            raise ValidationError(f"critical correction needs eps in (0, 1), got {eps:g}")
+        # sqrt(pi/2) sqrt(ln 1/eps) times the gamma = 2 prefactor
+        push = math.sqrt(0.5 * math.pi) * math.sqrt(math.log(1.0 / eps))
+        pref = push * chaos_prefactor(tau, 2.0, 2.0)
+    else:
+        pref = chaos_prefactor(tau, gamma, q)
+    scale = pref * tau.imag / (grid * grid)
+    offset = -0.5 * gamma * gamma * regularized_variance(tau, cutoff, eps)
+    return scale, offset
+
+
+def chaos_cells(x: np.ndarray, gamma: float, offset: float, tilt=None) -> np.ndarray:
+    """exp(gamma X + offset) on a grid or a stack of grids, times tilt if given."""
+    cells = np.exp(gamma * x + offset)
+    return cells if tilt is None else cells * tilt
+
+
+def chaos_batches(points, gamma: float, grid: int, mc: MonteCarloConfig):
+    """One replica_grids pass at several moduli on common random numbers.
+
+    points holds one (mode weights, scale, offset, tilt or None) per
+    modulus.  Yields (start, generators, stacks) per batch; stacks yields,
+    lazily and in the order of points, (x, cells, masses) with x the
+    (B, G, G) field stack, cells its chaos_cells and masses the totals
+    scale * sum(cells) per replica.
+    """
+
+    def stacks(grids):
+        for x, (_, scale, offset, tilt) in zip(grids, points):
+            cells = chaos_cells(x, gamma, offset, tilt)
+            yield x, cells, scale * cells.sum(axis=(1, 2))
+
+    for start, gens, grids in replica_grids([pt[0] for pt in points], grid, mc):
+        yield start, gens, stacks(grids)
+
+
+def total_mass_table(points, gamma: float, grid: int, mc: MonteCarloConfig) -> np.ndarray:
+    """Total masses of chaos_batches, shape (len(points), mc.replicas)."""
+    out = np.empty((len(points), mc.replicas))
+    for start, _, stacks in chaos_batches(points, gamma, grid, mc):
+        for k, (x, _, masses) in enumerate(stacks):
+            out[k, start : start + len(x)] = masses
+    return out
+
+
+def _subcritical(gamma: float) -> float:
+    if not 0.0 < gamma < 2.0:
+        raise InvalidGamma(f"subcritical chaos needs 0 < gamma < 2, got {gamma}")
+    return gamma
+
+
+def _measure(fld: SpectralField, gamma: float, q: float, grid: int | None, critical: bool):
+    """The chaos measure of a circle-averaged field on its evaluation grid."""
     if not fld.eps > 0:
         raise ValidationError("chaos needs a circle-averaged field; call circle_average first")
-    sigma2 = regularized_variance(tau, fld.cutoff, fld.eps)
     x = evaluate_on_grid(fld, grid)
-    g = x.shape[0]
-    area = tau.imag / (g * g)
-    return scale * np.exp(gamma * x - 0.5 * gamma * gamma * sigma2) * area
+    scale, offset = cell_constants(fld.tau, gamma, q, fld.cutoff, fld.eps, x.shape[0], critical)
+    return ChaosMeasure(
+        tau=fld.tau,
+        gamma=gamma,
+        eps=fld.eps,
+        weights=scale * chaos_cells(x, gamma, offset),
+        critical=critical,
+    )
 
 
 def chaos_measure(
     fld: SpectralField, gamma: float, q: float, grid: int | None = None
 ) -> ChaosMeasure:
     """Subcritical measure M_{gamma, tau} from a circle-averaged field."""
-    if not 0.0 < gamma < 2.0:
-        raise InvalidGamma(f"subcritical chaos needs 0 < gamma < 2, got {gamma}")
-    scale = chaos_prefactor(fld.tau, gamma, q)
-    w = _cell_weights(fld, gamma, scale, grid)
-    return ChaosMeasure(tau=fld.tau, gamma=gamma, eps=fld.eps, weights=w)
-
-
-def _critical_prefactor(tau: complex, eps: float) -> float:
-    """sqrt(pi/2) sqrt(ln 1/eps) times the gamma = 2 prefactor."""
-    if not 0.0 < eps < 1.0:
-        raise ValidationError(f"critical correction needs eps in (0, 1), got {eps:g}")
-    push = math.sqrt(0.5 * math.pi) * math.sqrt(math.log(1.0 / eps))
-    return push * chaos_prefactor(tau, 2.0, 2.0)
+    return _measure(fld, _subcritical(gamma), q, grid, critical=False)
 
 
 def critical_chaos_measure(fld: SpectralField, grid: int | None = None) -> ChaosMeasure:
     """Critical measure at gamma = 2 with the sqrt(ln 1/eps) correction."""
-    scale = _critical_prefactor(fld.tau, fld.eps)
-    w = _cell_weights(fld, 2.0, scale, grid)
-    return ChaosMeasure(tau=fld.tau, gamma=2.0, eps=fld.eps, weights=w, critical=True)
+    return _measure(fld, 2.0, 2.0, grid, critical=True)
 
 
 def pushforward(measure: ChaosMeasure, psi: ModularElement) -> ChaosMeasure:
@@ -155,19 +214,7 @@ def sample_total_masses(
     """Replica array of total chaos masses, deterministic per (seed, stream)."""
     tau = complex(tau)
     eps = res.eps_for(tau)
-    if critical:
-        scale = _critical_prefactor(tau, eps)
-        gamma = 2.0
-    else:
-        if not 0.0 < gamma < 2.0:
-            raise InvalidGamma(f"subcritical chaos needs 0 < gamma < 2, got {gamma}")
-        scale = chaos_prefactor(tau, gamma, q)
-    sigma2 = regularized_variance(tau, res.cutoff, eps)
-    g = res.grid
-    area = tau.imag / (g * g)
-    weights = scaled_mode_weights(tau, res.cutoff, eps)
-    out = np.empty(mc.replicas)
-    for start, _, (x,) in replica_grids([weights], g, mc):
-        cells = np.exp(gamma * x - 0.5 * gamma * gamma * sigma2)
-        out[start : start + len(x)] = scale * area * cells.sum(axis=(1, 2))
-    return out
+    gamma = 2.0 if critical else _subcritical(gamma)
+    scale, offset = cell_constants(tau, gamma, q, res.cutoff, eps, res.grid, critical)
+    point = (scaled_mode_weights(tau, res.cutoff, eps), scale, offset, None)
+    return total_mass_table([point], gamma, res.grid, mc)[0]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .chaos import expected_total_mass, sample_total_masses
 from .config import FieldResolution, MonteCarloConfig
-from .errors import SeibergViolationSum
+from .errors import SeibergViolationLocal, SeibergViolationSum
 from .gff import (
     SpectralField,
     dirichlet_energy,
@@ -38,7 +38,7 @@ from .special import (
     theta1_z_derivative_at_zero,
 )
 
-__all__ = ["CheckResult", "run_checks", "modular_partition_ratio"]
+__all__ = ["CheckResult", "kpz_residuals", "modular_partition_ratio", "run_checks"]
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def _variance_constant(quick: bool) -> tuple[bool, str]:
 def _gmc_mass(quick: bool) -> tuple[bool, str]:
     tau = 0.15 + 1.05j
     gamma = 1.0
-    q = 2.0 / gamma + gamma / 2.0
+    q = LQFTParams(gamma).q
     res = FieldResolution(cutoff=12 if quick else 24)
     mc = MonteCarloConfig(replicas=300 if quick else 1500, seed=42)
     masses = sample_total_masses(tau, gamma, q, mc, res)
@@ -132,17 +132,30 @@ def _gmc_mass(quick: bool) -> tuple[bool, str]:
     return dev <= 3.0, f"mean mass off by {dev:.2f} SE"
 
 
+def kpz_residuals(
+    gamma: float, tau: complex, ins: InsertionSet, mc: MonteCarloConfig, res: FieldResolution, mus
+) -> list[float]:
+    """|Pi_mu / Pi_1 - mu^{-s/gamma}| for each mu of mus (exact KPZ scaling).
+
+    Raises SeibergViolationLocal when some alpha_i >= Q: every Pi is then
+    zero and the ratio undefined.
+    """
+    q = LQFTParams(gamma).q
+    if not ins.seiberg_local_ok(q):
+        raise SeibergViolationLocal(f"every alpha must stay below Q = {q:g} for a KPZ ratio")
+    base = partition_function(LQFTParams(gamma, 1.0), tau, ins, mc, res).value
+    p = ins.alpha_sum / gamma
+    return [
+        abs(partition_function(LQFTParams(gamma, mu), tau, ins, mc, res).value / base - mu ** (-p))
+        for mu in mus
+    ]
+
+
 def _kpz_exact(quick: bool) -> tuple[bool, str]:
-    tau = 0.2 + 1.3j
     ins = InsertionSet(((0.1, 0.3, 0.9), (0.6, 0.1, 0.4)))
     mc = MonteCarloConfig(replicas=32 if quick else 256, seed=5)
     res = FieldResolution(cutoff=12)
-    base = partition_function(LQFTParams(1.0, 1.0), tau, ins, mc, res)
-    worst = 0.0
-    p = ins.alpha_sum
-    for mu in (0.5, 2.0, 10.0):
-        est = partition_function(LQFTParams(1.0, mu), tau, ins, mc, res)
-        worst = max(worst, abs(est.value / base.value - mu ** (-p)))
+    worst = max(kpz_residuals(1.0, 0.2 + 1.3j, ins, mc, res, (0.5, 2.0, 10.0)))
     return worst <= 1e-12, f"max scaling residual {worst:.2e}"
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .cache import MomentCache
 from .chaos import sample_total_masses
-from .checks import modular_partition_ratio, run_checks
+from .checks import kpz_residuals, modular_partition_ratio, run_checks
 from .config import FieldResolution, MonteCarloConfig
 from .errors import NumericError, SchemaMismatch, TorusLQGError, ValidationError
 from .gff import RngStream, evaluate_on_grid, sample_gff
@@ -231,7 +231,7 @@ def _cmd_gff_sample(args, finish_csv):
 
 def _cmd_gmc_sample(args, finish_csv):
     gamma = 2.0 if args.critical else args.gamma
-    q = 2.0 / gamma + gamma / 2.0
+    q = LQFTParams(gamma).q
     res = FieldResolution(args.cutoff, args.grid_factor, eps=args.eps)
     mc = MonteCarloConfig(replicas=args.replicas, seed=args.seed)
     masses = sample_total_masses(args.tau, gamma, q, mc, res, critical=args.critical)
@@ -262,12 +262,8 @@ def _cmd_lqft_check_kpz(args, emit):
     ins = InsertionSet(args.insertions)
     mc = MonteCarloConfig(replicas=args.replicas, seed=args.seed)
     res = FieldResolution(args.cutoff, args.grid_factor)
-    base = partition_function(LQFTParams(args.gamma, 1.0), args.tau, ins, mc, res)
-    p = ins.alpha_sum / args.gamma
-    residuals = {}
-    for mu in args.mu_list:
-        est = partition_function(LQFTParams(args.gamma, mu), args.tau, ins, mc, res)
-        residuals[str(mu)] = abs(est.value / base.value - mu ** (-p))
+    found = kpz_residuals(args.gamma, args.tau, ins, mc, res, args.mu_list)
+    residuals = {str(mu): r for mu, r in zip(args.mu_list, found)}
     worst = max(residuals.values())
     passed = worst <= 1e-12
     emit(

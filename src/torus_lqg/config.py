@@ -24,13 +24,10 @@ class MonteCarloConfig:
     replicas: int = 1000
     seed: int = 0
     base_stream: int = 0
-    ci_level: float = 0.99
 
     def __post_init__(self):
         if self.replicas < 2:
             raise ValidationError("need at least 2 replicas")
-        if not 0.5 < self.ci_level < 1.0:
-            raise ValidationError("ci_level must be in (0.5, 1)")
 
 
 @dataclass(frozen=True)

@@ -25,16 +25,12 @@ import numpy as np
 
 from .errors import NonConvergence, SingularPoint, ValidationError
 from .modular import c_tau, p_tau, wrap_centered, wrap_unit
-from .special import (
-    QSeriesConfig,
-    dedekind_eta,
-    theta1,
-    theta1_over_z,
-)
+from .special import MAX_TERMS, dedekind_eta, theta1, theta1_over_z
 
 __all__ = [
     "GreenEvalConfig",
     "green",
+    "green_centered",
     "green_log_subtracted",
     "green_mean_zero",
     "green_regularized",
@@ -68,7 +64,6 @@ class GreenEvalConfig:
 
 
 _DEFAULT = GreenEvalConfig()
-_QCFG = QSeriesConfig()
 
 
 def min_lattice_distance(tau: complex) -> float:
@@ -96,36 +91,48 @@ def _check_singular(tau, x1, x2):
         raise SingularPoint(f"green function diverges at the lattice point, x=({x1}, {x2})")
 
 
-def _closed_raw(tau: complex, x1, x2):
-    """Closed form without any coordinate wrapping; periodic only in exact arithmetic."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    z = x1 + complex(tau) * x2
-    val = np.pi * tau.imag * x2**2 - np.log(
-        np.abs(theta1(z, tau, _QCFG) / dedekind_eta(tau, _QCFG))
-    )
-    return val
+def green_centered(tau: complex, x1c, x2c, cap: float | None = None):
+    """G at centered coordinates x~ in [-1/2, 1/2)^2, one route per point.
+
+    Points with |p_tau(x~)| below a quarter of the shortest lattice vector
+    take green_log_subtracted - ln|p|, which stays stable near 0; the rest
+    take the closed form at the unit-square representative.  Each route
+    sees only its own points.  With cap, -ln|p| is frozen at -ln(cap) on
+    near points closer than cap.  Lattice points are not rejected here.
+    """
+    tau = complex(tau)
+    x1c, x2c = np.broadcast_arrays(np.asarray(x1c, dtype=float), np.asarray(x2c, dtype=float))
+    az = np.abs(p_tau(tau, x1c, x2c))
+    near = az < 0.25 * min_lattice_distance(tau)
+    # a one-route input is passed whole, so a scalar stays a scalar
+    if not np.any(near):
+        return _far_route(tau, x1c, x2c)
+    if np.all(near):
+        return _near_route(tau, x1c, x2c, az, cap)
+    out = np.empty(az.shape)
+    out[near] = _near_route(tau, x1c[near], x2c[near], az[near], cap)
+    far = ~near
+    out[far] = _far_route(tau, x1c[far], x2c[far])
+    return out
+
+
+def _near_route(tau: complex, x1c, x2c, az, cap):
+    r = az if cap is None else np.maximum(az, cap)
+    return green_log_subtracted(tau, x1c, x2c) - np.log(r)
+
+
+def _far_route(tau: complex, x1c, x2c):
+    x1, x2 = wrap_unit(x1c), wrap_unit(x2c)
+    ratio = theta1(x1 + tau * x2, tau) / dedekind_eta(tau)
+    return np.pi * tau.imag * x2**2 - np.log(np.abs(ratio))
 
 
 def _green_closed(tau: complex, x1, x2):
-    """Production closed form: wraps to the unit square, stays stable near 0."""
+    """Production closed form: wraps to the unit square, rejects lattice points."""
     x1 = wrap_unit(x1)
     x2 = wrap_unit(x2)
     _check_singular(tau, x1, x2)
-    x1c = wrap_centered(x1)
-    x2c = wrap_centered(x2)
-    z = p_tau(tau, x1c, x2c)
-    near = np.abs(z) < 0.25 * min_lattice_distance(tau)
-    if not np.any(near):
-        return _closed_raw(tau, x1, x2)
-    # near a lattice point: G = R - ln|p| with R smooth through 0
-    sub = green_log_subtracted(tau, x1c, x2c)
-    safe_z = np.where(near, z, 1.0)
-    val_near = sub - np.log(np.abs(safe_z))
-    if np.all(near):
-        return val_near
-    val_far = _closed_raw(tau, x1, x2)
-    return np.where(near, val_near, val_far)
+    return green_centered(tau, wrap_centered(x1), wrap_centered(x2))
 
 
 def green_log_subtracted(tau: complex, x1, x2):
@@ -138,7 +145,7 @@ def green_log_subtracted(tau: complex, x1, x2):
     x1c = wrap_centered(x1)
     x2c = wrap_centered(x2)
     z = p_tau(tau, x1c, x2c)
-    ratio = theta1_over_z(z, tau, _QCFG) / dedekind_eta(tau, _QCFG)
+    ratio = theta1_over_z(z, tau) / dedekind_eta(tau)
     return np.pi * tau.imag * np.asarray(x2c) ** 2 - np.log(np.abs(ratio))
 
 
@@ -177,7 +184,7 @@ def _green_appendix(tau: complex, x1: float, x2: float, tolerance: float):
     # factor m contributes at most |q|^(2(m - x2)) ~ decay^(m - 1)
     while 2.0 * decay ** (m_cut - x2) / (1.0 - decay) > 0.1 * tolerance:
         m_cut += 1
-        if m_cut > _QCFG.max_terms:
+        if m_cut > MAX_TERMS:
             raise NonConvergence("appendix-route m-sum does not meet tolerance")
     ms = np.arange(1, m_cut + 1)
     q2m = np.exp(2j * np.pi * tau * ms)
@@ -253,7 +260,7 @@ def green_regularized(tau: complex, x, eps: float, n_theta: int = 48) -> float:
     z0 = p_tau(tau, wrap_centered(x1), wrap_centered(x2))
     if abs(z0) < _SINGULAR_TOL:
         # R(c_tau(w)) with p exactly w: no re-wrapping, the offsets are tiny
-        ratio = theta1_over_z(diff, tau, _QCFG) / dedekind_eta(tau, _QCFG)
+        ratio = theta1_over_z(diff, tau) / dedekind_eta(tau)
         smooth = np.pi * tau.imag * d2**2 - np.log(np.abs(ratio))
         return float(-math.log(eps) + np.mean(smooth))
     vals = np.asarray(_green_closed(tau, x1 + d1, x2 + d2))

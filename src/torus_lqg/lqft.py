@@ -39,18 +39,11 @@ from .gff import (
     SpectralField,
     dirichlet_energy,
     free_field_partition,
-    regularized_variance,
-    replica_grids,
     scaled_mode_weights,
 )
-from .green import (
-    green,
-    green_log_subtracted,
-    min_lattice_distance,
-    theta_offset,
-)
-from .chaos import chaos_prefactor
-from .modular import p_tau, wrap_centered
+from .green import green, green_centered, theta_offset
+from .chaos import cell_constants, chaos_batches, total_mass_table
+from .modular import wrap_centered
 
 __all__ = [
     "Insertion",
@@ -160,20 +153,9 @@ def insertion_potential_grid(
     u = np.arange(grid) / grid
     x1, x2 = np.meshgrid(u, u, indexing="ij")
     total = np.zeros((grid, grid))
-    switch = 0.25 * min_lattice_distance(tau)
     for i in ins.insertions:
-        y1 = wrap_centered(x1 - i.x1)
-        y2 = wrap_centered(x2 - i.x2)
-        az = np.abs(p_tau(tau, y1, y2))
-        near = az < switch
-        part = np.empty_like(total)
-        part[near] = green_log_subtracted(tau, y1[near], y2[near]) - np.log(
-            np.maximum(az[near], eps_cap)
-        )
-        far = ~near
-        if np.any(far):
-            part[far] = green(tau, (y1[far], y2[far]))
-        total += i.alpha * part
+        y1, y2 = wrap_centered(x1 - i.x1), wrap_centered(x2 - i.x2)
+        total += i.alpha * green_centered(tau, y1, y2, eps_cap)
     return total
 
 
@@ -201,17 +183,14 @@ class PartitionEstimate:
     diagnostic: str | None = None
 
 
-def _tilted_setup(params: LQFTParams, tau: complex, ins: InsertionSet, res: FieldResolution):
-    """Per-modulus constants of the tilted mass: (mode weights, H grid,
-    cell scale, variance offset)."""
-    gamma = params.gamma
+def _tilted_point(params: LQFTParams, tau: complex, ins: InsertionSet, res: FieldResolution):
+    """The chaos_batches point (mode weights, scale, offset, tilt) of the
+    tilted mass at one modulus, and the H grid behind the tilt."""
     eps = res.eps_for(tau)
-    g = res.grid
+    h_grid = insertion_potential_grid(tau, ins, res.grid, eps)
+    scale, offset = cell_constants(tau, params.gamma, params.q, res.cutoff, eps, res.grid)
     weights = scaled_mode_weights(tau, res.cutoff, eps)
-    h_grid = insertion_potential_grid(tau, ins, g, eps)
-    scale = chaos_prefactor(tau, gamma, params.q) * tau.imag / (g * g)
-    offset = -0.5 * gamma * gamma * regularized_variance(tau, res.cutoff, eps)
-    return weights, h_grid, scale, offset
+    return (weights, scale, offset, np.exp(params.gamma * h_grid)), h_grid
 
 
 def insertion_mass_table(
@@ -227,18 +206,8 @@ def insertion_mass_table(
     so row k equals insertion_mass_samples at taus[k].  Holds one
     G x G tilt grid per modulus while the batches run.
     """
-    gamma = params.gamma
-    points = []
-    for tau in taus:
-        weights, h_grid, scale, offset = _tilted_setup(params, complex(tau), ins, res)
-        points.append((weights, np.exp(gamma * h_grid), scale, offset))
-    out = np.empty((len(points), mc.replicas))
-    for start, _, grids in replica_grids([pt[0] for pt in points], res.grid, mc):
-        for k, x in enumerate(grids):
-            _, tilt, scale, offset = points[k]
-            cells = np.exp(gamma * x + offset) * tilt
-            out[k, start : start + len(x)] = scale * cells.sum(axis=(1, 2))
-    return out
+    points = [_tilted_point(params, complex(tau), ins, res)[0] for tau in taus]
+    return total_mass_table(points, params.gamma, res.grid, mc)
 
 
 def insertion_mass_samples(
@@ -353,18 +322,17 @@ def liouville_field_law_sampler(
         raise SeibergViolationLocal(f"every alpha must stay below Q = {params.q:g}")
     gamma = params.gamma
     p = ins.alpha_sum / gamma
-    weights, h_grid, scale, offset = _tilted_setup(params, tau, ins, res)
-    tilt = np.exp(gamma * h_grid)
+    point, h_grid = _tilted_point(params, tau, ins, res)
+    scale = point[1]
     shift = -0.5 * params.q * math.log(tau.imag)
-    for _, gens, (xs,) in replica_grids([weights], res.grid, mc):
-        for gen, x in zip(gens, xs):
-            cells = scale * np.exp(gamma * x + offset) * tilt
-            mass = float(np.sum(cells))
+    for _, gens, ((xs, cells, masses),) in chaos_batches([point], gamma, res.grid, mc):
+        for gen, x, cell, mass in zip(gens, xs, cells, masses):
+            mass = float(mass)
             y = float(gen.gamma(p, 1.0 / params.mu)) if y_volume is None else float(y_volume)
             c = (math.log(y) - math.log(mass)) / gamma
             yield LiouvilleSample(
                 field=c + x + h_grid + shift,
-                measure=(y / mass) * cells,
+                measure=(y * scale / mass) * cell,
                 volume=y,
                 weight=mass ** (-p),
             )

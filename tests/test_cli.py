@@ -67,10 +67,19 @@ def test_usage_errors_exit_1(capsys):
         capsys.readouterr()
 
 
-def test_validation_error_exits_1(capsys):
-    code, _, err = run(capsys, "special-fn", "eval", "--fn", "theta1", "--tau", "0,1")
-    assert code == 1
-    assert "--z" in err
+def test_validation_error_exits_1(tmp_path, capsys):
+    out = tmp_path / "masses.csv"
+    for argv, needle in (
+        (["special-fn", "eval", "--fn", "theta1", "--tau", "0,1"], "--z"),
+        (["gmc", "sample", "--tau", "0,1", "--gamma", "0", "--replicas", "4",
+          "--cutoff", "4", "--out", str(out)], "gamma"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:")
+        assert needle in err
+        assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_critical_eps_outside_unit_interval_exits_1(tmp_path, capsys):
@@ -86,13 +95,16 @@ def test_critical_eps_outside_unit_interval_exits_1(tmp_path, capsys):
 
 
 def test_numeric_failure_exits_2(capsys):
-    code, _, err = run(
-        capsys,
-        "green", "eval", "--tau", "0,1", "--x", "0.3,0.4",
-        "--mode", "eigen", "--eigen-cutoff", "50", "--tolerance", "1e-9",
-    )
-    assert code == 2
-    assert "numeric failure" in err
+    for argv in (
+        ["green", "eval", "--tau", "0,1", "--x", "0.3,0.4",
+         "--mode", "eigen", "--eigen-cutoff", "50", "--tolerance", "1e-9"],
+        # alpha = 3 >= Q = 2.5: every Pi vanishes, so the KPZ ratio is undefined
+        ["lqft", "check-kpz", "--insertions", "0.1,0.1,3.0", "--replicas", "4",
+         "--cutoff", "4"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "numeric failure" in err
 
 
 def test_check_quick_suite(capsys):

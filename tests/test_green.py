@@ -49,10 +49,12 @@ def test_evenness():
 
 
 def test_vectorized_matches_scalar():
-    x1 = np.array([p[0] for p in POINTS])
-    x2 = np.array([p[1] for p in POINTS])
+    # two near-lattice points make the array mixed near/far
+    points = POINTS + [(0.03, -0.02), (-0.96, 0.99)]
+    x1 = np.array([p[0] for p in points])
+    x2 = np.array([p[1] for p in points])
     vec = green(TAU, (x1, x2))
-    for k, (a, b) in enumerate(POINTS):
+    for k, (a, b) in enumerate(points):
         assert abs(vec[k] - green(TAU, (a, b))) < 1e-14
 
 

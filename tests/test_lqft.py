@@ -226,6 +226,19 @@ def test_sampler_determinism_and_shapes():
         assert sa.field.shape == (res.grid, res.grid)
 
 
+def test_sampler_weights_are_mass_powers():
+    # the law sampler and insertion_mass_samples share one cell-weight kernel
+    params = LQFTParams(gamma=1.0, mu=2.0)
+    res = FieldResolution(cutoff=12, grid_factor=4)
+    mc = MonteCarloConfig(replicas=60, seed=5)
+    p = TWO_POINTS.alpha_sum / params.gamma
+    masses = insertion_mass_samples(params, TAU, TWO_POINTS, mc, res)
+    samples = list(liouville_field_law_sampler(params, TAU, TWO_POINTS, mc, res))
+    assert len(samples) == mc.replicas
+    for r, sample in enumerate(samples):
+        assert sample.weight == masses[r] ** (-p)
+
+
 def test_sampler_measure_total_is_volume():
     params = LQFTParams(gamma=1.0, mu=2.0)
     res = FieldResolution(cutoff=6, grid_factor=4)

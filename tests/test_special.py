@@ -14,7 +14,6 @@ import pytest
 
 from torus_lqg.errors import NonConvergence, ValidationError
 from torus_lqg.special import (
-    QSeriesConfig,
     dedekind_eta,
     theta1,
     theta1_over_z,
@@ -154,13 +153,6 @@ def test_rejects_lower_half_plane():
         dedekind_eta(0.3 - 1.2j)
     with pytest.raises(ValidationError):
         theta1(Z, 0.5)
-
-
-def test_rejects_bad_series_config():
-    with pytest.raises(ValidationError):
-        QSeriesConfig(tolerance=0.0)
-    with pytest.raises(ValidationError):
-        QSeriesConfig(max_terms=0)
 
 
 def test_nonconvergence_near_real_axis():
