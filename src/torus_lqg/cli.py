@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -119,46 +120,54 @@ def _fmt_cell(v) -> str:
 _SKIP_IN_CONFIG = {"group", "cmd", "config", "out", "data", "func"}
 
 
-def _resolved_config(args) -> dict:
-    return {
+def _provenance(args, argv, t0: float) -> dict:
+    """The one provenance record: JSON `meta`, and the CSV/SVG header lines."""
+    config = {
         k: _json_safe(v)
         for k, v in sorted(vars(args).items())
         if k not in _SKIP_IN_CONFIG and not k.startswith("_")
     }
+    return {
+        "version": __version__,
+        "command": " ".join(argv),
+        "config": config,
+        "seed": config.get("seed", "-"),
+        "duration_s": round(time.time() - t0, 3),
+    }
 
 
-def _header_lines(argv, args, t0: float) -> list[str]:
-    cfg = _resolved_config(args)
-    seed = cfg.get("seed", "-")
-    return [
-        f"torus-lqg {__version__}",
-        "command: " + " ".join(argv),
-        "config: " + json.dumps(cfg, sort_keys=True),
-        f"seed: {seed}",
-        f"duration_s: {time.time() - t0:.3f}",
+def _render(kind: str, result, record: dict) -> str:
+    """Output text of a handler's result, by the subcommand's kind.
+
+    `text`: the report as is; `json`: a payload dict; `csv`: (columns,
+    rows); `svg`: a builder that takes the header lines.
+    """
+    if kind == "text":
+        return result
+    if kind == "json":
+        return json.dumps({"meta": record, **result}, sort_keys=True, indent=2) + "\n"
+    header = [
+        f"torus-lqg {record['version']}",
+        f"command: {record['command']}",
+        "config: " + json.dumps(record["config"], sort_keys=True),
+        f"seed: {record['seed']}",
+        f"duration_s: {record['duration_s']:.3f}",
     ]
-
-
-def _write_csv(path: str, header: list[str], columns: list[str], rows) -> None:
+    if kind == "svg":
+        return result(header)
+    columns, rows = result
     lines = [f"# {h}" for h in header]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt_cell(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
-def _emit_json(args, payload: dict, header: list[str]) -> None:
-    meta = {
-        "version": __version__,
-        "command": header[1].removeprefix("command: "),
-        "config": _resolved_config(args),
-        "seed": _resolved_config(args).get("seed", "-"),
-        "duration_s": float(header[-1].split(": ")[1]),
-    }
-    text = json.dumps({"meta": meta, **payload}, sort_keys=True, indent=2) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+def _write(args, argv, t0: float, result) -> None:
+    """The one output path: render a handler's result, write it to --out or stdout."""
+    text = _render(args._kind, result, _provenance(args, argv, t0))
+    if getattr(args, "out", None):
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -166,7 +175,7 @@ def _emit_json(args, payload: dict, header: list[str]) -> None:
 # ---------------------------------------------------------------- handlers
 
 
-def _cmd_special_eval(args, emit):
+def _cmd_special_eval(args, write):
     tau = args.tau
     if args.fn == "eta":
         val = dedekind_eta(tau)
@@ -174,18 +183,16 @@ def _cmd_special_eval(args, emit):
         if args.z is None:
             raise ValidationError("theta1 needs --z RE,IM")
         val = complex(theta1(complex(*args.z), tau))
-    elif args.fn in ("theta2", "theta3", "theta4"):
-        val = theta_aux(int(args.fn[-1]), tau)
     else:
-        raise ValidationError(f"unknown function {args.fn!r}")
-    emit({"fn": args.fn, "tau": _json_safe(tau), "value": _json_safe(complex(val))})
+        val = theta_aux(int(args.fn[-1]), tau)
+    write({"fn": args.fn, "tau": _json_safe(tau), "value": _json_safe(complex(val))})
     return 0
 
 
-def _cmd_modular_reduce(args, emit):
+def _cmd_modular_reduce(args, write):
     red = reduce_to_fundamental(args.tau)
     w = red.witness
-    emit(
+    write(
         {
             "tau": _json_safe(args.tau),
             "reduced": _json_safe(red.tau),
@@ -195,16 +202,16 @@ def _cmd_modular_reduce(args, emit):
     return 0
 
 
-def _cmd_green_eval(args, emit):
+def _cmd_green_eval(args, write):
     cfg = GreenEvalConfig(
         mode=args.mode, eigen_cutoff=args.eigen_cutoff, tolerance=args.tolerance
     )
     val = green(args.tau, args.x, cfg)
-    emit({"tau": _json_safe(args.tau), "x": list(args.x), "green": float(val)})
+    write({"tau": _json_safe(args.tau), "x": list(args.x), "green": float(val)})
     return 0
 
 
-def _cmd_green_table(args, finish_csv):
+def _cmd_green_table(args, write):
     g = args.grid
     u = (np.arange(g) + 0.5) / g
     x1, x2 = np.meshgrid(u, u, indexing="ij")
@@ -214,40 +221,38 @@ def _cmd_green_table(args, finish_csv):
         for i in range(g)
         for j in range(g)
     ]
-    finish_csv(["x1", "x2", "green"], rows)
+    write((["x1", "x2", "green"], rows))
     return 0
 
 
-def _cmd_gff_sample(args, finish_csv):
+def _cmd_gff_sample(args, write):
     fld = sample_gff(args.tau, args.cutoff, RngStream(args.seed, args.stream))
     vals = evaluate_on_grid(fld, args.grid)
     g = vals.shape[0]
     rows = [
         (i, j, i / g, j / g, float(vals[i, j])) for i in range(g) for j in range(g)
     ]
-    finish_csv(["i", "j", "x1", "x2", "value"], rows)
+    write((["i", "j", "x1", "x2", "value"], rows))
     return 0
 
 
-def _cmd_gmc_sample(args, finish_csv):
+def _cmd_gmc_sample(args, write):
     gamma = 2.0 if args.critical else args.gamma
     q = LQFTParams(gamma).q
     res = FieldResolution(args.cutoff, args.grid_factor, eps=args.eps)
     mc = MonteCarloConfig(replicas=args.replicas, seed=args.seed)
     masses = sample_total_masses(args.tau, gamma, q, mc, res, critical=args.critical)
-    finish_csv(
-        ["replica", "total_mass"], [(r, float(m)) for r, m in enumerate(masses)]
-    )
+    write((["replica", "total_mass"], [(r, float(m)) for r, m in enumerate(masses)]))
     return 0
 
 
-def _cmd_lqft_partition(args, emit):
+def _cmd_lqft_partition(args, write):
     params = LQFTParams(gamma=args.gamma, mu=args.mu)
     ins = InsertionSet(args.insertions)
     mc = MonteCarloConfig(replicas=args.replicas, seed=args.seed)
     res = FieldResolution(args.cutoff, args.grid_factor)
     est = partition_function(params, args.tau, ins, mc, res)
-    emit(
+    write(
         {
             "value": est.value,
             "std_error": est.std_error,
@@ -258,7 +263,7 @@ def _cmd_lqft_partition(args, emit):
     return 0
 
 
-def _cmd_lqft_check_kpz(args, emit):
+def _cmd_lqft_check_kpz(args, write):
     ins = InsertionSet(args.insertions)
     mc = MonteCarloConfig(replicas=args.replicas, seed=args.seed)
     res = FieldResolution(args.cutoff, args.grid_factor)
@@ -266,7 +271,7 @@ def _cmd_lqft_check_kpz(args, emit):
     residuals = {str(mu): r for mu, r in zip(args.mu_list, found)}
     worst = max(residuals.values())
     passed = worst <= 1e-12
-    emit(
+    write(
         {
             "residuals": residuals,
             "max_residual": worst,
@@ -277,13 +282,13 @@ def _cmd_lqft_check_kpz(args, emit):
     return 0 if passed else 3
 
 
-def _cmd_lqft_check_modular(args, emit):
+def _cmd_lqft_check_modular(args, write):
     mc = MonteCarloConfig(replicas=args.replicas, seed=args.seed)
     res = FieldResolution(args.cutoff, args.grid_factor)
     ratio, se = modular_partition_ratio(args.tau, args.gamma, args.alpha, mc, res)
     dev = abs(ratio - 1.0) / se
     passed = dev <= 3.0
-    emit(
+    write(
         {
             "ratio": ratio,
             "std_error": se,
@@ -316,7 +321,7 @@ def _build_table(args):
     )
 
 
-def _cmd_lqg_density(args, finish_csv):
+def _cmd_lqg_density(args, write):
     _, _, table = _build_table(args)
     rows = []
     re_c, im_c = table.re_centers, table.im_centers
@@ -331,11 +336,11 @@ def _cmd_lqg_density(args, finish_csv):
                         float(table.std_error[a, b]),
                     )
                 )
-    finish_csv(["re_tau", "im_tau", "density", "std_error"], rows)
+    write((["re_tau", "im_tau", "density", "std_error"], rows))
     return 0
 
 
-def _cmd_lqg_sample_joint(args, finish_csv):
+def _cmd_lqg_sample_joint(args, write):
     matter = args.matter
     params, ins, table = _build_table(args)
     rows = []
@@ -344,7 +349,7 @@ def _cmd_lqg_sample_joint(args, finish_csv):
     )
     for k, smp in enumerate(sampler):
         rows.append((k, smp.tau.real, smp.tau.imag, smp.volume))
-    finish_csv(["sample", "re_tau", "im_tau", "volume"], rows)
+    write((["sample", "re_tau", "im_tau", "volume"], rows))
     return 0
 
 
@@ -369,7 +374,7 @@ def _read_csv(path: str) -> tuple[list[str], list[list[float]]]:
     return columns, rows
 
 
-def _cmd_lqg_plot(args, finish_svg):
+def _cmd_lqg_plot(args, write):
     columns, rows = _read_csv(args.data)
     title = Path(args.data).stem
     if args.kind == "heatmap":
@@ -381,7 +386,7 @@ def _cmd_lqg_plot(args, finish_svg):
         if not rows:
             raise SchemaMismatch("no data rows to plot")
         ix = [columns.index(c) for c in needed]
-        finish_svg(
+        write(
             lambda header: render_heatmap(
                 [r[ix[0]] for r in rows],
                 [r[ix[1]] for r in rows],
@@ -397,7 +402,7 @@ def _cmd_lqg_plot(args, finish_svg):
             )
         if not rows:
             raise SchemaMismatch("no data rows to plot")
-        finish_svg(
+        write(
             lambda header: render_line(
                 [r[0] for r in rows], [r[1] for r in rows], title, header
             )
@@ -405,14 +410,16 @@ def _cmd_lqg_plot(args, finish_svg):
     return 0
 
 
-def _cmd_check(args, _emit):
+def _cmd_check(args, write):
     results = run_checks(quick=args.quick)
+    lines = []
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
-        print(f"[{mark}] {r.name:24s} {r.detail}  ({r.seconds:.2f}s)")
+        lines.append(f"[{mark}] {r.name:24s} {r.detail}  ({r.seconds:.2f}s)\n")
     failed = [r for r in results if not r.passed]
     scope = "quick" if args.quick else "full"
-    print(f"{len(results) - len(failed)}/{len(results)} {scope} checks passed")
+    lines.append(f"{len(results) - len(failed)}/{len(results)} {scope} checks passed\n")
+    write("".join(lines))
     return 0 if not failed else 3
 
 
@@ -427,123 +434,115 @@ def _add_mc_flags(p, replicas=1000):
 
 
 def build_parser() -> tuple[_Parser, dict]:
+    """The parser and its (group, cmd) -> subcommand parser map."""
     parser = _Parser(prog="torus-lqg", description=__doc__)
     parser.add_argument("--version", action="version", version=f"torus-lqg {__version__}")
     parser.add_argument("--config", help="key = value defaults, overridden by flags")
     groups = parser.add_subparsers(dest="group", required=True, parser_class=_Parser)
+    cmds = {
+        g: groups.add_parser(g).add_subparsers(dest="cmd", required=True, parser_class=_Parser)
+        for g in ("special-fn", "modular", "green", "gff", "gmc", "lqft", "lqg")
+    }
     registry: dict[tuple[str, str], argparse.ArgumentParser] = {}
 
     def sub(group, name, handler, kind):
-        p = group_subs[group].add_parser(name)
-        p.set_defaults(func=handler, _kind=kind, cmd=name)
-        registry[(group_names[group], name)] = p
+        p = registry[(group, name)] = cmds[group].add_parser(name)
+        p.set_defaults(func=handler, _kind=kind)
         return p
 
-    group_subs, group_names = {}, {}
-    for gname in ("special-fn", "modular", "green", "gff", "gmc", "lqft", "lqg", "check"):
-        g = groups.add_parser(gname)
-        if gname != "check":
-            group_subs[g] = g.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
-            group_names[g] = gname
-        else:
-            g.add_argument("scope", choices=["all"])
-            g.add_argument("--quick", action="store_true")
-            g.set_defaults(func=_cmd_check, _kind="none", cmd="all", group="check")
-            registry[("check", "all")] = g
-        if gname == "special-fn":
-            p = sub(g, "eval", _cmd_special_eval, "json")
-            p.add_argument("--fn", required=True,
-                           choices=["eta", "theta1", "theta2", "theta3", "theta4"])
-            p.add_argument("--tau", type=_tau, required=True)
-            p.add_argument("--z", type=_point, default=None)
-            p.add_argument("--out")
-        elif gname == "modular":
-            p = sub(g, "reduce", _cmd_modular_reduce, "json")
-            p.add_argument("--tau", type=_tau, required=True)
-            p.add_argument("--out")
-        elif gname == "green":
-            p = sub(g, "eval", _cmd_green_eval, "json")
-            p.add_argument("--tau", type=_tau, required=True)
-            p.add_argument("--x", type=_point, required=True)
-            p.add_argument("--mode", choices=["closed", "eigen", "appendix"],
-                           default="closed")
-            p.add_argument("--eigen-cutoff", type=int, default=200, dest="eigen_cutoff")
-            p.add_argument("--tolerance", type=float, default=1e-2)
-            p.add_argument("--out")
-            p = sub(g, "table", _cmd_green_table, "csv")
-            p.add_argument("--tau", type=_tau, required=True)
-            p.add_argument("--grid", type=int, default=64)
-            p.add_argument("--out", required=True)
-        elif gname == "gff":
-            p = sub(g, "sample", _cmd_gff_sample, "csv")
-            p.add_argument("--tau", type=_tau, required=True)
-            p.add_argument("--cutoff", type=int, default=32)
-            p.add_argument("--grid", type=int, default=None)
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--stream", type=int, default=0)
-            p.add_argument("--out", required=True)
-        elif gname == "gmc":
-            p = sub(g, "sample", _cmd_gmc_sample, "csv")
-            p.add_argument("--tau", type=_tau, required=True)
-            p.add_argument("--gamma", type=float, default=1.0)
-            p.add_argument("--critical", action="store_true")
-            p.add_argument("--eps", type=float, default=None)
-            _add_mc_flags(p)
-            p.add_argument("--out", required=True)
-        elif gname == "lqft":
-            p = sub(g, "partition", _cmd_lqft_partition, "json")
-            p.add_argument("--tau", type=_tau, required=True)
-            p.add_argument("--gamma", type=float, required=True)
-            p.add_argument("--mu", type=float, default=1.0)
-            p.add_argument("--insertions", type=_insertions, required=True)
-            _add_mc_flags(p)
-            p.add_argument("--out")
-            p = sub(g, "check-kpz", _cmd_lqft_check_kpz, "json")
-            p.add_argument("--tau", type=_tau, default=complex(0.2, 1.3))
-            p.add_argument("--gamma", type=float, default=1.0)
-            p.add_argument("--insertions", type=_insertions,
-                           default=((0.1, 0.3, 0.9), (0.6, 0.1, 0.4)))
-            p.add_argument("--mu-list", type=_float_list, default=(0.5, 2.0, 10.0),
-                           dest="mu_list")
-            _add_mc_flags(p, replicas=256)
-            p.add_argument("--out")
-            p = sub(g, "check-modular", _cmd_lqft_check_modular, "json")
-            p.add_argument("--tau", type=_tau, default=complex(0.0, 2.0))
-            p.add_argument("--gamma", type=float, default=1.0)
-            p.add_argument("--alpha", type=float, default=1.0)
-            _add_mc_flags(p, replicas=2000)
-            p.add_argument("--out")
-        elif gname == "lqg":
-            for name, handler in (
-                ("modulus-density", _cmd_lqg_density),
-                ("sample-joint", _cmd_lqg_sample_joint),
-            ):
-                p = sub(g, name, handler, "csv")
-                p.add_argument("--matter", type=_matter, required=True)
-                p.add_argument("--mu", type=float, default=1.0)
-                p.add_argument("--n", type=int, default=1)
-                p.add_argument("--re-cells", type=int, default=12, dest="re_cells")
-                p.add_argument("--im-cells", type=int, default=12, dest="im_cells")
-                p.add_argument("--t-max", type=float, default=8.0, dest="t_max")
-                p.add_argument("--tail-tol", type=float, default=1e-3, dest="tail_tol")
-                p.add_argument("--no-cache", action="store_true", dest="no_cache")
-                _add_mc_flags(p, replicas=256)
-                if name == "sample-joint":
-                    p.add_argument("--samples", type=int, default=1000)
-                p.add_argument("--out", required=True)
-            p = sub(g, "plot", _cmd_lqg_plot, "svg")
-            p.add_argument("data")
-            p.add_argument("--kind", choices=["heatmap", "line"], default="heatmap")
-            p.add_argument("--out", required=True)
+    p = sub("special-fn", "eval", _cmd_special_eval, "json")
+    p.add_argument("--fn", required=True,
+                   choices=["eta", "theta1", "theta2", "theta3", "theta4"])
+    p.add_argument("--tau", type=_tau, required=True)
+    p.add_argument("--z", type=_point, default=None)
+    p.add_argument("--out")
+    p = sub("modular", "reduce", _cmd_modular_reduce, "json")
+    p.add_argument("--tau", type=_tau, required=True)
+    p.add_argument("--out")
+    p = sub("green", "eval", _cmd_green_eval, "json")
+    p.add_argument("--tau", type=_tau, required=True)
+    p.add_argument("--x", type=_point, required=True)
+    p.add_argument("--mode", choices=["closed", "eigen", "appendix"], default="closed")
+    p.add_argument("--eigen-cutoff", type=int, default=200, dest="eigen_cutoff")
+    p.add_argument("--tolerance", type=float, default=1e-2)
+    p.add_argument("--out")
+    p = sub("green", "table", _cmd_green_table, "csv")
+    p.add_argument("--tau", type=_tau, required=True)
+    p.add_argument("--grid", type=int, default=64)
+    p.add_argument("--out", required=True)
+    p = sub("gff", "sample", _cmd_gff_sample, "csv")
+    p.add_argument("--tau", type=_tau, required=True)
+    p.add_argument("--cutoff", type=int, default=32)
+    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--stream", type=int, default=0)
+    p.add_argument("--out", required=True)
+    p = sub("gmc", "sample", _cmd_gmc_sample, "csv")
+    p.add_argument("--tau", type=_tau, required=True)
+    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--critical", action="store_true")
+    p.add_argument("--eps", type=float, default=None)
+    _add_mc_flags(p)
+    p.add_argument("--out", required=True)
+    p = sub("lqft", "partition", _cmd_lqft_partition, "json")
+    p.add_argument("--tau", type=_tau, required=True)
+    p.add_argument("--gamma", type=float, required=True)
+    p.add_argument("--mu", type=float, default=1.0)
+    p.add_argument("--insertions", type=_insertions, required=True)
+    _add_mc_flags(p)
+    p.add_argument("--out")
+    p = sub("lqft", "check-kpz", _cmd_lqft_check_kpz, "json")
+    p.add_argument("--tau", type=_tau, default=complex(0.2, 1.3))
+    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--insertions", type=_insertions,
+                   default=((0.1, 0.3, 0.9), (0.6, 0.1, 0.4)))
+    p.add_argument("--mu-list", type=_float_list, default=(0.5, 2.0, 10.0), dest="mu_list")
+    _add_mc_flags(p, replicas=256)
+    p.add_argument("--out")
+    p = sub("lqft", "check-modular", _cmd_lqft_check_modular, "json")
+    p.add_argument("--tau", type=_tau, default=complex(0.0, 2.0))
+    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--alpha", type=float, default=1.0)
+    _add_mc_flags(p, replicas=2000)
+    p.add_argument("--out")
+    for name, handler in (("modulus-density", _cmd_lqg_density),
+                          ("sample-joint", _cmd_lqg_sample_joint)):
+        p = sub("lqg", name, handler, "csv")
+        p.add_argument("--matter", type=_matter, required=True)
+        p.add_argument("--mu", type=float, default=1.0)
+        p.add_argument("--n", type=int, default=1)
+        p.add_argument("--re-cells", type=int, default=12, dest="re_cells")
+        p.add_argument("--im-cells", type=int, default=12, dest="im_cells")
+        p.add_argument("--t-max", type=float, default=8.0, dest="t_max")
+        p.add_argument("--tail-tol", type=float, default=1e-3, dest="tail_tol")
+        p.add_argument("--no-cache", action="store_true", dest="no_cache")
+        _add_mc_flags(p, replicas=256)
+        if name == "sample-joint":
+            p.add_argument("--samples", type=int, default=1000)
+        p.add_argument("--out", required=True)
+    p = sub("lqg", "plot", _cmd_lqg_plot, "svg")
+    p.add_argument("data")
+    p.add_argument("--kind", choices=["heatmap", "line"], default="heatmap")
+    p.add_argument("--out", required=True)
+    p = registry[("check", "all")] = groups.add_parser("check")
+    p.add_argument("scope", choices=["all"])
+    p.add_argument("--quick", action="store_true")
+    p.set_defaults(func=_cmd_check, _kind="text")
     return parser, registry
 
 
-def _apply_config(args, registry, argv, config_path):
+def _config_defaults(path: str, registry: dict) -> None:
+    """Make each `key = value` line of the file an option default.
+
+    Keys are `group.cmd.dest`, `cmd.dest` or `dest`; the longest match
+    wins.  Values are strings that argparse converts like flag text, so a
+    flag given on the command line still overrides them.
+    """
     cfg = {}
     try:
-        text = Path(config_path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ValidationError(f"cannot read config {config_path}: {exc}")
+        raise ValidationError(f"cannot read config {path}: {exc}")
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):
@@ -552,32 +551,17 @@ def _apply_config(args, registry, argv, config_path):
             raise ValidationError(f"config line is not KEY = VALUE: {ln!r}")
         k, v = ln.split("=", 1)
         cfg[k.strip()] = v.strip()
-    key = (args.group, getattr(args, "cmd", ""))
-    parser = registry.get(key)
-    if parser is None:
-        return
-    for action in parser._actions:
-        if not action.option_strings or action.dest in ("help",):
-            continue
-        given = any(
-            tok == opt or tok.startswith(opt + "=")
-            for tok in argv
-            for opt in action.option_strings
-        )
-        if given:
-            continue
-        for candidate in (f"{key[0]}.{key[1]}.{action.dest}",
-                          f"{key[1]}.{action.dest}", action.dest):
-            if candidate in cfg:
-                raw = cfg[candidate]
-                if isinstance(action, argparse._StoreTrueAction):
-                    val = raw.lower() in ("1", "true", "yes", "on")
-                elif action.type is not None:
-                    val = action.type(raw)
-                else:
-                    val = raw
-                setattr(args, action.dest, val)
-                break
+    for (group, cmd), p in registry.items():
+        for action in p._actions:
+            if not action.option_strings or action.dest == "help":
+                continue
+            for key in (f"{group}.{cmd}.{action.dest}", f"{cmd}.{action.dest}", action.dest):
+                if key in cfg:
+                    value = cfg[key]
+                    if isinstance(action, argparse._StoreTrueAction):
+                        value = value.lower() in ("1", "true", "yes", "on")
+                    p.set_defaults(**{action.dest: value})
+                    break
 
 
 def main(argv=None) -> int:
@@ -587,29 +571,9 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         if args.config:
-            _apply_config(args, registry, argv, args.config)
-        kind = getattr(args, "_kind", "none")
-        if kind == "json":
-
-            def emit(payload):
-                _emit_json(args, payload, _header_lines(argv, args, t0))
-
-            return args.func(args, emit)
-        if kind == "csv":
-
-            def finish_csv(columns, rows):
-                _write_csv(args.out, _header_lines(argv, args, t0), columns, rows)
-
-            return args.func(args, finish_csv)
-        if kind == "svg":
-
-            def finish_svg(build):
-                Path(args.out).write_text(
-                    build(_header_lines(argv, args, t0)), encoding="utf-8"
-                )
-
-            return args.func(args, finish_svg)
-        return args.func(args, None)
+            _config_defaults(args.config, registry)
+            args = parser.parse_args(argv)
+        return args.func(args, partial(_write, args, argv, t0))
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

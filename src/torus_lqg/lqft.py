@@ -326,7 +326,10 @@ def liouville_field_law_sampler(
     scale = point[1]
     shift = -0.5 * params.q * math.log(tau.imag)
     for _, gens, ((xs, cells, masses),) in chaos_batches([point], gamma, res.grid, mc):
-        for gen, x, cell, mass in zip(gens, xs, cells, masses):
+        # the array power inverse_power_mean uses, so each weight is bit-equal
+        # to the term partition_function averages for that replica
+        weights = masses ** (-p)
+        for gen, x, cell, mass, weight in zip(gens, xs, cells, masses, weights):
             mass = float(mass)
             y = float(gen.gamma(p, 1.0 / params.mu)) if y_volume is None else float(y_volume)
             c = (math.log(y) - math.log(mass)) / gamma
@@ -334,5 +337,5 @@ def liouville_field_law_sampler(
                 field=c + x + h_grid + shift,
                 measure=(y * scale / mass) * cell,
                 volume=y,
-                weight=mass ** (-p),
+                weight=float(weight),
             )

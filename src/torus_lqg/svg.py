@@ -42,13 +42,20 @@ def _edges_from_centers(centers: list[float]) -> list[float]:
     return edges
 
 
-def _axes(x0: float, x1: float, y0: float, y1: float, parts: list[str]) -> None:
+def _scale(x0: float, x1: float, y0: float, y1: float):
+    """Data-to-pixel maps (sx, sy) of the plot area for the data box [x0, x1] x [y0, y1]."""
+
     def sx(v):
         return _ML + (v - x0) / (x1 - x0) * (_W - _ML - _MR)
 
     def sy(v):
         return _H - _MB - (v - y0) / (y1 - y0) * (_H - _MT - _MB)
 
+    return sx, sy
+
+
+def _axes(x0: float, x1: float, y0: float, y1: float, parts: list[str]) -> None:
+    sx, sy = _scale(x0, x1, y0, y1)
     parts.append(
         f'<rect x="{_f(_ML)}" y="{_f(_MT)}" width="{_f(_W - _ML - _MR)}" '
         f'height="{_f(_H - _MT - _MB)}" fill="none" stroke="black" stroke-width="1"/>'
@@ -66,8 +73,12 @@ def _axes(x0: float, x1: float, y0: float, y1: float, parts: list[str]) -> None:
         )
 
 
-def _document(parts: list[str], header_lines: list[str]) -> str:
+def _document(parts: list[str], title: str, header_lines: list[str]) -> str:
     head = "".join(f"<!-- {line} -->\n" for line in header_lines)
+    parts = parts + [
+        f'<text x="{_f(_W / 2)}" y="{_f(_MT - 14.0)}" font-size="14" '
+        f'text-anchor="middle" font-family="monospace">{title}</text>'
+    ]
     body = "\n".join(parts)
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -102,13 +113,7 @@ def render_heatmap(
     x0, x1, y0, y1 = ex[0], ex[-1], ey[0], ey[-1]
     vmin, vmax = min(values), max(values)
     span = vmax - vmin if vmax > vmin else 1.0
-
-    def sx(v):
-        return _ML + (v - x0) / (x1 - x0) * (_W - _ML - _MR)
-
-    def sy(v):
-        return _H - _MB - (v - y0) / (y1 - y0) * (_H - _MT - _MB)
-
+    sx, sy = _scale(x0, x1, y0, y1)
     parts: list[str] = []
     for x, y, v in zip(xs, ys, values):
         a, b = ix[x], iy[y]
@@ -137,11 +142,7 @@ def render_heatmap(
         f'<text x="{_f(bar_x)}" y="{_f(_H - _MB + 16.0)}" font-size="11" '
         f'font-family="monospace">{vmin:.4g}</text>'
     )
-    parts.append(
-        f'<text x="{_f(_W / 2)}" y="{_f(_MT - 14.0)}" font-size="14" '
-        f'text-anchor="middle" font-family="monospace">{title}</text>'
-    )
-    return _document(parts, header_lines or [])
+    return _document(parts, title, header_lines or [])
 
 
 def render_line(
@@ -160,13 +161,7 @@ def render_line(
         y0, y1 = y0 - 0.5, y1 + 0.5
     pad = 0.05 * (y1 - y0)
     y0, y1 = y0 - pad, y1 + pad
-
-    def sx(v):
-        return _ML + (v - x0) / (x1 - x0) * (_W - _ML - _MR)
-
-    def sy(v):
-        return _H - _MB - (v - y0) / (y1 - y0) * (_H - _MT - _MB)
-
+    sx, sy = _scale(x0, x1, y0, y1)
     pts = " ".join(f"{_f(sx(x))},{_f(sy(y))}" for x, y in sorted(zip(xs, ys)))
     parts = [
         f'<polyline points="{pts}" fill="none" stroke="rgb(13,8,135)" stroke-width="1.5"/>'
@@ -176,8 +171,4 @@ def render_line(
             f'<circle cx="{_f(sx(x))}" cy="{_f(sy(y))}" r="2.500000" fill="rgb(13,8,135)"/>'
         )
     _axes(x0, x1, y0, y1, parts)
-    parts.append(
-        f'<text x="{_f(_W / 2)}" y="{_f(_MT - 14.0)}" font-size="14" '
-        f'text-anchor="middle" font-family="monospace">{title}</text>'
-    )
-    return _document(parts, header_lines or [])
+    return _document(parts, title, header_lines or [])

@@ -55,16 +55,26 @@ def test_modular_reduce(capsys):
     assert w["a"] * w["d"] - w["b"] * w["c"] == 1
 
 
-def test_usage_errors_exit_1(capsys):
+def test_usage_errors_exit_1(tmp_path, capsys):
+    bad_int = tmp_path / "bad_int.cfg"
+    bad_int.write_text("replicas = abc\n")
+    bad_tau = tmp_path / "bad_tau.cfg"
+    bad_tau.write_text("check-kpz.tau = 1,2,3\n")
     for argv in (
         ["green", "eval", "--tau", "0,1"],              # missing required --x
         ["green", "eval", "--tau", "0,1", "--x", "0.3,0.4", "--bogus"],
         ["nonsense"],
+        # a config value the flag would reject is a usage error too
+        ["--config", str(bad_int), "gmc", "sample", "--tau", "0,1",
+         "--out", str(tmp_path / "m.csv")],
+        ["--config", str(bad_tau), "lqft", "check-kpz"],
     ):
         with pytest.raises(SystemExit) as info:
             cli.main(argv)
         assert info.value.code == 1
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
 
 
 def test_validation_error_exits_1(tmp_path, capsys):
@@ -146,12 +156,19 @@ def test_config_file_defaults_yield_to_flags(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 9\nreplicas = 8\ncutoff = 8\n")
     base = ["--config", str(cfg), "gmc", "sample", "--tau", "0,1"]
-    out1 = tmp_path / "c1.csv"
-    assert run(capsys, *base, "--out", str(out1))[0] == 0
-    assert "# seed: 9" in out1.read_text()
-    out2 = tmp_path / "c2.csv"
-    assert run(capsys, *base, "--seed", "3", "--out", str(out2))[0] == 0
-    assert "# seed: 3" in out2.read_text()
+    out = tmp_path / "c.csv"
+    assert run(capsys, *base, "--out", str(out))[0] == 0
+    assert "# seed: 9" in out.read_text()
+    # --se is a unique prefix of --seed, which argparse accepts
+    for flag in (["--seed", "3"], ["--seed=3"], ["--se", "3"]):
+        assert run(capsys, *base, *flag, "--out", str(out))[0] == 0
+        assert "# seed: 3" in out.read_text()
+    # a scoped key turns a store-true flag on; a key scoped to another
+    # subcommand leaves this one untouched
+    cfg.write_text("replicas = 4\ncutoff = 4\ngmc.sample.critical = yes\n"
+                   "lqg.modulus-density.matter = bogus\n")
+    assert run(capsys, *base, "--out", str(out))[0] == 0
+    assert '"critical": true' in out.read_text()
 
 
 def test_config_file_missing_exits_1(capsys):

@@ -27,6 +27,7 @@ from torus_lqg.lqft import (
     insertion_mass_samples,
     insertion_potential,
     insertion_potential_grid,
+    inverse_power_mean,
     liouville_field_law_sampler,
     partition_function,
     weyl_anomaly_factor,
@@ -227,7 +228,8 @@ def test_sampler_determinism_and_shapes():
 
 
 def test_sampler_weights_are_mass_powers():
-    # the law sampler and insertion_mass_samples share one cell-weight kernel
+    # the law sampler and insertion_mass_samples share one cell-weight kernel,
+    # and each weight is the term partition_function averages
     params = LQFTParams(gamma=1.0, mu=2.0)
     res = FieldResolution(cutoff=12, grid_factor=4)
     mc = MonteCarloConfig(replicas=60, seed=5)
@@ -235,8 +237,10 @@ def test_sampler_weights_are_mass_powers():
     masses = insertion_mass_samples(params, TAU, TWO_POINTS, mc, res)
     samples = list(liouville_field_law_sampler(params, TAU, TWO_POINTS, mc, res))
     assert len(samples) == mc.replicas
-    for r, sample in enumerate(samples):
-        assert sample.weight == masses[r] ** (-p)
+    weights = [sample.weight for sample in samples]
+    for r, weight in enumerate(weights):
+        assert weight == (masses ** (-p))[r]
+    assert np.mean(weights) == inverse_power_mean(masses, p)[0]
 
 
 def test_sampler_measure_total_is_volume():
