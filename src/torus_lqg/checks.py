@@ -1,13 +1,17 @@
-"""Self-contained health checks behind `torus-lqg check`.
+"""The toolkit's structural guarantees, one function per check.
 
-Each check exercises one structural identity of the toolkit at reduced
-scale and returns a pass/fail verdict with a numeric detail.  The full
-pytest suite remains the authoritative acceptance run; this battery is
-for quick validation of an installed build (CI smoke, post-install).
+Each public check is a function of its data (moduli, points, seeds,
+replicas, cutoffs) that returns its figure(s) and its verdict against a
+fixed bound.  Three callers share them and differ only in data:
+`run_checks` (behind `torus-lqg check all`) runs each at reduced scale,
+the acceptance suite in tests/test_acceptance.py runs each at full scale,
+and `torus-lqg lqft check-kpz` / `check-modular` run `kpz_scaling` and
+`modular_partition_ratio` on the data given on the command line.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass
@@ -17,13 +21,8 @@ import numpy as np
 from .chaos import expected_total_mass, sample_total_masses
 from .config import FieldResolution, MonteCarloConfig
 from .errors import SeibergViolationLocal, SeibergViolationSum
-from .gff import (
-    SpectralField,
-    dirichlet_energy,
-    dirichlet_energy_grid,
-    regularized_variance,
-)
-from .green import green, green_mean_zero, theta_offset
+from .gff import SpectralField, dirichlet_energy, dirichlet_energy_grid, regularized_variance
+from .green import GreenEvalConfig, green, green_mean_zero, theta_offset
 from .lqft import (
     InsertionSet,
     LQFTParams,
@@ -32,13 +31,15 @@ from .lqft import (
     weyl_anomaly_log_factor,
 )
 from .modular import S, T, reduce_to_fundamental
-from .special import (
-    dedekind_eta,
-    theta1,
-    theta1_z_derivative_at_zero,
-)
+from .special import dedekind_eta, theta1, theta1_z_derivative_at_zero
 
-__all__ = ["CheckResult", "kpz_residuals", "modular_partition_ratio", "run_checks"]
+__all__ = [
+    "CheckResult", "KPZ_TOLERANCE", "gmc_mean_mass", "green_modular", "green_oracles",
+    "kpz_scaling", "modular_partition_ratio", "run_checks", "seiberg_gating",
+    "special_identities", "variance_constant", "weyl_anomaly",
+]
+
+KPZ_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,93 +50,75 @@ class CheckResult:
     seconds: float
 
 
-def _eta_theta_identities(quick: bool) -> tuple[bool, str]:
-    taus = [1j, 0.3 + 1.2j, -0.45 + 0.9j] if quick else [
-        complex(re, im)
-        for re in np.linspace(-0.45, 0.45, 5)
-        for im in np.linspace(0.9, 2.5, 5)
-    ]
+def special_identities(taus, z: complex) -> tuple[float, bool]:
+    """Largest residual over taus of eta's T and S transformations,
+    theta1'(0) = 2 pi eta^3, and series against product theta1 at z."""
     worst = 0.0
     for tau in taus:
         e = dedekind_eta(tau)
-        worst = max(worst, abs(dedekind_eta(tau + 1) - np.exp(1j * np.pi / 12) * e))
-        worst = max(worst, abs(dedekind_eta(-1 / tau) - np.sqrt(tau / 1j) * e))
-        worst = max(worst, abs(theta1_z_derivative_at_zero(tau) - 2 * np.pi * e**3))
-        z = 0.21 + 0.13j
         worst = max(
             worst,
+            abs(dedekind_eta(tau + 1) - cmath.exp(1j * math.pi / 12) * e),
+            abs(dedekind_eta(-1 / tau) - cmath.sqrt(tau / 1j) * e),
+            abs(theta1_z_derivative_at_zero(tau) - 2 * math.pi * e**3),
             abs(theta1(z, tau, method="series") - theta1(z, tau, method="product")),
         )
-    return worst <= 1e-10, f"max identity residual {worst:.2e}"
+    return worst, worst <= 1e-10
 
 
-def _green_oracles(quick: bool) -> tuple[bool, str]:
-    tau = 0.25 + 1.15j
-    pts = [(0.31, 0.17), (0.05, 0.62), (0.5, 0.5)]
-    cutoff = 150 if quick else 400
-    worst_eigen = worst_app = 0.0
-    for x in pts:
-        closed = float(green(tau, x))
-        from .green import GreenEvalConfig
-
-        eig = float(
-            green(tau, x, GreenEvalConfig(mode="eigen", eigen_cutoff=cutoff, tolerance=1.0))
-        )
-        app = float(green(tau, x, GreenEvalConfig(mode="appendix", tolerance=1e-10)))
-        worst_eigen = max(worst_eigen, abs(closed - eig))
-        worst_app = max(worst_app, abs(closed - app))
-    mz = abs(green_mean_zero(tau, grid=128 if quick else 256))
-    ok = worst_eigen <= (2e-2 if quick else 5e-3) and worst_app <= 1e-8 and mz <= 1e-3
-    return ok, (
-        f"eigen dev {worst_eigen:.2e}, resummed dev {worst_app:.2e}, mean {mz:.2e}"
-    )
-
-
-def _green_modular(quick: bool) -> tuple[bool, str]:
-    rng = np.random.default_rng(12)
-    taus = [0.3 + 1.4j, -0.2 + 0.8j] if quick else [
-        0.3 + 1.4j, -0.2 + 0.8j, 1.7 + 0.6j, 0.05 + 2.2j, -1.3 + 1.1j,
-    ]
-    n_pts = 10 if quick else 50
-    worst = 0.0
+def green_oracles(taus, points, eigen_cutoff: int, eigen_bound: float) -> tuple[float, float, bool]:
+    """Largest gaps of the eigen series (cutoff eigen_cutoff, bound
+    eigen_bound, which also caps its error estimate) and of the resummed
+    lattice series (bound 1e-8) from the closed Green function."""
+    eig = GreenEvalConfig(mode="eigen", eigen_cutoff=eigen_cutoff, tolerance=eigen_bound)
+    app = GreenEvalConfig(mode="appendix", tolerance=1e-10)
+    worst_eig = worst_app = 0.0
     for tau in taus:
-        x1 = rng.random(n_pts)
-        x2 = rng.random(n_pts)
-        for psi in (S, T):
-            lhs = green(psi.act_on_uhp(tau), (x1, x2))
-            y1, y2 = psi.act_on_torus(x1, x2)
-            rhs = green(tau, (y1, y2))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst <= 1e-9, f"max modular defect {worst:.2e}"
+        for x in points:
+            closed = green(tau, x)
+            worst_eig = max(worst_eig, abs(green(tau, x, eig) - closed))
+            worst_app = max(worst_app, abs(green(tau, x, app) - closed))
+    return worst_eig, worst_app, worst_eig <= eigen_bound and worst_app <= 1e-8
 
 
-def _variance_constant(quick: bool) -> tuple[bool, str]:
-    tau = 0.3 + 1.2j
-    eps = 3e-3 if quick else 1e-3
-    cutoff = int(round((12 if quick else 15) / eps))
-    defect = abs(
-        regularized_variance(tau, cutoff, eps) + math.log(eps) - theta_offset(tau)
-    )
-    return defect <= 1e-2, f"variance offset defect {defect:.2e} at eps={eps:g}"
+def green_modular(cases) -> tuple[float, bool]:
+    """Largest |G_(psi tau)(x) - G_tau(psi x)| over (tau, psi, x) cases,
+    x = (x1, x2) scalars or arrays; bound 1e-9."""
+    worst = 0.0
+    for tau, psi, x in cases:
+        lhs = green(psi.act_on_uhp(tau), x)
+        rhs = green(tau, psi.act_on_torus(*x))
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst, worst <= 1e-9
 
 
-def _gmc_mass(quick: bool) -> tuple[bool, str]:
-    tau = 0.15 + 1.05j
-    gamma = 1.0
-    q = LQFTParams(gamma).q
-    res = FieldResolution(cutoff=12 if quick else 24)
-    mc = MonteCarloConfig(replicas=300 if quick else 1500, seed=42)
-    masses = sample_total_masses(tau, gamma, q, mc, res)
-    exp = expected_total_mass(tau, gamma, q)
-    se = float(masses.std(ddof=1) / math.sqrt(len(masses)))
-    dev = abs(float(masses.mean()) - exp) / se
-    return dev <= 3.0, f"mean mass off by {dev:.2f} SE"
+def variance_constant(tau: complex, rungs) -> tuple[list[float], bool]:
+    """|E[X_eps^2] + ln eps - Theta(tau)| at each (eps, cutoff) rung of a
+    ladder; the last rung must be within 1e-2."""
+    target = theta_offset(tau)
+    defects = [abs(regularized_variance(tau, c, eps) + math.log(eps) - target) for eps, c in rungs]
+    return defects, defects[-1] <= 1e-2
 
 
-def kpz_residuals(
+def gmc_mean_mass(
+    tau: complex, gammas, mc: MonteCarloConfig, res: FieldResolution
+) -> tuple[float, bool]:
+    """Largest distance, in standard errors, of the sampled mean chaos mass
+    from its exact expectation over gammas; bound 3."""
+    worst = 0.0
+    for gamma in gammas:
+        q = LQFTParams(gamma).q
+        masses = sample_total_masses(tau, gamma, q, mc, res)
+        se = float(masses.std(ddof=1)) / math.sqrt(len(masses))
+        worst = max(worst, abs(float(masses.mean()) - expected_total_mass(tau, gamma, q)) / se)
+    return worst, worst <= 3.0
+
+
+def kpz_scaling(
     gamma: float, tau: complex, ins: InsertionSet, mc: MonteCarloConfig, res: FieldResolution, mus
-) -> list[float]:
-    """|Pi_mu / Pi_1 - mu^{-s/gamma}| for each mu of mus (exact KPZ scaling).
+) -> tuple[list[float], float, bool]:
+    """|Pi_mu / Pi_1 - mu^{-s/gamma}| for each mu of mus (exact KPZ
+    scaling), the largest, and whether it is within KPZ_TOLERANCE.
 
     Raises SeibergViolationLocal when some alpha_i >= Q: every Pi is then
     zero and the ratio undefined.
@@ -145,72 +128,51 @@ def kpz_residuals(
         raise SeibergViolationLocal(f"every alpha must stay below Q = {q:g} for a KPZ ratio")
     base = partition_function(LQFTParams(gamma, 1.0), tau, ins, mc, res).value
     p = ins.alpha_sum / gamma
-    return [
+    residuals = [
         abs(partition_function(LQFTParams(gamma, mu), tau, ins, mc, res).value / base - mu ** (-p))
         for mu in mus
     ]
+    worst = max(residuals)
+    return residuals, worst, worst <= KPZ_TOLERANCE
 
 
-def _kpz_exact(quick: bool) -> tuple[bool, str]:
-    ins = InsertionSet(((0.1, 0.3, 0.9), (0.6, 0.1, 0.4)))
-    mc = MonteCarloConfig(replicas=32 if quick else 256, seed=5)
-    res = FieldResolution(cutoff=12)
-    worst = max(kpz_residuals(1.0, 0.2 + 1.3j, ins, mc, res, (0.5, 2.0, 10.0)))
-    return worst <= 1e-12, f"max scaling residual {worst:.2e}"
+def seiberg_gating(
+    params: LQFTParams, tau: complex, cases, mc: MonteCarloConfig, res: FieldResolution
+) -> tuple[dict, bool]:
+    """Counts of the Seiberg branch each insertion set of cases took, and
+    whether every set took its own: a nonpositive weight sum raises, a
+    weight at or above Q gives an exact zero with a diagnostic naming Q,
+    and an admissible set gives a finite positive estimate and error."""
+    outcomes = {"raised": 0, "vanished": 0, "estimated": 0}
+    passed = True
+    for ins in cases:
+        if not ins.seiberg_sum_ok():
+            try:
+                partition_function(params, tau, ins, mc, res)
+                passed = False
+            except SeibergViolationSum:
+                outcomes["raised"] += 1
+            continue
+        est = partition_function(params, tau, ins, mc, res)
+        if not ins.seiberg_local_ok(params.q):
+            outcomes["vanished"] += 1
+            passed &= est.value == 0.0 and f"Q = {params.q:g}" in (est.diagnostic or "")
+        else:
+            outcomes["estimated"] += 1
+            passed &= est.value > 0 and math.isfinite(est.value) and est.std_error > 0
+    return outcomes, passed
 
 
-def _seiberg_gating(quick: bool) -> tuple[bool, str]:
-    tau = 1j
-    params = LQFTParams(1.0, 1.0)
-    mc = MonteCarloConfig(replicas=16, seed=1)
-    res = FieldResolution(cutoff=8)
-    try:
-        partition_function(params, tau, InsertionSet(((0.2, 0.2, -1.0),)), mc, res)
-        return False, "negative weight sum not rejected"
-    except SeibergViolationSum:
-        pass
-    zero = partition_function(
-        params, tau, InsertionSet(((0.2, 0.2, 2.6), (0.7, 0.7, 0.3))), mc, res
-    )
-    if zero.value != 0.0 or not zero.diagnostic:
-        return False, "supercritical weight not zeroed"
-    good = partition_function(params, tau, InsertionSet(((0.2, 0.2, 1.0),)), mc, res)
-    if not (good.value > 0 and math.isfinite(good.value)):
-        return False, "admissible estimate not finite positive"
-    return True, "all three branches behave"
-
-
-def _weyl_quadratic(quick: bool) -> tuple[bool, str]:
-    tau = 0.4 + 1.7j
-    coeffs = np.zeros((5, 5), dtype=complex)
-    coeffs[2 + 1, 2 + 0] = 0.3 + 0.1j
-    coeffs[2 - 1, 2 - 0] = np.conj(coeffs[2 + 1, 2 + 0])
-    coeffs[2 + 0, 2 + 2] = -0.2j
-    coeffs[2 - 0, 2 - 2] = np.conj(coeffs[2 + 0, 2 + 2])
-    phi = SpectralField(tau=tau, cutoff=2, coeffs=coeffs)
-    q = 2.5
-    e_spec = dirichlet_energy(phi)
-    e_grid = dirichlet_energy_grid(phi, grid=64)
-    lf1 = weyl_anomaly_log_factor(phi, q)
-    phi2 = SpectralField(tau=tau, cutoff=2, coeffs=2.0 * coeffs)
-    lf2 = weyl_anomaly_log_factor(phi2, q)
-    dev_energy = abs(e_spec - e_grid)
-    dev_quad = abs(lf2 - 4.0 * lf1)
-    ok = dev_energy <= 1e-6 and dev_quad <= 1e-12
-    return ok, f"energy cross-check {dev_energy:.2e}, quadratic defect {dev_quad:.2e}"
-
-
-def _reduction_involution(quick: bool) -> tuple[bool, str]:
-    rng = np.random.default_rng(3)
-    n = 50 if quick else 300
-    worst = 0.0
-    for _ in range(n):
-        tau = complex(rng.uniform(-8, 8), rng.uniform(0.05, 5))
-        red = reduce_to_fundamental(tau)
-        worst = max(worst, abs(red.witness.act_on_uhp(tau) - red.tau))
-        again = reduce_to_fundamental(red.tau)
-        worst = max(worst, abs(again.tau - red.tau))
-    return worst <= 1e-9, f"max reduction defect {worst:.2e}"
+def weyl_anomaly(
+    phi: SpectralField, q: float, scale: float, grid: int | None = None
+) -> tuple[float, float, bool]:
+    """Gap between the grid-quadrature and spectral Dirichlet energies of
+    phi (bound 1e-6), and the defect of the Weyl log factor from exact
+    quadratic scaling under phi -> scale * phi (bound 1e-12)."""
+    energy_gap = abs(dirichlet_energy_grid(phi, grid) - dirichlet_energy(phi))
+    scaled = SpectralField(tau=phi.tau, cutoff=phi.cutoff, coeffs=scale * phi.coeffs)
+    quad = abs(weyl_anomaly_log_factor(scaled, q) - scale**2 * weyl_anomaly_log_factor(phi, q))
+    return energy_gap, quad, energy_gap <= 1e-6 and quad <= 1e-12
 
 
 def modular_partition_ratio(
@@ -220,7 +182,7 @@ def modular_partition_ratio(
     mc: MonteCarloConfig,
     res: FieldResolution,
     z=(0.0, 0.0),
-):
+) -> tuple[float, float, float, bool]:
     """Covariance ratio for the inversion: Pi at -1/tau over the matched
     prediction |psi'(tau)|^{-Delta} times Pi at tau with the mapped point.
 
@@ -228,10 +190,14 @@ def modular_partition_ratio(
     eps sqrt(Im psi(tau) / Im tau); with equal mode cutoffs the inversion
     relabels the spectral box onto itself, so the two estimators then
     share one finite-resolution law and the ratio is unbiased.  Returns
-    (ratio, combined SE of the ratio).
+    the ratio, its combined SE, its distance from 1 in those SEs, and
+    whether that distance is within 3.  Raises SeibergViolationLocal when
+    alpha >= Q: both Pi are then zero and the ratio undefined.
     """
     tau = complex(tau)
     params = LQFTParams(gamma, 1.0)
+    if not alpha < params.q:
+        raise SeibergViolationLocal(f"alpha must stay below Q = {params.q:g} for a modular ratio")
     psi_tau = S.act_on_uhp(tau)
     dpsi = abs(S.derivative(tau))
     z1, z2 = S.act_on_torus(np.array([z[0]]), np.array([z[1]]))
@@ -250,15 +216,105 @@ def modular_partition_ratio(
     rel_se = math.sqrt(
         (a.std_error / a.value) ** 2 + (b.std_error / b.value) ** 2
     )
-    return ratio, abs(ratio) * rel_se
+    se = abs(ratio) * rel_se
+    dev = abs(ratio - 1.0) / se
+    return ratio, se, dev, dev <= 3.0
+
+
+def _eta_theta_identities(quick: bool) -> tuple[bool, str]:
+    taus = [1j, 0.3 + 1.2j, -0.45 + 0.9j] if quick else [
+        complex(re, im)
+        for re in np.linspace(-0.45, 0.45, 5)
+        for im in np.linspace(0.9, 2.5, 5)
+    ]
+    worst, ok = special_identities(taus, 0.21 + 0.13j)
+    return ok, f"max identity residual {worst:.2e}"
+
+
+def _green_oracles(quick: bool) -> tuple[bool, str]:
+    tau = 0.25 + 1.15j
+    pts = [(0.31, 0.17), (0.05, 0.62), (0.5, 0.5)]
+    worst_eigen, worst_app, ok = green_oracles(
+        [tau], pts, 150 if quick else 400, 2e-2 if quick else 5e-3
+    )
+    mz = abs(green_mean_zero(tau, grid=128 if quick else 256))
+    return ok and mz <= 1e-3, (
+        f"eigen dev {worst_eigen:.2e}, resummed dev {worst_app:.2e}, mean {mz:.2e}"
+    )
+
+
+def _green_modular(quick: bool) -> tuple[bool, str]:
+    rng = np.random.default_rng(12)
+    taus = [0.3 + 1.4j, -0.2 + 0.8j] if quick else [
+        0.3 + 1.4j, -0.2 + 0.8j, 1.7 + 0.6j, 0.05 + 2.2j, -1.3 + 1.1j,
+    ]
+    n_pts = 10 if quick else 50
+    points = [(rng.random(n_pts), rng.random(n_pts)) for _ in taus]
+    worst, ok = green_modular((tau, psi, x) for tau, x in zip(taus, points) for psi in (S, T))
+    return ok, f"max modular defect {worst:.2e}"
+
+
+def _variance_constant(quick: bool) -> tuple[bool, str]:
+    eps = 3e-3 if quick else 1e-3
+    cutoff = int(round((12 if quick else 15) / eps))
+    (defect,), ok = variance_constant(0.3 + 1.2j, [(eps, cutoff)])
+    return ok, f"variance offset defect {defect:.2e} at eps={eps:g}"
+
+
+def _gmc_mass(quick: bool) -> tuple[bool, str]:
+    mc = MonteCarloConfig(replicas=1500, seed=42)
+    dev, ok = gmc_mean_mass(0.15 + 1.05j, (1.0,), mc, FieldResolution(cutoff=24))
+    return ok, f"mean mass off by {dev:.2f} SE"
+
+
+def _kpz_exact(quick: bool) -> tuple[bool, str]:
+    ins = InsertionSet(((0.1, 0.3, 0.9), (0.6, 0.1, 0.4)))
+    mc = MonteCarloConfig(replicas=32 if quick else 256, seed=5)
+    res = FieldResolution(cutoff=12)
+    _, worst, ok = kpz_scaling(1.0, 0.2 + 1.3j, ins, mc, res, (0.5, 2.0, 10.0))
+    return ok, f"max scaling residual {worst:.2e}"
+
+
+def _seiberg_gating(quick: bool) -> tuple[bool, str]:
+    cases = [
+        InsertionSet(((0.2, 0.2, -1.0),)),
+        InsertionSet(((0.2, 0.2, 2.6), (0.7, 0.7, 0.3))),
+        InsertionSet(((0.2, 0.2, 1.0),)),
+    ]
+    mc = MonteCarloConfig(replicas=16, seed=1)
+    outcomes, ok = seiberg_gating(LQFTParams(1.0, 1.0), 1j, cases, mc, FieldResolution(cutoff=8))
+    return ok, "all three branches behave" if ok else f"branches taken {outcomes}"
+
+
+def _weyl_quadratic(quick: bool) -> tuple[bool, str]:
+    coeffs = np.zeros((5, 5), dtype=complex)
+    coeffs[2 + 1, 2 + 0] = 0.3 + 0.1j
+    coeffs[2 - 1, 2 - 0] = np.conj(coeffs[2 + 1, 2 + 0])
+    coeffs[2 + 0, 2 + 2] = -0.2j
+    coeffs[2 - 0, 2 - 2] = np.conj(coeffs[2 + 0, 2 + 2])
+    phi = SpectralField(tau=0.4 + 1.7j, cutoff=2, coeffs=coeffs)
+    dev_energy, dev_quad, ok = weyl_anomaly(phi, 2.5, 2.0, grid=64)
+    return ok, f"energy cross-check {dev_energy:.2e}, quadratic defect {dev_quad:.2e}"
+
+
+def _reduction_involution(quick: bool) -> tuple[bool, str]:
+    rng = np.random.default_rng(3)
+    n = 50 if quick else 300
+    worst = 0.0
+    for _ in range(n):
+        tau = complex(rng.uniform(-8, 8), rng.uniform(0.05, 5))
+        red = reduce_to_fundamental(tau)
+        worst = max(worst, abs(red.witness.act_on_uhp(tau) - red.tau))
+        again = reduce_to_fundamental(red.tau)
+        worst = max(worst, abs(again.tau - red.tau))
+    return worst <= 1e-9, f"max reduction defect {worst:.2e}"
 
 
 def _partition_modular(quick: bool) -> tuple[bool, str]:
-    mc = MonteCarloConfig(replicas=400 if quick else 4000, seed=23)
-    res = FieldResolution(cutoff=16)
-    ratio, se = modular_partition_ratio(2j, 1.0, 1.0, mc, res)
-    dev = abs(ratio - 1.0) / se
-    return dev <= 3.0, f"covariance ratio {ratio:.4f} off by {dev:.2f} SE"
+    ratio, _, dev, ok = modular_partition_ratio(
+        2j, 1.0, 1.0, MonteCarloConfig(replicas=4000, seed=23), FieldResolution(cutoff=16)
+    )
+    return ok, f"covariance ratio {ratio:.4f} off by {dev:.2f} SE"
 
 
 _QUICK = [

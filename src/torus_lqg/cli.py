@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .cache import MomentCache
 from .chaos import sample_total_masses
-from .checks import kpz_residuals, modular_partition_ratio, run_checks
+from .checks import KPZ_TOLERANCE, kpz_scaling, modular_partition_ratio, run_checks
 from .config import FieldResolution, MonteCarloConfig
 from .errors import NumericError, SchemaMismatch, TorusLQGError, ValidationError
 from .gff import RngStream, evaluate_on_grid, sample_gff
@@ -267,15 +267,12 @@ def _cmd_lqft_check_kpz(args, write):
     ins = InsertionSet(args.insertions)
     mc = MonteCarloConfig(replicas=args.replicas, seed=args.seed)
     res = FieldResolution(args.cutoff, args.grid_factor)
-    found = kpz_residuals(args.gamma, args.tau, ins, mc, res, args.mu_list)
-    residuals = {str(mu): r for mu, r in zip(args.mu_list, found)}
-    worst = max(residuals.values())
-    passed = worst <= 1e-12
+    found, worst, passed = kpz_scaling(args.gamma, args.tau, ins, mc, res, args.mu_list)
     write(
         {
-            "residuals": residuals,
+            "residuals": {str(mu): r for mu, r in zip(args.mu_list, found)},
             "max_residual": worst,
-            "tolerance": 1e-12,
+            "tolerance": KPZ_TOLERANCE,
             "passed": passed,
         }
     )
@@ -285,9 +282,7 @@ def _cmd_lqft_check_kpz(args, write):
 def _cmd_lqft_check_modular(args, write):
     mc = MonteCarloConfig(replicas=args.replicas, seed=args.seed)
     res = FieldResolution(args.cutoff, args.grid_factor)
-    ratio, se = modular_partition_ratio(args.tau, args.gamma, args.alpha, mc, res)
-    dev = abs(ratio - 1.0) / se
-    passed = dev <= 3.0
+    ratio, se, dev, passed = modular_partition_ratio(args.tau, args.gamma, args.alpha, mc, res)
     write(
         {
             "ratio": ratio,
@@ -531,12 +526,13 @@ def build_parser() -> tuple[_Parser, dict]:
     return parser, registry
 
 
-def _config_defaults(path: str, registry: dict) -> None:
-    """Make each `key = value` line of the file an option default.
+def _config_defaults(path: str, parser: _Parser, registry: dict, argv: list) -> argparse.Namespace:
+    """Parse argv again with each `key = value` line of the file as an option default.
 
     Keys are `group.cmd.dest`, `cmd.dest` or `dest`; the longest match
     wins.  Values are strings that argparse converts like flag text, so a
-    flag given on the command line still overrides them.
+    flag given on the command line still overrides them, and a value
+    outside an option's choices is a usage error wherever the run uses it.
     """
     cfg = {}
     try:
@@ -551,6 +547,7 @@ def _config_defaults(path: str, registry: dict) -> None:
             raise ValidationError(f"config line is not KEY = VALUE: {ln!r}")
         k, v = ln.split("=", 1)
         cfg[k.strip()] = v.strip()
+    choices = []
     for (group, cmd), p in registry.items():
         for action in p._actions:
             if not action.option_strings or action.dest == "help":
@@ -560,8 +557,19 @@ def _config_defaults(path: str, registry: dict) -> None:
                     value = cfg[key]
                     if isinstance(action, argparse._StoreTrueAction):
                         value = value.lower() in ("1", "true", "yes", "on")
+                    elif action.choices is not None:
+                        choices.append((p, action, value))
                     p.set_defaults(**{action.dest: value})
                     break
+    args = parser.parse_args(argv)
+    # argparse checks choices on flag text only, never on defaults
+    for p, action, value in choices:
+        if getattr(args, action.dest, None) is value:
+            try:
+                p._check_value(action, value)
+            except argparse.ArgumentError as exc:
+                p.error(str(exc))
+    return args
 
 
 def main(argv=None) -> int:
@@ -571,8 +579,7 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         if args.config:
-            _config_defaults(args.config, registry)
-            args = parser.parse_args(argv)
+            args = _config_defaults(args.config, parser, registry, argv)
         return args.func(args, partial(_write, args, argv, t0))
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -31,6 +31,7 @@ from .config import FieldResolution, MonteCarloConfig
 from .errors import (
     DuplicateInsertion,
     InvalidGamma,
+    NumericError,
     SeibergViolationLocal,
     SeibergViolationSum,
     ValidationError,
@@ -243,7 +244,8 @@ def partition_function(
 
     Raises SeibergViolationSum when sum(alpha) <= 0 (the zero-mode
     integral diverges); returns an exact zero with a diagnostic when some
-    alpha_i >= Q (the chaos moment vanishes in the limit).
+    alpha_i >= Q (the chaos moment vanishes in the limit), and
+    NumericError when the prefactor or the estimate is not a finite float.
     """
     tau = complex(tau)
     if not ins.insertions or not ins.seiberg_sum_ok():
@@ -263,17 +265,21 @@ def partition_function(
         )
     s = ins.alpha_sum
     p = s / params.gamma
+    try:
+        front = (
+            free_field_partition(tau)
+            * math.exp(insertion_constant(tau, ins, params.q))
+            * math.gamma(p)
+            * params.mu ** (-p)
+            / params.gamma
+        )
+    except OverflowError as exc:
+        raise NumericError(f"partition prefactor overflows at s/gamma = {p:g}") from exc
     mean, se = inverse_power_mean(insertion_mass_samples(params, tau, ins, mc, res), p)
-    front = (
-        free_field_partition(tau)
-        * math.exp(insertion_constant(tau, ins, params.q))
-        * math.gamma(p)
-        * params.mu ** (-p)
-        / params.gamma
-    )
-    return PartitionEstimate(
-        value=front * mean, std_error=front * se, replicas=mc.replicas
-    )
+    value, std_error = front * mean, front * se
+    if not (math.isfinite(value) and math.isfinite(std_error)):
+        raise NumericError(f"partition estimate {value:g} +- {std_error:g} is not finite")
+    return PartitionEstimate(value=value, std_error=std_error, replicas=mc.replicas)
 
 
 def weyl_anomaly_log_factor(conformal: SpectralField, q: float) -> float:

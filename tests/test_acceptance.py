@@ -6,7 +6,6 @@ Monte Carlo tests use pinned seeds; statistical bounds are 3 standard
 errors unless the guarantee states otherwise.
 """
 
-import cmath
 import math
 import time
 
@@ -15,36 +14,21 @@ import pytest
 from scipy import stats
 
 import torus_lqg.cli as cli
+from torus_lqg import checks
 from torus_lqg.cache import MomentCache
-from torus_lqg.chaos import (
-    chaos_measure,
-    chaos_prefactor,
-    expected_total_mass,
-    pushforward,
-    sample_total_masses,
-)
-from torus_lqg.checks import modular_partition_ratio
+from torus_lqg.chaos import chaos_measure, chaos_prefactor, pushforward, sample_total_masses
 from torus_lqg.config import FieldResolution, MonteCarloConfig
-from torus_lqg.errors import SeibergViolationSum
 from torus_lqg.gff import (
     LogConformalFactor,
     RngStream,
-    SpectralField,
     build_log_conformal_factor,
     circle_average,
     dirichlet_energy,
-    dirichlet_energy_grid,
-    regularized_variance,
     sample_gff,
     truncated_covariance,
 )
-from torus_lqg.green import GreenEvalConfig, green, spectral_coefficient, theta_offset
-from torus_lqg.lqft import (
-    InsertionSet,
-    LQFTParams,
-    partition_function,
-    weyl_anomaly_log_factor,
-)
+from torus_lqg.green import green, spectral_coefficient
+from torus_lqg.lqft import InsertionSet, LQFTParams, weyl_anomaly_log_factor
 from torus_lqg.lqg import (
     MatterCFT,
     build_density_table,
@@ -54,7 +38,7 @@ from torus_lqg.lqg import (
     template_from_matter,
 )
 from torus_lqg.modular import S, T
-from torus_lqg.special import dedekind_eta, theta1, theta1_z_derivative_at_zero
+from torus_lqg.special import dedekind_eta
 
 pytestmark = pytest.mark.acceptance
 
@@ -70,26 +54,16 @@ def elapsed_ok(t0: float, budget: float) -> bool:
 
 def test_01_special_function_identities():
     t0 = time.monotonic()
-    z = 0.17 + 0.23j
-    worst = 0.0
-    for re in np.linspace(-0.49, 0.49, 10):
-        for im in np.linspace(1.01, 3.0, 10):
-            tau = complex(re, im)
-            e = dedekind_eta(tau)
-            worst = max(worst, abs(dedekind_eta(tau + 1) - cmath.exp(1j * math.pi / 12) * e))
-            worst = max(worst, abs(dedekind_eta(-1 / tau) - cmath.sqrt(tau / 1j) * e))
-            worst = max(worst, abs(theta1_z_derivative_at_zero(tau) - 2 * math.pi * e**3))
-            worst = max(
-                worst,
-                abs(
-                    complex(theta1(z, tau, method="series"))
-                    - complex(theta1(z, tau, method="product"))
-                ),
-            )
+    taus = [
+        complex(re, im)
+        for re in np.linspace(-0.49, 0.49, 10)
+        for im in np.linspace(1.01, 3.0, 10)
+    ]
+    worst, ok = checks.special_identities(taus, 0.17 + 0.23j)
     report(
         "eta/theta identities on a 100-point modulus grid",
         f"max residual {worst:.2e} (bound 1e-10)",
-        worst <= 1e-10 and elapsed_ok(t0, 5.0),
+        ok and elapsed_ok(t0, 5.0),
     )
 
 
@@ -98,14 +72,7 @@ GREEN_POINTS = ((0.3, 0.4), (0.15, 0.35), (0.42, 0.07), (0.05, 0.6), (0.27, 0.81
 
 def test_02_green_function_three_routes():
     t0 = time.monotonic()
-    eig = GreenEvalConfig(mode="eigen", eigen_cutoff=400, tolerance=5e-3)
-    app = GreenEvalConfig(mode="appendix", tolerance=1e-10)
-    worst_eig = worst_app = 0.0
-    for tau in (1j, 0.3 + 1.2j):
-        for x in GREEN_POINTS:
-            closed = green(tau, x)
-            worst_eig = max(worst_eig, abs(green(tau, x, eig) - closed))
-            worst_app = max(worst_app, abs(green(tau, x, app) - closed))
+    worst_eig, worst_app, ok = checks.green_oracles((1j, 0.3 + 1.2j), GREEN_POINTS, 400, 5e-3)
     g = 256
     u = (np.arange(g) + 0.5) / g
     x1, x2 = np.meshgrid(u, u, indexing="ij")
@@ -116,28 +83,23 @@ def test_02_green_function_three_routes():
         "Green function closed form vs eigen series vs lattice series",
         f"eigen {worst_eig:.2e} (5e-3), lattice {worst_app:.2e} (1e-8), "
         f"mean {worst_mean:.2e} (1e-3)",
-        worst_eig <= 5e-3
-        and worst_app <= 1e-8
-        and worst_mean <= 1e-3
-        and elapsed_ok(t0, 60.0),
+        ok and worst_mean <= 1e-3 and elapsed_ok(t0, 60.0),
     )
 
 
 def test_03_green_function_modular_invariance():
     t0 = time.monotonic()
     rng = np.random.default_rng(9)
-    worst = 0.0
-    for tau in (1j, 2j, 0.3 + 1.2j, -0.25 + 1.5j, 0.45 + 2.2j):
-        for psi in (S, T):
-            ptau = psi.act_on_uhp(tau)
-            for _ in range(50):
-                x1, x2 = rng.uniform(0.03, 0.97, size=2)
-                y1, y2 = psi.act_on_torus(x1, x2)
-                worst = max(worst, abs(green(ptau, (x1, x2)) - green(tau, (y1, y2))))
+    worst, ok = checks.green_modular(
+        (tau, psi, tuple(rng.uniform(0.03, 0.97, size=2)))
+        for tau in (1j, 2j, 0.3 + 1.2j, -0.25 + 1.5j, 0.45 + 2.2j)
+        for psi in (S, T)
+        for _ in range(50)
+    )
     report(
         "Green function invariant under both modular generators",
         f"max |G_(psi tau)(x) - G_tau(psi x)| = {worst:.2e} (bound 1e-9)",
-        worst <= 1e-9 and elapsed_ok(t0, 10.0),
+        ok and elapsed_ok(t0, 10.0),
     )
 
 
@@ -146,11 +108,9 @@ def test_04_circle_average_variance_asymptotics():
     # cutoff matched to the rung
     t0 = time.monotonic()
     tau = 1j
-    target = theta_offset(tau)
-    defects = []
-    for eps in (1e-2, 3e-3, 1e-3):
-        cutoff = math.ceil(15.0 / eps)
-        defects.append(abs(regularized_variance(tau, cutoff, eps) + math.log(eps) - target))
+    defects, ok = checks.variance_constant(
+        tau, [(eps, math.ceil(15.0 / eps)) for eps in (1e-2, 3e-3, 1e-3)]
+    )
     # stationarity: the per-point variance quadrature must not depend on x
     eps, cutoff = 1e-2, 1500
     base = truncated_covariance(tau, cutoff, (0.0, 0.0), eps)
@@ -162,7 +122,7 @@ def test_04_circle_average_variance_asymptotics():
         "circle-average variance approaches ln(1/eps) plus the eta constant",
         f"ladder defects {defects[0]:.1e}/{defects[1]:.1e}/{defects[2]:.1e} "
         f"(final bound 1e-2), x-spread {spread:.1e} (bound 1e-6)",
-        defects[-1] <= 1e-2 and spread <= 1e-6 and elapsed_ok(t0, 120.0),
+        ok and spread <= 1e-6 and elapsed_ok(t0, 120.0),
     )
 
 
@@ -213,15 +173,9 @@ def test_05_gff_covariance_matches_series():
 def test_06_subcritical_chaos_normalization():
     t0 = time.monotonic()
     tau = 1j
-    worst_mean = 0.0
-    for gamma in (0.5, 1.0, 1.5):
-        q = 2.0 / gamma + gamma / 2.0
-        masses = sample_total_masses(
-            tau, gamma, q, MonteCarloConfig(replicas=2500, seed=41), FieldResolution(8, 4)
-        )
-        se = float(masses.std(ddof=1)) / math.sqrt(len(masses))
-        dev = abs(float(masses.mean()) - expected_total_mass(tau, gamma, q)) / se
-        worst_mean = max(worst_mean, dev)
+    worst_mean, ok = checks.gmc_mean_mass(
+        tau, (0.5, 1.0, 1.5), MonteCarloConfig(replicas=2500, seed=41), FieldResolution(8, 4)
+    )
     # cell-wise unit means at gamma = 1
     gamma, q = 1.0, 2.5
     res = FieldResolution(cutoff=6, grid_factor=4)
@@ -262,7 +216,7 @@ def test_06_subcritical_chaos_normalization():
         "subcritical chaos has unit cell means and the expected total mass",
         f"mass dev {worst_mean:.2f} SE, cell dev {worst_cell:.2f} SE (bound 3), "
         f"max-cell fraction {fracs[0]:.4f} -> {fracs[1]:.4f}",
-        worst_mean <= 3.0
+        ok
         and worst_cell <= 3.0
         and fracs[1] < fracs[0]
         and elapsed_ok(t0, 300.0),
@@ -332,62 +286,44 @@ def test_08_critical_chaos_ladder():
 
 def test_09_partition_scales_exactly_in_mu():
     t0 = time.monotonic()
-    tau = 0.2 + 1.3j
     ins = InsertionSet(((0.1, 0.3, 0.9), (0.6, 0.1, 0.4)))
-    mc = MonteCarloConfig(replicas=400, seed=61)
-    res = FieldResolution(8, 4)
-    base = partition_function(LQFTParams(1.0, 1.0), tau, ins, mc, res)
-    p = ins.alpha_sum / 1.0
-    worst = 0.0
-    for mu in (0.5, 2.0, 10.0):
-        est = partition_function(LQFTParams(1.0, mu), tau, ins, mc, res)
-        worst = max(worst, abs(est.value / base.value - mu ** (-p)))
+    mc, res = MonteCarloConfig(replicas=400, seed=61), FieldResolution(8, 4)
+    _, worst, ok = checks.kpz_scaling(1.0, 0.2 + 1.3j, ins, mc, res, (0.5, 2.0, 10.0))
     report(
         "partition function scales as mu^(-sum alpha/gamma) on shared replicas",
         f"max residual {worst:.2e} (bound 1e-12)",
-        worst <= 1e-12 and elapsed_ok(t0, 60.0),
+        ok and elapsed_ok(t0, 60.0),
     )
 
 
 def test_10_partition_modular_covariance():
     t0 = time.monotonic()
-    ratio, se = modular_partition_ratio(
+    ratio, _, dev, ok = checks.modular_partition_ratio(
         2j, 1.0, 1.0, MonteCarloConfig(replicas=10_000, seed=63), FieldResolution(16, 4)
     )
-    dev = abs(ratio - 1.0) / se
     report(
         "partition function covariant under inversion of the modulus",
         f"ratio {ratio:.5f}, deviation {dev:.2f} combined SE (bound 3)",
-        dev <= 3.0 and elapsed_ok(t0, 600.0),
+        ok and elapsed_ok(t0, 600.0),
     )
 
 
 def test_11_seiberg_bound_gating():
     t0 = time.monotonic()
-    params = LQFTParams(gamma=1.0)          # Q = 2.5
-    mc = MonteCarloConfig(replicas=200, seed=62)
-    res = FieldResolution(6, 4)
-    outcomes = {"raised": 0, "vanished": 0, "estimated": 0}
-    for a1 in (-1.5, 1.0, 2.6):
-        for a2 in (-1.5, 1.0, 2.6):
-            ins = InsertionSet(((0.2, 0.3, a1), (0.7, 0.6, a2)))
-            if a1 + a2 <= 0:
-                with pytest.raises(SeibergViolationSum):
-                    partition_function(params, 0.3 + 1.2j, ins, mc, res)
-                outcomes["raised"] += 1
-                continue
-            est = partition_function(params, 0.3 + 1.2j, ins, mc, res)
-            if max(a1, a2) >= params.q:
-                assert est.value == 0.0 and "Q = 2.5" in (est.diagnostic or "")
-                outcomes["vanished"] += 1
-            else:
-                assert est.value > 0 and est.std_error > 0
-                outcomes["estimated"] += 1
+    weights = (-1.5, 1.0, 2.6)
+    outcomes, ok = checks.seiberg_gating(
+        LQFTParams(gamma=1.0),          # Q = 2.5
+        0.3 + 1.2j,
+        [InsertionSet(((0.2, 0.3, a1), (0.7, 0.6, a2))) for a1 in weights for a2 in weights],
+        MonteCarloConfig(replicas=200, seed=62),
+        FieldResolution(6, 4),
+    )
     report(
         "Seiberg bounds gate the partition function on a 3x3 weight grid",
         f"{outcomes['raised']} raised, {outcomes['vanished']} vanished with "
         f"diagnostic, {outcomes['estimated']} estimated",
-        outcomes == {"raised": 3, "vanished": 5, "estimated": 1}
+        ok
+        and outcomes == {"raised": 3, "vanished": 5, "estimated": 1}
         and elapsed_ok(t0, 60.0),
     )
 
@@ -410,17 +346,12 @@ def test_12_weyl_anomaly_response():
     log_factor = weyl_anomaly_log_factor(phi, q)
     want = (1.0 + 6.0 * q * q) / (96.0 * math.pi) * dirichlet_energy(phi)
     formula = abs(log_factor - want)
-    energy_gap = abs(dirichlet_energy_grid(phi) - dirichlet_energy(phi))
-    tripled = SpectralField(tau=phi.tau, cutoff=phi.cutoff, coeffs=3.0 * phi.coeffs)
-    quad = abs(weyl_anomaly_log_factor(tripled, q) - 9.0 * log_factor)
+    energy_gap, quad, ok = checks.weyl_anomaly(phi, q, 3.0)
     report(
         "log partition responds to a conformal factor through its energy",
         f"formula residual {formula:.1e}, grid-energy gap {energy_gap:.1e} "
         f"(bound 1e-6), quadratic-scaling residual {quad:.1e} (bound 1e-12)",
-        formula <= 1e-13
-        and energy_gap <= 1e-6
-        and quad <= 1e-12
-        and elapsed_ok(t0, 30.0),
+        formula <= 1e-13 and ok and elapsed_ok(t0, 30.0),
     )
 
 

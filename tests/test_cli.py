@@ -60,6 +60,12 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     bad_int.write_text("replicas = abc\n")
     bad_tau = tmp_path / "bad_tau.cfg"
     bad_tau.write_text("check-kpz.tau = 1,2,3\n")
+    bad_kind = tmp_path / "bad_kind.cfg"
+    bad_kind.write_text("kind = bogus\n")
+    bad_mode = tmp_path / "bad_mode.cfg"
+    bad_mode.write_text("mode = bogus\n")
+    data = tmp_path / "trace.csv"
+    data.write_text("step,value\n0,1.0\n1,0.5\n")
     for argv in (
         ["green", "eval", "--tau", "0,1"],              # missing required --x
         ["green", "eval", "--tau", "0,1", "--x", "0.3,0.4", "--bogus"],
@@ -68,6 +74,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ["--config", str(bad_int), "gmc", "sample", "--tau", "0,1",
          "--out", str(tmp_path / "m.csv")],
         ["--config", str(bad_tau), "lqft", "check-kpz"],
+        # argparse checks choices on flag text only, so config values need their own check
+        ["--config", str(bad_kind), "lqg", "plot", str(data), "--out", str(tmp_path / "t.svg")],
+        ["--config", str(bad_mode), "green", "eval", "--tau", "0,1", "--x", "0.3,0.4"],
     ):
         with pytest.raises(SystemExit) as info:
             cli.main(argv)
@@ -75,6 +84,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "error:" in err
         assert "Traceback" not in err
+    assert "invalid choice: 'bogus'" in err
+    assert not (tmp_path / "t.svg").exists()
 
 
 def test_validation_error_exits_1(tmp_path, capsys):
@@ -111,6 +122,11 @@ def test_numeric_failure_exits_2(capsys):
         # alpha = 3 >= Q = 2.5: every Pi vanishes, so the KPZ ratio is undefined
         ["lqft", "check-kpz", "--insertions", "0.1,0.1,3.0", "--replicas", "4",
          "--cutoff", "4"],
+        # alpha = 3 >= Q = 2.5 makes the covariance ratio 0/0
+        ["lqft", "check-modular", "--alpha", "3", "--replicas", "4", "--cutoff", "4"],
+        # Gamma(s/gamma) = Gamma(180) overflows a float
+        ["lqft", "partition", "--tau", "0,1", "--gamma", "0.1",
+         "--insertions", "0.2,0.3,9;0.7,0.6,9"],
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2
@@ -130,6 +146,20 @@ def test_check_failure_exits_3(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "all", "--quick")
     assert code == 3
     assert "[FAIL] stub" in out
+
+
+@pytest.mark.parametrize(
+    "cmd, target, figures",
+    [
+        ("check-kpz", "kpz_scaling", ([0.0, 1e-9, 0.0], 1e-9, False)),
+        ("check-modular", "modular_partition_ratio", (1.2, 0.05, 4.0, False)),
+    ],
+)
+def test_lqft_check_failure_exits_3(capsys, monkeypatch, cmd, target, figures):
+    monkeypatch.setattr(cli, target, lambda *args: figures)
+    code, out, _ = run(capsys, "lqft", cmd)
+    assert code == 3
+    assert json.loads(out)["passed"] is False
 
 
 def strip_duration(text: str) -> str:
