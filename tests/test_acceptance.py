@@ -311,10 +311,14 @@ def test_10_partition_modular_covariance():
 def test_11_seiberg_bound_gating():
     t0 = time.monotonic()
     weights = (-1.5, 1.0, 2.6)
-    outcomes, ok = checks.seiberg_gating(
-        LQFTParams(gamma=1.0),          # Q = 2.5
+    outcomes, _, ok = checks.seiberg_gating(
+        LQFTParams(gamma=1.0),          # Q = 2.5: a sum <= 0 raises, a weight >= Q vanishes
         0.3 + 1.2j,
-        [InsertionSet(((0.2, 0.3, a1), (0.7, 0.6, a2))) for a1 in weights for a2 in weights],
+        [
+            (InsertionSet(((0.2, 0.3, a1), (0.7, 0.6, a2))),
+             "raised" if a1 + a2 <= 0 else "vanished" if max(a1, a2) >= 2.5 else "estimated")
+            for a1 in weights for a2 in weights
+        ],
         MonteCarloConfig(replicas=200, seed=62),
         FieldResolution(6, 4),
     )
