@@ -27,8 +27,11 @@ __all__ = ["MomentCache", "SAMPLER_VERSION", "default_cache_dir", "moment_key"]
 # Version of the replica sampler that produced a moment.  It enters every
 # key, so a change to the draws or the field synthesis never reads the
 # moments an earlier sampler wrote.  Version 1 (unkeyed) synthesized each
-# replica with a complex ifft2; version 2 is the batched irfft2 engine.
-SAMPLER_VERSION = 2
+# replica with a complex ifft2; version 2 is the batched irfft2 engine;
+# version 3 truncates the theta series per point, which moves the Green
+# function, so the insertion potential H and every moment tilted by it, at
+# the 1e-13 level.
+SAMPLER_VERSION = 3
 
 
 def default_cache_dir() -> Path:

@@ -94,7 +94,10 @@ def _matter(text: str) -> MatterCFT:
 
 
 def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(","))
+    try:
+        return tuple(float(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
 def _json_safe(v):

@@ -104,21 +104,11 @@ def green_centered(tau: complex, x1c, x2c, cap: float | None = None):
     x1c, x2c = np.broadcast_arrays(np.asarray(x1c, dtype=float), np.asarray(x2c, dtype=float))
     az = np.abs(p_tau(tau, x1c, x2c))
     near = az < 0.25 * min_lattice_distance(tau)
-    # a one-route input is passed whole, so a scalar stays a scalar
-    if not np.any(near):
-        return _far_route(tau, x1c, x2c)
-    if np.all(near):
-        return _near_route(tau, x1c, x2c, az, cap)
     out = np.empty(az.shape)
-    out[near] = _near_route(tau, x1c[near], x2c[near], az[near], cap)
-    far = ~near
-    out[far] = _far_route(tau, x1c[far], x2c[far])
+    r = az[near] if cap is None else np.maximum(az[near], cap)
+    out[near] = green_log_subtracted(tau, x1c[near], x2c[near]) - np.log(r)
+    out[~near] = _far_route(tau, x1c[~near], x2c[~near])
     return out
-
-
-def _near_route(tau: complex, x1c, x2c, az, cap):
-    r = az if cap is None else np.maximum(az, cap)
-    return green_log_subtracted(tau, x1c, x2c) - np.log(r)
 
 
 def _far_route(tau: complex, x1c, x2c):
@@ -144,9 +134,14 @@ def green_log_subtracted(tau: complex, x1, x2):
     tau = complex(tau)
     x1c = wrap_centered(x1)
     x2c = wrap_centered(x2)
-    z = p_tau(tau, x1c, x2c)
-    ratio = theta1_over_z(z, tau) / dedekind_eta(tau)
-    return np.pi * tau.imag * np.asarray(x2c) ** 2 - np.log(np.abs(ratio))
+    return _log_subtracted(tau, p_tau(tau, x1c, x2c), x2c)
+
+
+def _log_subtracted(tau: complex, z, x2):
+    """pi*Im(tau)*x2^2 - ln|theta1(z)/(z*eta(tau))| for z = p_tau(x1, x2)."""
+    # numpy's division and x2 * x2, not Python's: a scalar rounds as inside an array
+    ratio = np.divide(theta1_over_z(z, tau), dedekind_eta(tau))
+    return np.pi * tau.imag * (x2 * x2) - np.log(np.abs(ratio))
 
 
 def _green_eigen(tau: complex, x1: float, x2: float, cutoff: int, tolerance: float):
@@ -206,9 +201,7 @@ def green(tau: complex, x, cfg: GreenEvalConfig = _DEFAULT):
     x1, x2 = x
     if cfg.mode == "closed":
         out = _green_closed(tau, x1, x2)
-        if np.ndim(out) == 0:
-            return float(out)
-        return out
+        return float(out) if out.ndim == 0 else out
     x1 = float(x1)
     x2 = float(x2)
     _check_singular(tau, x1, x2)
@@ -260,8 +253,6 @@ def green_regularized(tau: complex, x, eps: float, n_theta: int = 48) -> float:
     z0 = p_tau(tau, wrap_centered(x1), wrap_centered(x2))
     if abs(z0) < _SINGULAR_TOL:
         # R(c_tau(w)) with p exactly w: no re-wrapping, the offsets are tiny
-        ratio = theta1_over_z(diff, tau) / dedekind_eta(tau)
-        smooth = np.pi * tau.imag * d2**2 - np.log(np.abs(ratio))
-        return float(-math.log(eps) + np.mean(smooth))
+        return float(-math.log(eps) + np.mean(_log_subtracted(tau, diff, d2)))
     vals = np.asarray(_green_closed(tau, x1 + d1, x2 + d2))
     return float(np.mean(vals))

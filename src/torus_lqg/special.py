@@ -5,8 +5,9 @@ nome enters through q^2 = exp(2*i*pi*tau) and |q| < 1.  Every series is
 truncated when a geometric tail bound falls below the absolute target
 TOLERANCE; the bound uses the first neglected term divided by (1 - ratio)
 once term moduli decay monotonically.  Evaluations accept numpy arrays
-for the elliptic argument z (tau stays scalar); the truncation index is
-then driven by the largest |Im z| in the batch.
+for the elliptic argument z (tau stays scalar).  Each point's truncation
+index comes from tau and its own |Im z|, so a point evaluates to the same
+value alone and inside any array.
 
 Double precision limits how far tau may approach the real axis: below
 MIN_IM_TAU the term counts explode and we refuse to evaluate rather than
@@ -28,6 +29,7 @@ __all__ = [
     "dedekind_eta",
     "theta1",
     "theta1_over_z",
+    "theta1_product",
     "theta1_z_derivative_at_zero",
     "theta_aux",
 ]
@@ -50,20 +52,24 @@ def _require_tau(tau: complex) -> complex:
     return tau
 
 
-def _theta_cut(log_absq: float, b: float) -> int:
-    """Smallest n such that terms 0..n-1 of a theta-type series suffice.
+def _theta_cut(tau: complex, b) -> np.ndarray:
+    """Per bound in b, the smallest n >= 1 such that terms 0..n-1 suffice.
 
     Term n has modulus at most 2*|q|^((n+1/2)^2) * exp((2n+1)*pi*b) where
     b bounds |Im z|.  Successive ratios are |q|^(2n+2) * exp(2*pi*b); once
     a ratio is below 1 the tail is geometric.
     """
-    prev = math.inf
+    log_absq = -math.pi * tau.imag
+    b = np.asarray(b, dtype=float)
+    cut = np.full(b.shape, -1)
+    prev = np.full(b.shape, math.inf)
     for n in range(MAX_TERMS + 1):
-        log_term = log_absq * (n + 0.5) ** 2 + (2 * n + 1) * math.pi * b
-        term = 2.0 * math.exp(log_term)
-        ratio = math.exp(log_absq * (2 * n + 2) + 2.0 * math.pi * b)
-        if term < prev and ratio < 1.0 and term / (1.0 - ratio) <= 0.1 * TOLERANCE:
-            return n
+        term = 2.0 * np.exp(log_absq * (n + 0.5) ** 2 + (2 * n + 1) * math.pi * b)
+        ratio = np.exp(log_absq * (2 * n + 2) + 2.0 * math.pi * b)
+        met = (term < prev) & (ratio < 1.0) & (term / (1.0 - ratio) <= 0.1 * TOLERANCE)
+        cut[met & (cut < 0)] = n
+        if np.all(cut >= 0):
+            return np.maximum(cut, 1)
         prev = term
     raise NonConvergence(
         f"theta series needs more than {MAX_TERMS} terms for tolerance {TOLERANCE:g}"
@@ -86,60 +92,48 @@ def dedekind_eta(tau: complex) -> complex:
     return complex(np.exp(1j * np.pi * tau / 12.0) * np.prod(factors))
 
 
-def _theta_terms(tau: complex, b: float):
-    """Shared truncation for theta1-type series: coefficient table."""
-    log_absq = -math.pi * tau.imag
-    n_cut = _theta_cut(log_absq, b)
-    n_cut = max(n_cut, 1)
-    ns = np.arange(n_cut)
+def _theta_terms(tau: complex, n_terms: int):
+    """The first n_terms coefficients 2*(-1)^n*q^((n+1/2)^2) of theta1-type series."""
+    ns = np.arange(n_terms)
     q = np.exp(1j * np.pi * tau)
-    coeff = 2.0 * (-1.0) ** ns * q ** ((ns + 0.5) ** 2)
-    return ns, coeff
+    return ns, 2.0 * (-1.0) ** ns * q ** ((ns + 0.5) ** 2)
 
 
-def theta1(z, tau: complex, method: str = "series"):
-    """First Jacobi theta function theta_1(z, tau).
+def _theta_series(z, tau: complex, sine) -> np.ndarray:
+    """sum_n c_n * sine((2n+1)*pi, z) over z flattened to one dimension,
+    returned in z's shape (a scalar z gives a 0-d array).
 
-    The default path sums 2*sum_n (-1)^n q^((n+1/2)^2) sin((2n+1)*pi*z).
-    method="product" evaluates the Jacobi triple-product form instead and
-    exists as an independent cross-check of the series path.  z may be a
-    scalar or a numpy array.
+    Each point stops at the term count of its own |Im z|, so its value
+    does not depend on the other points of the array.
     """
     tau = _require_tau(tau)
-    z_arr = np.asarray(z, dtype=complex)
-    if method == "series":
-        b = float(np.max(np.abs(z_arr.imag))) if z_arr.size else 0.0
-        ns, coeff = _theta_terms(tau, b)
-        out = np.zeros_like(z_arr)
-        for n, c in zip(ns, coeff):
-            out = out + c * np.sin((2 * n + 1) * np.pi * z_arr)
-        return complex(out) if np.isscalar(z) or z_arr.ndim == 0 else out
-    if method == "product":
-        out = _theta1_product(z_arr, tau)
-        return complex(out) if np.isscalar(z) or z_arr.ndim == 0 else out
-    raise ValidationError(f"unknown theta1 method {method!r}")
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    n_cut = _theta_cut(tau, np.abs(flat.imag))
+    out = np.zeros_like(flat)
+    for n, c in zip(*_theta_terms(tau, n_cut.max(initial=1))):
+        live = n < n_cut
+        out[live] += c * sine((2 * n + 1) * np.pi, flat[live])
+    return out.reshape(z.shape)
 
 
-def _theta1_product(z_arr: np.ndarray, tau: complex) -> np.ndarray:
-    """-i q^(1/6) e^(i*pi*z) eta(tau) prod_m (1-q^(2m) e^(2*pi*i*z)) (1-q^(2m-2) e^(-2*pi*i*z))."""
-    b = float(np.max(np.abs(z_arr.imag))) if z_arr.size else 0.0
-    absq2 = math.exp(-2.0 * math.pi * tau.imag)
-    # factor m contributes at most |q|^(2m-2) e^(2*pi*b) to log-error
-    big = absq2 ** (-1) * math.exp(2.0 * math.pi * b)
-    m_cut = 1
-    while absq2 ** m_cut * big / (1.0 - absq2) > 0.1 * TOLERANCE:
-        m_cut += 1
-        if m_cut > MAX_TERMS:
-            raise NonConvergence(f"theta1 product needs more than {MAX_TERMS} factors")
-    q = np.exp(1j * np.pi * tau)
-    e_plus = np.exp(2j * np.pi * z_arr)
-    e_minus = np.exp(-2j * np.pi * z_arr)
-    prod = np.ones_like(z_arr)
-    for m in range(1, m_cut + 1):
-        prod = prod * (1.0 - q ** (2 * m) * e_plus)
-        prod = prod * (1.0 - q ** (2 * m - 2) * e_minus)
-    head = -1j * q ** (1.0 / 6.0) * np.exp(1j * np.pi * z_arr) * dedekind_eta(tau)
-    return head * prod
+def _sine_over_z(w: float, z: np.ndarray) -> np.ndarray:
+    """sin(w*z)/z, filled with its Taylor expansion where |w*z| < 1e-6."""
+    wz = w * z
+    small = np.abs(wz) < 1e-6
+    safe = np.where(small, 1.0, z)
+    return np.where(small, w * (1.0 - wz * wz / 6.0), np.sin(w * safe) / safe)
+
+
+def theta1(z, tau: complex):
+    """First Jacobi theta function theta_1(z, tau).
+
+    Sums 2*sum_n (-1)^n q^((n+1/2)^2) sin((2n+1)*pi*z).  z may be a scalar
+    (returns complex) or a numpy array; a point's value is the same either
+    way.  theta1_product is the independent reference.
+    """
+    out = _theta_series(z, tau, lambda w, zf: np.sin(w * zf))
+    return complex(out) if out.ndim == 0 else out
 
 
 def theta1_over_z(z, tau: complex):
@@ -148,28 +142,39 @@ def theta1_over_z(z, tau: complex):
     Uses sin((2n+1)*pi*z)/z termwise; the removable singularity is filled
     with the quadratic Taylor expansion once |(2n+1)*pi*z| < 1e-6.
     """
+    out = _theta_series(z, tau, _sine_over_z)
+    return complex(out) if out.ndim == 0 else out
+
+
+def theta1_product(z: complex, tau: complex) -> complex:
+    """theta_1 at one point z by the Jacobi triple product, the series' reference:
+    -i q^(1/6) e^(i*pi*z) eta(tau) prod_m (1-q^(2m) e^(2*pi*i*z)) (1-q^(2m-2) e^(-2*pi*i*z)).
+    """
     tau = _require_tau(tau)
-    z_arr = np.asarray(z, dtype=complex)
-    b = float(np.max(np.abs(z_arr.imag))) if z_arr.size else 0.0
-    ns, coeff = _theta_terms(tau, b)
-    out = np.zeros_like(z_arr)
-    for n, c in zip(ns, coeff):
-        w = (2 * n + 1) * np.pi
-        wz = w * z_arr
-        small = np.abs(wz) < 1e-6
-        ratio = np.where(
-            small,
-            w * (1.0 - wz * wz / 6.0),
-            np.sin(np.where(small, 1.0, wz)) / np.where(small, 1.0, z_arr),
-        )
-        out = out + c * ratio
-    return complex(out) if np.isscalar(z) or z_arr.ndim == 0 else out
+    z = np.asarray(z, dtype=complex)
+    absq2 = math.exp(-2.0 * math.pi * tau.imag)
+    # factor m contributes at most |q|^(2m-2) e^(2*pi*|Im z|) to log-error
+    big = absq2 ** (-1) * math.exp(2.0 * math.pi * abs(float(z.imag)))
+    m_cut = 1
+    while absq2 ** m_cut * big / (1.0 - absq2) > 0.1 * TOLERANCE:
+        m_cut += 1
+        if m_cut > MAX_TERMS:
+            raise NonConvergence(f"theta1 product needs more than {MAX_TERMS} factors")
+    q = np.exp(1j * np.pi * tau)
+    e_plus = np.exp(2j * np.pi * z)
+    e_minus = np.exp(-2j * np.pi * z)
+    prod = np.ones_like(z)
+    for m in range(1, m_cut + 1):
+        prod = prod * (1.0 - q ** (2 * m) * e_plus)
+        prod = prod * (1.0 - q ** (2 * m - 2) * e_minus)
+    head = -1j * q ** (1.0 / 6.0) * np.exp(1j * np.pi * z) * dedekind_eta(tau)
+    return complex(head * prod)
 
 
 def theta1_z_derivative_at_zero(tau: complex) -> complex:
     """d/dz theta_1(z, tau) at z = 0, by termwise differentiation."""
     tau = _require_tau(tau)
-    ns, coeff = _theta_terms(tau, 0.0)
+    ns, coeff = _theta_terms(tau, _theta_cut(tau, 0.0))
     return complex(np.sum(coeff * (2 * ns + 1) * np.pi))
 
 
@@ -179,7 +184,7 @@ def theta_aux(k: int, tau: complex) -> complex:
     q = np.exp(1j * np.pi * tau)
     log_absq = -math.pi * tau.imag
     if k == 2:
-        ns, coeff = _theta_terms(tau, 0.0)
+        ns, coeff = _theta_terms(tau, _theta_cut(tau, 0.0))
         # same Gaussian exponents as theta1 with the alternating sign undone
         return complex(np.sum(coeff * (-1.0) ** ns))
     if k not in (3, 4):

@@ -74,6 +74,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ["--config", str(bad_int), "gmc", "sample", "--tau", "0,1",
          "--out", str(tmp_path / "m.csv")],
         ["--config", str(bad_tau), "lqft", "check-kpz"],
+        ["lqft", "check-kpz", "--mu-list", ""],
         # argparse checks choices on flag text only, so config values need their own check
         ["--config", str(bad_kind), "lqg", "plot", str(data), "--out", str(tmp_path / "t.svg")],
         ["--config", str(bad_mode), "green", "eval", "--tau", "0,1", "--x", "0.3,0.4"],
@@ -84,6 +85,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "error:" in err
         assert "Traceback" not in err
+        assert "_float_list" not in err
     assert "invalid choice: 'bogus'" in err
     assert not (tmp_path / "t.svg").exists()
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from torus_lqg.errors import NonConvergence, SingularPoint, ValidationError
 from torus_lqg.green import (
@@ -18,6 +20,7 @@ from torus_lqg.green import (
     theta_offset,
 )
 from torus_lqg.modular import S, T, p_tau
+from torus_lqg.special import TOLERANCE, _theta_cut, theta1, theta1_over_z
 
 TAU = 0.3 + 1.2j
 
@@ -55,7 +58,43 @@ def test_vectorized_matches_scalar():
     x2 = np.array([p[1] for p in points])
     vec = green(TAU, (x1, x2))
     for k, (a, b) in enumerate(points):
-        assert abs(vec[k] - green(TAU, (a, b))) < 1e-14
+        assert vec[k] == green(TAU, (a, b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    re=st.floats(-0.5, 0.5),
+    im=st.floats(0.85, 3.0),
+    size=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_point_value_independent_of_batch(re, im, size, seed):
+    tau = complex(re, im)
+    assume(abs(tau) >= 1.0)
+    rng = np.random.default_rng(seed)
+    # |Im z| from 1e-3 * Im tau to past Im tau, so points need different term counts
+    spread = rng.choice([1e-3, 0.1, 0.5, 1.2], size) * im
+    z = rng.uniform(-0.5, 0.5, size) + 1j * spread * rng.uniform(-1.0, 1.0, size)
+    for fn in (theta1, theta1_over_z):
+        batch = fn(z, tau)
+        for k in range(size):
+            assert fn(complex(z[k]), tau) == batch[k]
+    # each point's truncation leaves a tail bound within a tenth of the target
+    b = np.abs(z.imag)
+    n, log_absq = _theta_cut(tau, b), -math.pi * im
+    term = 2.0 * np.exp(log_absq * (n + 0.5) ** 2 + (2 * n + 1) * math.pi * b)
+    ratio = np.exp(log_absq * (2 * n + 2) + 2.0 * math.pi * b)
+    assert np.all(ratio < 1.0) and np.all(term / (1.0 - ratio) <= 0.1 * TOLERANCE)
+    # half the Green points sit next to a lattice translate (near route), half anywhere
+    near = rng.random(size) < 0.5
+    x1 = np.where(near, rng.integers(-2, 3, size) + rng.uniform(-0.05, 0.05, size),
+                  rng.uniform(-1.0, 1.0, size))
+    x2 = np.where(near, rng.integers(-2, 3, size) + rng.uniform(-0.05, 0.05, size),
+                  rng.uniform(-1.0, 1.0, size))
+    for fn in (green, lambda t, x: green_log_subtracted(t, *x)):
+        batch = fn(tau, (x1, x2))
+        for k in range(size):
+            assert fn(tau, (x1[k], x2[k])) == batch[k]
 
 
 def test_eigen_route_agrees():
