@@ -30,8 +30,9 @@ __all__ = ["MomentCache", "SAMPLER_VERSION", "default_cache_dir", "moment_key"]
 # replica with a complex ifft2; version 2 is the batched irfft2 engine;
 # version 3 truncates the theta series per point, which moves the Green
 # function, so the insertion potential H and every moment tilted by it, at
-# the 1e-13 level.
-SAMPLER_VERSION = 3
+# the 1e-13 level; version 4 draws replica r as row r of the mode purpose
+# (inverse-CDF normals on the half lattice), which moves every replica.
+SAMPLER_VERSION = 4
 
 
 def default_cache_dir() -> Path:

@@ -30,6 +30,7 @@ import numpy as np
 from .config import FieldResolution, MonteCarloConfig
 from .errors import InvalidGamma, ValidationError
 from .gff import (
+    MODES,
     SpectralField,
     evaluate_on_grid,
     regularized_variance,
@@ -116,11 +117,11 @@ def chaos_cells(x: np.ndarray, gamma: float, offset: float, tilt=None) -> np.nda
     return cells if tilt is None else cells * tilt
 
 
-def chaos_batches(points, gamma: float, grid: int, mc: MonteCarloConfig):
-    """One replica_grids pass at several moduli on common random numbers.
+def chaos_batches(points, gamma: float, grid: int, mc: MonteCarloConfig, purpose: int = MODES):
+    """One replica_grids pass under purpose at several moduli, common random numbers.
 
     points holds one (mode weights, scale, offset, tilt or None) per
-    modulus.  Yields (start, generators, stacks) per batch; stacks yields,
+    modulus.  Yields (start, stacks) per batch; stacks yields,
     lazily and in the order of points, (x, cells, masses) with x the
     (B, G, G) field stack, cells its chaos_cells and masses the totals
     scale * sum(cells) per replica.
@@ -131,14 +132,14 @@ def chaos_batches(points, gamma: float, grid: int, mc: MonteCarloConfig):
             cells = chaos_cells(x, gamma, offset, tilt)
             yield x, cells, scale * cells.sum(axis=(1, 2))
 
-    for start, gens, grids in replica_grids([pt[0] for pt in points], grid, mc):
-        yield start, gens, stacks(grids)
+    for start, grids in replica_grids([pt[0] for pt in points], grid, mc, purpose):
+        yield start, stacks(grids)
 
 
 def total_mass_table(points, gamma: float, grid: int, mc: MonteCarloConfig) -> np.ndarray:
     """Total masses of chaos_batches, shape (len(points), mc.replicas)."""
     out = np.empty((len(points), mc.replicas))
-    for start, _, stacks in chaos_batches(points, gamma, grid, mc):
+    for start, stacks in chaos_batches(points, gamma, grid, mc):
         for k, (x, _, masses) in enumerate(stacks):
             out[k, start : start + len(x)] = masses
     return out

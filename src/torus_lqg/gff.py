@@ -14,19 +14,20 @@ radius eps multiplies mode (n, m) by J0(2*pi*eps*|n*tau - m|/Im(tau)).
 The exact variance of the averaged, truncated field is then a plain
 coefficient sum, which the chaos normalization downstream relies on.
 
-Sampling is deterministic per (seed, stream): streams are independent
-keys of a counter-based generator, so replica r of a run can be
-regenerated in isolation.
+Every random draw is a row addressed by (seed, purpose, row): the Philox
+key is (seed, purpose) and the counter is the row times the row's width
+in blocks, so row r holds the same numbers alone or inside any batch and
+no two purposes (modes, resample, volume, modulus) share a stream.
 
 Monte Carlo estimators draw their replicas through one batched engine,
-replica_grids.  Each replica's Hermitized unit modes come from its own
-stream, so a batch holds exactly the draws a per-replica loop would make.
-The engine scales the stacked draws by one weight box per modulus and
-synthesizes each stack with a single inverse real FFT over the
-Hermitian half-spectrum.  A batch holds at most 2^16 grid cells (at
-least one replica), so its memory is bounded independently of the
-replica count: 50 replicas at G = 36, one at G = 260.  Several weight
-boxes applied to the same batch give common random numbers across moduli.
+replica_grids.  Replica r is row base_stream + r of the mode draw, which
+writes the real degrees of freedom of the half lattice straight into the
+Hermitian half-spectrum; one call draws a batch.  The engine scales it
+by one weight box per modulus and synthesizes each stack with a single
+inverse real FFT.  A batch holds at most 2^16 grid cells (at least one
+replica), so its memory is bounded independently of the replica count:
+50 replicas at G = 36, one at G = 260.  Several weight boxes applied to
+the same batch give common random numbers across moduli.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import j0
+from scipy.special import j0, ndtri
 
 from .config import MonteCarloConfig
 from .errors import IndexOutOfCutoff, ValidationError
@@ -44,11 +45,12 @@ from .modular import ModularElement, reduce_to_fundamental
 from .special import dedekind_eta
 
 __all__ = [
+    "MODES", "RESAMPLE", "VOLUME", "MODULUS",
     "RngStream",
     "SpectralField",
     "sample_gff",
     "scaled_mode_weights",
-    "draw_hermitian_modes",
+    "draw_modes",
     "modes_to_grid",
     "replica_grids",
     "evaluate_on_grid",
@@ -68,19 +70,29 @@ __all__ = [
 _BATCH_CELLS = 1 << 16
 
 
+MODES, RESAMPLE, VOLUME, MODULUS = range(4)  # purposes: second word of the Philox key
+
+
 @dataclass(frozen=True)
 class RngStream:
-    """Deterministic random stream: a keyed counter-based generator."""
+    """Rows keyed by (seed, purpose) from row stream; a block is 4 words."""
 
     seed: int
     stream: int = 0
 
-    def generator(self) -> np.random.Generator:
-        key = np.array([self.seed % 2**64, self.stream % 2**64], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+    def generator(self, purpose: int = MODES, width: int = 4) -> np.random.Generator:
+        """Philox keyed by (seed, purpose) at row stream of width words."""
+        key = np.array([self.seed % 2**64, purpose], dtype=np.uint64)
+        counter = self.stream * -(-width // 4) % 2**256
+        return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
-    def child(self, offset: int) -> "RngStream":
-        return RngStream(self.seed, self.stream + offset)
+    def uniforms(self, rows: int, width: int, purpose: int = MODES) -> np.ndarray:
+        """(rows, width) uniforms of rows stream .. stream + rows - 1, one
+        random_raw call: a word's top 52 bits k give (k + 1/2) 2^-52 in (0, 1).
+        """
+        words = 4 * -(-width // 4)
+        raw = self.generator(purpose, width).bit_generator.random_raw(rows * words)
+        return ((raw.reshape(rows, words)[:, :width] >> np.uint64(12)) + 0.5) * 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -137,80 +149,78 @@ def scaled_mode_weights(tau: complex, cutoff: int, eps: float = 0.0) -> np.ndarr
     return w
 
 
-def _unit_modes(gen: np.random.Generator, n: int) -> np.ndarray:
-    z = (gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))) / math.sqrt(2.0)
-    return (z + np.conj(z[::-1, ::-1])) / math.sqrt(2.0)
+def draw_modes(rng: RngStream, rows: int, cutoff: int, purpose: int = MODES) -> np.ndarray:
+    """Unit complex normal modes of rows rng.stream .. + rows - 1 on the
+    half-spectrum m >= 0 of the box, shape (rows, 2N+1, N+1).
 
-
-def draw_hermitian_modes(gen: np.random.Generator, weights: np.ndarray) -> np.ndarray:
-    """One GFF coefficient draw: unit complex normals Hermitized, then scaled."""
-    return _unit_modes(gen, weights.shape[0]) * weights
-
-
-def sample_gff(tau: complex, cutoff: int, rng: RngStream | np.random.Generator) -> SpectralField:
-    """One sample of the truncated GFF at modulus tau.
-
-    Draws one complex standard normal per mode and Hermitizes, which makes
-    every mode pair (k, -k) jointly correct with unit per-mode variance.
+    A row's (2N+1)^2 - 1 uniforms become N(0, 1/2) real degrees of freedom
+    by ndtri, paired (re, im) into the columns m = 1..N, then the modes
+    n = 1..N of column 0, mirrored as conjugates to n < 0; the mean mode is 0.
     """
+    N = cutoff
+    z = (ndtri(rng.uniforms(rows, (2 * N + 1) ** 2 - 1, purpose)) * math.sqrt(0.5)).view(complex)
+    half = np.zeros((rows, 2 * N + 1, N + 1), dtype=complex)
+    half[:, :, 1:] = z[:, : (2 * N + 1) * N].reshape(rows, 2 * N + 1, N)
+    half[:, N + 1 :, 0] = z[:, (2 * N + 1) * N :]
+    half[:, N - 1 :: -1, 0] = np.conj(half[:, N + 1 :, 0])
+    return half
+
+
+def sample_gff(tau: complex, cutoff: int, rng: RngStream) -> SpectralField:
+    """One sample of the truncated GFF at modulus tau: replica rng.stream of
+    replica_grids under seed rng.seed, mirrored to the full box."""
     tau = complex(tau)
     if not tau.imag > 0:
         raise ValidationError(f"tau must lie in the upper half-plane, got {tau}")
     if cutoff < 1:
         raise ValidationError("cutoff must be at least 1")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    coeffs = draw_hermitian_modes(gen, _coefficient_weights(tau, cutoff))
+    half = draw_modes(rng, 1, cutoff)[0] * _coefficient_weights(tau, cutoff)[:, cutoff:]
+    coeffs = np.concatenate([np.conj(half[::-1, :0:-1]), half], axis=1)
     return SpectralField(tau=tau, cutoff=cutoff, coeffs=coeffs)
 
 
-def modes_to_grid(coeffs: np.ndarray, grid: int) -> np.ndarray:
-    """Real-space values at x = (i/G, j/G) from a centered coefficient box.
+def modes_to_grid(half: np.ndarray, grid: int) -> np.ndarray:
+    """Real-space values at x = (i/G, j/G) from the half-spectrum of a box.
 
-    coeffs is one (2N+1)^2 box or a stack of them along leading axes; the
-    whole stack goes through one inverse real FFT.  Only the Hermitian
-    part of a box reaches the real field, so the half-spectrum m >= 0 of
-    that part is all the transform needs.
+    half is the columns m >= 0 of one centered Hermitian (2N+1)^2 box,
+    shape (2N+1, N+1), or a stack of them along leading axes; the whole
+    stack goes through one inverse real FFT.
     """
-    n2 = coeffs.shape[-1]
-    N = (n2 - 1) // 2
+    N = half.shape[-1] - 1
     if grid <= 2 * N:
         raise ValidationError(f"grid {grid} too coarse for cutoff {N}")
-    half = 0.5 * (coeffs[..., :, N:] + np.conj(coeffs[..., ::-1, N::-1]))
-    slots = np.zeros(coeffs.shape[:-2] + (grid, grid // 2 + 1), dtype=complex)
+    slots = np.zeros(half.shape[:-2] + (grid, grid // 2 + 1), dtype=complex)
     slots[..., np.arange(-N, N + 1) % grid, : N + 1] = half
     return np.fft.irfft2(slots, s=(grid, grid), norm="forward")
 
 
-def replica_grids(weights, grid: int, mc: MonteCarloConfig):
+def replica_grids(weights, grid: int, mc: MonteCarloConfig, purpose: int = MODES):
     """Batched replica engine: real fields of mc.replicas replicas on a G x G grid.
 
-    Yields (start, generators, grids) per batch of replicas start ..
-    start + B - 1.  Replica r draws its Hermitized unit modes from
-    RngStream(mc.seed, mc.base_stream + r); generators holds those streams,
-    positioned after the draw, for callers that continue them.  grids
-    yields, lazily and in the order of weights, one (B, G, G) stack of
-    modes_to_grid(alpha * w) per weight box w, so one draw serves every
-    modulus (common random numbers).  Consume grids before advancing to
-    the next batch.
+    Yields (start, grids) per batch of replicas start .. start + B - 1.
+    Replica r is row mc.base_stream + r of draw_modes under (mc.seed,
+    purpose), and one call draws the batch.  grids yields, lazily and in
+    the order of weights, one (B, G, G) stack of modes_to_grid(alpha * w)
+    per weight box w, so one draw serves every modulus (common random
+    numbers).  Consume grids before advancing to the next batch.
     """
-    n = weights[0].shape[0]
+    N = weights[0].shape[0] // 2
     batch = max(1, _BATCH_CELLS // (grid * grid))
     for start in range(0, mc.replicas, batch):
-        stop = min(start + batch, mc.replicas)
-        gens = [RngStream(mc.seed, mc.base_stream + r).generator() for r in range(start, stop)]
-        alpha = np.stack([_unit_modes(gen, n) for gen in gens])
-        yield start, gens, (modes_to_grid(alpha * w, grid) for w in weights)
+        rows = min(batch, mc.replicas - start)
+        alpha = draw_modes(RngStream(mc.seed, mc.base_stream + start), rows, N, purpose)
+        yield start, (modes_to_grid(alpha * w[:, N:], grid) for w in weights)
 
 
 def evaluate_on_grid(fld: SpectralField, grid: int | None = None) -> np.ndarray:
     """Evaluate the field at x = (i/G, j/G) via an inverse FFT.
 
     G defaults to 4*(cutoff+1) and must exceed 2*cutoff to keep the box
-    alias-free; the imaginary residue of the transform is discarded (it
-    is rounding noise for Hermitian coefficients).
+    alias-free; only the half-spectrum m >= 0 enters, which determines
+    a Hermitian box.
     """
     G = 4 * (fld.cutoff + 1) if grid is None else int(grid)
-    return modes_to_grid(fld.coeffs, G)
+    return modes_to_grid(fld.coeffs[:, fld.cutoff :], G)
 
 
 def bessel_multiplier(tau: complex, cutoff: int, eps: float) -> np.ndarray:
@@ -343,7 +353,7 @@ def dirichlet_energy_grid(fld: SpectralField, grid: int | None = None) -> float:
     tau = complex(fld.tau)
     n, m = _mode_grid(N)
     G = 4 * (N + 1) if grid is None else int(grid)
-    g1 = modes_to_grid(fld.coeffs * (2j * np.pi * n), G)
-    g2 = modes_to_grid(fld.coeffs * (2j * np.pi * m), G)
+    g1 = modes_to_grid(fld.coeffs[:, N:] * (2j * np.pi * n[:, N:]), G)
+    g2 = modes_to_grid(fld.coeffs[:, N:] * (2j * np.pi * m[:, N:]), G)
     return float(np.mean(np.abs(tau * g1 - g2) ** 2) / tau.imag)
 

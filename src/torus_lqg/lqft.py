@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaincinv
 
 from .config import FieldResolution, MonteCarloConfig
 from .errors import (
@@ -36,12 +37,8 @@ from .errors import (
     SeibergViolationSum,
     ValidationError,
 )
-from .gff import (
-    SpectralField,
-    dirichlet_energy,
-    free_field_partition,
-    scaled_mode_weights,
-)
+from .gff import MODES, VOLUME, RngStream, SpectralField, dirichlet_energy
+from .gff import free_field_partition, scaled_mode_weights
 from .green import green, green_centered, theta_offset
 from .chaos import cell_constants, chaos_batches, total_mass_table
 from .modular import wrap_centered
@@ -314,12 +311,14 @@ def liouville_field_law_sampler(
     mc: MonteCarloConfig,
     res: FieldResolution,
     y_volume: float | None = None,
+    purpose: int = MODES,
 ):
     """Yield mc.replicas weighted samples of (field, quantum area measure).
 
     The volume marginal is Gamma(s/gamma, rate mu), independent of the
-    modulus and of the shape of the measure; when y_volume is given every
-    sample is conditioned on that total volume instead.
+    modulus and of the shape of the measure, drawn from volume row
+    base_stream + r; when y_volume is given every sample is conditioned
+    on that total volume instead.  The fields draw under purpose.
     """
     tau = complex(tau)
     if not ins.insertions or not ins.seiberg_sum_ok():
@@ -331,13 +330,17 @@ def liouville_field_law_sampler(
     point, h_grid = _tilted_point(params, tau, ins, res)
     scale = point[1]
     shift = -0.5 * params.q * math.log(tau.imag)
-    for _, gens, ((xs, cells, masses),) in chaos_batches([point], gamma, res.grid, mc):
+    if y_volume is None:
+        u = RngStream(mc.seed, mc.base_stream).uniforms(mc.replicas, 1, VOLUME)[:, 0]
+        volumes = gammaincinv(p, u) / params.mu
+    else:
+        volumes = np.full(mc.replicas, float(y_volume))
+    for start, ((xs, cells, masses),) in chaos_batches([point], gamma, res.grid, mc, purpose):
         # the array power inverse_power_mean uses, so each weight is bit-equal
         # to the term partition_function averages for that replica
         weights = masses ** (-p)
-        for gen, x, cell, mass, weight in zip(gens, xs, cells, masses, weights):
-            mass = float(mass)
-            y = float(gen.gamma(p, 1.0 / params.mu)) if y_volume is None else float(y_volume)
+        for x, cell, mass, weight, y in zip(xs, cells, masses, weights, volumes[start:]):
+            mass, y = float(mass), float(y)
             c = (math.log(y) - math.log(mass)) / gamma
             yield LiouvilleSample(
                 field=c + x + h_grid + shift,

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaincinv
 
 from .cache import MomentCache, moment_key
 from .config import FieldResolution, MonteCarloConfig
@@ -31,7 +32,7 @@ from .errors import (
     TruncationTooTight,
     ValidationError,
 )
-from .gff import RngStream, free_field_partition
+from .gff import MODULUS, RESAMPLE, VOLUME, RngStream, free_field_partition
 from .lqft import InsertionSet, LQFTParams, insertion_constant, insertion_mass_table
 from .lqft import inverse_power_mean, liouville_field_law_sampler
 from .special import dedekind_eta, theta_aux
@@ -407,7 +408,7 @@ def sample_modulus(table: DensityTable, count: int, rng: RngStream) -> np.ndarra
     """
     if count <= 0:
         raise ValidationError("count must be positive")
-    gen = rng.generator()
+    gen = rng.generator(MODULUS)
     probs = (table.cell_mass / table.total_mass).ravel()
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
@@ -473,27 +474,24 @@ def joint_law_sampler(
     independent Gamma(s/gamma, mu) draw, and (when res is given) one
     quantum-area measure at that tau conditioned on that volume.
 
-    The conditional measure is picked from resample_batch candidate
-    fields by importance resampling on the I^{-s/gamma} weights; larger
-    batches sharpen the conditional law at linear cost.
+    Sample k is row s = rng.stream + k: columns 0 and 1 of volume row s
+    give its volume and its pick among the B = resample_batch candidate
+    fields, rows [sB, (s+1)B) of the resample purpose, by importance
+    resampling on the I^{-s/gamma} weights; larger batches sharpen the
+    conditional law at linear cost.
     """
     taus = sample_modulus(table, count, rng)
-    gen = rng.child(1).generator()
     p = ins.alpha_sum / params.gamma
+    u = rng.uniforms(count, 2, VOLUME)
+    volumes = gammaincinv(p, u[:, 0]) / params.mu
     for k in range(count):
         tau = complex(taus[k])
-        y = float(gen.gamma(p, 1.0 / params.mu))
+        y = float(volumes[k])
         measure = None
         if res is not None:
-            sub = MonteCarloConfig(
-                replicas=resample_batch,
-                seed=rng.seed,
-                base_stream=rng.stream + 7919 * (k + 1),
-            )
-            samples = list(
-                liouville_field_law_sampler(params, tau, ins, sub, res, y_volume=y)
-            )
-            w = np.array([s.weight for s in samples])
-            pick = int(gen.choice(len(samples), p=w / w.sum()))
-            measure = samples[pick].measure
+            sub = MonteCarloConfig(resample_batch, rng.seed, (rng.stream + k) * resample_batch)
+            samples = list(liouville_field_law_sampler(params, tau, ins, sub, res, y, RESAMPLE))
+            cdf = np.cumsum([s.weight for s in samples])
+            pick = int(np.searchsorted(cdf, u[k, 1] * cdf[-1], side="right"))
+            measure = samples[min(pick, len(samples) - 1)].measure
         yield JointSample(tau=tau, volume=y, measure=measure)

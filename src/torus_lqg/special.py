@@ -61,6 +61,8 @@ def _theta_cut(tau: complex, b) -> np.ndarray:
     """
     log_absq = -math.pi * tau.imag
     b = np.asarray(b, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise NonConvergence("theta series diverges at a non-finite |Im z|")
     cut = np.full(b.shape, -1)
     prev = np.full(b.shape, math.inf)
     for n in range(MAX_TERMS + 1):

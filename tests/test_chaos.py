@@ -18,13 +18,10 @@ from torus_lqg.config import FieldResolution, MonteCarloConfig
 from torus_lqg.errors import InvalidGamma, ValidationError
 from torus_lqg.gff import (
     RngStream,
-    SpectralField,
     circle_average,
-    draw_hermitian_modes,
     evaluate_on_grid,
     regularized_variance,
     sample_gff,
-    scaled_mode_weights,
 )
 from torus_lqg.green import theta_offset
 from torus_lqg.modular import S, T, ModularElement
@@ -128,11 +125,8 @@ def test_sample_batch_matches_manual_replica():
     res = FieldResolution(cutoff=6, grid_factor=4)
     eps = res.eps_for(TAU)
     masses = sample_total_masses(TAU, gamma, q, mc, res)
-    weights = scaled_mode_weights(TAU, res.cutoff, eps)
     for r in (0, 4):
-        gen = RngStream(mc.seed, mc.base_stream + r).generator()
-        coeffs = draw_hermitian_modes(gen, weights)
-        fld = SpectralField(tau=TAU, cutoff=res.cutoff, coeffs=coeffs, eps=eps)
+        fld = circle_average(sample_gff(TAU, res.cutoff, RngStream(mc.seed, mc.base_stream + r)), eps)
         manual = chaos_measure(fld, gamma, q, grid=res.grid).total_mass
         assert abs(manual - masses[r]) < 1e-12 * manual
 

@@ -133,6 +133,10 @@ def test_numeric_failure_exits_2(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "numeric failure" in err
+    # a NaN |Im z| has no term count: it fails at once, not after the term cap
+    code, _, err = run(capsys, "special-fn", "eval", "--fn", "theta1", "--tau", "0,1", "--z", "0,nan")
+    assert code == 2
+    assert err == "numeric failure: theta series diverges at a non-finite |Im z|\n"
 
 
 def test_check_quick_suite(capsys):

@@ -11,6 +11,10 @@ from torus_lqg import gff
 from torus_lqg.config import MonteCarloConfig
 from torus_lqg.errors import IndexOutOfCutoff, ValidationError
 from torus_lqg.gff import (
+    MODES,
+    MODULUS,
+    RESAMPLE,
+    VOLUME,
     LogConformalFactor,
     RngStream,
     SpectralField,
@@ -19,7 +23,7 @@ from torus_lqg.gff import (
     circle_average,
     dirichlet_energy,
     dirichlet_energy_grid,
-    draw_hermitian_modes,
+    draw_modes,
     evaluate_on_grid,
     free_field_partition,
     modes_to_grid,
@@ -59,7 +63,6 @@ def test_rng_stream_determinism():
     c = RngStream(SEED, 4).generator().standard_normal(8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    assert RngStream(SEED, 3).child(2) == RngStream(SEED, 5)
 
 
 def test_sample_is_deterministic_per_stream():
@@ -104,15 +107,14 @@ def test_grid_too_coarse_rejected():
     with pytest.raises(ValidationError):
         evaluate_on_grid(fld, 8)
     with pytest.raises(ValidationError):
-        modes_to_grid(fld.coeffs, 7)
+        modes_to_grid(fld.coeffs[:, 4:], 7)
 
 
 def test_mode_variance_matches_spectrum():
     # per-mode sample variance ~ c_{n,m} within 4 SE
     replicas = 3000
     weights = scaled_mode_weights(TAU, 2)
-    gen = RngStream(SEED, 7).generator()
-    draws = np.array([draw_hermitian_modes(gen, weights)[2 + 1, 2 + 0] for _ in range(replicas)])
+    draws = draw_modes(RngStream(SEED, 7), replicas, 2)[:, 2 + 1, 0] * weights[2 + 1, 2 + 0]
     c = spectral_coefficient(TAU, 1, 0)
     var = np.mean(np.abs(draws) ** 2)
     se = np.std(np.abs(draws) ** 2) / math.sqrt(replicas)
@@ -122,15 +124,13 @@ def test_mode_variance_matches_spectrum():
 def test_covariance_against_truncated_series():
     replicas = 3000
     cutoff = 8
-    weights = scaled_mode_weights(1j, cutoff)
-    gen = RngStream(SEED, 8).generator()
     points = [(0.0, 0.0), (0.25, 0.0), (0.125, 0.375)]
     idx = np.arange(-cutoff, cutoff + 1)
     n, m = np.meshgrid(idx, idx, indexing="ij")
     phases = [np.exp(2j * np.pi * (n * x1 + m * x2)) for x1, x2 in points]
     prods = []
-    for _ in range(replicas):
-        coeffs = draw_hermitian_modes(gen, weights)
+    for r in range(replicas):
+        coeffs = sample_gff(1j, cutoff, RngStream(SEED, 8 + r)).coeffs
         vals = [float(np.sum(coeffs * ph).real) for ph in phases]
         prods.append([vals[0] * v for v in vals])
     prods = np.asarray(prods)
@@ -258,8 +258,8 @@ def reference_grid(coeffs, grid):
 
 def engine_grids(weights, grid, mc):
     out = []
-    for start, gens, (xs,) in replica_grids([weights], grid, mc):
-        assert start == len(out) and len(gens) == len(xs)
+    for start, (xs,) in replica_grids([weights], grid, mc):
+        assert start == len(out)
         out.extend(xs)
     return np.array(out)
 
@@ -284,13 +284,15 @@ def test_replica_engine_matches_per_replica_reference(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gff, "_BATCH_CELLS", batch * grid * grid)
         grids = engine_grids(weights, grid, mc)
-        r = data.draw(st.integers(0, replicas - 1))
-        # a run needs two replicas; its first is replica r regenerated alone
-        alone = engine_grids(weights, grid, MonteCarloConfig(2, SEED, base_stream + r))[0]
+    r = data.draw(st.integers(0, replicas - 1))
+    alone = modes_to_grid(
+        draw_modes(RngStream(SEED, base_stream + r), 1, cutoff)[0] * weights[:, cutoff:], grid
+    )
     assert grids.shape == (replicas, grid, grid)
+    mult = bessel_multiplier(TAU, cutoff, 0.1)
     for k in range(replicas):
-        gen = RngStream(SEED, base_stream + k).generator()
-        want = reference_grid(draw_hermitian_modes(gen, weights), grid)
+        box = sample_gff(TAU, cutoff, RngStream(SEED, base_stream + k)).coeffs * mult
+        want = reference_grid(box, grid)
         scale = np.max(np.abs(want))
         assert np.max(np.abs(grids[k] - want)) <= 1e-12 * scale
         assert abs(np.exp(grids[k]).sum() - np.exp(want).sum()) <= 1e-12 * np.exp(want).sum()
@@ -304,4 +306,49 @@ def test_replica_batches_follow_cell_budget():
     for grid, size in ((36, 50), (260, 1)):
         mc = MonteCarloConfig(replicas=size + 1, seed=SEED)
         weights = scaled_mode_weights(TAU, grid // 4 - 1)
-        assert [len(gens) for _, gens, _ in replica_grids([weights], grid, mc)] == [size, 1]
+        sizes = [len(next(grids)) for _, grids in replica_grids([weights], grid, mc)]
+        assert sizes == [size, 1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    stream=st.integers(0, 2**40),
+    purpose=st.sampled_from((MODES, RESAMPLE, VOLUME, MODULUS)),
+    start=st.integers(0, 100),
+    rows=st.integers(1, 9),
+    width=st.integers(1, 40),
+    data=st.data(),
+)
+def test_row_is_the_same_alone_and_in_any_batch(seed, stream, purpose, start, rows, width, data):
+    batch = RngStream(seed, stream + start).uniforms(rows, width, purpose)
+    i = data.draw(st.integers(0, rows - 1))
+    alone = RngStream(seed, stream + start + i).uniforms(1, width, purpose)
+    assert batch.shape == (rows, width)
+    assert np.array_equal(batch[i], alone[0])
+    assert np.all((batch > 0.0) & (batch < 1.0))
+
+
+def test_purposes_share_no_value():
+    words = [
+        RngStream(SEED, 0).generator(purpose, 40).bit_generator.random_raw(64 * 40)
+        for purpose in (MODES, RESAMPLE, VOLUME, MODULUS)
+    ]
+    for a in range(4):
+        for b in range(a + 1, 4):
+            assert np.intersect1d(words[a], words[b]).size == 0
+
+
+def test_mode_draw_degrees_of_freedom():
+    # every real degree of freedom is N(0, 1/2); column m = 0 mirrors n > 0
+    N, rows = 3, 4000
+    half = draw_modes(RngStream(SEED, 0), rows, N)
+    modes = np.concatenate([half[:, :, 1:].reshape(rows, -1), half[:, N + 1 :, 0]], axis=1)
+    x = np.concatenate([modes.real, modes.imag], axis=1)
+    assert x.shape[1] == (2 * N + 1) ** 2 - 1
+    se = np.std(x, axis=0) / math.sqrt(rows)
+    assert np.all(np.abs(np.mean(x, axis=0)) < 4.0 * se)
+    se = np.std(x * x, axis=0) / math.sqrt(rows)
+    assert np.all(np.abs(np.mean(x * x, axis=0) - 0.5) < 4.0 * se)
+    assert np.array_equal(half[:, N - 1 :: -1, 0], np.conj(half[:, N + 1 :, 0]))
+    assert np.all(half[:, N, 0] == 0.0)

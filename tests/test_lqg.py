@@ -17,7 +17,7 @@ from torus_lqg.errors import (
     TruncationTooTight,
     ValidationError,
 )
-from torus_lqg.gff import RngStream, free_field_partition
+from torus_lqg.gff import MODES, MODULUS, VOLUME, RngStream, free_field_partition
 from torus_lqg.lqft import InsertionSet, LQFTParams, conformal_weight, insertion_mass_samples
 from torus_lqg.lqg import (
     MatterCFT,
@@ -373,6 +373,40 @@ def test_joint_sampler():
     assert abs(np.mean(vols) - 0.5) < 4.0 * se
     corr = np.corrcoef(vols, ims)[0, 1]
     assert abs(corr) < 4.0 / math.sqrt(n)
+
+
+def test_joint_draws_share_no_density_table_row(monkeypatch):
+    # lqg sample-joint draws its moduli and volumes from RngStream(seed, 1);
+    # the table it samples from draws its replicas under the same seed
+    matter, params, ins = pure_setup()
+    keys = {"table": set(), "joint": set()}
+    phase = "table"
+    generator = RngStream.generator
+
+    def spy(self, *args):
+        gen = generator(self, *args)
+        keys[phase].add(tuple(int(w) for w in gen.bit_generator.state["state"]["key"]))
+        return gen
+
+    monkeypatch.setattr(RngStream, "generator", spy)
+    tab = build_density_table(matter, params, ins, MC, RES, re_cells=4, im_cells=4, t_max=12.0)
+    phase = "joint"
+    n = 50
+    samples = list(joint_law_sampler(matter, params, ins, tab, n, RngStream(SEED, 1)))
+    monkeypatch.undo()
+    assert keys == {"table": {(SEED, MODES)}, "joint": {(SEED, MODULUS), (SEED, VOLUME)}}
+    assert len(samples) == n
+    # the raw words behind both: every table row, and more modulus words
+    # than 50 rejection draws use
+    width = (2 * RES.cutoff + 1) ** 2 - 1
+    table = RngStream(SEED, MC.base_stream).generator(MODES, width).bit_generator
+    table_words = table.random_raw(MC.replicas * 4 * -(-width // 4))
+    joint = RngStream(SEED, 1)
+    joint_words = np.concatenate([
+        joint.generator(MODULUS).bit_generator.random_raw(64 * n),
+        joint.generator(VOLUME, 2).bit_generator.random_raw(4 * n),
+    ])
+    assert np.intersect1d(table_words, joint_words).size == 0
 
 
 def test_joint_sampler_with_measure():

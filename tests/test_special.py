@@ -157,3 +157,8 @@ def test_rejects_lower_half_plane():
 def test_nonconvergence_near_real_axis():
     with pytest.raises((NonConvergence, ValidationError)):
         dedekind_eta(0.3 + 1e-12j)
+
+
+def test_theta1_rejects_non_finite_imaginary_part_at_once():
+    with pytest.raises(NonConvergence, match="non-finite"):
+        theta1(complex(0, float("nan")), 1j)
