@@ -68,6 +68,8 @@ __all__ = [
 
 # grid cells per replica batch: bounds the engine's working set
 _BATCH_CELLS = 1 << 16
+# box rows per regularized_variance chunk: bounds its working set
+_VARIANCE_ROWS = 512
 
 
 MODES, RESAMPLE, VOLUME, MODULUS = range(4)  # purposes: second word of the Philox key
@@ -240,7 +242,7 @@ def circle_average(fld: SpectralField, eps: float) -> SpectralField:
     return replace(fld, coeffs=fld.coeffs * mult, eps=eps)
 
 
-def regularized_variance(tau: complex, cutoff: int, eps: float, chunk: int = 512) -> float:
+def regularized_variance(tau: complex, cutoff: int, eps: float) -> float:
     """Exact variance of the truncated circle-averaged field at any point.
 
     sum over the box of c_{n,m} * J0(2*pi*eps*|n*tau-m|/Im tau)^2, chunked
@@ -253,8 +255,8 @@ def regularized_variance(tau: complex, cutoff: int, eps: float, chunk: int = 512
     # n = 0 row, m != 0; then positive n rows doubled by k <-> -k symmetry
     k = np.abs(m[m != 0]).astype(float)
     total += float(np.sum(y / (2.0 * np.pi * k**2) * j0(2.0 * np.pi * eps * k / y) ** 2))
-    for start in range(1, cutoff + 1, chunk):
-        ns = np.arange(start, min(start + chunk, cutoff + 1))
+    for start in range(1, cutoff + 1, _VARIANCE_ROWS):
+        ns = np.arange(start, min(start + _VARIANCE_ROWS, cutoff + 1))
         kk = np.abs(ns[:, None] * tau - m[None, :])
         c = y / (2.0 * np.pi * kk**2)
         total += 2.0 * float(np.sum(c * j0(2.0 * np.pi * eps * kk / y) ** 2))

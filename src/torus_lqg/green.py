@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NonConvergence, SingularPoint, ValidationError
 from .modular import c_tau, p_tau, wrap_centered, wrap_unit
-from .special import MAX_TERMS, dedekind_eta, theta1, theta1_over_z
+from .special import _term_count, dedekind_eta, theta1, theta1_over_z
 
 __all__ = [
     "GreenEvalConfig",
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _SINGULAR_TOL = 1e-13
+_CIRCLE_POINTS = 48  # trapezoid nodes per circle in green_regularized
 
 
 @dataclass(frozen=True)
@@ -174,13 +175,8 @@ def _green_appendix(tau: complex, x1: float, x2: float, tolerance: float):
     z = x1 + tau * x2
     val = np.pi * y * (x2**2 - x2 + 1.0 / 6.0)
     val -= math.log(abs(1.0 - np.exp(2j * np.pi * z)))
-    decay = math.exp(-2.0 * math.pi * y)
-    m_cut = 1
-    # factor m contributes at most |q|^(2(m - x2)) ~ decay^(m - 1)
-    while 2.0 * decay ** (m_cut - x2) / (1.0 - decay) > 0.1 * tolerance:
-        m_cut += 1
-        if m_cut > MAX_TERMS:
-            raise NonConvergence("appendix-route m-sum does not meet tolerance")
+    # factor m contributes at most 2*|q|^(2(m - x2)) to the log-error
+    m_cut = _term_count("appendix m-sum", 0.0, -2.0 * math.pi * y, math.log(2.0), -x2, tolerance)
     ms = np.arange(1, m_cut + 1)
     q2m = np.exp(2j * np.pi * tau * ms)
     val -= np.sum(np.log(np.abs(1.0 - q2m * np.exp(2j * np.pi * z))))
@@ -230,7 +226,7 @@ def green_mean_zero(tau: complex, grid: int = 256) -> float:
     return float(tau.imag * np.mean(vals) + np.pi * r * r / 2.0)
 
 
-def green_regularized(tau: complex, x, eps: float, n_theta: int = 48) -> float:
+def green_regularized(tau: complex, x, eps: float) -> float:
     """Covariance of metric circle averages, E[X_eps(x) X_eps(0)].
 
     Double average of G over two radius-eps circles in the g_tau metric,
@@ -246,7 +242,7 @@ def green_regularized(tau: complex, x, eps: float, n_theta: int = 48) -> float:
         raise ValidationError(
             f"eps = {eps:g} too large: the two circles must fit inside a period cell"
         )
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    theta = 2.0 * np.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS
     diff = eps * (np.exp(1j * theta)[:, None] - np.exp(1j * theta)[None, :])
     d1, d2 = c_tau(tau, diff)
     x1, x2 = x

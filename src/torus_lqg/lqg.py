@@ -55,6 +55,9 @@ __all__ = [
 ]
 
 _KINDS = ("pure_gravity", "ising", "free_field_power")
+# candidate fields per joint sample; larger batches sharpen the
+# conditional law of the measure at linear cost
+_RESAMPLE_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -468,17 +471,15 @@ def joint_law_sampler(
     count: int,
     rng: RngStream,
     res: FieldResolution | None = None,
-    resample_batch: int = 8,
 ):
     """Yield (tau, volume, measure) with tau from the table, volume an
     independent Gamma(s/gamma, mu) draw, and (when res is given) one
     quantum-area measure at that tau conditioned on that volume.
 
     Sample k is row s = rng.stream + k: columns 0 and 1 of volume row s
-    give its volume and its pick among the B = resample_batch candidate
+    give its volume and its pick among the B = _RESAMPLE_BATCH candidate
     fields, rows [sB, (s+1)B) of the resample purpose, by importance
-    resampling on the I^{-s/gamma} weights; larger batches sharpen the
-    conditional law at linear cost.
+    resampling on the I^{-s/gamma} weights.
     """
     taus = sample_modulus(table, count, rng)
     p = ins.alpha_sum / params.gamma
@@ -489,7 +490,7 @@ def joint_law_sampler(
         y = float(volumes[k])
         measure = None
         if res is not None:
-            sub = MonteCarloConfig(resample_batch, rng.seed, (rng.stream + k) * resample_batch)
+            sub = MonteCarloConfig(_RESAMPLE_BATCH, rng.seed, (rng.stream + k) * _RESAMPLE_BATCH)
             samples = list(liouville_field_law_sampler(params, tau, ins, sub, res, y, RESAMPLE))
             cdf = np.cumsum([s.weight for s in samples])
             pick = int(np.searchsorted(cdf, u[k, 1] * cdf[-1], side="right"))

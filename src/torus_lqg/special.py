@@ -1,13 +1,16 @@
 """Dedekind eta and Jacobi theta functions as tolerance-driven q-series.
 
 Conventions: q = exp(i*pi*tau) with tau in the upper half-plane, so the
-nome enters through q^2 = exp(2*i*pi*tau) and |q| < 1.  Every series is
-truncated when a geometric tail bound falls below the absolute target
-TOLERANCE; the bound uses the first neglected term divided by (1 - ratio)
-once term moduli decay monotonically.  Evaluations accept numpy arrays
-for the elliptic argument z (tau stays scalar).  Each point's truncation
-index comes from tau and its own |Im z|, so a point evaluates to the same
-value alone and inside any array.
+nome enters through q^2 = exp(2*i*pi*tau) and |q| < 1.  Evaluations
+accept numpy arrays for the elliptic argument z (tau stays scalar).
+
+One truncation rule serves every series and product here and the appendix
+route of the Green function: keep the fewest terms n >= 1 whose geometric
+tail bound term_n / (1 - ratio_n) is at most 0.1 * TOLERANCE, for
+log term_n = A*(n+s)^2 + B*(n+s) + C.  _term_count solves for n in log
+space, so no exp underflows, and refuses counts above MAX_TERMS.  A theta
+point's count comes from tau and its own |Im z|, so it evaluates to the
+same value alone and inside any array.
 
 Double precision limits how far tau may approach the real axis: below
 MIN_IM_TAU the term counts explode and we refuse to evaluate rather than
@@ -20,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import NonConvergence, ValidationError
+from .errors import NonConvergence, NumericError, ValidationError
 
 __all__ = [
     "MAX_TERMS",
@@ -52,43 +55,51 @@ def _require_tau(tau: complex) -> complex:
     return tau
 
 
-def _theta_cut(tau: complex, b) -> np.ndarray:
-    """Per bound in b, the smallest n >= 1 such that terms 0..n-1 suffice.
+def _term_count(what: str, a: float, b, c: float, s: float, tolerance: float = TOLERANCE):
+    """Smallest n >= 1 with term_n / (1 - ratio_n) <= 0.1 * tolerance, per b.
 
-    Term n has modulus at most 2*|q|^((n+1/2)^2) * exp((2n+1)*pi*b) where
-    b bounds |Im z|.  Successive ratios are |q|^(2n+2) * exp(2*pi*b); once
-    a ratio is below 1 the tail is geometric.
+    log term_n = a*(n+s)^2 + b*(n+s) + c with a <= 0, so the log ratio
+    a*(2(n+s)+1) + b falls with n (a = 0: geometric, ratio exp(b) < 1).
+    The quadratic's larger root, refined once for the (1 - ratio) factor,
+    lands on the count or one past it; the exact test settles which.  A
+    non-finite input gives a NaN or infinite count, refused like any
+    count above MAX_TERMS.
     """
-    log_absq = -math.pi * tau.imag
-    b = np.asarray(b, dtype=float)
+
+    def root(k):  # larger root of a*x^2 + b*x + k
+        return (b + np.sqrt(b * b - 4.0 * a * k)) / (-2.0 * a) if a else -k / b
+
+    def fits(n):  # term_n / eps + ratio_n <= 1; an overflow to inf fails it
+        x = n + s
+        return np.exp(a * x * x + b * x + c - log_eps) + np.exp(a * (2 * x + 1) + b) <= 1.0
+
+    with np.errstate(all="ignore"):
+        log_eps = np.log(0.1 * tolerance)
+        x = root(c - log_eps)
+        x = root(c - log_eps - np.log(-np.expm1(a * (2 * x + 1) + b)))
+        n = np.maximum(np.ceil(x - s), 1.0)
+        n = n - ((n > 1) & fits(n - 1))
+        n = n + ~fits(n)
+    if not (n <= MAX_TERMS).all():
+        raise NonConvergence(
+            f"{what} needs more than {MAX_TERMS} terms for tolerance {tolerance:g}"
+        )
+    return n.astype(int)
+
+
+def _theta_cut(tau: complex, b) -> np.ndarray:
+    """Per bound b on |Im z|, the term count of a theta1-type series, whose
+    term n has modulus at most 2*|q|^((n+1/2)^2) * exp((2n+1)*pi*b)."""
     if not np.all(np.isfinite(b)):
         raise NonConvergence("theta series diverges at a non-finite |Im z|")
-    cut = np.full(b.shape, -1)
-    prev = np.full(b.shape, math.inf)
-    for n in range(MAX_TERMS + 1):
-        term = 2.0 * np.exp(log_absq * (n + 0.5) ** 2 + (2 * n + 1) * math.pi * b)
-        ratio = np.exp(log_absq * (2 * n + 2) + 2.0 * math.pi * b)
-        met = (term < prev) & (ratio < 1.0) & (term / (1.0 - ratio) <= 0.1 * TOLERANCE)
-        cut[met & (cut < 0)] = n
-        if np.all(cut >= 0):
-            return np.maximum(cut, 1)
-        prev = term
-    raise NonConvergence(
-        f"theta series needs more than {MAX_TERMS} terms for tolerance {TOLERANCE:g}"
-    )
+    return _term_count("theta series", -math.pi * tau.imag, 2.0 * math.pi * b, math.log(2.0), 0.5)
 
 
 def dedekind_eta(tau: complex) -> complex:
     """eta(tau) = q^(1/12) * prod_{n>=1} (1 - q^(2n)), q = exp(i*pi*tau)."""
     tau = _require_tau(tau)
-    absq2 = math.exp(-2.0 * math.pi * tau.imag)
     # tail of sum_n log(1 - q^(2n)) is below |q2|^(N+1)/(1-|q2|)
-    n_terms = int(
-        math.ceil(math.log(0.1 * TOLERANCE * (1.0 - absq2)) / math.log(absq2))
-    )
-    n_terms = max(n_terms, 1)
-    if n_terms > MAX_TERMS:
-        raise NonConvergence(f"eta product needs {n_terms} factors, cap is {MAX_TERMS}")
+    n_terms = _term_count("eta product", 0.0, -2.0 * math.pi * tau.imag, 0.0, 0.0)
     q2 = np.exp(2j * np.pi * tau)
     factors = 1.0 - q2 ** np.arange(1, n_terms + 1)
     return complex(np.exp(1j * np.pi * tau / 12.0) * np.prod(factors))
@@ -106,16 +117,21 @@ def _theta_series(z, tau: complex, sine) -> np.ndarray:
     returned in z's shape (a scalar z gives a 0-d array).
 
     Each point stops at the term count of its own |Im z|, so its value
-    does not depend on the other points of the array.
+    does not depend on the other points of the array.  Raises NumericError
+    when a sum is not finite (a far |Im z| overflows sin before the tiny
+    coefficient can damp it).
     """
     tau = _require_tau(tau)
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
     n_cut = _theta_cut(tau, np.abs(flat.imag))
     out = np.zeros_like(flat)
-    for n, c in zip(*_theta_terms(tau, n_cut.max(initial=1))):
-        live = n < n_cut
-        out[live] += c * sine((2 * n + 1) * np.pi, flat[live])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, c in zip(*_theta_terms(tau, n_cut.max(initial=1))):
+            live = n < n_cut
+            out[live] += c * sine((2 * n + 1) * np.pi, flat[live])
+    if not np.all(np.isfinite(out)):
+        raise NumericError(f"theta series is not finite at tau = {tau}")
     return out.reshape(z.shape)
 
 
@@ -154,14 +170,10 @@ def theta1_product(z: complex, tau: complex) -> complex:
     """
     tau = _require_tau(tau)
     z = np.asarray(z, dtype=complex)
-    absq2 = math.exp(-2.0 * math.pi * tau.imag)
     # factor m contributes at most |q|^(2m-2) e^(2*pi*|Im z|) to log-error
-    big = absq2 ** (-1) * math.exp(2.0 * math.pi * abs(float(z.imag)))
-    m_cut = 1
-    while absq2 ** m_cut * big / (1.0 - absq2) > 0.1 * TOLERANCE:
-        m_cut += 1
-        if m_cut > MAX_TERMS:
-            raise NonConvergence(f"theta1 product needs more than {MAX_TERMS} factors")
+    m_cut = _term_count(
+        "theta1 product", 0.0, -2.0 * math.pi * tau.imag, 2.0 * math.pi * abs(float(z.imag)), -1.0
+    )
     q = np.exp(1j * np.pi * tau)
     e_plus = np.exp(2j * np.pi * z)
     e_minus = np.exp(-2j * np.pi * z)
@@ -184,25 +196,14 @@ def theta_aux(k: int, tau: complex) -> complex:
     """Auxiliary theta constants theta_k(0, tau) for k in {2, 3, 4}."""
     tau = _require_tau(tau)
     q = np.exp(1j * np.pi * tau)
-    log_absq = -math.pi * tau.imag
     if k == 2:
         ns, coeff = _theta_terms(tau, _theta_cut(tau, 0.0))
         # same Gaussian exponents as theta1 with the alternating sign undone
         return complex(np.sum(coeff * (-1.0) ** ns))
     if k not in (3, 4):
         raise ValidationError(f"theta_aux index must be 2, 3 or 4, got {k}")
-    # integer-square series; tail bound |q|^(n^2) geometric beyond ratio < 1
-    prev = math.inf
-    n_cut = None
-    for n in range(1, MAX_TERMS + 1):
-        term = 2.0 * math.exp(log_absq * n * n)
-        ratio = math.exp(log_absq * (2 * n + 1))
-        if term < prev and term / (1.0 - ratio) <= 0.1 * TOLERANCE:
-            n_cut = n
-            break
-        prev = term
-    if n_cut is None:
-        raise NonConvergence(f"theta_{k} series needs more than {MAX_TERMS} terms")
+    # integer-square series 2*|q|^(n^2) from n = 1, the count itself included
+    n_cut = _term_count(f"theta_{k} series", -math.pi * tau.imag, 0.0, math.log(2.0), 0.0)
     ns = np.arange(1, n_cut + 1)
     sign = (-1.0) ** ns if k == 4 else np.ones_like(ns, dtype=float)
     return complex(1.0 + 2.0 * np.sum(sign * q ** (ns * ns)))

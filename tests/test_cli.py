@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line entry point, in process."""
 
 import json
+import warnings
 
 import pytest
 
@@ -129,6 +130,9 @@ def test_numeric_failure_exits_2(capsys):
         # Gamma(s/gamma) = Gamma(180) overflows a float
         ["lqft", "partition", "--tau", "0,1", "--gamma", "0.1",
          "--insertions", "0.2,0.3,9;0.7,0.6,9"],
+        # sin((2n+1)*pi*z) overflows before its tiny coefficient damps it
+        ["special-fn", "eval", "--fn", "theta1", "--tau", "0,1", "--z", "0,200"],
+        ["green", "eval", "--tau", "0,100", "--x", "0.3,0.9"],
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2
@@ -137,6 +141,22 @@ def test_numeric_failure_exits_2(capsys):
     code, _, err = run(capsys, "special-fn", "eval", "--fn", "theta1", "--tau", "0,1", "--z", "0,nan")
     assert code == 2
     assert err == "numeric failure: theta series diverges at a non-finite |Im z|\n"
+    # 2e6 terms: refused from the closed-form count, before any term is formed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(
+            capsys, "special-fn", "eval", "--fn", "theta1", "--tau", "0,1", "--z", "0,1e6"
+        )
+    assert code == 2
+    assert err == (
+        "numeric failure: theta series needs more than 200000 terms for tolerance 1e-12\n"
+    )
+
+
+def test_eta_in_the_cusp_exits_0(capsys):
+    code, out, _ = run(capsys, "special-fn", "eval", "--fn", "eta", "--tau", "0,300")
+    assert code == 0
+    assert complex(*json.loads(out)["value"]) == dedekind_eta(300j)
 
 
 def test_check_quick_suite(capsys):

@@ -182,9 +182,10 @@ def test_regularized_variance_equals_coincident_covariance():
         assert abs(a - b) < 1e-10 * abs(a)
 
 
-def test_regularized_variance_chunking_invariant():
-    a = regularized_variance(TAU, 60, 0.02, chunk=512)
-    b = regularized_variance(TAU, 60, 0.02, chunk=7)
+def test_regularized_variance_chunking_invariant(monkeypatch):
+    a = regularized_variance(TAU, 60, 0.02)
+    monkeypatch.setattr(gff, "_VARIANCE_ROWS", 7)
+    b = regularized_variance(TAU, 60, 0.02)
     assert abs(a - b) < 1e-12 * abs(a)
 
 

@@ -11,9 +11,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torus_lqg.errors import NonConvergence, ValidationError
 from torus_lqg.special import (
+    MAX_TERMS,
+    MIN_IM_TAU,
+    TOLERANCE,
+    _term_count,
+    _theta_cut,
     dedekind_eta,
     theta1,
     theta1_over_z,
@@ -162,3 +169,65 @@ def test_nonconvergence_near_real_axis():
 def test_theta1_rejects_non_finite_imaginary_part_at_once():
     with pytest.raises(NonConvergence, match="non-finite"):
         theta1(complex(0, float("nan")), 1j)
+
+
+def test_eta_in_the_cusp():
+    # exp(-2*pi*Im tau) underflows from Im tau ~ 119; the term count stays in logs
+    want = math.exp(-25.0 * math.pi)
+    assert abs(dedekind_eta(300j) - want) <= 1e-15 * want
+
+
+def _bound_met(log_term, n, tol):
+    """term_n / (1 - ratio_n) <= 0.1 * tol from the explicit log term."""
+    log_ratio = log_term(n + 1) - log_term(n)
+    if log_ratio >= 0:
+        return False
+    return log_term(n) - math.log1p(-math.exp(log_ratio)) <= math.log(0.1 * tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_y=st.floats(math.log10(MIN_IM_TAU), math.log10(110.0)),
+    frac=st.floats(0.0, 1.2),
+    x2=st.floats(0.0, 1.0, exclude_max=True),
+    site=st.sampled_from(
+        ["theta1", "theta34", "eta", "product", "appendix 1e-2", "appendix 1e-10"]
+    ),
+)
+# the refined root lands one past the count here, so the step back is exercised
+@example(log_y=-2.758, frac=0.08, x2=0.0, site="theta1")
+@example(log_y=-2.438, frac=0.0, x2=0.0, site="theta34")
+def test_term_count_is_smallest_meeting_tail_bound(log_y, frac, x2, site):
+    y = 10.0**log_y
+    bz = frac * y  # a bound on |Im z|; 0 is the theta2 / theta1'(0) case
+    tol = TOLERANCE
+    if site == "theta1":
+        n = int(_theta_cut(complex(0.3, y), bz))
+        log_term = lambda n: (
+            math.log(2.0) - math.pi * y * (n + 0.5) ** 2 + (2 * n + 1) * math.pi * bz
+        )
+    elif site == "theta34":
+        n = _term_count("theta_3 series", -math.pi * y, 0.0, math.log(2.0), 0.0)
+        log_term = lambda n: math.log(2.0) - math.pi * y * n * n
+    elif site == "eta":
+        n = _term_count("eta product", 0.0, -2.0 * math.pi * y, 0.0, 0.0)
+        log_term = lambda n: -2.0 * math.pi * y * n
+    elif site == "product":
+        n = _term_count("theta1 product", 0.0, -2.0 * math.pi * y, 2.0 * math.pi * bz, -1.0)
+        log_term = lambda m: -2.0 * math.pi * y * (m - 1) + 2.0 * math.pi * bz
+    else:
+        tol = float(site.split()[1])
+        n = _term_count("appendix m-sum", 0.0, -2.0 * math.pi * y, math.log(2.0), -x2, tol)
+        log_term = lambda m: math.log(2.0) - 2.0 * math.pi * y * (m - x2)
+    assert 1 <= n <= MAX_TERMS
+    assert _bound_met(log_term, n, tol)
+    if n > 1:
+        assert not _bound_met(log_term, n - 1, tol)
+
+
+def test_term_count_refuses_counts_above_cap():
+    # about 4.8e5 eta factors and 2e6 theta terms: refused without stepping
+    with pytest.raises(NonConvergence, match=f"more than {MAX_TERMS} terms"):
+        _term_count("eta product", 0.0, -2.0 * math.pi * 1e-5, 0.0, 0.0)
+    with pytest.raises(NonConvergence, match=f"more than {MAX_TERMS} terms"):
+        theta1(1e6j, 1j)
