@@ -36,7 +36,6 @@ from .lqg import (
     build_density_table,
     joint_law_sampler,
     params_from_matter,
-    sample_modulus,
     template_from_matter,
 )
 from .modular import reduce_to_fundamental

@@ -18,6 +18,8 @@ Every random draw is a row addressed by (seed, purpose, row): the Philox
 key is (seed, purpose) and the counter is the row times the row's width
 in blocks, so row r holds the same numbers alone or inside any batch and
 no two purposes (modes, resample, volume, modulus) share a stream.
+RngStream.uniforms is the one draw path; even the modulus sampler's
+rejection rounds draw their proposals as rows.
 
 Monte Carlo estimators draw their replicas through one batched engine,
 replica_grids.  Replica r is row base_stream + r of the mode draw, which
@@ -41,7 +43,7 @@ from scipy.special import j0, ndtri
 from .config import MonteCarloConfig
 from .errors import IndexOutOfCutoff, ValidationError
 from .green import spectral_coefficient
-from .modular import ModularElement, reduce_to_fundamental
+from .modular import reduce_to_fundamental
 from .special import dedekind_eta
 
 __all__ = [
@@ -82,19 +84,15 @@ class RngStream:
     seed: int
     stream: int = 0
 
-    def generator(self, purpose: int = MODES, width: int = 4) -> np.random.Generator:
-        """Philox keyed by (seed, purpose) at row stream of width words."""
-        key = np.array([self.seed % 2**64, purpose], dtype=np.uint64)
-        counter = self.stream * -(-width // 4) % 2**256
-        return np.random.Generator(np.random.Philox(key=key, counter=counter))
-
     def uniforms(self, rows: int, width: int, purpose: int = MODES) -> np.ndarray:
         """(rows, width) uniforms of rows stream .. stream + rows - 1, one
         random_raw call: a word's top 52 bits k give (k + 1/2) 2^-52 in (0, 1).
         """
-        words = 4 * -(-width // 4)
-        raw = self.generator(purpose, width).bit_generator.random_raw(rows * words)
-        return ((raw.reshape(rows, words)[:, :width] >> np.uint64(12)) + 0.5) * 2.0**-52
+        blocks = -(-width // 4)
+        key = np.array([self.seed % 2**64, purpose], dtype=np.uint64)
+        philox = np.random.Philox(key=key, counter=self.stream * blocks % 2**256)
+        raw = philox.random_raw(rows * 4 * blocks).reshape(rows, 4 * blocks)
+        return ((raw[:, :width] >> np.uint64(12)) + 0.5) * 2.0**-52
 
 
 @dataclass(frozen=True)

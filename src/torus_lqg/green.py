@@ -62,6 +62,8 @@ class GreenEvalConfig:
             raise ValidationError(f"unknown green mode {self.mode!r}")
         if self.eigen_cutoff < 1:
             raise ValidationError("eigen_cutoff must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValidationError(f"tolerance must be finite and positive, got {self.tolerance}")
 
 
 _DEFAULT = GreenEvalConfig()

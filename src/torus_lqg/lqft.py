@@ -118,6 +118,13 @@ class InsertionSet:
     def seiberg_sum_ok(self) -> bool:
         return self.alpha_sum > 0
 
+    def require_seiberg_sum(self) -> None:
+        """Raise SeibergViolationSum unless sum(alpha) > 0 (so no empty set)."""
+        if not self.seiberg_sum_ok():
+            raise SeibergViolationSum(
+                f"sum of insertion weights must be positive, got {self.alpha_sum:g}"
+            )
+
     def seiberg_local_ok(self, q: float) -> bool:
         return all(i.alpha < q for i in self.insertions)
 
@@ -245,10 +252,7 @@ def partition_function(
     NumericError when the prefactor or the estimate is not a finite float.
     """
     tau = complex(tau)
-    if not ins.insertions or not ins.seiberg_sum_ok():
-        raise SeibergViolationSum(
-            f"sum of insertion weights must be positive, got {ins.alpha_sum:g}"
-        )
+    ins.require_seiberg_sum()
     if not ins.seiberg_local_ok(params.q):
         worst = max(i.alpha for i in ins.insertions)
         return PartitionEstimate(
@@ -321,8 +325,7 @@ def liouville_field_law_sampler(
     on that total volume instead.  The fields draw under purpose.
     """
     tau = complex(tau)
-    if not ins.insertions or not ins.seiberg_sum_ok():
-        raise SeibergViolationSum("sum of insertion weights must be positive")
+    ins.require_seiberg_sum()
     if not ins.seiberg_local_ok(params.q):
         raise SeibergViolationLocal(f"every alpha must stay below Q = {params.q:g}")
     gamma = params.gamma

@@ -183,6 +183,7 @@ def _negative_moments(params, taus, ins, mc, res, cache):
     """negative_moment at every tau of taus from one common-random-numbers
     pass: every tau is looked up in the cache first, and replicas are
     drawn only when some tau misses, once for all of them."""
+    ins.require_seiberg_sum()
     if not ins.seiberg_local_ok(params.q):
         raise SeibergViolationLocal(
             f"insertion weight reaches Q = {params.q:g}; "
@@ -303,8 +304,8 @@ def _im_edges(im_cells: int, t_max: float) -> np.ndarray:
     return np.concatenate([lin, log[1:]])
 
 
-def _in_fundamental_domain(re: float, im: float) -> bool:
-    return abs(re) <= 0.5 and re * re + im * im >= 1.0
+def _in_fundamental_domain(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    return (np.abs(re) <= 0.5) & (re * re + im * im >= 1.0)
 
 
 def build_density_table(
@@ -337,8 +338,12 @@ def build_density_table(
     cells), the pass holds a mode-weight box and a G x G tilt grid per
     missing point.
     """
-    if t_max <= 2.0:
-        raise ValidationError("t_max must exceed 2")
+    if re_cells < 1 or im_cells < 1:
+        raise ValidationError(f"cell counts must be positive, got {re_cells} x {im_cells}")
+    if not (math.isfinite(t_max) and t_max > 2.0):
+        raise ValidationError(f"t_max must be finite and exceed 2, got {t_max}")
+    if not tail_tol > 0:
+        raise ValidationError(f"tail_tol must be positive, got {tail_tol}")
     re_edges = np.linspace(-0.5, 0.5, re_cells + 1)
     im_edges = _im_edges(im_cells, t_max)
     re_c = 0.5 * (re_edges[:-1] + re_edges[1:])
@@ -346,12 +351,7 @@ def build_density_table(
     density = np.zeros((re_cells, im_cells))
     stderr = np.zeros((re_cells, im_cells))
 
-    cells = [
-        (a, b)
-        for a in range(re_cells)
-        for b in range(im_cells)
-        if _in_fundamental_domain(float(re_c[a]), float(im_c[b]))
-    ]
+    cells = list(zip(*np.nonzero(_in_fundamental_domain(re_c[:, None], im_c[None, :]))))
     taus = [complex(re_c[a], im_c[b]) for a, b in cells]
     moments = _negative_moments(params, taus, ins, mc, res, cache)
     for (a, b), tau, (moment, se) in zip(cells, taus, moments):
@@ -402,57 +402,53 @@ def build_density_table(
 def sample_modulus(table: DensityTable, count: int, rng: RngStream) -> np.ndarray:
     """Inverse-CDF draws over table cells, bilinear density within cells.
 
-    Within a chosen cell the density is interpolated bilinearly between
-    neighboring cell centers and weighted by the 1/Im^2 volume factor;
-    proposals are accepted by rejection against the cell's corner bound.
-    Proposals falling outside the fundamental domain (possible in cells
-    straddling the unit-circle arc) are redrawn, so every sample lies in
-    the domain.
+    Sample k takes its cell from row rng.stream + k of MODULUS.  The density
+    interpolated bilinearly between neighboring cell centers and weighted
+    by 1/Im^2 is then drawn by rejection in rounds of arrays: each pending
+    sample, in index order, takes one (re, Im-marginal, accept) row from
+    the next unused rows, from row rng.stream + count on.  Proposals outside
+    the fundamental domain are rejected too, so every sample lies in it.
     """
     if count <= 0:
         raise ValidationError("count must be positive")
-    gen = rng.generator(MODULUS)
-    probs = (table.cell_mass / table.total_mass).ravel()
-    cdf = np.cumsum(probs)
+    cdf = np.cumsum((table.cell_mass / table.total_mass).ravel())
     cdf[-1] = 1.0
     re_c, im_c = table.re_centers, table.im_centers
     n_re, n_im = len(re_c), len(im_c)
 
-    def density_at(re: float, im: float) -> float:
+    def density_at(re: np.ndarray, im: np.ndarray) -> np.ndarray:
         a = np.clip(np.searchsorted(re_c, re) - 1, 0, n_re - 2)
         b = np.clip(np.searchsorted(im_c, im) - 1, 0, n_im - 2)
         fr = np.clip((re - re_c[a]) / (re_c[a + 1] - re_c[a]), 0.0, 1.0)
         fi = np.clip((im - im_c[b]) / (im_c[b + 1] - im_c[b]), 0.0, 1.0)
         d = table.density
-        return float(
+        return (
             d[a, b] * (1 - fr) * (1 - fi)
             + d[a + 1, b] * fr * (1 - fi)
             + d[a, b + 1] * (1 - fr) * fi
             + d[a + 1, b + 1] * fr * fi
         )
 
+    a, b = np.divmod(np.searchsorted(cdf, rng.uniforms(count, 1, MODULUS)[:, 0]), n_im)
+    # bilinear values inside a cell are convex combinations of the
+    # surrounding centers, so the max over its clipped 3x3 window bounds them
+    pad = np.pad(table.density, 1, mode="edge")
+    top = np.lib.stride_tricks.sliding_window_view(pad, (3, 3)).max(axis=(2, 3))[a, b]
+    re_lo, re_hi = table.re_edges[a], table.re_edges[a + 1]
+    inv_lo, inv_hi = 1.0 / table.im_edges[b], 1.0 / table.im_edges[b + 1]
     out = np.empty(count, dtype=complex)
-    for k in range(count):
-        cell = int(np.searchsorted(cdf, gen.random()))
-        a, b = divmod(cell, n_im)
-        re_lo, re_hi = table.re_edges[a], table.re_edges[a + 1]
-        im_lo, im_hi = table.im_edges[b], table.im_edges[b + 1]
-        # bilinear values inside the cell are convex combinations of the
-        # surrounding centers, so their max bounds the interpolant
-        bound = float(
-            table.density[max(a - 1, 0) : a + 2, max(b - 1, 0) : b + 2].max()
-        )
-        while True:
-            re = float(gen.uniform(re_lo, re_hi))
-            # Im from the cell's exact 1/Im^2 marginal; the volume factor
-            # then cancels in the acceptance ratio
-            u = gen.random()
-            im = 1.0 / (1.0 / im_lo - u * (1.0 / im_lo - 1.0 / im_hi))
-            if not _in_fundamental_domain(re, im):
-                continue
-            if gen.random() * bound <= density_at(re, im):
-                out[k] = complex(re, im)
-                break
+    pending = np.arange(count)
+    row = rng.stream + count
+    while pending.size:
+        u = RngStream(rng.seed, row).uniforms(pending.size, 3, MODULUS)
+        row += pending.size
+        re = re_lo[pending] + u[:, 0] * (re_hi - re_lo)[pending]
+        # Im from the cell's exact 1/Im^2 marginal; the volume factor
+        # then cancels in the acceptance ratio
+        im = 1.0 / (inv_lo[pending] - u[:, 1] * (inv_lo - inv_hi)[pending])
+        ok = _in_fundamental_domain(re, im) & (u[:, 2] * top[pending] <= density_at(re, im))
+        out[pending[ok]] = re[ok] + 1j * im[ok]
+        pending = pending[~ok]
     return out
 
 
@@ -481,6 +477,7 @@ def joint_law_sampler(
     fields, rows [sB, (s+1)B) of the resample purpose, by importance
     resampling on the I^{-s/gamma} weights.
     """
+    ins.require_seiberg_sum()
     taus = sample_modulus(table, count, rng)
     p = ins.alpha_sum / params.gamma
     u = rng.uniforms(count, 2, VOLUME)

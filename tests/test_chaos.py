@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from torus_lqg.chaos import (
-    ChaosMeasure,
     chaos_measure,
     chaos_prefactor,
     critical_chaos_measure,

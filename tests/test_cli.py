@@ -97,6 +97,17 @@ def test_validation_error_exits_1(tmp_path, capsys):
         (["special-fn", "eval", "--fn", "theta1", "--tau", "0,1"], "--z"),
         (["gmc", "sample", "--tau", "0,1", "--gamma", "0", "--replicas", "4",
           "--cutoff", "4", "--out", str(out)], "gamma"),
+        *((["green", "eval", "--tau", "0,1", "--x", "0.3,0.4", "--mode", "appendix",
+            "--tolerance", tol], "tolerance") for tol in ("0", "-1", "nan", "inf")),
+        # density-table arguments outside the domain are refused up front
+        *((["lqg", cmd, "--matter", "pure", *flag, "--replicas", "4", "--cutoff", "4",
+            "--out", str(out)], needle)
+          for cmd in ("modulus-density", "sample-joint")
+          for flag, needle in ((["--t-max", "nan"], "t_max"), (["--t-max", "inf"], "t_max"),
+                               (["--re-cells", "-3"], "cell counts"),
+                               (["--im-cells", "-2"], "cell counts"),
+                               (["--re-cells", "0"], "cell counts"),
+                               (["--tail-tol", "0"], "tail_tol"))),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 1
@@ -118,7 +129,8 @@ def test_critical_eps_outside_unit_interval_exits_1(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_numeric_failure_exits_2(capsys):
+def test_numeric_failure_exits_2(tmp_path, capsys):
+    out = tmp_path / "table.csv"
     for argv in (
         ["green", "eval", "--tau", "0,1", "--x", "0.3,0.4",
          "--mode", "eigen", "--eigen-cutoff", "50", "--tolerance", "1e-9"],
@@ -133,10 +145,16 @@ def test_numeric_failure_exits_2(capsys):
         # sin((2n+1)*pi*z) overflows before its tiny coefficient damps it
         ["special-fn", "eval", "--fn", "theta1", "--tau", "0,1", "--z", "0,200"],
         ["green", "eval", "--tau", "0,100", "--x", "0.3,0.9"],
+        # no insertions (or s = sum(alpha) <= 0) break the torus Seiberg bound
+        *(["lqg", cmd, "--matter", "pure", "--n", n, "--replicas", "4", "--cutoff", "4",
+           "--out", str(out)]
+          for cmd in ("modulus-density", "sample-joint") for n in ("0", "-1")),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "numeric failure" in err
+    assert err == "numeric failure: sum of insertion weights must be positive, got 0\n"
+    assert not out.exists()
     # a NaN |Im z| has no term count: it fails at once, not after the term cap
     code, _, err = run(capsys, "special-fn", "eval", "--fn", "theta1", "--tau", "0,1", "--z", "0,nan")
     assert code == 2

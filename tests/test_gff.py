@@ -58,9 +58,9 @@ def small_spec():
 
 
 def test_rng_stream_determinism():
-    a = RngStream(SEED, 3).generator().standard_normal(8)
-    b = RngStream(SEED, 3).generator().standard_normal(8)
-    c = RngStream(SEED, 4).generator().standard_normal(8)
+    a = RngStream(SEED, 3).uniforms(1, 8)
+    b = RngStream(SEED, 3).uniforms(1, 8)
+    c = RngStream(SEED, 4).uniforms(1, 8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -332,7 +332,7 @@ def test_row_is_the_same_alone_and_in_any_batch(seed, stream, purpose, start, ro
 
 def test_purposes_share_no_value():
     words = [
-        RngStream(SEED, 0).generator(purpose, 40).bit_generator.random_raw(64 * 40)
+        RngStream(SEED, 0).uniforms(64, 40, purpose)
         for purpose in (MODES, RESAMPLE, VOLUME, MODULUS)
     ]
     for a in range(4):

@@ -206,3 +206,9 @@ def test_singular_points_raise():
 def test_bad_mode_rejected():
     with pytest.raises(ValidationError):
         GreenEvalConfig(mode="exact")
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
+def test_tolerance_outside_domain_rejected(tolerance):
+    with pytest.raises(ValidationError, match="tolerance"):
+        GreenEvalConfig(mode="appendix", tolerance=tolerance)

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.interpolate import RegularGridInterpolator
 
 from torus_lqg import cache as cache_module
 from torus_lqg.cache import MomentCache, moment_key
@@ -20,6 +21,7 @@ from torus_lqg.errors import (
 from torus_lqg.gff import MODES, MODULUS, VOLUME, RngStream, free_field_partition
 from torus_lqg.lqft import InsertionSet, LQFTParams, conformal_weight, insertion_mass_samples
 from torus_lqg.lqg import (
+    DensityTable,
     MatterCFT,
     alpha_from_matter_weight,
     build_density_table,
@@ -325,10 +327,10 @@ def test_warm_density_table_draws_no_replicas(tmp_path, monkeypatch):
     kw = dict(re_cells=4, im_cells=4, t_max=12.0, cache=cache)
     cold = build_density_table(matter, params, ins, MC, RES, **kw)
 
-    def no_draw(self):
+    def no_draw(self, *args):
         raise AssertionError("warm table drew a replica")
 
-    monkeypatch.setattr(RngStream, "generator", no_draw)
+    monkeypatch.setattr(RngStream, "uniforms", no_draw)
     warm = build_density_table(matter, params, ins, MC, RES, **kw)
     assert np.array_equal(warm.density, cold.density)
 
@@ -358,6 +360,62 @@ def test_sample_modulus_law():
     assert pval >= 0.01
 
 
+def test_sample_modulus_cell_of_sample_k_is_row_k():
+    matter, params, ins = pure_setup()
+    tab = build_density_table(matter, params, ins, MC, RES, re_cells=6, im_cells=6, t_max=12.0)
+    n, stream = 300, 40
+    taus = sample_modulus(tab, n, RngStream(17, stream))
+    cdf = np.cumsum(tab.cell_mass.ravel() / tab.total_mass)
+    cdf[-1] = 1.0
+    for k, t in enumerate(taus):
+        u = RngStream(17, stream + k).uniforms(1, 1, MODULUS)[0, 0]
+        a, b = divmod(int(np.searchsorted(cdf, u)), 6)
+        assert tab.re_edges[a] <= t.real <= tab.re_edges[a + 1]
+        assert tab.im_edges[b] <= t.imag <= tab.im_edges[b + 1]
+
+
+def test_sample_modulus_within_cell_law():
+    # a table inside the domain, so no proposal is refused for leaving it:
+    # draws in each cell follow the bilinear interpolant of the centers
+    # (clamped at the table edge) times the 1/Im^2 volume factor
+    matter, params, ins = pure_setup()
+    re_edges = np.linspace(-0.5, 0.5, 4)
+    im_edges = np.array([1.2, 1.6, 2.2, 3.0])
+    density = np.array([[1.0, 4.0, 2.0], [3.0, 0.5, 5.0], [2.0, 6.0, 1.0]])
+    area = np.outer(np.diff(re_edges), 1.0 / im_edges[:-1] - 1.0 / im_edges[1:])
+    tab = DensityTable(matter, params, ins, re_edges, im_edges, density,
+                       np.zeros_like(density), density * area, 0.0)
+    re_c, im_c = tab.re_centers, tab.im_centers
+    interp = RegularGridInterpolator((re_c, im_c), density)
+
+    def target(re, im):
+        pts = np.stack([np.clip(re, re_c[0], re_c[-1]), np.clip(im, im_c[0], im_c[-1])], -1)
+        return interp(pts) / im**2
+
+    # 3 x 3 sub-cells per cell; midpoint rule on a 60 x 60 grid in each
+    k = 3
+    re_sub = np.linspace(-0.5, 0.5, 3 * k + 1)
+    im_sub = np.concatenate([np.linspace(lo, hi, k + 1)[:-1] for lo, hi in
+                             zip(im_edges[:-1], im_edges[1:])] + [im_edges[-1:]])
+    mid = (np.arange(60) + 0.5) / 60
+    want = np.empty((3 * k, 3 * k))
+    for i in range(3 * k):
+        for j in range(3 * k):
+            re = re_sub[i] + mid * (re_sub[i + 1] - re_sub[i])
+            im = im_sub[j] + mid * (im_sub[j + 1] - im_sub[j])
+            r, m = np.meshgrid(re, im, indexing="ij")
+            want[i, j] = target(r, m).mean() * (re_sub[i + 1] - re_sub[i]) * (im_sub[j + 1] - im_sub[j])
+    n = 20000
+    taus = sample_modulus(tab, n, RngStream(31, 0))
+    got, _, _ = np.histogram2d(taus.real, taus.imag, bins=(re_sub, im_sub))
+    # compare within each cell, given the cell's own count
+    got = got.reshape(3, k, 3, k).transpose(0, 2, 1, 3).reshape(9, k * k)
+    want = want.reshape(3, k, 3, k).transpose(0, 2, 1, 3).reshape(9, k * k)
+    want = want / want.sum(axis=1, keepdims=True) * got.sum(axis=1, keepdims=True)
+    _, pval = stats.chisquare(got.ravel(), want.ravel(), ddof=8)
+    assert pval >= 0.01
+
+
 def test_joint_sampler():
     matter, params, ins = pure_setup(mu=2.0)
     tab = build_density_table(matter, params, ins, MC, RES, re_cells=6, im_cells=6, t_max=12.0)
@@ -378,17 +436,17 @@ def test_joint_sampler():
 def test_joint_draws_share_no_density_table_row(monkeypatch):
     # lqg sample-joint draws its moduli and volumes from RngStream(seed, 1);
     # the table it samples from draws its replicas under the same seed
+    # (distinct purposes share no value: test_purposes_share_no_value)
     matter, params, ins = pure_setup()
     keys = {"table": set(), "joint": set()}
     phase = "table"
-    generator = RngStream.generator
+    uniforms = RngStream.uniforms
 
-    def spy(self, *args):
-        gen = generator(self, *args)
-        keys[phase].add(tuple(int(w) for w in gen.bit_generator.state["state"]["key"]))
-        return gen
+    def spy(self, rows, width, purpose=MODES):
+        keys[phase].add((self.seed, purpose))
+        return uniforms(self, rows, width, purpose)
 
-    monkeypatch.setattr(RngStream, "generator", spy)
+    monkeypatch.setattr(RngStream, "uniforms", spy)
     tab = build_density_table(matter, params, ins, MC, RES, re_cells=4, im_cells=4, t_max=12.0)
     phase = "joint"
     n = 50
@@ -396,17 +454,6 @@ def test_joint_draws_share_no_density_table_row(monkeypatch):
     monkeypatch.undo()
     assert keys == {"table": {(SEED, MODES)}, "joint": {(SEED, MODULUS), (SEED, VOLUME)}}
     assert len(samples) == n
-    # the raw words behind both: every table row, and more modulus words
-    # than 50 rejection draws use
-    width = (2 * RES.cutoff + 1) ** 2 - 1
-    table = RngStream(SEED, MC.base_stream).generator(MODES, width).bit_generator
-    table_words = table.random_raw(MC.replicas * 4 * -(-width // 4))
-    joint = RngStream(SEED, 1)
-    joint_words = np.concatenate([
-        joint.generator(MODULUS).bit_generator.random_raw(64 * n),
-        joint.generator(VOLUME, 2).bit_generator.random_raw(4 * n),
-    ])
-    assert np.intersect1d(table_words, joint_words).size == 0
 
 
 def test_joint_sampler_with_measure():
