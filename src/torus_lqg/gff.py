@@ -14,6 +14,26 @@ radius eps multiplies mode (n, m) by J0(2*pi*eps*|n*tau - m|/Im(tau)).
 The exact variance of the averaged, truncated field is then a plain
 coefficient sum, which the chaos normalization downstream relies on.
 
+regularized_variance evaluates that sum row by row.  Below cutoff 1024
+it is the brute sum, term by term, so every Monte Carlo run keeps its
+bits.  Above, row n of the box is f(m) = (Im tau/2pi) J0(a sqrt(u))^2/u
+with u = (m - n Re tau)^2 + b^2, b = n Im tau and a = 2 pi eps/Im tau:
+analytic in the strip |Im m| < b, where it grows like e^(2a|Im m|).  Its
+unit-step sum over |m| <= N is then a trapezoid sum T_h at a coarse step
+h plus Euler-Maclaurin endpoint terms,
+
+    sum_m f(m) = T_h + (f(-N) + f(N))/2
+                 + sum_{k<=8} B_2k/(2k)! (1 - h^2k) (f^(2k-1)(N) - f^(2k-1)(-N)),
+
+whose odd derivatives come from Taylor series of J0 built by its ODE.
+The step h* = min(2 pi b/(9 pi + 2ab), 0.75/a) keeps the trapezoid's
+aliasing error, about e^(-b(2pi/h - 2a)), near e^(-9pi) ~ 5e-13 of the
+row, and the omitted endpoint terms, of order (a h/pi)^18, below that;
+it is rounded down to a power of two, so rows fall into O(log N) blocks
+that are summed as arrays under a cap on rows x nodes.  Rows whose coarse
+grid would keep a quarter of the 2N + 1 points or more stay brute force,
+as does the n = 0 row; a coarse row has h >= 8, so b >= 36.
+
 Every random draw is a row addressed by (seed, purpose, row): the Philox
 key is (seed, purpose) and the counter is the row times the row's width
 in blocks, so row r holds the same numbers alone or inside any batch and
@@ -38,7 +58,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import j0, ndtri
+from scipy.special import j0, j1, ndtri
 
 from .config import MonteCarloConfig
 from .errors import IndexOutOfCutoff, ValidationError
@@ -70,8 +90,17 @@ __all__ = [
 
 # grid cells per replica batch: bounds the engine's working set
 _BATCH_CELLS = 1 << 16
-# box rows per regularized_variance chunk: bounds its working set
+# box rows per brute regularized_variance chunk: bounds its working set
 _VARIANCE_ROWS = 512
+# rows x nodes per coarse regularized_variance chunk
+_VARIANCE_CELLS = 1 << 18
+# regularized_variance is the brute sum below this cutoff
+_FAST_CUTOFF = 1024
+# coarse-row step rule: trapezoid aliasing below e^-L, and h <= c / a
+_EM_ALIAS = 9.0 * math.pi
+_EM_OSCILLATION = 0.75
+# Bernoulli numbers B_2 .. B_16: the Euler-Maclaurin endpoint terms, K = 8
+_EM_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
 
 
 MODES, RESAMPLE, VOLUME, MODULUS = range(4)  # purposes: second word of the Philox key
@@ -240,24 +269,120 @@ def circle_average(fld: SpectralField, eps: float) -> SpectralField:
     return replace(fld, coeffs=fld.coeffs * mult, eps=eps)
 
 
-def regularized_variance(tau: complex, cutoff: int, eps: float) -> float:
-    """Exact variance of the truncated circle-averaged field at any point.
-
-    sum over the box of c_{n,m} * J0(2*pi*eps*|n*tau-m|/Im tau)^2, chunked
-    over rows so cutoffs of order 10^4 stay inside memory.
-    """
-    tau = complex(tau)
+def _brute_terms(tau: complex, cutoff: int, eps: float, stop: int):
+    """The n = 0 row, then the doubled sums of rows 1 .. stop - 1 (k <-> -k
+    symmetry), one per _VARIANCE_ROWS chunk so cutoffs of order 10^4 stay
+    inside memory."""
     y = tau.imag
     m = np.arange(-cutoff, cutoff + 1)
-    total = 0.0
-    # n = 0 row, m != 0; then positive n rows doubled by k <-> -k symmetry
     k = np.abs(m[m != 0]).astype(float)
-    total += float(np.sum(y / (2.0 * np.pi * k**2) * j0(2.0 * np.pi * eps * k / y) ** 2))
-    for start in range(1, cutoff + 1, _VARIANCE_ROWS):
-        ns = np.arange(start, min(start + _VARIANCE_ROWS, cutoff + 1))
+    yield float(np.sum(y / (2.0 * np.pi * k**2) * j0(2.0 * np.pi * eps * k / y) ** 2))
+    for start in range(1, stop, _VARIANCE_ROWS):
+        ns = np.arange(start, min(start + _VARIANCE_ROWS, stop))
         kk = np.abs(ns[:, None] * tau - m[None, :])
         c = y / (2.0 * np.pi * kk**2)
-        total += 2.0 * float(np.sum(c * j0(2.0 * np.pi * eps * kk / y) ** 2))
+        yield 2.0 * float(np.sum(c * j0(2.0 * np.pi * eps * kk / y) ** 2))
+
+
+def _brute_variance(tau: complex, cutoff: int, eps: float) -> float:
+    """The box sum term by term: the oracle, and regularized_variance's
+    value below _FAST_CUTOFF."""
+    total = 0.0
+    for part in _brute_terms(complex(tau), cutoff, eps, cutoff + 1):
+        total += part
+    return total
+
+
+def _endpoint_series(u0, p, a):
+    """Taylor coefficients in t, index leading, of J0(a sqrt(u))^2 / u along
+    u = u0 + p t + t^2, through degree 2K - 1; u0 and p are arrays over rows.
+
+    g(u) = J0(a sqrt(u)) solves 4u g'' + 4g' + a^2 g = 0, so its coefficients
+    at u0 follow from J0 and J1 by a two-term recurrence; Horner composes them
+    with s = p t + t^2, then the series is squared and divided by u.
+    """
+    deg = 2 * len(_EM_BERNOULLI) - 1
+    root = np.sqrt(u0)
+    g = np.empty((deg + 1,) + u0.shape)
+    g[0] = j0(a * root)
+    g[1] = -0.5 * a * j1(a * root) / root
+    for j in range(deg - 1):
+        g[j + 2] = -(4.0 * (j + 1) ** 2 * g[j + 1] + a * a * g[j]) / (4.0 * (j + 1) * (j + 2) * u0)
+    comp = np.zeros_like(g)
+    for j in range(deg, -1, -1):
+        comp[2:] = p * comp[1:-1] + comp[:-2]
+        comp[1] = p * comp[0]
+        comp[0] = g[j]
+    sq = np.stack([np.sum(comp[: d + 1] * comp[d::-1], axis=0) for d in range(deg + 1)])
+    q = np.empty_like(sq)
+    q[0] = sq[0] / u0
+    q[1] = (sq[1] - p * q[0]) / u0
+    for d in range(2, deg + 1):
+        q[d] = (sq[d] - p * q[d - 1] - q[d - 2]) / u0
+    return q
+
+
+def _coarse_row_sums(tau: complex, cutoff: int, eps: float, ns: np.ndarray, step: float):
+    """Unit-step sums over |m| <= N of rows ns: the trapezoid sum at
+    h = 2N/ceil(2N/step) plus the Euler-Maclaurin endpoint terms, in chunks
+    of at most _VARIANCE_CELLS rows x nodes."""
+    y = tau.imag
+    a = 2.0 * np.pi * eps / y
+    N = cutoff
+    panels = math.ceil(2 * N / step)
+    h = 2 * N / panels
+    m = np.linspace(-N, N, panels + 1)
+    out = np.empty(len(ns))
+    chunk = max(1, _VARIANCE_CELLS // (panels + 1))
+    for lo in range(0, len(ns), chunk):
+        n = ns[lo : lo + chunk].astype(float)
+        shift, b2 = n * tau.real, (n * y) ** 2
+        u = (m[None, :] - shift[:, None]) ** 2 + b2[:, None]
+        f = j0(a * np.sqrt(u)) ** 2 / u
+        ends = 0.5 * (f[:, 0] + f[:, -1])
+        total = h * (np.sum(f, axis=1) - ends) + ends
+        hi = _endpoint_series((N - shift) ** 2 + b2, 2.0 * (N - shift), a)
+        low = _endpoint_series((N + shift) ** 2 + b2, -2.0 * (N + shift), a)
+        for k, bern in enumerate(_EM_BERNOULLI, start=1):
+            # B_2k/(2k)! f^(2k-1) = B_2k/(2k) times the series coefficient
+            d = 2 * k - 1
+            total += bern / (2 * k) * (1.0 - h ** (2 * k)) * (hi[d] - low[d])
+        out[lo : lo + chunk] = total
+    return y / (2.0 * np.pi) * out
+
+
+def _coarse_steps(tau: complex, cutoff: int, eps: float) -> np.ndarray:
+    """Trapezoid step of each row n = 1..N, or 0 where the row stays brute:
+    h* = min(2 pi b/(L + 2ab), c/a), L = _EM_ALIAS, c = _EM_OSCILLATION,
+    rounded down to a power of two (see the module docstring)."""
+    y = tau.imag
+    a = 2.0 * np.pi * eps / y
+    b = np.arange(1, cutoff + 1) * y
+    wave = _EM_OSCILLATION / a if a else math.inf
+    step = 2.0 ** np.floor(np.log2(np.minimum(2.0 * np.pi * b / (_EM_ALIAS + 2.0 * a * b), wave)))
+    panels = np.ceil(2 * cutoff / step)
+    return np.where(4 * (panels + 1) < 2 * cutoff + 1, step, 0.0)
+
+
+def regularized_variance(tau: complex, cutoff: int, eps: float) -> float:
+    """Exact variance of the truncated circle-averaged field at any point:
+    sum over the box of c_{n,m} * J0(2*pi*eps*|n*tau-m|/Im tau)^2.
+
+    Below _FAST_CUTOFF it is the brute sum.  Above, the rows that
+    _coarse_steps gives a step (a tail n >= n0, since the step grows with n)
+    are summed by _coarse_row_sums, one block per step; the n = 0 row and
+    rows 1 .. n0 - 1 stay brute force.
+    """
+    tau = complex(tau)
+    if cutoff < _FAST_CUTOFF:
+        return _brute_variance(tau, cutoff, eps)
+    steps = _coarse_steps(tau, cutoff, eps)
+    total = 0.0
+    for part in _brute_terms(tau, cutoff, eps, cutoff + 1 - np.count_nonzero(steps)):
+        total += part
+    rows = np.arange(1, cutoff + 1)
+    for step in np.unique(steps[steps > 0]):
+        total += 2.0 * float(np.sum(_coarse_row_sums(tau, cutoff, eps, rows[steps == step], step)))
     return total
 
 

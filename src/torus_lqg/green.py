@@ -100,17 +100,20 @@ def green_centered(tau: complex, x1c, x2c, cap: float | None = None):
     Points with |p_tau(x~)| below a quarter of the shortest lattice vector
     take green_log_subtracted - ln|p|, which stays stable near 0; the rest
     take the closed form at the unit-square representative.  Each route
-    sees only its own points.  With cap, -ln|p| is frozen at -ln(cap) on
-    near points closer than cap.  Lattice points are not rejected here.
+    sees only its own points and runs only when it has some.  With cap,
+    -ln|p| is frozen at -ln(cap) on near points closer than cap.  Lattice
+    points are not rejected here.
     """
     tau = complex(tau)
     x1c, x2c = np.broadcast_arrays(np.asarray(x1c, dtype=float), np.asarray(x2c, dtype=float))
     az = np.abs(p_tau(tau, x1c, x2c))
     near = az < 0.25 * min_lattice_distance(tau)
     out = np.empty(az.shape)
-    r = az[near] if cap is None else np.maximum(az[near], cap)
-    out[near] = green_log_subtracted(tau, x1c[near], x2c[near]) - np.log(r)
-    out[~near] = _far_route(tau, x1c[~near], x2c[~near])
+    if near.any():
+        r = az[near] if cap is None else np.maximum(az[near], cap)
+        out[near] = green_log_subtracted(tau, x1c[near], x2c[near]) - np.log(r)
+    if not near.all():
+        out[~near] = _far_route(tau, x1c[~near], x2c[~near])
     return out
 
 

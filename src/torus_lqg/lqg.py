@@ -399,6 +399,16 @@ def build_density_table(
     )
 
 
+def _neighbors(centers: np.ndarray, x: np.ndarray):
+    """Lower and upper neighboring centers of x and its clipped fraction
+    between them; an axis with one center is constant (fraction 0)."""
+    if len(centers) < 2:
+        zero = np.zeros(x.shape, dtype=int)
+        return zero, zero, np.zeros(x.shape)
+    i = np.clip(np.searchsorted(centers, x) - 1, 0, len(centers) - 2)
+    return i, i + 1, np.clip((x - centers[i]) / (centers[i + 1] - centers[i]), 0.0, 1.0)
+
+
 def sample_modulus(table: DensityTable, count: int, rng: RngStream) -> np.ndarray:
     """Inverse-CDF draws over table cells, bilinear density within cells.
 
@@ -413,23 +423,21 @@ def sample_modulus(table: DensityTable, count: int, rng: RngStream) -> np.ndarra
         raise ValidationError("count must be positive")
     cdf = np.cumsum((table.cell_mass / table.total_mass).ravel())
     cdf[-1] = 1.0
-    re_c, im_c = table.re_centers, table.im_centers
-    n_re, n_im = len(re_c), len(im_c)
 
     def density_at(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-        a = np.clip(np.searchsorted(re_c, re) - 1, 0, n_re - 2)
-        b = np.clip(np.searchsorted(im_c, im) - 1, 0, n_im - 2)
-        fr = np.clip((re - re_c[a]) / (re_c[a + 1] - re_c[a]), 0.0, 1.0)
-        fi = np.clip((im - im_c[b]) / (im_c[b + 1] - im_c[b]), 0.0, 1.0)
+        a, a1, fr = _neighbors(table.re_centers, re)
+        b, b1, fi = _neighbors(table.im_centers, im)
         d = table.density
         return (
             d[a, b] * (1 - fr) * (1 - fi)
-            + d[a + 1, b] * fr * (1 - fi)
-            + d[a, b + 1] * (1 - fr) * fi
-            + d[a + 1, b + 1] * fr * fi
+            + d[a1, b] * fr * (1 - fi)
+            + d[a, b1] * (1 - fr) * fi
+            + d[a1, b1] * fr * fi
         )
 
-    a, b = np.divmod(np.searchsorted(cdf, rng.uniforms(count, 1, MODULUS)[:, 0]), n_im)
+    a, b = np.divmod(
+        np.searchsorted(cdf, rng.uniforms(count, 1, MODULUS)[:, 0]), len(table.im_centers)
+    )
     # bilinear values inside a cell are convex combinations of the
     # surrounding centers, so the max over its clipped 3x3 window bounds them
     pad = np.pad(table.density, 1, mode="edge")

@@ -24,7 +24,9 @@ from torus_lqg.gff import (
     build_log_conformal_factor,
     circle_average,
     dirichlet_energy,
+    draw_modes,
     sample_gff,
+    scaled_mode_weights,
     truncated_covariance,
 )
 from torus_lqg.green import green, spectral_coefficient
@@ -153,11 +155,17 @@ def test_05_gff_covariance_matches_series():
     phases = np.stack(
         [np.exp(2j * np.pi * (n * x1 + m * x2)).ravel() for x1, x2 in pts], axis=1
     )
+    # field r is row r of draw_modes under seed 31, drawn in batches and
+    # mirrored to the full box as sample_gff does
+    weights = scaled_mode_weights(tau, cutoff)[:, cutoff:]
+    batch = 100
     prods = np.empty((replicas, len(disps)))
-    for r in range(replicas):
-        fld = sample_gff(tau, cutoff, RngStream(31, r))
-        vals = (fld.coeffs.ravel() @ phases).real
-        prods[r] = vals[0] * vals[1:]
+    for start in range(0, replicas, batch):
+        half = draw_modes(RngStream(31, start), batch, cutoff) * weights
+        coeffs = np.concatenate([np.conj(half[:, ::-1, :0:-1]), half], axis=2)
+        vals = (coeffs.reshape(batch, -1) @ phases).real
+        prods[start : start + batch] = vals[:, :1] * vals[:, 1:]
+    assert np.array_equal(coeffs[-1], sample_gff(tau, cutoff, RngStream(31, replicas - 1)).coeffs)
     worst = 0.0
     for k, d in enumerate(disps):
         want = truncated_covariance(tau, cutoff, d)

@@ -177,6 +177,20 @@ def test_eta_in_the_cusp_exits_0(capsys):
     assert complex(*json.loads(out)["value"]) == dedekind_eta(300j)
 
 
+@pytest.mark.parametrize("cells", (["--re-cells", "1"], ["--im-cells", "1", "--tail-tol", "1"]))
+def test_sample_joint_with_one_cell_along_an_axis(tmp_path, capsys, cells):
+    # a table axis with a single center is constant: no division by a zero spacing
+    out = tmp_path / "one.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(
+            capsys, "lqg", "sample-joint", "--matter", "pure", "--t-max", "12", "--cutoff", "8",
+            "--replicas", "32", "--samples", "20", "--no-cache", "--out", str(out), *cells,
+        )
+    assert code == 0, err
+    assert len([ln for ln in out.read_text().splitlines() if not ln.startswith("#")]) == 21
+
+
 def test_check_quick_suite(capsys):
     code, out, _ = run(capsys, "check", "all", "--quick")
     assert code == 0

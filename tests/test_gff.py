@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import j0
 
 from torus_lqg import gff
 from torus_lqg.config import MonteCarloConfig
@@ -187,6 +188,63 @@ def test_regularized_variance_chunking_invariant(monkeypatch):
     monkeypatch.setattr(gff, "_VARIANCE_ROWS", 7)
     b = regularized_variance(TAU, 60, 0.02)
     assert abs(a - b) < 1e-12 * abs(a)
+
+
+def _brute_row(tau, cutoff, eps, n):
+    m = np.arange(-cutoff, cutoff + 1)
+    mult = j0(2.0 * np.pi * eps * np.abs(n * tau - m) / tau.imag)
+    return float(np.sum(spectral_coefficient(tau, n, m) * mult**2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    re=st.floats(-2.0, 2.0),
+    im=st.floats(0.5, 8.0),
+    eps=st.floats(1e-3, 0.1),
+    cutoff=st.integers(1024, 4000),
+    pick=st.floats(0.0, 1.0),
+)
+def test_coarse_row_sum_matches_brute_row(re, im, eps, cutoff, pick):
+    tau = complex(re, im)
+    steps = gff._coarse_steps(tau, cutoff, eps)
+    rows = np.flatnonzero(steps) + 1
+    assume(rows.size)
+    # the first coarse row has the narrowest strip, so the largest error
+    for n in {int(rows[0]), int(rows[round(pick * (rows.size - 1))])}:
+        fast = float(gff._coarse_row_sums(tau, cutoff, eps, np.array([n]), steps[n - 1])[0])
+        want = _brute_row(tau, cutoff, eps, n)
+        assert abs(fast - want) <= 1e-11 * want
+
+
+@pytest.mark.parametrize("eps", (1e-3, 1e-2))
+@pytest.mark.parametrize(
+    "tau",
+    (0.3 + 1.2j, 1j, -0.45 + 0.9j, 0.1 + 3j, 1.7 + 0.6j, 0.05 + 0.2j, 0.3 + 8j, -0.5 + 0.866j),
+)
+def test_regularized_variance_matches_brute_sum(tau, eps):
+    cutoff = 1500
+    coarse = np.count_nonzero(gff._coarse_steps(tau, cutoff, eps))
+    assert coarse or eps == 1e-2  # every tau has coarse rows at eps = 1e-3
+    fast = regularized_variance(tau, cutoff, eps)
+    want = gff._brute_variance(tau, cutoff, eps)
+    assert abs(fast - want) <= 1e-11 * want
+
+
+def test_regularized_variance_below_fast_cutoff_is_the_brute_sum():
+    # values of the brute sum before the coarse rows existed, bit for bit
+    for args, want in (
+        ((0.3 + 1.2j, 1023, 0.003), 4.582605782249967),
+        ((1j, 64, 0.05), 1.6790009540627246),
+        ((-0.5 + 0.866j, 700, 0.01), 3.2061809769087324),
+    ):
+        assert regularized_variance(*args) == gff._brute_variance(*args) == want
+
+
+def test_regularized_variance_coarse_chunking_invariant(monkeypatch):
+    a = regularized_variance(TAU, 1500, 0.002)
+    monkeypatch.setattr(gff, "_VARIANCE_CELLS", 1000)
+    b = regularized_variance(TAU, 1500, 0.002)
+    assert abs(a - b) < 1e-13 * abs(a)
 
 
 def test_free_field_partition():

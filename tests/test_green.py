@@ -1,6 +1,7 @@
 """Torus Green function: three evaluation routes against each other and
 against fixed high-precision reference values (mpmath, 30 digits)."""
 
+import importlib
 import math
 
 import numpy as np
@@ -23,6 +24,8 @@ from torus_lqg.modular import S, T, p_tau
 from torus_lqg.special import TOLERANCE, _theta_cut, theta1, theta1_over_z
 
 TAU = 0.3 + 1.2j
+# the package exports the function green under the module's name
+green_module = importlib.import_module("torus_lqg.green")
 
 G_AT_I = -0.2653187654762589130082547      # green(i, (0.3, 0.4))
 G_AT_TAU = -0.1626936464784249713635174    # green(0.3+1.2j, (0.15, -0.35))
@@ -162,6 +165,21 @@ def test_no_jump_at_route_switch():
     # a jump would spike one second difference far above its neighbours
     assert np.max(second) < 3.0 * np.median(second)
     assert np.max(second) < 1e-4
+
+
+def test_each_route_runs_only_when_it_has_points(monkeypatch):
+    far = (np.array([0.3, 0.45, -0.2]), np.array([0.4, 0.1, 0.35]))
+    near = (np.array([0.01, -0.02]), np.array([0.0, 0.03]))
+    want_far, want_near = green(TAU, far), green(TAU, near)
+
+    def refuse(*args):
+        raise AssertionError("route called without points")
+
+    monkeypatch.setattr(green_module, "green_log_subtracted", refuse)
+    assert np.array_equal(green(TAU, far), want_far)
+    monkeypatch.undo()
+    monkeypatch.setattr(green_module, "_far_route", refuse)
+    assert np.array_equal(green(TAU, near), want_near)
 
 
 def test_regularized_at_origin():
