@@ -113,8 +113,12 @@ def cell_constants(
 
 def chaos_cells(x: np.ndarray, gamma: float, offset: float, tilt=None) -> np.ndarray:
     """exp(gamma X + offset) on a grid or a stack of grids, times tilt if given."""
-    cells = np.exp(gamma * x + offset)
-    return cells if tilt is None else cells * tilt
+    cells = np.multiply(x, gamma)
+    cells += offset
+    np.exp(cells, out=cells)
+    if tilt is not None:
+        cells *= tilt
+    return cells
 
 
 def chaos_batches(points, gamma: float, grid: int, mc: MonteCarloConfig, purpose: int = MODES):
@@ -124,7 +128,9 @@ def chaos_batches(points, gamma: float, grid: int, mc: MonteCarloConfig, purpose
     modulus.  Yields (start, stacks) per batch; stacks yields,
     lazily and in the order of points, (x, cells, masses) with x the
     (B, G, G) field stack, cells its chaos_cells and masses the totals
-    scale * sum(cells) per replica.
+    scale * sum(cells) per replica.  x is replica_grids' view into its
+    workspace, valid until the next stack is yielded; cells and masses
+    are new arrays.
     """
 
     def stacks(grids):

@@ -44,12 +44,20 @@ rejection rounds draw their proposals as rows.
 Monte Carlo estimators draw their replicas through one batched engine,
 replica_grids.  Replica r is row base_stream + r of the mode draw, which
 writes the real degrees of freedom of the half lattice straight into the
-Hermitian half-spectrum; one call draws a batch.  The engine scales it
-by one weight box per modulus and synthesizes each stack with a single
-inverse real FFT.  A batch holds at most 2^16 grid cells (at least one
-replica), so its memory is bounded independently of the replica count:
-50 replicas at G = 36, one at G = 260.  Several weight boxes applied to
-the same batch give common random numbers across moduli.
+Hermitian half-spectrum; one call draws a batch.  A batch holds at most
+2^16 grid cells (at least one replica), so its memory is bounded
+independently of the replica count: 50 replicas at G = 36, one at
+G = 260.  Several weight boxes applied to the same batch give common
+random numbers across moduli.
+
+The engine allocates two workspaces once per call, a zeroed complex
+half-spectrum (B, G, G//2+1) and a real output stack (B, G, G), and
+_synthesize, the one synthesis routine, fills them for each weight box:
+alpha * w goes straight into the live rows n mod G of the columns 0..N,
+the inverse FFT runs along n on those N+1 columns only and then as an
+irfft along m.  These are irfft2's per-axis transforms minus the all-zero
+ones, so every grid keeps irfft2's bits.  A yielded stack is a view into
+the output workspace, valid until the next stack is yielded.
 """
 
 from __future__ import annotations
@@ -121,7 +129,10 @@ class RngStream:
         key = np.array([self.seed % 2**64, purpose], dtype=np.uint64)
         philox = np.random.Philox(key=key, counter=self.stream * blocks % 2**256)
         raw = philox.random_raw(rows * 4 * blocks).reshape(rows, 4 * blocks)
-        return ((raw[:, :width] >> np.uint64(12)) + 0.5) * 2.0**-52
+        raw >>= np.uint64(12)
+        u = np.add(raw[:, :width], 0.5)
+        u *= 2.0**-52
+        return u
 
 
 @dataclass(frozen=True)
@@ -187,11 +198,15 @@ def draw_modes(rng: RngStream, rows: int, cutoff: int, purpose: int = MODES) -> 
     n = 1..N of column 0, mirrored as conjugates to n < 0; the mean mode is 0.
     """
     N = cutoff
-    z = (ndtri(rng.uniforms(rows, (2 * N + 1) ** 2 - 1, purpose)) * math.sqrt(0.5)).view(complex)
-    half = np.zeros((rows, 2 * N + 1, N + 1), dtype=complex)
+    u = rng.uniforms(rows, (2 * N + 1) ** 2 - 1, purpose)
+    ndtri(u, out=u)
+    u *= math.sqrt(0.5)
+    z = u.view(complex)
+    half = np.empty((rows, 2 * N + 1, N + 1), dtype=complex)
     half[:, :, 1:] = z[:, : (2 * N + 1) * N].reshape(rows, 2 * N + 1, N)
     half[:, N + 1 :, 0] = z[:, (2 * N + 1) * N :]
-    half[:, N - 1 :: -1, 0] = np.conj(half[:, N + 1 :, 0])
+    half[:, N, 0] = 0.0
+    np.conj(half[:, N + 1 :, 0], out=half[:, N - 1 :: -1, 0])
     return half
 
 
@@ -208,19 +223,44 @@ def sample_gff(tau: complex, cutoff: int, rng: RngStream) -> SpectralField:
     return SpectralField(tau=tau, cutoff=cutoff, coeffs=coeffs)
 
 
+def _synthesize(half: np.ndarray, grid: int, weight=None, spec=None, out=None) -> np.ndarray:
+    """Real grids at x = (i/G, j/G) of the half-spectra half, times weight if given.
+
+    half is the columns m >= 0 of centered Hermitian (2N+1)^2 boxes, shape
+    (..., 2N+1, N+1); weight, if given, is one (2N+1, N+1) box applied to
+    all of them.  spec, a (..., G, G//2+1) complex workspace whose columns
+    N+1 .. G//2 are zero, and out, the (..., G, G) real result, are
+    allocated when not given.  Box row n goes to slot n mod G; rows
+    N+1 .. G-N-1 of the columns 0..N are re-zeroed, since a previous
+    transform wrote them, and the inverse FFT along n runs on those N+1
+    columns only (see the module docstring).
+    """
+    N = half.shape[-1] - 1
+    if grid <= 2 * N:
+        raise ValidationError(f"grid {grid} too coarse for cutoff {N}")
+    if spec is None:
+        spec = np.zeros(half.shape[:-2] + (grid, grid // 2 + 1), dtype=complex)
+        out = np.empty(half.shape[:-2] + (grid, grid))
+    live = spec[..., : N + 1]
+    if weight is None:
+        np.copyto(live[..., : N + 1, :], half[..., N:, :])
+        np.copyto(live[..., grid - N :, :], half[..., :N, :])
+    else:
+        np.multiply(half[..., N:, :], weight[N:], out=live[..., : N + 1, :])
+        np.multiply(half[..., :N, :], weight[:N], out=live[..., grid - N :, :])
+    live[..., N + 1 : grid - N, :] = 0.0
+    np.fft.ifft(live, axis=-2, norm="forward", out=live)
+    return np.fft.irfft(spec, n=grid, axis=-1, norm="forward", out=out)
+
+
 def modes_to_grid(half: np.ndarray, grid: int) -> np.ndarray:
     """Real-space values at x = (i/G, j/G) from the half-spectrum of a box.
 
     half is the columns m >= 0 of one centered Hermitian (2N+1)^2 box,
     shape (2N+1, N+1), or a stack of them along leading axes; the whole
-    stack goes through one inverse real FFT.
+    stack goes through one pruned inverse real FFT (_synthesize).
     """
-    N = half.shape[-1] - 1
-    if grid <= 2 * N:
-        raise ValidationError(f"grid {grid} too coarse for cutoff {N}")
-    slots = np.zeros(half.shape[:-2] + (grid, grid // 2 + 1), dtype=complex)
-    slots[..., np.arange(-N, N + 1) % grid, : N + 1] = half
-    return np.fft.irfft2(slots, s=(grid, grid), norm="forward")
+    return _synthesize(half, grid)
 
 
 def replica_grids(weights, grid: int, mc: MonteCarloConfig, purpose: int = MODES):
@@ -232,13 +272,21 @@ def replica_grids(weights, grid: int, mc: MonteCarloConfig, purpose: int = MODES
     the order of weights, one (B, G, G) stack of modes_to_grid(alpha * w)
     per weight box w, so one draw serves every modulus (common random
     numbers).  Consume grids before advancing to the next batch.
+
+    Every stack is a view into one output workspace that the next stack
+    overwrites: it is valid until the next stack is yielded, so copy it
+    to keep it longer.
     """
     N = weights[0].shape[0] // 2
-    batch = max(1, _BATCH_CELLS // (grid * grid))
+    batch = min(mc.replicas, max(1, _BATCH_CELLS // (grid * grid)))
+    # the workspaces of the call: a spectrum whose columns beyond N stay zero
+    spec = np.zeros((batch, grid, grid // 2 + 1), dtype=complex)
+    out = np.empty((batch, grid, grid))
+    halves = [w[:, N:] for w in weights]
     for start in range(0, mc.replicas, batch):
         rows = min(batch, mc.replicas - start)
         alpha = draw_modes(RngStream(mc.seed, mc.base_stream + start), rows, N, purpose)
-        yield start, (modes_to_grid(alpha * w[:, N:], grid) for w in weights)
+        yield start, (_synthesize(alpha, grid, w, spec[:rows], out[:rows]) for w in halves)
 
 
 def evaluate_on_grid(fld: SpectralField, grid: int | None = None) -> np.ndarray:
@@ -387,17 +435,21 @@ def regularized_variance(tau: complex, cutoff: int, eps: float) -> float:
 
 
 def truncated_covariance(tau: complex, cutoff: int, x, eps: float = 0.0) -> float:
-    """E[X_eps(x) X_eps(0)] for the truncated field: box sum of c * J0^2 * cos."""
+    """E[X_eps(x) X_eps(0)] for the truncated field: box sum of c * J0^2 * cos.
+
+    The summand is even under (n, m) -> (-n, -m), so the sum is twice that
+    over the rows n > 0 and the half-row n = 0, m > 0.
+    """
     n, m = _mode_grid(cutoff)
-    mask = (n != 0) | (m != 0)
-    n = n[mask]
-    m = m[mask]
+    half = (n > 0) | ((n == 0) & (m > 0))
+    n = n[half]
+    m = m[half]
     c = spectral_coefficient(tau, n, m)
     if eps:
         k = np.abs(n * complex(tau) - m)
         c = c * j0(2.0 * np.pi * eps * k / complex(tau).imag) ** 2
     x1, x2 = x
-    return float(np.sum(c * np.cos(2.0 * np.pi * (n * x1 + m * x2))))
+    return 2.0 * float(np.sum(c * np.cos(2.0 * np.pi * (n * x1 + m * x2))))
 
 
 def free_field_partition(tau: complex) -> float:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import j0
+from scipy.special import j0, ndtri
 
 from torus_lqg import gff
 from torus_lqg.config import MonteCarloConfig
@@ -109,6 +109,13 @@ def test_grid_too_coarse_rejected():
         evaluate_on_grid(fld, 8)
     with pytest.raises(ValidationError):
         modes_to_grid(fld.coeffs[:, 4:], 7)
+
+
+def test_replica_engine_rejects_coarse_grid():
+    mc = MonteCarloConfig(replicas=2, seed=SEED)
+    with pytest.raises(ValidationError):
+        for _, grids in replica_grids([scaled_mode_weights(TAU, 4)], 8, mc):
+            list(grids)
 
 
 def test_mode_variance_matches_spectrum():
@@ -319,7 +326,8 @@ def engine_grids(weights, grid, mc):
     out = []
     for start, (xs,) in replica_grids([weights], grid, mc):
         assert start == len(out)
-        out.extend(xs)
+        # a stack is a view into the engine's workspace, valid until the next one
+        out.extend(xs.copy())
     return np.array(out)
 
 
@@ -358,6 +366,71 @@ def test_replica_engine_matches_per_replica_reference(
     # replica r regenerated on its own gives the same mass as in the full run
     mass = np.exp(grids[r]).sum()
     assert abs(np.exp(alone).sum() - mass) <= 1e-12 * mass
+
+
+def irfft2_stack(alpha, weight, grid):
+    """Reference synthesis: alpha * w scattered by fancy index into a zeroed
+    half-spectrum, then one irfft2."""
+    N = alpha.shape[-1] - 1
+    slots = np.zeros(alpha.shape[:-2] + (grid, grid // 2 + 1), dtype=complex)
+    slots[..., np.arange(-N, N + 1) % grid, : N + 1] = alpha * weight[:, N:]
+    return np.fft.irfft2(slots, s=(grid, grid), norm="forward")
+
+
+def reference_modes(rng, rows, N, purpose):
+    """draw_modes written out with temporaries: uniforms, ndtri, half box."""
+    width = (2 * N + 1) ** 2 - 1
+    blocks = -(-width // 4)
+    key = np.array([rng.seed % 2**64, purpose], dtype=np.uint64)
+    philox = np.random.Philox(key=key, counter=rng.stream * blocks % 2**256)
+    raw = philox.random_raw(rows * 4 * blocks).reshape(rows, 4 * blocks)
+    u = ((raw[:, :width] >> np.uint64(12)) + 0.5) * 2.0**-52
+    z = (ndtri(u) * math.sqrt(0.5)).view(complex)
+    half = np.zeros((rows, 2 * N + 1, N + 1), dtype=complex)
+    half[:, :, 1:] = z[:, : (2 * N + 1) * N].reshape(rows, 2 * N + 1, N)
+    half[:, N + 1 :, 0] = z[:, (2 * N + 1) * N :]
+    half[:, N - 1 :: -1, 0] = np.conj(half[:, N + 1 :, 0])
+    return half
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cutoff=st.integers(1, 10),
+    grid_factor=st.integers(2, 5),
+    shave=st.integers(0, 1),
+    boxes=st.integers(2, 3),
+    batch=st.integers(1, 5),
+    replicas=st.integers(2, 13),
+    base_stream=st.integers(0, 2**40),
+    purpose=st.sampled_from((MODES, RESAMPLE)),
+)
+def test_replica_engine_is_bit_identical_to_irfft2(
+    cutoff, grid_factor, shave, boxes, batch, replicas, base_stream, purpose
+):
+    # odd and even G down to 2N + 1; several weight boxes share each batch's
+    # workspaces, and a small cell budget puts batch boundaries and a
+    # partial last batch into the run
+    grid = grid_factor * (cutoff + 1) - shave
+    mc = MonteCarloConfig(replicas=replicas, seed=SEED, base_stream=base_stream)
+    weights = [
+        scaled_mode_weights(tau, cutoff, eps)
+        for tau, eps in ((TAU, 0.1), (1j, 0.0), (-0.4 + 0.9j, 0.05))[:boxes]
+    ]
+    starts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gff, "_BATCH_CELLS", batch * grid * grid)
+        for start, grids in replica_grids(weights, grid, mc, purpose):
+            starts.append(start)
+            rows = min(batch, replicas - start)
+            alpha = draw_modes(RngStream(SEED, base_stream + start), rows, cutoff, purpose)
+            want = reference_modes(RngStream(SEED, base_stream + start), rows, cutoff, purpose)
+            assert alpha.tobytes() == want.tobytes()
+            for w, xs in zip(weights, grids, strict=True):
+                ref = irfft2_stack(alpha, w, grid)
+                assert xs.shape == (rows, grid, grid)
+                assert xs.tobytes() == ref.tobytes()
+                assert modes_to_grid(alpha * w[:, cutoff:], grid).tobytes() == ref.tobytes()
+    assert starts == list(range(0, replicas, batch))
 
 
 def test_replica_batches_follow_cell_budget():
