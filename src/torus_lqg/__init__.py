@@ -6,175 +6,9 @@ with three independent evaluation routes, spectral Gaussian free field
 sampling with circle-average regularization, Gaussian multiplicative
 chaos measures (subcritical and critical), Liouville correlation
 functionals with Seiberg gating and exact KPZ mu-scaling, and the
-quantum-gravity modulus law over moduli space.
+quantum-gravity modulus law over moduli space.  Each layer is a
+submodule (special, modular, green, gff, chaos, lqft, lqg, cache, cli);
+import names from there.
 """
 
-from .cache import MomentCache
-from .chaos import (
-    ChaosMeasure,
-    chaos_measure,
-    critical_chaos_measure,
-    expected_total_mass,
-    pushforward,
-    sample_total_masses,
-)
-from .config import FieldResolution, MonteCarloConfig
-from .errors import (
-    DuplicateInsertion,
-    IndexOutOfCutoff,
-    InvalidCentralCharge,
-    InvalidGamma,
-    NoAdmissibleRoot,
-    NonConvergence,
-    NumericError,
-    SchemaMismatch,
-    SeibergViolationLocal,
-    SeibergViolationSum,
-    SingularPoint,
-    TorusLQGError,
-    TruncationTooTight,
-    ValidationError,
-)
-from .gff import (
-    LogConformalFactor,
-    RngStream,
-    SpectralField,
-    bessel_multiplier,
-    build_log_conformal_factor,
-    circle_average,
-    dirichlet_energy,
-    evaluate_on_grid,
-    free_field_partition,
-    regularized_variance,
-    sample_gff,
-    truncated_covariance,
-)
-from .green import (
-    GreenEvalConfig,
-    green,
-    green_mean_zero,
-    green_regularized,
-    theta_offset,
-)
-from .lqft import (
-    Insertion,
-    InsertionSet,
-    LQFTParams,
-    LiouvilleSample,
-    PartitionEstimate,
-    conformal_weight,
-    insertion_constant,
-    insertion_potential,
-    liouville_field_law_sampler,
-    partition_function,
-    weyl_anomaly_factor,
-    weyl_anomaly_log_factor,
-)
-from .lqg import (
-    DensityTable,
-    JointSample,
-    MatterCFT,
-    alpha_from_matter_weight,
-    build_density_table,
-    gamma_from_central_charge,
-    ghost_partition,
-    joint_law_sampler,
-    matter_partition,
-    modulus_density,
-    sample_modulus,
-    template_from_matter,
-)
-from .modular import (
-    ModularElement,
-    FundamentalDomainPoint,
-    IDENTITY,
-    S,
-    T,
-    reduce_to_fundamental,
-)
-from .special import (
-    dedekind_eta,
-    theta1,
-    theta1_z_derivative_at_zero,
-    theta_aux,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    "MomentCache",
-    "ChaosMeasure",
-    "chaos_measure",
-    "critical_chaos_measure",
-    "expected_total_mass",
-    "pushforward",
-    "sample_total_masses",
-    "FieldResolution",
-    "MonteCarloConfig",
-    "DuplicateInsertion",
-    "IndexOutOfCutoff",
-    "InvalidCentralCharge",
-    "InvalidGamma",
-    "NoAdmissibleRoot",
-    "NonConvergence",
-    "NumericError",
-    "SchemaMismatch",
-    "SeibergViolationLocal",
-    "SeibergViolationSum",
-    "SingularPoint",
-    "TorusLQGError",
-    "TruncationTooTight",
-    "ValidationError",
-    "LogConformalFactor",
-    "RngStream",
-    "SpectralField",
-    "bessel_multiplier",
-    "build_log_conformal_factor",
-    "circle_average",
-    "dirichlet_energy",
-    "evaluate_on_grid",
-    "free_field_partition",
-    "regularized_variance",
-    "sample_gff",
-    "truncated_covariance",
-    "GreenEvalConfig",
-    "green",
-    "green_mean_zero",
-    "green_regularized",
-    "theta_offset",
-    "Insertion",
-    "InsertionSet",
-    "LQFTParams",
-    "LiouvilleSample",
-    "PartitionEstimate",
-    "conformal_weight",
-    "insertion_constant",
-    "insertion_potential",
-    "liouville_field_law_sampler",
-    "partition_function",
-    "weyl_anomaly_factor",
-    "weyl_anomaly_log_factor",
-    "DensityTable",
-    "JointSample",
-    "MatterCFT",
-    "alpha_from_matter_weight",
-    "build_density_table",
-    "gamma_from_central_charge",
-    "ghost_partition",
-    "joint_law_sampler",
-    "matter_partition",
-    "modulus_density",
-    "sample_modulus",
-    "template_from_matter",
-    "ModularElement",
-    "FundamentalDomainPoint",
-    "IDENTITY",
-    "S",
-    "T",
-    "reduce_to_fundamental",
-    "dedekind_eta",
-    "theta1",
-    "theta1_z_derivative_at_zero",
-    "theta_aux",
-]

@@ -31,8 +31,11 @@ __all__ = ["MomentCache", "SAMPLER_VERSION", "default_cache_dir", "moment_key"]
 # version 3 truncates the theta series per point, which moves the Green
 # function, so the insertion potential H and every moment tilted by it, at
 # the 1e-13 level; version 4 draws replica r as row r of the mode purpose
-# (inverse-CDF normals on the half lattice), which moves every replica.
-SAMPLER_VERSION = 4
+# (inverse-CDF normals on the half lattice), which moves every replica;
+# version 5 pairs the replicas antithetically, replica r being (-1)^r times
+# row r // 2, and takes standard errors from pair means, which moves every
+# moment and every standard error.
+SAMPLER_VERSION = 5
 
 
 def default_cache_dir() -> Path:

@@ -111,11 +111,21 @@ def cell_constants(
     return scale, offset
 
 
-def chaos_cells(x: np.ndarray, gamma: float, offset: float, tilt=None) -> np.ndarray:
-    """exp(gamma X + offset) on a grid or a stack of grids, times tilt if given."""
-    cells = np.multiply(x, gamma)
-    cells += offset
-    np.exp(cells, out=cells)
+def chaos_cells(x: np.ndarray, gamma: float, offset: float, tilt=None, paired=False, out=None):
+    """exp(gamma X + offset) on a grid or a stack of grids, times tilt if given.
+
+    paired marks a replica_grids stack, whose odd grids are the negated
+    even ones: the cells of grid 2j + 1 are then e^{2 offset} divided by
+    the cells exp(gamma X + offset) of grid 2j, a division in place of an
+    exp.  The cells go to out when given, else to a new array.
+    """
+    cells = np.empty_like(x) if out is None else out
+    lead = cells[0::2] if paired else cells
+    np.multiply(x[0::2] if paired else x, gamma, out=lead)
+    lead += offset
+    np.exp(lead, out=lead)
+    if paired:
+        np.divide(math.exp(2.0 * offset), cells[: len(x) - 1 : 2], out=cells[1::2])
     if tilt is not None:
         cells *= tilt
     return cells
@@ -127,15 +137,20 @@ def chaos_batches(points, gamma: float, grid: int, mc: MonteCarloConfig, purpose
     points holds one (mode weights, scale, offset, tilt or None) per
     modulus.  Yields (start, stacks) per batch; stacks yields,
     lazily and in the order of points, (x, cells, masses) with x the
-    (B, G, G) field stack, cells its chaos_cells and masses the totals
-    scale * sum(cells) per replica.  x is replica_grids' view into its
-    workspace, valid until the next stack is yielded; cells and masses
-    are new arrays.
+    (B, G, G) field stack of antithetic pairs, cells its paired
+    chaos_cells and masses the totals scale * sum(cells) per replica.  x
+    is replica_grids' view into its workspace and cells a view into one
+    cell workspace of the call, both valid until the next stack is
+    yielded; masses is a new array.
     """
+    work = None
 
     def stacks(grids):
+        nonlocal work
         for x, (_, scale, offset, tilt) in zip(grids, points):
-            cells = chaos_cells(x, gamma, offset, tilt)
+            if work is None:  # the first batch is the largest
+                work = np.empty_like(x)
+            cells = chaos_cells(x, gamma, offset, tilt, paired=True, out=work[: len(x)])
             yield x, cells, scale * cells.sum(axis=(1, 2))
 
     for start, grids in replica_grids([pt[0] for pt in points], grid, mc, purpose):

@@ -21,7 +21,8 @@ import numpy as np
 from .chaos import expected_total_mass, sample_total_masses
 from .config import FieldResolution, MonteCarloConfig
 from .errors import SeibergViolationLocal, SeibergViolationSum
-from .gff import SpectralField, dirichlet_energy, dirichlet_energy_grid, regularized_variance
+from .gff import SpectralField, dirichlet_energy, dirichlet_energy_grid, pair_mean_se
+from .gff import regularized_variance
 from .green import GreenEvalConfig, green, green_mean_zero, theta_offset
 from .lqft import (
     InsertionSet,
@@ -103,14 +104,13 @@ def variance_constant(tau: complex, rungs) -> tuple[list[float], bool]:
 def gmc_mean_mass(
     tau: complex, gammas, mc: MonteCarloConfig, res: FieldResolution
 ) -> tuple[float, bool]:
-    """Largest distance, in standard errors, of the sampled mean chaos mass
-    from its exact expectation over gammas; bound 3."""
+    """Largest distance, in pair standard errors, of the sampled mean chaos
+    mass from its exact expectation over gammas; bound 3."""
     worst = 0.0
     for gamma in gammas:
         q = LQFTParams(gamma).q
-        masses = sample_total_masses(tau, gamma, q, mc, res)
-        se = float(masses.std(ddof=1)) / math.sqrt(len(masses))
-        worst = max(worst, abs(float(masses.mean()) - expected_total_mass(tau, gamma, q)) / se)
+        mean, se = pair_mean_se(sample_total_masses(tau, gamma, q, mc, res))
+        worst = max(worst, abs(mean - expected_total_mass(tau, gamma, q)) / se)
     return worst, worst <= 3.0
 
 

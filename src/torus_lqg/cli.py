@@ -142,7 +142,8 @@ def _render(kind: str, result, record: dict) -> str:
     """Output text of a handler's result, by the subcommand's kind.
 
     `text`: the report as is; `json`: a payload dict; `csv`: (columns,
-    rows); `svg`: a builder that takes the header lines.
+    rows, *extra header lines); `svg`: a builder that takes the header
+    lines.
     """
     if kind == "text":
         return result
@@ -157,8 +158,8 @@ def _render(kind: str, result, record: dict) -> str:
     ]
     if kind == "svg":
         return result(header)
-    columns, rows = result
-    lines = [f"# {h}" for h in header]
+    columns, rows, *notes = result
+    lines = [f"# {h}" for h in header + notes]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt_cell(v) for v in row))
@@ -238,13 +239,20 @@ def _cmd_gff_sample(args, write):
     return 0
 
 
+_PAIRS = (
+    "pairs: rows 2j and 2j+1 are an antithetic pair (replica 2j+1 has the "
+    "negated modes of replica 2j); take standard errors from pair means"
+)
+
+
 def _cmd_gmc_sample(args, write):
     gamma = 2.0 if args.critical else args.gamma
     q = LQFTParams(gamma).q
     res = FieldResolution(args.cutoff, args.grid_factor, eps=args.eps)
     mc = MonteCarloConfig(replicas=args.replicas, seed=args.seed)
     masses = sample_total_masses(args.tau, gamma, q, mc, res, critical=args.critical)
-    write((["replica", "total_mass"], [(r, float(m)) for r, m in enumerate(masses)]))
+    rows = [(r, float(m)) for r, m in enumerate(masses)]
+    write((["replica", "total_mass"], rows, _PAIRS))
     return 0
 
 

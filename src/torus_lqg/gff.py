@@ -42,22 +42,29 @@ RngStream.uniforms is the one draw path; even the modulus sampler's
 rejection rounds draw their proposals as rows.
 
 Monte Carlo estimators draw their replicas through one batched engine,
-replica_grids.  Replica r is row base_stream + r of the mode draw, which
-writes the real degrees of freedom of the half lattice straight into the
-Hermitian half-spectrum; one call draws a batch.  A batch holds at most
-2^16 grid cells (at least one replica), so its memory is bounded
-independently of the replica count: 50 replicas at G = 36, one at
-G = 260.  Several weight boxes applied to the same batch give common
-random numbers across moduli.
+replica_grids, in antithetic pairs (Hammersley & Morton 1956).  The field
+is linear in its modes, so X(-alpha) = -X(alpha) is a second, exactly
+distributed replica: replica r is (-1)^r times the field of row
+base_stream + r // 2 of the mode draw, which writes the real degrees of
+freedom of the half lattice straight into the Hermitian half-spectrum.
+One call draws the rows of a batch's even replicas, and each odd grid is
+the negated even grid before it, with no draw and no FFT of its own.  A
+batch holds as many whole pairs as fit in 2^16 grid cells, and at least
+one, so its memory is bounded independently of the replica count: 50
+replicas at G = 36, two at G = 260; an odd replica count ends on a lone
+even replica.  Several weight boxes applied to the same batch give common
+random numbers across moduli.  Pairs are correlated, so standard errors
+come from pair means (pair_mean_se).
 
 The engine allocates two workspaces once per call, a zeroed complex
-half-spectrum (B, G, G//2+1) and a real output stack (B, G, G), and
-_synthesize, the one synthesis routine, fills them for each weight box:
-alpha * w goes straight into the live rows n mod G of the columns 0..N,
-the inverse FFT runs along n on those N+1 columns only and then as an
-irfft along m.  These are irfft2's per-axis transforms minus the all-zero
-ones, so every grid keeps irfft2's bits.  A yielded stack is a view into
-the output workspace, valid until the next stack is yielded.
+half-spectrum (P, G, G//2+1) for the P pairs of a batch and a real output
+stack (B, G, G), and _synthesize, the one synthesis routine, fills the
+even slots for each weight box: alpha * w goes straight into the live
+rows n mod G of the columns 0..N, the inverse FFT runs along n on those
+N+1 columns only and then as an irfft along m.  These are irfft2's
+per-axis transforms minus the all-zero ones, so every even grid keeps
+irfft2's bits.  A yielded stack is a view into the output workspace,
+valid until the next stack is yielded.
 """
 
 from __future__ import annotations
@@ -83,6 +90,7 @@ __all__ = [
     "draw_modes",
     "modes_to_grid",
     "replica_grids",
+    "pair_mean_se",
     "evaluate_on_grid",
     "circle_average",
     "bessel_multiplier",
@@ -211,8 +219,10 @@ def draw_modes(rng: RngStream, rows: int, cutoff: int, purpose: int = MODES) -> 
 
 
 def sample_gff(tau: complex, cutoff: int, rng: RngStream) -> SpectralField:
-    """One sample of the truncated GFF at modulus tau: replica rng.stream of
-    replica_grids under seed rng.seed, mirrored to the full box."""
+    """One sample of the truncated GFF at modulus tau: row rng.stream of the
+    mode draw under seed rng.seed, mirrored to the full box.  That is
+    replica 2 * rng.stream of replica_grids under the same seed; replica
+    2 * rng.stream + 1 is its negation."""
     tau = complex(tau)
     if not tau.imag > 0:
         raise ValidationError(f"tau must lie in the upper half-plane, got {tau}")
@@ -267,26 +277,57 @@ def replica_grids(weights, grid: int, mc: MonteCarloConfig, purpose: int = MODES
     """Batched replica engine: real fields of mc.replicas replicas on a G x G grid.
 
     Yields (start, grids) per batch of replicas start .. start + B - 1.
-    Replica r is row mc.base_stream + r of draw_modes under (mc.seed,
-    purpose), and one call draws the batch.  grids yields, lazily and in
-    the order of weights, one (B, G, G) stack of modes_to_grid(alpha * w)
-    per weight box w, so one draw serves every modulus (common random
-    numbers).  Consume grids before advancing to the next batch.
+    Replica r is (-1)^r times the field of row mc.base_stream + r // 2 of
+    draw_modes under (mc.seed, purpose): one call draws the batch's
+    ceil(B/2) rows, and each weight box is synthesized once per pair.
+    grids yields, lazily and in the order of weights, one (B, G, G) stack
+    per weight box w whose even grids are modes_to_grid(alpha * w) and
+    whose odd grids are their negations, so one draw serves every modulus
+    (common random numbers).  Consume grids before advancing to the next
+    batch.
 
     Every stack is a view into one output workspace that the next stack
     overwrites: it is valid until the next stack is yielded, so copy it
     to keep it longer.
     """
     N = weights[0].shape[0] // 2
-    batch = min(mc.replicas, max(1, _BATCH_CELLS // (grid * grid)))
-    # the workspaces of the call: a spectrum whose columns beyond N stay zero
-    spec = np.zeros((batch, grid, grid // 2 + 1), dtype=complex)
+    batch = min(mc.replicas, 2 * max(1, _BATCH_CELLS // (2 * grid * grid)))
+    # the workspaces of the call: a spectrum per pair whose columns beyond
+    # N stay zero, and a grid per replica
+    spec = np.zeros(((batch + 1) // 2, grid, grid // 2 + 1), dtype=complex)
     out = np.empty((batch, grid, grid))
     halves = [w[:, N:] for w in weights]
+
+    def stacks(alpha, x):
+        for w in halves:
+            _synthesize(alpha, grid, w, spec[: len(alpha)], x[0::2])
+            np.negative(x[: len(x) - 1 : 2], out=x[1::2])
+            yield x
+
     for start in range(0, mc.replicas, batch):
         rows = min(batch, mc.replicas - start)
-        alpha = draw_modes(RngStream(mc.seed, mc.base_stream + start), rows, N, purpose)
-        yield start, (_synthesize(alpha, grid, w, spec[:rows], out[:rows]) for w in halves)
+        rng = RngStream(mc.seed, mc.base_stream + start // 2)
+        yield start, stacks(draw_modes(rng, (rows + 1) // 2, N, purpose), out[:rows])
+
+
+def pair_mean_se(values) -> tuple[float, float]:
+    """(mean, SE) of a replica array whose replicas 2j and 2j + 1 are a pair.
+
+    The mean is the plain mean of all R values.  The SE is the cluster
+    estimator over pairs, sqrt(C/(C-1)) sqrt(sum_c (S_c - n_c m)^2) / R for
+    C clusters of sums S_c and sizes n_c about the mean m, the last replica
+    of an odd R being a cluster of one; for even R it is the standard error
+    of the R/2 pair means.  It is nan for a single pair.
+    """
+    values = np.asarray(values, dtype=float)
+    R = len(values)
+    mean = float(np.mean(values))
+    firsts = np.arange(0, R, 2)
+    dev = np.add.reduceat(values, firsts) - np.minimum(2, R - firsts) * mean
+    C = len(firsts)
+    if C < 2:
+        return mean, math.nan
+    return mean, math.sqrt(C / (C - 1) * float(np.dot(dev, dev))) / R
 
 
 def evaluate_on_grid(fld: SpectralField, grid: int | None = None) -> np.ndarray:

@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .gff import MODES, VOLUME, RngStream, SpectralField, dirichlet_energy
-from .gff import free_field_partition, scaled_mode_weights
+from .gff import free_field_partition, pair_mean_se, scaled_mode_weights
 from .green import green, green_centered, theta_offset
 from .chaos import cell_constants, chaos_batches, total_mass_table
 from .modular import wrap_centered
@@ -232,9 +232,8 @@ def insertion_mass_samples(
 
 
 def inverse_power_mean(masses: np.ndarray, p: float) -> tuple[float, float]:
-    """(mean, SE) of masses^{-p} over a replica array."""
-    vals = masses ** (-p)
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+    """(mean, SE) of masses^{-p} over a replica array of antithetic pairs."""
+    return pair_mean_se(masses ** (-p))
 
 
 def partition_function(
@@ -249,7 +248,10 @@ def partition_function(
     Raises SeibergViolationSum when sum(alpha) <= 0 (the zero-mode
     integral diverges); returns an exact zero with a diagnostic when some
     alpha_i >= Q (the chaos moment vanishes in the limit), and
-    NumericError when the prefactor or the estimate is not a finite float.
+    NumericError when the estimate is not a finite float.  The prefactor
+    stays in log space, log Z^FF + C_tau + log Gamma(s/gamma)
+    - (s/gamma) log mu - log gamma, and meets the moment in one exp, so a
+    large s/gamma overflows only if the estimate itself does.
     """
     tau = complex(tau)
     ins.require_seiberg_sum()
@@ -264,20 +266,17 @@ def partition_function(
                 f"Q = {params.q:g}); partition function vanishes"
             ),
         )
-    s = ins.alpha_sum
-    p = s / params.gamma
-    try:
-        front = (
-            free_field_partition(tau)
-            * math.exp(insertion_constant(tau, ins, params.q))
-            * math.gamma(p)
-            * params.mu ** (-p)
-            / params.gamma
-        )
-    except OverflowError as exc:
-        raise NumericError(f"partition prefactor overflows at s/gamma = {p:g}") from exc
-    mean, se = inverse_power_mean(insertion_mass_samples(params, tau, ins, mc, res), p)
-    value, std_error = front * mean, front * se
+    p = ins.alpha_sum / params.gamma
+    log_front = (
+        math.log(free_field_partition(tau))
+        + insertion_constant(tau, ins, params.q)
+        + math.lgamma(p)
+        - p * math.log(params.mu)
+        - math.log(params.gamma)
+    )
+    moment = inverse_power_mean(insertion_mass_samples(params, tau, ins, mc, res), p)
+    with np.errstate(over="ignore", divide="ignore"):
+        value, std_error = (float(v) for v in np.exp(log_front + np.log(moment)))
     if not (math.isfinite(value) and math.isfinite(std_error)):
         raise NumericError(f"partition estimate {value:g} +- {std_error:g} is not finite")
     return PartitionEstimate(value=value, std_error=std_error, replicas=mc.replicas)

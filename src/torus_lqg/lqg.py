@@ -55,8 +55,8 @@ __all__ = [
 ]
 
 _KINDS = ("pure_gravity", "ising", "free_field_power")
-# candidate fields per joint sample; larger batches sharpen the
-# conditional law of the measure at linear cost
+# candidate fields per joint sample, four antithetic pairs; larger
+# batches sharpen the conditional law of the measure at linear cost
 _RESAMPLE_BATCH = 8
 
 
@@ -482,8 +482,8 @@ def joint_law_sampler(
 
     Sample k is row s = rng.stream + k: columns 0 and 1 of volume row s
     give its volume and its pick among the B = _RESAMPLE_BATCH candidate
-    fields, rows [sB, (s+1)B) of the resample purpose, by importance
-    resampling on the I^{-s/gamma} weights.
+    fields, the B/2 antithetic pairs of rows [sB/2, (s+1)B/2) of the
+    resample purpose, by importance resampling on the I^{-s/gamma} weights.
     """
     ins.require_seiberg_sum()
     taus = sample_modulus(table, count, rng)
@@ -495,7 +495,8 @@ def joint_law_sampler(
         y = float(volumes[k])
         measure = None
         if res is not None:
-            sub = MonteCarloConfig(_RESAMPLE_BATCH, rng.seed, (rng.stream + k) * _RESAMPLE_BATCH)
+            pairs = _RESAMPLE_BATCH // 2
+            sub = MonteCarloConfig(_RESAMPLE_BATCH, rng.seed, (rng.stream + k) * pairs)
             samples = list(liouville_field_law_sampler(params, tau, ins, sub, res, y, RESAMPLE))
             cdf = np.cumsum([s.weight for s in samples])
             pick = int(np.searchsorted(cdf, u[k, 1] * cdf[-1], side="right"))

@@ -1,6 +1,7 @@
 """Gaussian multiplicative chaos: normalization, pushforward, criticality."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from torus_lqg.gff import (
     RngStream,
     circle_average,
     evaluate_on_grid,
+    pair_mean_se,
     regularized_variance,
     sample_gff,
 )
@@ -117,17 +119,32 @@ def test_sampling_is_deterministic():
 
 
 def test_sample_batch_matches_manual_replica():
-    # replica r of the batch reproduces an explicitly assembled measure
+    # replica r of the batch reproduces an explicitly assembled measure: the
+    # field of row base_stream + r // 2, negated for odd r
     gamma = 1.5
     q = q_of(gamma)
     mc = MonteCarloConfig(replicas=5, seed=9, base_stream=3)
     res = FieldResolution(cutoff=6, grid_factor=4)
     eps = res.eps_for(TAU)
     masses = sample_total_masses(TAU, gamma, q, mc, res)
-    for r in (0, 4):
-        fld = circle_average(sample_gff(TAU, res.cutoff, RngStream(mc.seed, mc.base_stream + r)), eps)
+    for r in (0, 3, 4):
+        raw = sample_gff(TAU, res.cutoff, RngStream(mc.seed, mc.base_stream + r // 2))
+        fld = circle_average(replace(raw, coeffs=(-1) ** r * raw.coeffs), eps)
         manual = chaos_measure(fld, gamma, q, grid=res.grid).total_mass
         assert abs(manual - masses[r]) < 1e-12 * manual
+
+
+def test_paired_mean_mass_in_the_cusp():
+    # deep in the cusp the two replicas of a pair correlate positively, so
+    # the spread of the R values would understate the error; the mean
+    # still lies within 3 pair standard errors of the exact expectation
+    tau, gamma = 8j, 1.0
+    q = q_of(gamma)
+    mc = MonteCarloConfig(replicas=2000, seed=21)
+    masses = sample_total_masses(tau, gamma, q, mc, FieldResolution(cutoff=8))
+    assert np.corrcoef(masses[0::2], masses[1::2])[0, 1] > 0
+    mean, se = pair_mean_se(masses)
+    assert abs(mean - expected_total_mass(tau, gamma, q)) < 3.0 * se
 
 
 def test_max_cell_fraction_decreases_under_refinement():

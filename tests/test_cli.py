@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line entry point, in process."""
 
 import json
+import math
 import warnings
 
 import pytest
@@ -139,9 +140,6 @@ def test_numeric_failure_exits_2(tmp_path, capsys):
          "--cutoff", "4"],
         # alpha = 3 >= Q = 2.5 makes the covariance ratio 0/0
         ["lqft", "check-modular", "--alpha", "3", "--replicas", "4", "--cutoff", "4"],
-        # Gamma(s/gamma) = Gamma(180) overflows a float
-        ["lqft", "partition", "--tau", "0,1", "--gamma", "0.1",
-         "--insertions", "0.2,0.3,9;0.7,0.6,9"],
         # sin((2n+1)*pi*z) overflows before its tiny coefficient damps it
         ["special-fn", "eval", "--fn", "theta1", "--tau", "0,1", "--z", "0,200"],
         ["green", "eval", "--tau", "0,100", "--x", "0.3,0.9"],
@@ -169,6 +167,19 @@ def test_numeric_failure_exits_2(tmp_path, capsys):
     assert err == (
         "numeric failure: theta series needs more than 200000 terms for tolerance 1e-12\n"
     )
+
+
+def test_partition_with_a_huge_prefactor_exits_0(capsys):
+    # Gamma(s/gamma) = Gamma(180) alone overflows a float; the estimate,
+    # near 1e266, does not, and the prefactor stays in log space
+    code, out, err = run(
+        capsys, "lqft", "partition", "--tau", "0,1", "--gamma", "0.1",
+        "--insertions", "0.2,0.3,9;0.7,0.6,9",
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    assert 1e250 < doc["value"] < math.inf
+    assert 0 < doc["std_error"] < doc["value"]
 
 
 def test_eta_in_the_cusp_exits_0(capsys):
@@ -238,6 +249,18 @@ def test_gmc_sample_csv_deterministic(tmp_path, capsys):
     assert "replica,total_mass" in ta
     assert len([ln for ln in ta.splitlines() if not ln.startswith("#")]) == 9
     assert strip_duration(ta) == strip_duration(tb)
+
+
+def test_gmc_sample_csv_names_its_pairs(tmp_path, capsys):
+    # an odd replica count ends on a lone replica and reruns bit for bit
+    out = tmp_path / "masses.csv"
+    args = ["gmc", "sample", "--tau", "0,1", "--replicas", "7", "--cutoff", "8", "--out", str(out)]
+    assert run(capsys, *args)[0] == 0
+    ta = out.read_text()
+    assert run(capsys, *args)[0] == 0
+    assert strip_duration(ta) == strip_duration(out.read_text())
+    assert "# pairs: rows 2j and 2j+1 are an antithetic pair" in ta
+    assert len([ln for ln in ta.splitlines() if not ln.startswith("#")]) == 8
 
 
 def test_config_file_defaults_yield_to_flags(tmp_path, capsys):

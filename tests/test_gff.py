@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import j0, ndtri
 
 from torus_lqg import gff
+from torus_lqg.chaos import chaos_batches
 from torus_lqg.config import MonteCarloConfig
 from torus_lqg.errors import IndexOutOfCutoff, ValidationError
 from torus_lqg.gff import (
@@ -28,6 +29,7 @@ from torus_lqg.gff import (
     evaluate_on_grid,
     free_field_partition,
     modes_to_grid,
+    pair_mean_se,
     regularized_variance,
     replica_grids,
     sample_gff,
@@ -346,19 +348,21 @@ def test_replica_engine_matches_per_replica_reference(
     grid = grid_factor * (cutoff + 1)
     mc = MonteCarloConfig(replicas=replicas, seed=SEED, base_stream=base_stream)
     weights = scaled_mode_weights(TAU, cutoff, 0.1)
-    # shrink the cell budget to `batch` replicas per batch so runs cross
-    # batch boundaries at every grid size
+    # shrink the cell budget to `batch` grids, rounded down to whole pairs
+    # (at least one) per batch, so runs cross batch boundaries at every
+    # grid size
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gff, "_BATCH_CELLS", batch * grid * grid)
         grids = engine_grids(weights, grid, mc)
+    # replica r is the field of row base_stream + r // 2, negated for odd r
     r = data.draw(st.integers(0, replicas - 1))
-    alone = modes_to_grid(
-        draw_modes(RngStream(SEED, base_stream + r), 1, cutoff)[0] * weights[:, cutoff:], grid
-    )
+    alpha = (-1) ** r * draw_modes(RngStream(SEED, base_stream + r // 2), 1, cutoff)[0]
+    alone = modes_to_grid(alpha * weights[:, cutoff:], grid)
     assert grids.shape == (replicas, grid, grid)
     mult = bessel_multiplier(TAU, cutoff, 0.1)
     for k in range(replicas):
-        box = sample_gff(TAU, cutoff, RngStream(SEED, base_stream + k)).coeffs * mult
+        row = sample_gff(TAU, cutoff, RngStream(SEED, base_stream + k // 2))
+        box = (-1) ** k * row.coeffs * mult
         want = reference_grid(box, grid)
         scale = np.max(np.abs(want))
         assert np.max(np.abs(grids[k] - want)) <= 1e-12 * scale
@@ -416,26 +420,88 @@ def test_replica_engine_is_bit_identical_to_irfft2(
         scaled_mode_weights(tau, cutoff, eps)
         for tau, eps in ((TAU, 0.1), (1j, 0.0), (-0.4 + 0.9j, 0.05))[:boxes]
     ]
+    # a batch is a whole number of pairs, at least one, within the budget
+    size = 2 * max(1, batch // 2)
     starts = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gff, "_BATCH_CELLS", batch * grid * grid)
         for start, grids in replica_grids(weights, grid, mc, purpose):
             starts.append(start)
-            rows = min(batch, replicas - start)
-            alpha = draw_modes(RngStream(SEED, base_stream + start), rows, cutoff, purpose)
-            want = reference_modes(RngStream(SEED, base_stream + start), rows, cutoff, purpose)
+            rows = min(size, replicas - start)
+            # the even replicas start, start + 2, ... are rows start / 2, ...
+            rng = RngStream(SEED, base_stream + start // 2)
+            alpha = draw_modes(rng, (rows + 1) // 2, cutoff, purpose)
+            want = reference_modes(rng, (rows + 1) // 2, cutoff, purpose)
             assert alpha.tobytes() == want.tobytes()
             for w, xs in zip(weights, grids, strict=True):
                 ref = irfft2_stack(alpha, w, grid)
                 assert xs.shape == (rows, grid, grid)
-                assert xs.tobytes() == ref.tobytes()
+                assert xs[0::2].tobytes() == ref.tobytes()
                 assert modes_to_grid(alpha * w[:, cutoff:], grid).tobytes() == ref.tobytes()
-    assert starts == list(range(0, replicas, batch))
+    assert starts == list(range(0, replicas, size))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cutoff=st.integers(1, 10),
+    grid_factor=st.integers(2, 5),
+    shave=st.integers(0, 1),
+    boxes=st.integers(2, 3),
+    batch=st.integers(1, 5),
+    replicas=st.integers(2, 13),
+    base_stream=st.integers(0, 2**40),
+)
+def test_replica_pairs_are_negated_rows(
+    cutoff, grid_factor, shave, boxes, batch, replicas, base_stream
+):
+    # grid 2j + 1 is exactly -grid 2j, grid 2j is the scatter-plus-irfft2
+    # synthesis of row base_stream + j drawn alone, and the chaos cells of
+    # an odd grid, a division in place of an exp, sum to exp(-gamma X + offset)
+    grid = grid_factor * (cutoff + 1) - shave
+    mc = MonteCarloConfig(replicas=replicas, seed=SEED, base_stream=base_stream)
+    gamma, offset = 1.3, -0.7
+    weights = [
+        scaled_mode_weights(tau, cutoff, eps)
+        for tau, eps in ((TAU, 0.1), (1j, 0.0), (-0.4 + 0.9j, 0.05))[:boxes]
+    ]
+    points = [(w, 1.0, offset, None) for w in weights]
+    seen = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gff, "_BATCH_CELLS", batch * grid * grid)
+        for start, stacks in chaos_batches(points, gamma, grid, mc):
+            for w, (xs, _, masses) in zip(weights, stacks, strict=True):
+                rows = len(xs)
+                assert xs[1::2].tobytes() == np.negative(xs[: rows - 1 : 2]).tobytes()
+                for k in range(0, rows, 2):
+                    rng = RngStream(SEED, base_stream + (start + k) // 2)
+                    ref = irfft2_stack(reference_modes(rng, 1, cutoff, MODES), w, grid)
+                    assert xs[k].tobytes() == ref[0].tobytes()
+                for k in range(1, rows, 2):
+                    direct = np.exp(-gamma * xs[k - 1] + offset).sum()
+                    assert abs(masses[k] - direct) <= 1e-12 * direct
+            seen += rows
+    assert seen == replicas
+
+
+def test_pair_mean_se():
+    values = np.random.default_rng(5).lognormal(size=12)
+    mean, se = pair_mean_se(values)
+    pairs = values.reshape(6, 2).mean(axis=1)
+    assert mean == np.mean(values)
+    assert math.isclose(se, np.std(pairs, ddof=1) / math.sqrt(6), rel_tol=1e-13)
+    # odd R: the last replica is a cluster of one
+    mean, se = pair_mean_se(values[:11])
+    m = np.mean(values[:11])
+    dev = np.append(values[:10].reshape(5, 2).sum(axis=1) - 2 * m, values[10] - m)
+    assert mean == m
+    assert math.isclose(se, math.sqrt(6 / 5 * np.sum(dev**2)) / 11, rel_tol=1e-13)
+    # one pair carries no error estimate
+    assert math.isnan(pair_mean_se(values[:2])[1])
 
 
 def test_replica_batches_follow_cell_budget():
-    # 2^16 cells per batch: 50 replicas at G = 36, one at G = 260
-    for grid, size in ((36, 50), (260, 1)):
+    # 2^16 cells per batch in whole pairs: 50 replicas at G = 36, one pair at G = 260
+    for grid, size in ((36, 50), (260, 2)):
         mc = MonteCarloConfig(replicas=size + 1, seed=SEED)
         weights = scaled_mode_weights(TAU, grid // 4 - 1)
         sizes = [len(next(grids)) for _, grids in replica_grids([weights], grid, mc)]

@@ -16,7 +16,8 @@ from torus_lqg.errors import (
     SingularPoint,
     ValidationError,
 )
-from torus_lqg.gff import build_log_conformal_factor, LogConformalFactor, SpectralField
+from torus_lqg.gff import build_log_conformal_factor, free_field_partition
+from torus_lqg.gff import LogConformalFactor, SpectralField
 from torus_lqg.green import green, green_log_subtracted, theta_offset
 from torus_lqg.lqft import (
     Insertion,
@@ -146,6 +147,25 @@ def test_partition_positive_estimate():
     assert est.replicas == MC_SMALL.replicas
     assert est.diagnostic is None
     assert est.std_error < 0.05 * est.value
+
+
+def test_partition_prefactor_in_log_space():
+    # where the direct product Z^FF e^C Gamma(p) mu^-p / gamma is finite,
+    # the log-space prefactor agrees with it
+    params = LQFTParams(gamma=1.3, mu=1.7)
+    p = TWO_POINTS.alpha_sum / params.gamma
+    est = partition_function(params, TAU, TWO_POINTS, MC_SMALL, RES_SMALL)
+    masses = insertion_mass_samples(params, TAU, TWO_POINTS, MC_SMALL, RES_SMALL)
+    mean, se = inverse_power_mean(masses, p)
+    front = (
+        free_field_partition(TAU)
+        * math.exp(insertion_constant(TAU, TWO_POINTS, params.q))
+        * math.gamma(p)
+        * params.mu ** (-p)
+        / params.gamma
+    )
+    assert math.isclose(est.value, front * mean, rel_tol=1e-13)
+    assert math.isclose(est.std_error, front * se, rel_tol=1e-13)
 
 
 def test_mass_samples_deterministic():
