@@ -111,14 +111,6 @@ def _json_safe(v):
     return str(v)
 
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (np.floating,)):
-        return repr(float(v))
-    return str(v)
-
-
 _SKIP_IN_CONFIG = {"group", "cmd", "config", "out", "data", "func"}
 
 
@@ -138,17 +130,33 @@ def _provenance(args, argv, t0: float) -> dict:
     }
 
 
-def _render(kind: str, result, record: dict) -> str:
-    """Output text of a handler's result, by the subcommand's kind.
+_BLOCK_ROWS = 4096
 
-    `text`: the report as is; `json`: a payload dict; `csv`: (columns,
-    rows, *extra header lines); `svg`: a builder that takes the header
-    lines.
+
+def _cells(column: np.ndarray) -> list[str]:
+    """The CSV cells of a column: `str` of an integer, `repr` of a float64, each
+    distinct float64 bit pattern formatted once (so -0.0 stays apart from 0.0)."""
+    if column.dtype.kind in "iu":
+        return list(map(str, column.tolist()))
+    column = np.asarray(column, dtype=np.float64)
+    bits = column.view(np.int64).tolist()
+    text = {b: repr(v) for b, v in dict(zip(bits, column.tolist())).items()}
+    return list(map(text.__getitem__, bits))
+
+
+def _render(kind: str, result, record: dict):
+    """The output text of a handler's result, as pieces, by the subcommand's kind.
+
+    `text`: the report as is; `json`: a payload dict; `svg`: a builder
+    that takes the header lines; each is one piece, rendered here.
+    `csv`: (columns, data, *extra header lines) with one 1-d array per
+    column in data, yielded by `_csv_pieces` as the header, then rows in
+    blocks of _BLOCK_ROWS; a cell is `repr` of a float64, `str` of an integer.
     """
     if kind == "text":
-        return result
+        return [result]
     if kind == "json":
-        return json.dumps({"meta": record, **result}, sort_keys=True, indent=2) + "\n"
+        return [json.dumps({"meta": record, **result}, sort_keys=True, indent=2) + "\n"]
     header = [
         f"torus-lqg {record['version']}",
         f"command: {record['command']}",
@@ -157,22 +165,32 @@ def _render(kind: str, result, record: dict) -> str:
         f"duration_s: {record['duration_s']:.3f}",
     ]
     if kind == "svg":
-        return result(header)
-    columns, rows, *notes = result
-    lines = [f"# {h}" for h in header + notes]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+        return [result(header)]
+    columns, data, *notes = result
+    return _csv_pieces([f"# {h}" for h in header + notes] + [",".join(columns)], data)
+
+
+def _csv_pieces(head: list[str], data):
+    """Yield the head lines, then the rows in blocks of _BLOCK_ROWS, formatted lazily."""
+    data = [np.asarray(c) for c in data]
+    yield "\n".join(head) + "\n"
+    for start in range(0, len(data[0]), _BLOCK_ROWS):
+        cells = [_cells(c[start : start + _BLOCK_ROWS]) for c in data]
+        yield "\n".join(map(",".join, zip(*cells, strict=True))) + "\n"
 
 
 def _write(args, argv, t0: float, result) -> None:
-    """The one output path: render a handler's result, write it to --out or stdout."""
-    text = _render(args._kind, result, _provenance(args, argv, t0))
+    """The one output path: render a handler's result, write it to --out or stdout.
+
+    A CSV is written block by block as `_render` formats it, so no string of
+    the whole file is built; a cell is `repr` of a float64, `str` of an integer.
+    """
+    pieces = _render(args._kind, result, _provenance(args, argv, t0))
     if getattr(args, "out", None):
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 # ---------------------------------------------------------------- handlers
@@ -219,12 +237,7 @@ def _cmd_green_table(args, write):
     u = (np.arange(g) + 0.5) / g
     x1, x2 = np.meshgrid(u, u, indexing="ij")
     vals = green(args.tau, (x1, x2))
-    rows = [
-        (float(x1[i, j]), float(x2[i, j]), float(vals[i, j]))
-        for i in range(g)
-        for j in range(g)
-    ]
-    write((["x1", "x2", "green"], rows))
+    write((["x1", "x2", "green"], [x1.ravel(), x2.ravel(), vals.ravel()]))
     return 0
 
 
@@ -232,10 +245,8 @@ def _cmd_gff_sample(args, write):
     fld = sample_gff(args.tau, args.cutoff, RngStream(args.seed, args.stream))
     vals = evaluate_on_grid(fld, args.grid)
     g = vals.shape[0]
-    rows = [
-        (i, j, i / g, j / g, float(vals[i, j])) for i in range(g) for j in range(g)
-    ]
-    write((["i", "j", "x1", "x2", "value"], rows))
+    i, j = np.indices(vals.shape).reshape(2, -1)
+    write((["i", "j", "x1", "x2", "value"], [i, j, i / g, j / g, vals.ravel()]))
     return 0
 
 
@@ -251,8 +262,7 @@ def _cmd_gmc_sample(args, write):
     res = FieldResolution(args.cutoff, args.grid_factor, eps=args.eps)
     mc = MonteCarloConfig(replicas=args.replicas, seed=args.seed)
     masses = sample_total_masses(args.tau, gamma, q, mc, res, critical=args.critical)
-    rows = [(r, float(m)) for r, m in enumerate(masses)]
-    write((["replica", "total_mass"], rows, _PAIRS))
+    write((["replica", "total_mass"], [np.arange(len(masses)), masses], _PAIRS))
     return 0
 
 
@@ -328,33 +338,19 @@ def _build_table(args):
 
 def _cmd_lqg_density(args, write):
     _, _, table = _build_table(args)
-    rows = []
-    re_c, im_c = table.re_centers, table.im_centers
-    for a in range(len(re_c)):
-        for b in range(len(im_c)):
-            if table.density[a, b] > 0:
-                rows.append(
-                    (
-                        float(re_c[a]),
-                        float(im_c[b]),
-                        float(table.density[a, b]),
-                        float(table.std_error[a, b]),
-                    )
-                )
-    write((["re_tau", "im_tau", "density", "std_error"], rows))
+    a, b = np.nonzero(table.density > 0)
+    data = [table.re_centers[a], table.im_centers[b], table.density[a, b], table.std_error[a, b]]
+    write((["re_tau", "im_tau", "density", "std_error"], data))
     return 0
 
 
 def _cmd_lqg_sample_joint(args, write):
-    matter = args.matter
     params, ins, table = _build_table(args)
-    rows = []
-    sampler = joint_law_sampler(
-        matter, params, ins, table, args.samples, RngStream(args.seed, 1)
-    )
-    for k, smp in enumerate(sampler):
-        rows.append((k, smp.tau.real, smp.tau.imag, smp.volume))
-    write((["sample", "re_tau", "im_tau", "volume"], rows))
+    rng = RngStream(args.seed, 1)
+    smps = list(joint_law_sampler(args.matter, params, ins, table, args.samples, rng))
+    tau = np.array([smp.tau for smp in smps], dtype=complex)
+    data = [np.arange(len(smps)), tau.real, tau.imag, [smp.volume for smp in smps]]
+    write((["sample", "re_tau", "im_tau", "volume"], data))
     return 0
 
 

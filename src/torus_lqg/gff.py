@@ -317,16 +317,19 @@ def pair_mean_se(values) -> tuple[float, float]:
     estimator over pairs, sqrt(C/(C-1)) sqrt(sum_c (S_c - n_c m)^2) / R for
     C clusters of sums S_c and sizes n_c about the mean m, the last replica
     of an odd R being a cluster of one; for even R it is the standard error
-    of the R/2 pair means.  It is nan for a single pair.
+    of the R/2 pair means.  Raises ValidationError below two clusters
+    (R < 3), where no SE exists.
     """
     values = np.asarray(values, dtype=float)
     R = len(values)
+    if R < 3:
+        raise ValidationError(
+            f"a standard error needs at least two pairs, 3 replicas; got {R}"
+        )
     mean = float(np.mean(values))
     firsts = np.arange(0, R, 2)
     dev = np.add.reduceat(values, firsts) - np.minimum(2, R - firsts) * mean
     C = len(firsts)
-    if C < 2:
-        return mean, math.nan
     return mean, math.sqrt(C / (C - 1) * float(np.dot(dev, dev))) / R
 
 

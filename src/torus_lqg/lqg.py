@@ -205,7 +205,8 @@ def _negative_moments(params, taus, ins, mc, res, cache):
                 mc.base_stream,
             )
             hit = cache.get(keys[i])
-            if hit is not None:
+            # a nan SE marks a one-pair record of an older version: recompute, so it is refused
+            if hit is not None and math.isfinite(float(hit["std_error"])):
                 found[i] = (float(hit["moment"]), float(hit["std_error"]))
     missing = [i for i, f in enumerate(found) if f is None]
     if not missing:

@@ -3,13 +3,28 @@
 import json
 import math
 import warnings
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import torus_lqg.cli as cli
 from torus_lqg import __version__
+from torus_lqg.chaos import sample_total_masses
 from torus_lqg.checks import CheckResult
+from torus_lqg.config import FieldResolution, MonteCarloConfig
+from torus_lqg.gff import RngStream, evaluate_on_grid, sample_gff
 from torus_lqg.green import green
+from torus_lqg.lqft import LQFTParams
+from torus_lqg.lqg import (
+    MatterCFT,
+    build_density_table,
+    joint_law_sampler,
+    params_from_matter,
+    template_from_matter,
+)
 from torus_lqg.special import dedekind_eta
 
 
@@ -109,6 +124,12 @@ def test_validation_error_exits_1(tmp_path, capsys):
                                (["--im-cells", "-2"], "cell counts"),
                                (["--re-cells", "0"], "cell counts"),
                                (["--tail-tol", "0"], "tail_tol"))),
+        # one antithetic pair gives no standard error
+        (["lqg", "modulus-density", "--matter", "pure", "--cutoff", "8", "--replicas", "2",
+          "--no-cache", "--out", str(out)], "two pairs"),
+        (["lqft", "partition", "--tau", "0,1", "--gamma", "1", "--insertions", "0.2,0.3,0.8",
+          "--replicas", "2", "--cutoff", "4"], "two pairs"),
+        (["lqft", "check-kpz", "--replicas", "2", "--cutoff", "4"], "two pairs"),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 1
@@ -261,6 +282,133 @@ def test_gmc_sample_csv_names_its_pairs(tmp_path, capsys):
     assert strip_duration(ta) == strip_duration(out.read_text())
     assert "# pairs: rows 2j and 2j+1 are an antithetic pair" in ta
     assert len([ln for ln in ta.splitlines() if not ln.startswith("#")]) == 8
+
+
+def test_gmc_sample_of_one_pair_is_valid(tmp_path, capsys):
+    # gmc sample reports masses, not a standard error, so one pair is enough
+    out = tmp_path / "two.csv"
+    args = ["gmc", "sample", "--tau", "0,1", "--replicas", "2", "--cutoff", "8", "--out", str(out)]
+    assert run(capsys, *args)[0] == 0
+    assert len([ln for ln in out.read_text().splitlines() if not ln.startswith("#")]) == 3
+
+
+def oracle_fmt_cell(v) -> str:
+    if isinstance(v, float):
+        return repr(v)
+    if isinstance(v, (np.floating,)):
+        return repr(float(v))
+    return str(v)
+
+
+def oracle_body(columns, rows) -> list[str]:
+    """The row-wise CSV body the writer once built: the column line, one line per row."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(oracle_fmt_cell(v) for v in row))
+    return lines
+
+
+def csv_parts(path) -> tuple[list[str], list[str]]:
+    """(header lines, body lines) of a CLI CSV, which ends in one newline."""
+    text = path.read_text()
+    assert text.endswith("\n")
+    lines = text.split("\n")[:-1]
+    header = [ln for ln in lines if ln.startswith("#")]
+    return header, lines[len(header):]
+
+
+@pytest.mark.parametrize("grid", (64, 65))
+def test_green_table_matches_row_oracle(tmp_path, capsys, grid):
+    # 64^2 rows fill one row block exactly, 65^2 spill into a second
+    out = tmp_path / "g.csv"
+    code, _, err = run(capsys, "green", "table", "--tau", "0.3,1.2", "--grid", str(grid),
+                       "--out", str(out))
+    assert code == 0, err
+    u = (np.arange(grid) + 0.5) / grid
+    x1, x2 = np.meshgrid(u, u, indexing="ij")
+    vals = green(0.3 + 1.2j, (x1, x2))
+    rows = [(float(x1[i, j]), float(x2[i, j]), float(vals[i, j]))
+            for i in range(grid) for j in range(grid)]
+    assert (grid * grid > cli._BLOCK_ROWS) == (grid == 65)
+    assert csv_parts(out)[1] == oracle_body(["x1", "x2", "green"], rows)
+
+
+def test_sampled_csvs_match_row_oracle(tmp_path, capsys):
+    # gff sample at G = 84 has 7056 rows, two row blocks
+    assert 84 * 84 > cli._BLOCK_ROWS
+    out = tmp_path / "f.csv"
+    argv = ["gff", "sample", "--tau", "0.2,1.1", "--cutoff", "20", "--grid", "84", "--seed", "3",
+            "--stream", "2", "--out", str(out)]
+    assert run(capsys, *argv)[0] == 0
+    vals = evaluate_on_grid(sample_gff(0.2 + 1.1j, 20, RngStream(3, 2)), 84)
+    g = vals.shape[0]
+    rows = [(i, j, i / g, j / g, float(vals[i, j])) for i in range(g) for j in range(g)]
+    assert csv_parts(out)[1] == oracle_body(["i", "j", "x1", "x2", "value"], rows)
+
+    argv = ["gmc", "sample", "--tau", "0,1", "--replicas", "7", "--cutoff", "8", "--seed", "3",
+            "--out", str(out)]
+    assert run(capsys, *argv)[0] == 0
+    masses = sample_total_masses(1j, 1.0, LQFTParams(1.0).q, MonteCarloConfig(7, 3),
+                                 FieldResolution(8, 4))
+    header, body = csv_parts(out)
+    assert header[-1] == f"# {cli._PAIRS}"
+    assert body == oracle_body(["replica", "total_mass"],
+                               [(r, float(m)) for r, m in enumerate(masses)])
+
+
+def test_lqg_csvs_match_row_oracle(tmp_path, capsys):
+    flags = ["--matter", "pure", "--t-max", "12", "--cutoff", "8", "--replicas", "16",
+             "--seed", "2", "--no-cache"]
+    matter = MatterCFT.pure_gravity()
+    params = params_from_matter(matter, mu=1.0)
+    ins = template_from_matter(matter, params, [(0.0, 0.0)])
+    table = build_density_table(matter, params, ins, MonteCarloConfig(16, 2),
+                                FieldResolution(8, 4), re_cells=12, im_cells=12, t_max=12.0,
+                                tail_tol=1e-3)
+    out = tmp_path / "d.csv"
+    assert run(capsys, "lqg", "modulus-density", *flags, "--out", str(out))[0] == 0
+    re_c, im_c = table.re_centers, table.im_centers
+    rows = [(float(re_c[a]), float(im_c[b]), float(table.density[a, b]),
+             float(table.std_error[a, b]))
+            for a in range(len(re_c)) for b in range(len(im_c)) if table.density[a, b] > 0]
+    assert csv_parts(out)[1] == oracle_body(["re_tau", "im_tau", "density", "std_error"], rows)
+
+    assert run(capsys, "lqg", "sample-joint", *flags, "--samples", "50", "--out", str(out))[0] == 0
+    sampler = joint_law_sampler(matter, params, ins, table, 50, RngStream(2, 1))
+    rows = [(k, smp.tau.real, smp.tau.imag, smp.volume) for k, smp in enumerate(sampler)]
+    assert csv_parts(out)[1] == oracle_body(["sample", "re_tau", "im_tau", "volume"], rows)
+
+
+RECORD = {"version": __version__, "command": "c", "config": {}, "seed": 0, "duration_s": 0.0}
+
+
+@st.composite
+def csv_columns(draw):
+    """A float64 column drawn from a small pool of bit patterns, so values repeat, and an
+    int64 column of the same length."""
+    special = st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e-5])
+    bits = st.one_of(st.integers(-2**63, 2**63 - 1),
+                     special.map(lambda v: int(np.float64(v).view(np.int64))))
+    pool = np.array(draw(st.lists(bits, min_size=1, max_size=6)), dtype=np.int64)
+    n = draw(st.integers(0, 40))
+    pick = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    ints = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n))
+    return pool[pick].view(np.float64), np.array(ints, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cols=csv_columns(), block=st.integers(1, 7))
+@example(cols=(np.array([], dtype=float), np.array([], dtype=np.int64)), block=4096)
+def test_csv_cells_are_repr_and_str(cols, block):
+    floats, ints = cols
+    with mock.patch.object(cli, "_BLOCK_ROWS", block):
+        text = "".join(cli._render("csv", (["x", "n"], [floats, ints], "note"), RECORD))
+    lines = text.split("\n")
+    assert lines[5:7] == ["# note", "x,n"] and lines[-1] == ""
+    body = lines[7:-1]
+    assert len(body) == len(floats)
+    for line, v, k in zip(body, floats, ints):
+        assert line == f"{float(v)!r},{int(k)}"
 
 
 def test_config_file_defaults_yield_to_flags(tmp_path, capsys):

@@ -495,8 +495,10 @@ def test_pair_mean_se():
     dev = np.append(values[:10].reshape(5, 2).sum(axis=1) - 2 * m, values[10] - m)
     assert mean == m
     assert math.isclose(se, math.sqrt(6 / 5 * np.sum(dev**2)) / 11, rel_tol=1e-13)
-    # one pair carries no error estimate
-    assert math.isnan(pair_mean_se(values[:2])[1])
+    # one pair, or a lone replica, carries no error estimate
+    for n in (1, 2):
+        with pytest.raises(ValidationError, match="at least two pairs"):
+            pair_mean_se(values[:n])
 
 
 def test_replica_batches_follow_cell_budget():

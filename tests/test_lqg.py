@@ -191,6 +191,19 @@ def test_negative_moment_cache_roundtrip(tmp_path):
     assert rec["moment"] == a[0]
 
 
+def test_cached_one_pair_moment_is_not_served(tmp_path):
+    # older versions stored one pair's moment with a nan SE; it must not
+    # stand in for the refusal pair_mean_se now gives
+    matter, params, ins = pure_setup()
+    two = MonteCarloConfig(replicas=2, seed=MC.seed)
+    cache = MomentCache(tmp_path)
+    key = moment_key(TAU, params.gamma, ins.insertions, RES.cutoff, RES.grid_factor,
+                     RES.eps_for(TAU), 2, MC.seed, MC.base_stream)
+    cache.put(key, {"moment": 1.0, "std_error": math.nan, "replicas": 2})
+    with pytest.raises(ValidationError, match="two pairs"):
+        negative_moment(params, TAU, ins, two, RES, cache=cache)
+
+
 def test_cache_key_carries_sampler_version(tmp_path, monkeypatch):
     matter, params, ins = pure_setup()
     args = (TAU, params.gamma, ins.insertions, 8, 4, 0.05, 100, 0, 0)
