@@ -34,8 +34,10 @@ __all__ = ["MomentCache", "SAMPLER_VERSION", "default_cache_dir", "moment_key"]
 # (inverse-CDF normals on the half lattice), which moves every replica;
 # version 5 pairs the replicas antithetically, replica r being (-1)^r times
 # row r // 2, and takes standard errors from pair means, which moves every
-# moment and every standard error.
-SAMPLER_VERSION = 5
+# moment and every standard error; version 6 evaluates H on the grid as
+# one separable theta1 product per insertion and sums theta1 in log space,
+# which moves H, and every moment tilted by it, at the 1e-14 level.
+SAMPLER_VERSION = 6
 
 
 def default_cache_dir() -> Path:

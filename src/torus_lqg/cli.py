@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from functools import partial
@@ -44,7 +45,12 @@ from .svg import render_heatmap, render_line
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1 (not argparse's default 2) per the CLI contract."""
+    """Usage errors exit 1 (not argparse's default 2) per the CLI contract.
+    A word that starts like a negative number (`--tau -0.4,0.9`) is a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -9,6 +9,10 @@ independent so they can cross-check each other:
             exponentially convergent log corrections, one step before the
             resummation into theta1.
 
+On a product grid the closed route is separable (green_grid): theta1 is
+one complex matrix product of x1 factors and x2 factors, and only points
+within _NODE of the lattice point take the pointwise theta1_over_z route.
+
 G integrates to zero against d(lambda_tau) = Im(tau) dx and has the
 short-distance behaviour G(x) = -ln|p_tau(x)| + Theta(tau) + o(1) with
 Theta(tau) = -ln(2*pi) - 2*ln|eta(tau)|.  The eigen route converges only
@@ -23,14 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence, SingularPoint, ValidationError
+from .errors import NonConvergence, NumericError, SingularPoint, ValidationError
 from .modular import c_tau, p_tau, wrap_centered, wrap_unit
-from .special import _term_count, dedekind_eta, theta1, theta1_over_z
+from .special import _term_count, _theta_cut, _theta_log_terms, dedekind_eta, theta1, theta1_over_z
 
 __all__ = [
     "GreenEvalConfig",
     "green",
     "green_centered",
+    "green_grid",
     "green_log_subtracted",
     "green_mean_zero",
     "green_regularized",
@@ -40,6 +45,7 @@ __all__ = [
 ]
 
 _SINGULAR_TOL = 1e-13
+_NODE = 1e-2  # |p| below which green_grid's difference of exps loses digits
 _CIRCLE_POINTS = 48  # trapezoid nodes per circle in green_regularized
 
 
@@ -94,14 +100,13 @@ def _check_singular(tau, x1, x2):
         raise SingularPoint(f"green function diverges at the lattice point, x=({x1}, {x2})")
 
 
-def green_centered(tau: complex, x1c, x2c, cap: float | None = None):
+def green_centered(tau: complex, x1c, x2c):
     """G at centered coordinates x~ in [-1/2, 1/2)^2, one route per point.
 
     Points with |p_tau(x~)| below a quarter of the shortest lattice vector
     take green_log_subtracted - ln|p|, which stays stable near 0; the rest
     take the closed form at the unit-square representative.  Each route
-    sees only its own points and runs only when it has some.  With cap,
-    -ln|p| is frozen at -ln(cap) on near points closer than cap.  Lattice
+    sees only its own points and runs only when it has some.  Lattice
     points are not rejected here.
     """
     tau = complex(tau)
@@ -110,10 +115,57 @@ def green_centered(tau: complex, x1c, x2c, cap: float | None = None):
     near = az < 0.25 * min_lattice_distance(tau)
     out = np.empty(az.shape)
     if near.any():
-        r = az[near] if cap is None else np.maximum(az[near], cap)
-        out[near] = green_log_subtracted(tau, x1c[near], x2c[near]) - np.log(r)
+        out[near] = green_log_subtracted(tau, x1c[near], x2c[near]) - np.log(az[near])
     if not near.all():
         out[~near] = _far_route(tau, x1c[~near], x2c[~near])
+    return out
+
+
+def green_grid(tau: complex, x1c, x2c, cap: float):
+    """G on the product grid (x1c[a], x2c[b]) of centered coordinates in
+    [-1/2, 1/2), with -ln|p| frozen at -ln(cap) on near points closer than
+    cap.  Lattice points are not rejected.
+
+    The routes are green_centered's: pi*Im(tau)*x2^2 - ln|theta1(z)/eta|
+    at the unit-square representative, and on near points the same at the
+    centered one plus ln|p| - ln max(|p|, cap), so each point sums the
+    terms green_centered sums.  With z = x1 + tau*x2 each theta1 term is
+
+        e^(l_n +- i*w_n*z) = e^(+- i*w_n*x1) * e^(l_n +- i*w_n*tau*x2),
+
+    so theta1 is one (len(x1c), 2n) x (2n, columns) complex product over
+    the unit columns and the centered columns that hold near points, each
+    column zero past its own term count.  Within _NODE of 0 the difference
+    of exps cancels to a few digits: those points take theta1_over_z.
+    """
+    tau = complex(tau)
+    x1c, x2c = np.asarray(x1c, dtype=float), np.asarray(x2c, dtype=float)
+    r = 0.25 * min_lattice_distance(tau)
+    cols = np.flatnonzero(tau.imag * np.abs(x2c) < r)
+    az = np.hypot(np.add.outer(x1c, tau.real * x2c[cols]), tau.imag * x2c[cols])
+    i, k = np.nonzero(az < r)
+    az = az[i, k]
+    x2 = np.concatenate((wrap_unit(x2c), x2c[cols]))
+    log_eta = math.log(abs(dedekind_eta(tau)))
+    n_cut = _theta_cut(tau, tau.imag * np.abs(x2))
+    w, log_c = _theta_log_terms(tau, n_cut.max(initial=1))
+    live = np.arange(w.size)[:, None] < n_cut
+    iwt = 1j * np.outer(w, tau * x2)
+    phase = np.exp(1j * np.outer(x1c, w))
+    with np.errstate(all="ignore"):
+        plus = np.where(live, np.exp(log_c[:, None] + iwt), 0.0)
+        minus = np.where(live, np.exp(log_c[:, None] - iwt), 0.0)
+        out = np.abs(np.hstack((phase, -phase.conj())) @ np.vstack((plus, minus)))
+        np.log(out, out=out)
+        np.subtract(np.pi * tau.imag * x2 * x2 + log_eta, out, out=out)
+        out[i, cols[k]] = out[i, x2c.size + k] + np.log(az) - np.log(np.maximum(az, cap))
+    node = az < _NODE
+    i, j = i[node], cols[k[node]]
+    ratio = np.abs(theta1_over_z(x1c[i] + tau * x2c[j], tau))
+    out[i, j] = np.pi * tau.imag * x2c[j] ** 2 + log_eta - np.log(ratio * np.maximum(az[node], cap))
+    out = out[:, : x2c.size]
+    if not np.all(np.isfinite(out)):
+        raise NumericError(f"Green function grid is not finite at tau = {tau}")
     return out
 
 

@@ -15,7 +15,9 @@ checks downstream exploit.
 
 On the sampling grid H is regularized at the chaos scale: the log
 divergence at each insertion is capped at metric distance eps, matching
-the plateau of the circle-averaged Green function.  A Lebesgue cell
+the plateau of the circle-averaged Green function.  Each insertion's
+term is one green.green_grid call, a separable theta1 product over the
+grid with a pointwise fallback next to the insertion.  A Lebesgue cell
 average of e^{gamma H} is not used because it diverges under refinement
 once gamma*alpha_i >= 2, which pure-gravity weights reach.
 """
@@ -39,7 +41,7 @@ from .errors import (
 )
 from .gff import MODES, VOLUME, RngStream, SpectralField, dirichlet_energy
 from .gff import free_field_partition, pair_mean_se, scaled_mode_weights
-from .green import green, green_centered, theta_offset
+from .green import green, green_grid, theta_offset
 from .chaos import cell_constants, chaos_batches, total_mass_table
 from .modular import wrap_centered
 
@@ -156,11 +158,9 @@ def insertion_potential_grid(
     if not eps_cap > 0:
         raise ValidationError("eps_cap must be positive")
     u = np.arange(grid) / grid
-    x1, x2 = np.meshgrid(u, u, indexing="ij")
     total = np.zeros((grid, grid))
     for i in ins.insertions:
-        y1, y2 = wrap_centered(x1 - i.x1), wrap_centered(x2 - i.x2)
-        total += i.alpha * green_centered(tau, y1, y2, eps_cap)
+        total += i.alpha * green_grid(tau, wrap_centered(u - i.x1), wrap_centered(u - i.x2), eps_cap)
     return total
 
 

@@ -112,24 +112,44 @@ def _theta_terms(tau: complex, n_terms: int):
     return ns, 2.0 * (-1.0) ** ns * q ** ((ns + 0.5) ** 2)
 
 
-def _theta_series(z, tau: complex, sine) -> np.ndarray:
-    """sum_n c_n * sine((2n+1)*pi, z) over z flattened to one dimension,
-    returned in z's shape (a scalar z gives a 0-d array).
+def _theta_log_terms(tau: complex, n_terms: int):
+    """Frequencies w_n = (2n+1)*pi and log coefficients l_n = log(c_n / 2i) =
+    i*pi*(tau*(n+1/2)^2 + n - 1/2) of the first n_terms theta1 terms, so that
+    c_n*sin(w_n*z) = e^(l_n + i*w_n*z) - e^(l_n - i*w_n*z) with no factor that
+    under- or overflows alone."""
+    ns = np.arange(n_terms)
+    return (2 * ns + 1) * np.pi, 1j * np.pi * (tau * (ns + 0.5) ** 2 + ns - 0.5)
+
+
+def _theta_series(z, tau: complex, over_z: bool) -> np.ndarray:
+    """theta1(z), or theta1(z)/z with over_z, over z flattened to one
+    dimension, returned in z's shape (a scalar z gives a 0-d array).
 
     Each point stops at the term count of its own |Im z|, so its value
-    does not depend on the other points of the array.  Raises NumericError
-    when a sum is not finite (a far |Im z| overflows sin before the tiny
-    coefficient can damp it).
+    does not depend on the other points of the array.  theta1 takes each
+    term as a difference of two exps of log coefficient plus phase, so a
+    tiny q^((n+1/2)^2) and a huge sin((2n+1)*pi*z) never meet; theta1/z
+    sums c_n * sin(w_n*z)/z.  Raises NumericError when a sum is not
+    finite (the value itself overflows).
     """
     tau = _require_tau(tau)
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
     n_cut = _theta_cut(tau, np.abs(flat.imag))
+    if over_z:
+        ns, coeffs = _theta_terms(tau, n_cut.max(initial=1))
+        ws = (2 * ns + 1) * np.pi
+    else:
+        ws, coeffs = _theta_log_terms(tau, n_cut.max(initial=1))
     out = np.zeros_like(flat)
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, c in zip(*_theta_terms(tau, n_cut.max(initial=1))):
+        for n, (w, c) in enumerate(zip(ws, coeffs)):
             live = n < n_cut
-            out[live] += c * sine((2 * n + 1) * np.pi, flat[live])
+            zl = flat[live]
+            if over_z:
+                out[live] += c * _sine_over_z(w, zl)
+            else:
+                out[live] += np.exp(c + 1j * w * zl) - np.exp(c - 1j * w * zl)
     if not np.all(np.isfinite(out)):
         raise NumericError(f"theta series is not finite at tau = {tau}")
     return out.reshape(z.shape)
@@ -146,11 +166,12 @@ def _sine_over_z(w: float, z: np.ndarray) -> np.ndarray:
 def theta1(z, tau: complex):
     """First Jacobi theta function theta_1(z, tau).
 
-    Sums 2*sum_n (-1)^n q^((n+1/2)^2) sin((2n+1)*pi*z).  z may be a scalar
+    Sums 2*sum_n (-1)^n q^((n+1/2)^2) sin((2n+1)*pi*z), each term as
+    e^(l_n + i*w_n*z) - e^(l_n - i*w_n*z) in log space.  z may be a scalar
     (returns complex) or a numpy array; a point's value is the same either
     way.  theta1_product is the independent reference.
     """
-    out = _theta_series(z, tau, lambda w, zf: np.sin(w * zf))
+    out = _theta_series(z, tau, over_z=False)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -160,7 +181,7 @@ def theta1_over_z(z, tau: complex):
     Uses sin((2n+1)*pi*z)/z termwise; the removable singularity is filled
     with the quadratic Taylor expansion once |(2n+1)*pi*z| < 1e-6.
     """
-    out = _theta_series(z, tau, _sine_over_z)
+    out = _theta_series(z, tau, over_z=True)
     return complex(out) if out.ndim == 0 else out
 
 

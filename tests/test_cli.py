@@ -161,9 +161,8 @@ def test_numeric_failure_exits_2(tmp_path, capsys):
          "--cutoff", "4"],
         # alpha = 3 >= Q = 2.5 makes the covariance ratio 0/0
         ["lqft", "check-modular", "--alpha", "3", "--replicas", "4", "--cutoff", "4"],
-        # sin((2n+1)*pi*z) overflows before its tiny coefficient damps it
+        # theta1 itself, near e^(pi*40000), overflows
         ["special-fn", "eval", "--fn", "theta1", "--tau", "0,1", "--z", "0,200"],
-        ["green", "eval", "--tau", "0,100", "--x", "0.3,0.9"],
         # no insertions (or s = sum(alpha) <= 0) break the torus Seiberg bound
         *(["lqg", cmd, "--matter", "pure", "--n", n, "--replicas", "4", "--cutoff", "4",
            "--out", str(out)]
@@ -201,6 +200,35 @@ def test_partition_with_a_huge_prefactor_exits_0(capsys):
     doc = json.loads(out)
     assert 1e250 < doc["value"] < math.inf
     assert 0 < doc["std_error"] < doc["value"]
+
+
+def test_green_in_the_cusp_exits_0(capsys):
+    # q^((n+1/2)^2) underflows and sin((2n+1)*pi*z) overflows, but their
+    # product, kept in log space, is finite
+    argv = ("green", "eval", "--tau", "0,100", "--x", "0.3,0.9")
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    code, ref, err = run(capsys, *argv, "--mode", "appendix")
+    assert code == 0, err
+    assert abs(json.loads(ref)["green"] - 24.085543677521756) < 1e-12
+    assert abs(json.loads(out)["green"] - 24.085543677521756) < 1e-9
+
+
+@pytest.mark.parametrize("cmd, pairs", (
+    (("green", "table", "--grid", "2"), (("--tau", "-0.4,0.9"),)),
+    (("green", "eval"), (("--tau", "-0.4,0.9"), ("--x", "-0.3,0.4"))),
+    (("special-fn", "eval", "--fn", "theta1"), (("--tau", "-0.4,0.9"), ("--z", "-0.1,-0.2"))),
+))
+def test_pair_with_a_negative_first_part_after_a_space(tmp_path, capsys, cmd, pairs):
+    # "--tau -0.4,0.9" reads as "--tau=-0.4,0.9", not as an unknown option
+    texts = []
+    for k, opts in enumerate(([a for pair in pairs for a in pair], [f"{f}={v}" for f, v in pairs])):
+        out = tmp_path / f"{k}.out"
+        code, _, err = run(capsys, *cmd, *opts, "--out", str(out))
+        assert code == 0, err
+        texts.append([ln for ln in out.read_text().splitlines()
+                      if "duration_s" not in ln and "command" not in ln])
+    assert texts[0] == texts[1]
 
 
 def test_eta_in_the_cusp_exits_0(capsys):

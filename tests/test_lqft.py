@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from torus_lqg.config import FieldResolution, MonteCarloConfig
@@ -18,7 +20,14 @@ from torus_lqg.errors import (
 )
 from torus_lqg.gff import build_log_conformal_factor, free_field_partition
 from torus_lqg.gff import LogConformalFactor, SpectralField
-from torus_lqg.green import green, green_log_subtracted, theta_offset
+from torus_lqg.green import (
+    GreenEvalConfig,
+    green,
+    green_centered,
+    green_log_subtracted,
+    min_lattice_distance,
+    theta_offset,
+)
 from torus_lqg.lqft import (
     Insertion,
     InsertionSet,
@@ -34,6 +43,7 @@ from torus_lqg.lqft import (
     weyl_anomaly_factor,
     weyl_anomaly_log_factor,
 )
+from torus_lqg.modular import p_tau, wrap_centered
 
 TAU = 0.3 + 1.2j
 SEED = 12
@@ -108,6 +118,78 @@ def test_insertion_potential_grid_cap_at_insertion():
     assert abs(h[i, j] - want) < 1e-12
     with pytest.raises(ValidationError):
         insertion_potential_grid(TAU, ins, g, eps_cap=0.0)
+
+
+def pointwise_potential_grid(tau, ins, grid, cap):
+    """H cell by cell through green_centered, -ln|p| capped at -ln(cap) on near points."""
+    u = np.arange(grid) / grid
+    x1, x2 = np.meshgrid(u, u, indexing="ij")
+    total = np.zeros((grid, grid))
+    for i in ins.insertions:
+        y1, y2 = wrap_centered(x1 - i.x1), wrap_centered(x2 - i.x2)
+        az = np.abs(p_tau(tau, y1, y2))
+        near = az < 0.25 * min_lattice_distance(tau)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = green_centered(tau, y1, y2) + np.where(
+                near, np.log(az) - np.log(np.maximum(az, cap)), 0.0)
+        g[az == 0] = green_log_subtracted(tau, 0.0, 0.0) - math.log(cap)
+        total += i.alpha * g
+    return total
+
+
+@st.composite
+def grid_insertions(draw, grid):
+    """1-3 insertions: on a node, within 1e-9 of one, or anywhere."""
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["node", "next to a node", "generic"]))
+        if kind == "generic":
+            x1, x2 = draw(st.floats(0, 1, exclude_max=True)), draw(st.floats(0, 1, exclude_max=True))
+        else:
+            x1, x2 = (draw(st.integers(0, grid - 1)) / grid for _ in range(2))
+            if kind == "next to a node":
+                x1 += draw(st.floats(-1e-9, 1e-9))
+                x2 += draw(st.floats(-1e-9, 1e-9))
+        out.append((x1, x2, draw(st.floats(0.1, 2.0))))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    re=st.floats(-0.5, 0.5),
+    im=st.floats(0.85, 12.0),
+    grid=st.integers(3, 80),
+    log_cap=st.floats(-4.0, -1.0),
+    data=st.data(),
+)
+def test_insertion_potential_grid_equals_pointwise(re, im, grid, log_cap, data):
+    tau = complex(re, im)
+    assume(abs(tau) >= 1.0)
+    try:
+        ins = InsertionSet(data.draw(grid_insertions(grid)))
+    except DuplicateInsertion:
+        assume(False)
+    cap = 10.0**log_cap
+    h = insertion_potential_grid(tau, ins, grid, cap)
+    assert np.abs(h - pointwise_potential_grid(tau, ins, grid, cap)).max() <= 1e-12
+
+
+def test_insertion_potential_grid_in_the_cusp():
+    # theta1 near e^(25*pi) on the rows |x2| = 1/2: finite in log space,
+    # and equal to the appendix route wherever no cap applies
+    tau, grid, cap = 100j, 12, 1e-3
+    ins = InsertionSet(((0.31, 0.47, 0.8), (0.5, 0.0, 1.1)))
+    h = insertion_potential_grid(tau, ins, grid, cap)
+    assert np.all(np.isfinite(h))
+    fine = GreenEvalConfig(mode="appendix", tolerance=1e-10)
+    for a in range(grid):
+        for b in range(grid):
+            x = (a / grid, b / grid)
+            if (a, b) == (6, 0):
+                continue
+            want = sum(i.alpha * green(tau, (x[0] - i.x1, x[1] - i.x2), fine)
+                       for i in ins.insertions)
+            assert abs(h[a, b] - want) < 1e-9
 
 
 def test_insertion_constant_two_point_formula():
