@@ -36,8 +36,11 @@ __all__ = ["MomentCache", "SAMPLER_VERSION", "default_cache_dir", "moment_key"]
 # row r // 2, and takes standard errors from pair means, which moves every
 # moment and every standard error; version 6 evaluates H on the grid as
 # one separable theta1 product per insertion and sums theta1 in log space,
-# which moves H, and every moment tilted by it, at the 1e-14 level.
-SAMPLER_VERSION = 6
+# which moves H, and every moment tilted by it, at the 1e-14 level; version
+# 7 synthesizes the grid by an inverse FFT along n and one real matrix
+# product along m in place of the irfft along m, which moves every grid,
+# and every moment, at the 1e-15 level.
+SAMPLER_VERSION = 7
 
 
 def default_cache_dir() -> Path:

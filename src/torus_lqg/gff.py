@@ -48,7 +48,7 @@ distributed replica: replica r is (-1)^r times the field of row
 base_stream + r // 2 of the mode draw, which writes the real degrees of
 freedom of the half lattice straight into the Hermitian half-spectrum.
 One call draws the rows of a batch's even replicas, and each odd grid is
-the negated even grid before it, with no draw and no FFT of its own.  A
+the negated even grid before it, with no draw and no synthesis of its own.  A
 batch holds as many whole pairs as fit in 2^16 grid cells, and at least
 one, so its memory is bounded independently of the replica count: 50
 replicas at G = 36, two at G = 260; an odd replica count ends on a lone
@@ -56,15 +56,22 @@ even replica.  Several weight boxes applied to the same batch give common
 random numbers across moduli.  Pairs are correlated, so standard errors
 come from pair means (pair_mean_se).
 
-The engine allocates two workspaces once per call, a zeroed complex
-half-spectrum (P, G, G//2+1) for the P pairs of a batch and a real output
-stack (B, G, G), and _synthesize, the one synthesis routine, fills the
-even slots for each weight box: alpha * w goes straight into the live
-rows n mod G of the columns 0..N, the inverse FFT runs along n on those
-N+1 columns only and then as an irfft along m.  These are irfft2's
-per-axis transforms minus the all-zero ones, so every even grid keeps
-irfft2's bits.  A yielded stack is a view into the output workspace,
-valid until the next stack is yielded.
+The engine allocates its workspaces once per call: a complex column
+spectrum (P, G, N+1) for the P pairs of a batch, the real row basis
+(2(N+1), G), and a real output stack (B, G, G).  _synthesize, the one
+synthesis routine, fills the even slots for each weight box: alpha * w
+goes straight into the live rows n mod G of the N+1 columns m = 0..N and
+the inverse FFT runs along n in place.  Only those N+1 of the G//2 + 1
+inputs of an inverse real FFT along m are nonzero, so that stage is one
+real matrix product instead (FFT pruning, Markel 1971, taken to its end):
+the float view (P, G, 2(N+1)) of the columns times the basis whose rows
+are a_m cos(2 pi m j/G) and -a_m sin(2 pi m j/G), a_0 = 1, a_m = 2.  The
+grids agree with irfft2 to rounding, about 1e-15 of their largest value,
+and an engine grid is byte for byte the modes_to_grid of its row drawn
+alone, since both multiply the same (G, 2(N+1)) blocks by the same basis.
+A multi-threaded BLAS may split that product differently at another
+thread count, so bit identity holds at a fixed one.  A yielded stack is a
+view into the output workspace, valid until the next stack is yielded.
 """
 
 from __future__ import annotations
@@ -132,14 +139,19 @@ class RngStream:
     def uniforms(self, rows: int, width: int, purpose: int = MODES) -> np.ndarray:
         """(rows, width) uniforms of rows stream .. stream + rows - 1, one
         random_raw call: a word's top 52 bits k give (k + 1/2) 2^-52 in (0, 1).
+
+        k is set as the mantissa of 1 + k 2^-52 in place; subtracting
+        1 - 2^-53 from that is exact (Sterbenz), so u is a view into the
+        words, contiguous when width is a multiple of 4.
         """
         blocks = -(-width // 4)
         key = np.array([self.seed % 2**64, purpose], dtype=np.uint64)
         philox = np.random.Philox(key=key, counter=self.stream * blocks % 2**256)
         raw = philox.random_raw(rows * 4 * blocks).reshape(rows, 4 * blocks)
         raw >>= np.uint64(12)
-        u = np.add(raw[:, :width], 0.5)
-        u *= 2.0**-52
+        raw |= np.uint64(0x3FF0000000000000)
+        u = raw.view(np.float64)[:, :width]
+        u -= 1.0 - 2.0**-53
         return u
 
 
@@ -233,34 +245,45 @@ def sample_gff(tau: complex, cutoff: int, rng: RngStream) -> SpectralField:
     return SpectralField(tau=tau, cutoff=cutoff, coeffs=coeffs)
 
 
-def _synthesize(half: np.ndarray, grid: int, weight=None, spec=None, out=None) -> np.ndarray:
+def _row_basis(cutoff: int, grid: int) -> np.ndarray:
+    """(2(N+1), G) real row basis of the synthesis along m: rows 2m and
+    2m + 1 are a_m cos(2 pi m j/G) and -a_m sin(2 pi m j/G), a_0 = 1 and
+    a_m = 2, with the angle reduced as (m j mod G).  The -sin row of m = 0
+    is zero, so the imaginary part at m = 0 drops out, as in irfft."""
+    m = np.arange(cutoff + 1)[:, None]
+    angle = (2.0 * np.pi / grid) * (m * np.arange(grid) % grid)
+    rows = np.stack([np.cos(angle), -np.sin(angle)], axis=1)
+    return (np.where(m == 0, 1.0, 2.0)[:, :, None] * rows).reshape(2 * (cutoff + 1), grid)
+
+
+def _synthesize(half, grid, weight=None, spec=None, basis=None, out=None) -> np.ndarray:
     """Real grids at x = (i/G, j/G) of the half-spectra half, times weight if given.
 
     half is the columns m >= 0 of centered Hermitian (2N+1)^2 boxes, shape
     (..., 2N+1, N+1); weight, if given, is one (2N+1, N+1) box applied to
-    all of them.  spec, a (..., G, G//2+1) complex workspace whose columns
-    N+1 .. G//2 are zero, and out, the (..., G, G) real result, are
-    allocated when not given.  Box row n goes to slot n mod G; rows
-    N+1 .. G-N-1 of the columns 0..N are re-zeroed, since a previous
-    transform wrote them, and the inverse FFT along n runs on those N+1
-    columns only (see the module docstring).
+    all of them.  spec, a (..., G, N+1) complex workspace, basis, the
+    _row_basis of (N, G), and out, the (..., G, G) real result, are made
+    when not given.  Box row n goes to slot n mod G and rows N+1 .. G-N-1
+    are re-zeroed, since a previous transform wrote them; the inverse FFT
+    runs along n in place, then the float view (..., G, 2(N+1)) of the
+    columns times the basis is the sum along m (see the module docstring).
     """
     N = half.shape[-1] - 1
     if grid <= 2 * N:
         raise ValidationError(f"grid {grid} too coarse for cutoff {N}")
     if spec is None:
-        spec = np.zeros(half.shape[:-2] + (grid, grid // 2 + 1), dtype=complex)
+        spec = np.empty(half.shape[:-2] + (grid, N + 1), dtype=complex)
+        basis = _row_basis(N, grid)
         out = np.empty(half.shape[:-2] + (grid, grid))
-    live = spec[..., : N + 1]
     if weight is None:
-        np.copyto(live[..., : N + 1, :], half[..., N:, :])
-        np.copyto(live[..., grid - N :, :], half[..., :N, :])
+        np.copyto(spec[..., : N + 1, :], half[..., N:, :])
+        np.copyto(spec[..., grid - N :, :], half[..., :N, :])
     else:
-        np.multiply(half[..., N:, :], weight[N:], out=live[..., : N + 1, :])
-        np.multiply(half[..., :N, :], weight[:N], out=live[..., grid - N :, :])
-    live[..., N + 1 : grid - N, :] = 0.0
-    np.fft.ifft(live, axis=-2, norm="forward", out=live)
-    return np.fft.irfft(spec, n=grid, axis=-1, norm="forward", out=out)
+        np.multiply(half[..., N:, :], weight[N:], out=spec[..., : N + 1, :])
+        np.multiply(half[..., :N, :], weight[:N], out=spec[..., grid - N :, :])
+    spec[..., N + 1 : grid - N, :] = 0.0
+    np.fft.ifft(spec, axis=-2, norm="forward", out=spec)
+    return np.matmul(spec.view(float), basis, out=out)
 
 
 def modes_to_grid(half: np.ndarray, grid: int) -> np.ndarray:
@@ -268,7 +291,8 @@ def modes_to_grid(half: np.ndarray, grid: int) -> np.ndarray:
 
     half is the columns m >= 0 of one centered Hermitian (2N+1)^2 box,
     shape (2N+1, N+1), or a stack of them along leading axes; the whole
-    stack goes through one pruned inverse real FFT (_synthesize).
+    stack goes through one _synthesize call, an inverse FFT along n and
+    one matrix product along m against a row basis built for this call.
     """
     return _synthesize(half, grid)
 
@@ -281,10 +305,10 @@ def replica_grids(weights, grid: int, mc: MonteCarloConfig, purpose: int = MODES
     draw_modes under (mc.seed, purpose): one call draws the batch's
     ceil(B/2) rows, and each weight box is synthesized once per pair.
     grids yields, lazily and in the order of weights, one (B, G, G) stack
-    per weight box w whose even grids are modes_to_grid(alpha * w) and
-    whose odd grids are their negations, so one draw serves every modulus
-    (common random numbers).  Consume grids before advancing to the next
-    batch.
+    per weight box w whose even grids are, byte for byte,
+    modes_to_grid(alpha * w) of their rows drawn alone, and whose odd grids
+    are their negations, so one draw serves every modulus (common random
+    numbers).  Consume grids before advancing to the next batch.
 
     Every stack is a view into one output workspace that the next stack
     overwrites: it is valid until the next stack is yielded, so copy it
@@ -292,15 +316,16 @@ def replica_grids(weights, grid: int, mc: MonteCarloConfig, purpose: int = MODES
     """
     N = weights[0].shape[0] // 2
     batch = min(mc.replicas, 2 * max(1, _BATCH_CELLS // (2 * grid * grid)))
-    # the workspaces of the call: a spectrum per pair whose columns beyond
-    # N stay zero, and a grid per replica
-    spec = np.zeros(((batch + 1) // 2, grid, grid // 2 + 1), dtype=complex)
+    # the workspaces of the call: a column spectrum per pair, the row
+    # basis, and a grid per replica
+    spec = np.empty(((batch + 1) // 2, grid, N + 1), dtype=complex)
+    basis = _row_basis(N, grid)
     out = np.empty((batch, grid, grid))
     halves = [w[:, N:] for w in weights]
 
     def stacks(alpha, x):
         for w in halves:
-            _synthesize(alpha, grid, w, spec[: len(alpha)], x[0::2])
+            _synthesize(alpha, grid, w, spec[: len(alpha)], basis, x[0::2])
             np.negative(x[: len(x) - 1 : 2], out=x[1::2])
             yield x
 
@@ -334,7 +359,7 @@ def pair_mean_se(values) -> tuple[float, float]:
 
 
 def evaluate_on_grid(fld: SpectralField, grid: int | None = None) -> np.ndarray:
-    """Evaluate the field at x = (i/G, j/G) via an inverse FFT.
+    """Evaluate the field at x = (i/G, j/G) via modes_to_grid.
 
     G defaults to 4*(cutoff+1) and must exceed 2*cutoff to keep the box
     alias-free; only the half-spectrum m >= 0 enters, which determines

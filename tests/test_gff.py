@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import j0, ndtri
 
@@ -381,14 +381,24 @@ def irfft2_stack(alpha, weight, grid):
     return np.fft.irfft2(slots, s=(grid, grid), norm="forward")
 
 
-def reference_modes(rng, rows, N, purpose):
-    """draw_modes written out with temporaries: uniforms, ndtri, half box."""
-    width = (2 * N + 1) ** 2 - 1
+def assert_near_irfft2(xs, alpha, weight, grid):
+    """irfft2 is the oracle of the synthesis, to 1e-13 of its largest value."""
+    ref = irfft2_stack(alpha, weight, grid)
+    assert np.max(np.abs(xs - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def reference_uniforms(rng, rows, width, purpose):
+    """RngStream.uniforms written out: (k + 1/2) 2^-52, k a word's top 52 bits."""
     blocks = -(-width // 4)
     key = np.array([rng.seed % 2**64, purpose], dtype=np.uint64)
     philox = np.random.Philox(key=key, counter=rng.stream * blocks % 2**256)
     raw = philox.random_raw(rows * 4 * blocks).reshape(rows, 4 * blocks)
-    u = ((raw[:, :width] >> np.uint64(12)) + 0.5) * 2.0**-52
+    return ((raw[:, :width] >> np.uint64(12)) + 0.5) * 2.0**-52
+
+
+def reference_modes(rng, rows, N, purpose):
+    """draw_modes written out with temporaries: uniforms, ndtri, half box."""
+    u = reference_uniforms(rng, rows, (2 * N + 1) ** 2 - 1, purpose)
     z = (ndtri(u) * math.sqrt(0.5)).view(complex)
     half = np.zeros((rows, 2 * N + 1, N + 1), dtype=complex)
     half[:, :, 1:] = z[:, : (2 * N + 1) * N].reshape(rows, 2 * N + 1, N)
@@ -408,12 +418,18 @@ def reference_modes(rng, rows, N, purpose):
     base_stream=st.integers(0, 2**40),
     purpose=st.sampled_from((MODES, RESAMPLE)),
 )
-def test_replica_engine_is_bit_identical_to_irfft2(
+@example(cutoff=64, grid_factor=4, shave=0, boxes=2, batch=2, replicas=5,
+         base_stream=3, purpose=MODES)
+@example(cutoff=9, grid_factor=2, shave=1, boxes=3, batch=3, replicas=7,
+         base_stream=0, purpose=RESAMPLE)
+def test_replica_engine_is_bit_identical_to_rows_alone(
     cutoff, grid_factor, shave, boxes, batch, replicas, base_stream, purpose
 ):
-    # odd and even G down to 2N + 1; several weight boxes share each batch's
-    # workspaces, and a small cell budget puts batch boundaries and a
-    # partial last batch into the run
+    # odd and even G down to 2N + 1, and N = 64 at G = 260; several weight
+    # boxes share each batch's workspaces, and a small cell budget puts
+    # batch boundaries and a partial last batch into the run.  Every even
+    # grid is byte for byte modes_to_grid of its row drawn alone, and
+    # irfft2 is the oracle to rounding.
     grid = grid_factor * (cutoff + 1) - shave
     mc = MonteCarloConfig(replicas=replicas, seed=SEED, base_stream=base_stream)
     weights = [
@@ -434,10 +450,12 @@ def test_replica_engine_is_bit_identical_to_irfft2(
             want = reference_modes(rng, (rows + 1) // 2, cutoff, purpose)
             assert alpha.tobytes() == want.tobytes()
             for w, xs in zip(weights, grids, strict=True):
-                ref = irfft2_stack(alpha, w, grid)
                 assert xs.shape == (rows, grid, grid)
-                assert xs[0::2].tobytes() == ref.tobytes()
-                assert modes_to_grid(alpha * w[:, cutoff:], grid).tobytes() == ref.tobytes()
+                for k in range(0, rows, 2):
+                    row = RngStream(SEED, base_stream + (start + k) // 2)
+                    alone = draw_modes(row, 1, cutoff, purpose)[0]
+                    assert xs[k].tobytes() == modes_to_grid(alone * w[:, cutoff:], grid).tobytes()
+                assert_near_irfft2(xs[0::2], alpha, w, grid)
     assert starts == list(range(0, replicas, size))
 
 
@@ -451,12 +469,14 @@ def test_replica_engine_is_bit_identical_to_irfft2(
     replicas=st.integers(2, 13),
     base_stream=st.integers(0, 2**40),
 )
+@example(cutoff=64, grid_factor=4, shave=0, boxes=2, batch=2, replicas=3, base_stream=8)
 def test_replica_pairs_are_negated_rows(
     cutoff, grid_factor, shave, boxes, batch, replicas, base_stream
 ):
-    # grid 2j + 1 is exactly -grid 2j, grid 2j is the scatter-plus-irfft2
-    # synthesis of row base_stream + j drawn alone, and the chaos cells of
-    # an odd grid, a division in place of an exp, sum to exp(-gamma X + offset)
+    # grid 2j + 1 is exactly -grid 2j, grid 2j is byte for byte the
+    # modes_to_grid of row base_stream + j drawn alone (and irfft2's grid to
+    # rounding), and the chaos cells of an odd grid, a division in place of
+    # an exp, sum to exp(-gamma X + offset)
     grid = grid_factor * (cutoff + 1) - shave
     mc = MonteCarloConfig(replicas=replicas, seed=SEED, base_stream=base_stream)
     gamma, offset = 1.3, -0.7
@@ -474,8 +494,10 @@ def test_replica_pairs_are_negated_rows(
                 assert xs[1::2].tobytes() == np.negative(xs[: rows - 1 : 2]).tobytes()
                 for k in range(0, rows, 2):
                     rng = RngStream(SEED, base_stream + (start + k) // 2)
-                    ref = irfft2_stack(reference_modes(rng, 1, cutoff, MODES), w, grid)
-                    assert xs[k].tobytes() == ref[0].tobytes()
+                    alpha = reference_modes(rng, 1, cutoff, MODES)
+                    alone = modes_to_grid(alpha[0] * w[:, cutoff:], grid)
+                    assert xs[k].tobytes() == alone.tobytes()
+                    assert_near_irfft2(xs[k], alpha[0], w, grid)
                 for k in range(1, rows, 2):
                     direct = np.exp(-gamma * xs[k - 1] + offset).sum()
                     assert abs(masses[k] - direct) <= 1e-12 * direct
@@ -527,6 +549,18 @@ def test_row_is_the_same_alone_and_in_any_batch(seed, stream, purpose, start, ro
     assert batch.shape == (rows, width)
     assert np.array_equal(batch[i], alone[0])
     assert np.all((batch > 0.0) & (batch < 1.0))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 6, 7, 33, 287, 1087])
+def test_uniforms_are_half_offset_top_bits(width):
+    # widths that are not a multiple of 4 leave words unused at each row's
+    # end; the used words keep the bytes of (k + 1/2) 2^-52, k a word's top
+    # 52 bits
+    for seed, purpose in ((0, MODES), (7, RESAMPLE), (2**63 + 5, VOLUME), (SEED, MODULUS)):
+        rng = RngStream(seed, 12345)
+        u = rng.uniforms(3, width, purpose)
+        assert u.shape == (3, width)
+        assert u.tobytes() == reference_uniforms(rng, 3, width, purpose).tobytes()
 
 
 def test_purposes_share_no_value():
