@@ -39,8 +39,11 @@ __all__ = ["MomentCache", "SAMPLER_VERSION", "default_cache_dir", "moment_key"]
 # which moves H, and every moment tilted by it, at the 1e-14 level; version
 # 7 synthesizes the grid by an inverse FFT along n and one real matrix
 # product along m in place of the irfft along m, which moves every grid,
-# and every moment, at the 1e-15 level.
-SAMPLER_VERSION = 7
+# and every moment, at the 1e-15 level; version 8 folds gamma into the
+# mode weights and the variance offset into the cell factor, and sums
+# each replica's tilted cells by one matrix-vector product, which moves
+# every mass, and every moment, at the 1e-16 level.
+SAMPLER_VERSION = 8
 
 
 def default_cache_dir() -> Path:

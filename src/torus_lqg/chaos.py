@@ -12,7 +12,13 @@ field.  That makes every cell weight unit-mean at any resolution, so
 E[total mass] = prefactor * Im(tau) holds exactly and convergence
 studies only fight genuine chaos fluctuations, not normalization drift.
 cell_constants, chaos_cells and chaos_batches are the one home of this
-weight; the Liouville functionals reuse them with a tilt e^{gamma H}.
+weight, computed as factor * exp(gamma X): everything but the field is
+one scalar per modulus (cell_constants), so a cell costs one exp.
+chaos_batches has the engine synthesize gamma X directly (the mode
+weights times gamma), forms the cells of an antithetic pair from its
+even grid alone, the odd cells being the reciprocals, and sums them
+against the tilt e^{gamma H} of the Liouville functionals, a grid of
+ones for the plain mass, in one matrix-vector product per stack.
 
 At the critical point gamma = 2 the same recipe acquires the
 sqrt(ln(1/eps)) push and a sqrt(pi/2) constant; the critical mass has
@@ -90,12 +96,13 @@ def expected_total_mass(tau: complex, gamma: float, q: float) -> float:
 
 def cell_constants(
     tau: complex, gamma: float, q: float, cutoff: int, eps: float, grid: int, critical: bool = False
-) -> tuple[float, float]:
-    """(scale, offset) of one modulus: a cell weighs scale * chaos_cells.
+) -> float:
+    """The factor of one modulus: a cell weighs factor * chaos_cells(gamma X).
 
-    scale = prefactor * Im(tau) / G^2, with the critical prefactor when
-    critical is set; offset = -(gamma^2/2) sigma_eps^2.  Callers validate
-    gamma.
+    factor = prefactor * Im(tau) / G^2 * e^{offset}, with the critical
+    prefactor when critical is set and offset = -(gamma^2/2) sigma_eps^2,
+    so the normalization is one scalar and the cells one exp each.
+    Callers validate gamma.
     """
     tau = complex(tau)
     if critical:
@@ -106,63 +113,69 @@ def cell_constants(
         pref = push * chaos_prefactor(tau, 2.0, 2.0)
     else:
         pref = chaos_prefactor(tau, gamma, q)
-    scale = pref * tau.imag / (grid * grid)
     offset = -0.5 * gamma * gamma * regularized_variance(tau, cutoff, eps)
-    return scale, offset
+    return pref * tau.imag / (grid * grid) * math.exp(offset)
 
 
-def chaos_cells(x: np.ndarray, gamma: float, offset: float, tilt=None, paired=False, out=None):
-    """exp(gamma X + offset) on a grid or a stack of grids, times tilt if given.
+def chaos_cells(gx: np.ndarray, paired=False, out=None):
+    """exp(gamma X) from gx, a grid or a stack of grids of gamma X.
 
-    paired marks a replica_grids stack, whose odd grids are the negated
-    even ones: the cells of grid 2j + 1 are then e^{2 offset} divided by
-    the cells exp(gamma X + offset) of grid 2j, a division in place of an
-    exp.  The cells go to out when given, else to a new array.
+    paired marks gx as the (P, G, G) even grids of a replica_grids stack;
+    the cells are then (2, P, G, G), cells[s, j] those of replica 2j + s:
+    exp(gx[j]), and for s = 1, whose field is -gx[j], their reciprocals.
+    Each half is one contiguous pass.  The cells go to out when given,
+    else to a new array.
     """
-    cells = np.empty_like(x) if out is None else out
-    lead = cells[0::2] if paired else cells
-    np.multiply(x[0::2] if paired else x, gamma, out=lead)
-    lead += offset
-    np.exp(lead, out=lead)
-    if paired:
-        np.divide(math.exp(2.0 * offset), cells[: len(x) - 1 : 2], out=cells[1::2])
-    if tilt is not None:
-        cells *= tilt
-    return cells
+    if not paired:
+        return np.exp(gx, out=out)
+    if out is None:
+        out = np.empty((2,) + gx.shape)
+    np.exp(gx, out=out[0])
+    np.reciprocal(out[0], out=out[1])
+    return out
 
 
 def chaos_batches(points, gamma: float, grid: int, mc: MonteCarloConfig, purpose: int = MODES):
     """One replica_grids pass under purpose at several moduli, common random numbers.
 
-    points holds one (mode weights, scale, offset, tilt or None) per
-    modulus.  Yields (start, stacks) per batch; stacks yields,
-    lazily and in the order of points, (x, cells, masses) with x the
-    (B, G, G) field stack of antithetic pairs, cells its paired
-    chaos_cells and masses the totals scale * sum(cells) per replica.  x
+    points holds one (mode weights, factor, tilt) per modulus, factor from
+    cell_constants and tilt a (G, G) grid (ones when untilted).  The
+    engine synthesizes gamma X directly, from the weights times gamma.
+    Yields (start, stacks) per batch of B replicas; stacks yields, lazily
+    and in the order of points, (gx, cells, masses): gx the (P, G, G) even
+    grids of gamma X, cells their paired chaos_cells, cells[r % 2, r // 2]
+    those of replica start + r, and masses the B totals
+    factor * sum(cells * tilt) in replica order, from one matrix-vector
+    product of the (2P, G^2) cells with the tilt.  When B = 2P - 1, the
+    batch ends on a lone replica and cells[1, P - 1] belongs to none.  gx
     is replica_grids' view into its workspace and cells a view into one
     cell workspace of the call, both valid until the next stack is
     yielded; masses is a new array.
     """
     work = None
 
-    def stacks(grids):
+    def stacks(start, grids):
         nonlocal work
-        for x, (_, scale, offset, tilt) in zip(grids, points):
+        for gx, (_, factor, tilt) in zip(grids, points):
             if work is None:  # the first batch is the largest
-                work = np.empty_like(x)
-            cells = chaos_cells(x, gamma, offset, tilt, paired=True, out=work[: len(x)])
-            yield x, cells, scale * cells.sum(axis=(1, 2))
+                work = np.empty(2 * gx.size)
+            cells = chaos_cells(gx, paired=True, out=work[: 2 * gx.size].reshape((2,) + gx.shape))
+            sums = cells.reshape(2 * len(gx), -1) @ tilt.ravel()
+            # (evens, odds) to replica order
+            masses = sums.reshape(2, -1).T.ravel()[: mc.replicas - start]
+            yield gx, cells, factor * masses
 
-    for start, grids in replica_grids([pt[0] for pt in points], grid, mc, purpose):
-        yield start, stacks(grids)
+    weights = [gamma * pt[0] for pt in points]
+    for start, grids in replica_grids(weights, grid, mc, purpose):
+        yield start, stacks(start, grids)
 
 
 def total_mass_table(points, gamma: float, grid: int, mc: MonteCarloConfig) -> np.ndarray:
     """Total masses of chaos_batches, shape (len(points), mc.replicas)."""
     out = np.empty((len(points), mc.replicas))
     for start, stacks in chaos_batches(points, gamma, grid, mc):
-        for k, (x, _, masses) in enumerate(stacks):
-            out[k, start : start + len(x)] = masses
+        for k, (_, _, masses) in enumerate(stacks):
+            out[k, start : start + len(masses)] = masses
     return out
 
 
@@ -177,12 +190,12 @@ def _measure(fld: SpectralField, gamma: float, q: float, grid: int | None, criti
     if not fld.eps > 0:
         raise ValidationError("chaos needs a circle-averaged field; call circle_average first")
     x = evaluate_on_grid(fld, grid)
-    scale, offset = cell_constants(fld.tau, gamma, q, fld.cutoff, fld.eps, x.shape[0], critical)
+    factor = cell_constants(fld.tau, gamma, q, fld.cutoff, fld.eps, x.shape[0], critical)
     return ChaosMeasure(
         tau=fld.tau,
         gamma=gamma,
         eps=fld.eps,
-        weights=scale * chaos_cells(x, gamma, offset),
+        weights=factor * chaos_cells(gamma * x),
         critical=critical,
     )
 
@@ -237,6 +250,6 @@ def sample_total_masses(
     tau = complex(tau)
     eps = res.eps_for(tau)
     gamma = 2.0 if critical else _subcritical(gamma)
-    scale, offset = cell_constants(tau, gamma, q, res.cutoff, eps, res.grid, critical)
-    point = (scaled_mode_weights(tau, res.cutoff, eps), scale, offset, None)
+    factor = cell_constants(tau, gamma, q, res.cutoff, eps, res.grid, critical)
+    point = (scaled_mode_weights(tau, res.cutoff, eps), factor, np.ones((res.grid, res.grid)))
     return total_mass_table([point], gamma, res.grid, mc)[0]

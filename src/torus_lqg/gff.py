@@ -47,20 +47,22 @@ is linear in its modes, so X(-alpha) = -X(alpha) is a second, exactly
 distributed replica: replica r is (-1)^r times the field of row
 base_stream + r // 2 of the mode draw, which writes the real degrees of
 freedom of the half lattice straight into the Hermitian half-spectrum.
-One call draws the rows of a batch's even replicas, and each odd grid is
-the negated even grid before it, with no draw and no synthesis of its own.  A
-batch holds as many whole pairs as fit in 2^16 grid cells, and at least
-one, so its memory is bounded independently of the replica count: 50
-replicas at G = 36, two at G = 260; an odd replica count ends on a lone
-even replica.  Several weight boxes applied to the same batch give common
-random numbers across moduli.  Pairs are correlated, so standard errors
-come from pair means (pair_mean_se).
+One call draws the rows of a batch's even replicas, and the engine
+synthesizes and yields those even grids only: the odd replica of a pair
+is the negated even grid, with no draw, no synthesis and no storage of
+its own, and its consumers form what they need of it from the even one.
+A batch holds as many whole pairs as fit in 2^16 grid cells, and at
+least one, so its memory is bounded independently of the replica count:
+50 replicas (25 grids) at G = 36, one pair at G = 260; an odd replica
+count ends on a lone even replica.  Several weight boxes applied to the
+same batch give common random numbers across moduli.  Pairs are
+correlated, so standard errors come from pair means (pair_mean_se).
 
-The engine allocates its workspaces once per call: a complex column
-spectrum (P, G, N+1) for the P pairs of a batch, the real row basis
-(2(N+1), G), and a real output stack (B, G, G).  _synthesize, the one
-synthesis routine, fills the even slots for each weight box: alpha * w
-goes straight into the live rows n mod G of the N+1 columns m = 0..N and
+The engine allocates its workspaces once per call, one slot per pair of
+a batch: a complex column spectrum (P, G, N+1), the real row basis
+(2(N+1), G), and a real output stack (P, G, G) of even grids.
+_synthesize, the one synthesis routine, fills it for each weight box:
+alpha * w goes straight into the live rows n mod G of the N+1 columns m = 0..N and
 the inverse FFT runs along n in place.  Only those N+1 of the G//2 + 1
 inputs of an inverse real FFT along m are nonzero, so that stage is one
 real matrix product instead (FFT pruning, Markel 1971, taken to its end):
@@ -303,12 +305,14 @@ def replica_grids(weights, grid: int, mc: MonteCarloConfig, purpose: int = MODES
     Yields (start, grids) per batch of replicas start .. start + B - 1.
     Replica r is (-1)^r times the field of row mc.base_stream + r // 2 of
     draw_modes under (mc.seed, purpose): one call draws the batch's
-    ceil(B/2) rows, and each weight box is synthesized once per pair.
-    grids yields, lazily and in the order of weights, one (B, G, G) stack
-    per weight box w whose even grids are, byte for byte,
-    modes_to_grid(alpha * w) of their rows drawn alone, and whose odd grids
-    are their negations, so one draw serves every modulus (common random
-    numbers).  Consume grids before advancing to the next batch.
+    P = ceil(B/2) rows, and each weight box is synthesized once per pair.
+    grids yields, lazily and in the order of weights, one (P, G, G) stack
+    per weight box w of the even grids only, byte for byte
+    modes_to_grid(alpha * w) of their rows drawn alone; the odd grid
+    2j + 1 is the negation of grid j of the stack and is never stored.
+    B = min(2P, mc.replicas - start).  One draw serves every modulus
+    (common random numbers).  Consume grids before advancing to the next
+    batch.
 
     Every stack is a view into one output workspace that the next stack
     overwrites: it is valid until the next stack is yielded, so copy it
@@ -316,23 +320,23 @@ def replica_grids(weights, grid: int, mc: MonteCarloConfig, purpose: int = MODES
     """
     N = weights[0].shape[0] // 2
     batch = min(mc.replicas, 2 * max(1, _BATCH_CELLS // (2 * grid * grid)))
-    # the workspaces of the call: a column spectrum per pair, the row
-    # basis, and a grid per replica
-    spec = np.empty(((batch + 1) // 2, grid, N + 1), dtype=complex)
+    # the workspaces of the call, one slot per pair: a column spectrum, the
+    # row basis, and an even grid
+    pairs = (batch + 1) // 2
+    spec = np.empty((pairs, grid, N + 1), dtype=complex)
     basis = _row_basis(N, grid)
-    out = np.empty((batch, grid, grid))
+    out = np.empty((pairs, grid, grid))
     halves = [w[:, N:] for w in weights]
 
-    def stacks(alpha, x):
+    def stacks(alpha):
+        p = len(alpha)
         for w in halves:
-            _synthesize(alpha, grid, w, spec[: len(alpha)], basis, x[0::2])
-            np.negative(x[: len(x) - 1 : 2], out=x[1::2])
-            yield x
+            yield _synthesize(alpha, grid, w, spec[:p], basis, out[:p])
 
     for start in range(0, mc.replicas, batch):
         rows = min(batch, mc.replicas - start)
         rng = RngStream(mc.seed, mc.base_stream + start // 2)
-        yield start, stacks(draw_modes(rng, (rows + 1) // 2, N, purpose), out[:rows])
+        yield start, stacks(draw_modes(rng, (rows + 1) // 2, N, purpose))
 
 
 def pair_mean_se(values) -> tuple[float, float]:

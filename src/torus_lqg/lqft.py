@@ -189,13 +189,13 @@ class PartitionEstimate:
 
 
 def _tilted_point(params: LQFTParams, tau: complex, ins: InsertionSet, res: FieldResolution):
-    """The chaos_batches point (mode weights, scale, offset, tilt) of the
-    tilted mass at one modulus, and the H grid behind the tilt."""
+    """The chaos_batches point (mode weights, factor, tilt) of the tilted
+    mass at one modulus, and the H grid behind the tilt."""
     eps = res.eps_for(tau)
     h_grid = insertion_potential_grid(tau, ins, res.grid, eps)
-    scale, offset = cell_constants(tau, params.gamma, params.q, res.cutoff, eps, res.grid)
+    factor = cell_constants(tau, params.gamma, params.q, res.cutoff, eps, res.grid)
     weights = scaled_mode_weights(tau, res.cutoff, eps)
-    return (weights, scale, offset, np.exp(params.gamma * h_grid)), h_grid
+    return (weights, factor, np.exp(params.gamma * h_grid)), h_grid
 
 
 def insertion_mass_table(
@@ -330,23 +330,24 @@ def liouville_field_law_sampler(
     gamma = params.gamma
     p = ins.alpha_sum / gamma
     point, h_grid = _tilted_point(params, tau, ins, res)
-    scale = point[1]
+    _, factor, tilt = point
     shift = -0.5 * params.q * math.log(tau.imag)
     if y_volume is None:
         u = RngStream(mc.seed, mc.base_stream).uniforms(mc.replicas, 1, VOLUME)[:, 0]
         volumes = gammaincinv(p, u) / params.mu
     else:
         volumes = np.full(mc.replicas, float(y_volume))
-    for start, ((xs, cells, masses),) in chaos_batches([point], gamma, res.grid, mc, purpose):
+    for start, ((gxs, cells, masses),) in chaos_batches([point], gamma, res.grid, mc, purpose):
         # the array power inverse_power_mean uses, so each weight is bit-equal
         # to the term partition_function averages for that replica
         weights = masses ** (-p)
-        for x, cell, mass, weight, y in zip(xs, cells, masses, weights, volumes[start:]):
+        for r, (mass, weight, y) in enumerate(zip(masses, weights, volumes[start:])):
             mass, y = float(mass), float(y)
             c = (math.log(y) - math.log(mass)) / gamma
+            # replica start + r is (-1)^r times even grid r // 2 of gamma X
             yield LiouvilleSample(
-                field=c + x + h_grid + shift,
-                measure=(y * scale / mass) * cell,
+                field=gxs[r // 2] * ((-1) ** r / gamma) + h_grid + (c + shift),
+                measure=(y * factor / mass) * (cells[r % 2, r // 2] * tilt),
                 volume=y,
                 weight=float(weight),
             )

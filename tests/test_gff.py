@@ -325,11 +325,14 @@ def reference_grid(coeffs, grid):
 
 
 def engine_grids(weights, grid, mc):
+    """Every replica of a replica_grids run: the engine yields the even
+    grids of a batch, and replica 2j + 1 is the negation of grid j."""
     out = []
     for start, (xs,) in replica_grids([weights], grid, mc):
         assert start == len(out)
+        rows = min(2 * len(xs), mc.replicas - start)
         # a stack is a view into the engine's workspace, valid until the next one
-        out.extend(xs.copy())
+        out.extend((-1) ** k * xs[k // 2] for k in range(rows))
     return np.array(out)
 
 
@@ -450,12 +453,13 @@ def test_replica_engine_is_bit_identical_to_rows_alone(
             want = reference_modes(rng, (rows + 1) // 2, cutoff, purpose)
             assert alpha.tobytes() == want.tobytes()
             for w, xs in zip(weights, grids, strict=True):
-                assert xs.shape == (rows, grid, grid)
-                for k in range(0, rows, 2):
-                    row = RngStream(SEED, base_stream + (start + k) // 2)
+                # only the even grids are stored, one per pair
+                assert xs.shape == ((rows + 1) // 2, grid, grid)
+                for j in range(len(xs)):
+                    row = RngStream(SEED, base_stream + start // 2 + j)
                     alone = draw_modes(row, 1, cutoff, purpose)[0]
-                    assert xs[k].tobytes() == modes_to_grid(alone * w[:, cutoff:], grid).tobytes()
-                assert_near_irfft2(xs[0::2], alpha, w, grid)
+                    assert xs[j].tobytes() == modes_to_grid(alone * w[:, cutoff:], grid).tobytes()
+                assert_near_irfft2(xs, alpha, w, grid)
     assert starts == list(range(0, replicas, size))
 
 
@@ -473,33 +477,37 @@ def test_replica_engine_is_bit_identical_to_rows_alone(
 def test_replica_pairs_are_negated_rows(
     cutoff, grid_factor, shave, boxes, batch, replicas, base_stream
 ):
-    # grid 2j + 1 is exactly -grid 2j, grid 2j is byte for byte the
-    # modes_to_grid of row base_stream + j drawn alone (and irfft2's grid to
-    # rounding), and the chaos cells of an odd grid, a division in place of
-    # an exp, sum to exp(-gamma X + offset)
+    # even grid j of a stack is gamma X of row base_stream + start / 2 + j,
+    # byte for byte the modes_to_grid of that row drawn alone with weights
+    # gamma w (and irfft2's grid to rounding); replica 2j + 1 is its
+    # negation, so its chaos cells are the reciprocals of replica 2j's and
+    # its mass sums exp(-gamma X + offset)
     grid = grid_factor * (cutoff + 1) - shave
     mc = MonteCarloConfig(replicas=replicas, seed=SEED, base_stream=base_stream)
     gamma, offset = 1.3, -0.7
-    weights = [
-        scaled_mode_weights(tau, cutoff, eps)
+    ones = np.ones((grid, grid))
+    points = [
+        (scaled_mode_weights(tau, cutoff, eps), math.exp(offset), ones)
         for tau, eps in ((TAU, 0.1), (1j, 0.0), (-0.4 + 0.9j, 0.05))[:boxes]
     ]
-    points = [(w, 1.0, offset, None) for w in weights]
     seen = 0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gff, "_BATCH_CELLS", batch * grid * grid)
         for start, stacks in chaos_batches(points, gamma, grid, mc):
-            for w, (xs, _, masses) in zip(weights, stacks, strict=True):
-                rows = len(xs)
-                assert xs[1::2].tobytes() == np.negative(xs[: rows - 1 : 2]).tobytes()
-                for k in range(0, rows, 2):
-                    rng = RngStream(SEED, base_stream + (start + k) // 2)
+            for (w, _, _), (gxs, cells, masses) in zip(points, stacks, strict=True):
+                w = gamma * w
+                rows = len(masses)
+                assert rows == min(2 * len(gxs), replicas - start)
+                assert cells.shape == (2,) + gxs.shape
+                assert cells[1].tobytes() == np.reciprocal(cells[0]).tobytes()
+                for j in range(len(gxs)):
+                    rng = RngStream(SEED, base_stream + start // 2 + j)
                     alpha = reference_modes(rng, 1, cutoff, MODES)
                     alone = modes_to_grid(alpha[0] * w[:, cutoff:], grid)
-                    assert xs[k].tobytes() == alone.tobytes()
-                    assert_near_irfft2(xs[k], alpha[0], w, grid)
+                    assert gxs[j].tobytes() == alone.tobytes()
+                    assert_near_irfft2(gxs[j], alpha[0], w, grid)
                 for k in range(1, rows, 2):
-                    direct = np.exp(-gamma * xs[k - 1] + offset).sum()
+                    direct = np.exp(-gxs[k // 2] + offset).sum()
                     assert abs(masses[k] - direct) <= 1e-12 * direct
             seen += rows
     assert seen == replicas
@@ -528,7 +536,11 @@ def test_replica_batches_follow_cell_budget():
     for grid, size in ((36, 50), (260, 2)):
         mc = MonteCarloConfig(replicas=size + 1, seed=SEED)
         weights = scaled_mode_weights(TAU, grid // 4 - 1)
-        sizes = [len(next(grids)) for _, grids in replica_grids([weights], grid, mc)]
+        # a batch yields its even grids, one per pair: B = min(2P, R - start)
+        sizes = [
+            min(2 * len(next(grids)), mc.replicas - start)
+            for start, grids in replica_grids([weights], grid, mc)
+        ]
         assert sizes == [size, 1]
 
 

@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from torus_lqg import gff
+from torus_lqg.chaos import chaos_prefactor, sample_total_masses
 from torus_lqg.config import FieldResolution, MonteCarloConfig
 from torus_lqg.errors import (
     DuplicateInsertion,
@@ -19,7 +21,8 @@ from torus_lqg.errors import (
     ValidationError,
 )
 from torus_lqg.gff import build_log_conformal_factor, free_field_partition
-from torus_lqg.gff import LogConformalFactor, SpectralField
+from torus_lqg.gff import LogConformalFactor, RngStream, SpectralField
+from torus_lqg.gff import draw_modes, modes_to_grid, regularized_variance, scaled_mode_weights
 from torus_lqg.green import (
     GreenEvalConfig,
     green,
@@ -372,3 +375,60 @@ def test_sampler_volume_marginal_mean():
     vols = np.array([s.volume for s in liouville_field_law_sampler(params, TAU, one, mc, res)])
     se = np.std(vols) / math.sqrt(len(vols))
     assert abs(np.mean(vols) - 0.5) < 4.0 * se
+
+
+def direct_cells(tau, gamma, q, mc, res, h_grid):
+    """The fields (-1)^r X of rows base_stream + r // 2, each drawn alone,
+    and their tilted cell weights scale * exp(gamma X + offset) * e^{gamma H},
+    with scale and offset written out from the prefactor and the variance."""
+    N, G = res.cutoff, res.grid
+    eps = res.eps_for(tau)
+    w = scaled_mode_weights(tau, N, eps)[:, N:]
+    scale = chaos_prefactor(tau, gamma, q) * tau.imag / (G * G)
+    offset = -0.5 * gamma * gamma * regularized_variance(tau, N, eps)
+    xs = np.empty((mc.replicas, G, G))
+    for r in range(mc.replicas):
+        alpha = draw_modes(RngStream(mc.seed, mc.base_stream + r // 2), 1, N)[0]
+        xs[r] = (-1) ** r * modes_to_grid(alpha * w, G)
+    return xs, scale * np.exp(gamma * xs + offset) * np.exp(gamma * h_grid)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    gamma=st.floats(0.05, 1.95),
+    cutoff=st.integers(1, 6),
+    replicas=st.integers(3, 11),
+    batch=st.integers(1, 4),
+    base_stream=st.integers(0, 2**40),
+    tau=st.sampled_from((TAU, 1j, -0.4 + 2.5j)),
+)
+@example(gamma=1.0, cutoff=4, replicas=7, batch=2, base_stream=3, tau=TAU)
+def test_masses_and_measures_match_the_cell_formula(gamma, cutoff, replicas, batch, base_stream, tau):
+    # untilted (sample_total_masses) and tilted (insertion_mass_samples)
+    # masses equal the cell formula summed directly, replica by replica,
+    # across split batches and a lone last replica; every sampled measure
+    # is y times the tilted cell weights over the mass, and sums to y
+    params = LQFTParams(gamma=gamma, mu=2.0)
+    q = params.q
+    res = FieldResolution(cutoff=cutoff, grid_factor=4)
+    G = res.grid
+    mc = MonteCarloConfig(replicas=replicas, seed=SEED, base_stream=base_stream)
+    h_grid = insertion_potential_grid(tau, TWO_POINTS, G, res.eps_for(tau))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gff, "_BATCH_CELLS", batch * G * G)
+        plain = sample_total_masses(tau, gamma, q, mc, res)
+        tilted = insertion_mass_samples(params, tau, TWO_POINTS, mc, res)
+        samples = list(liouville_field_law_sampler(params, tau, TWO_POINTS, mc, res))
+    for h, masses in ((np.zeros((G, G)), plain), (h_grid, tilted)):
+        direct = direct_cells(tau, gamma, q, mc, res, h)[1].sum(axis=(1, 2))
+        assert np.all(np.abs(masses - direct) <= 1e-13 * direct)
+    xs, cells = direct_cells(tau, gamma, q, mc, res, h_grid)
+    shift = -0.5 * q * math.log(tau.imag)
+    assert len(samples) == replicas
+    for r, sample in enumerate(samples):
+        y, mass = sample.volume, float(tilted[r])
+        want = y * cells[r] / mass
+        assert np.max(np.abs(sample.measure - want)) <= 1e-13 * np.max(want)
+        assert abs(float(np.sum(sample.measure)) - y) <= 1e-13 * y
+        field = (math.log(y) - math.log(mass)) / gamma + xs[r] + h_grid + shift
+        assert np.max(np.abs(sample.field - field)) <= 1e-12 * np.max(np.abs(field))
