@@ -16,9 +16,10 @@ environment variable overrides it.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
-import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,6 +45,9 @@ __all__ = ["MomentCache", "SAMPLER_VERSION", "default_cache_dir", "moment_key"]
 # each replica's tilted cells by one matrix-vector product, which moves
 # every mass, and every moment, at the 1e-16 level.
 SAMPLER_VERSION = 8
+
+# per-process counter in temp file names, so no two puts share one
+_TEMP_IDS = itertools.count()
 
 
 def default_cache_dir() -> Path:
@@ -111,11 +115,29 @@ class MomentCache:
         return record if isinstance(record, dict) else None
 
     def put(self, key: str, record: dict) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        """Write record as <key>.json: the JSON text goes to a temp file of
+        its own, created exclusively under a name unique to this process,
+        thread and call, in one os.write, then os.replace moves it into
+        place.  The directory is made only when the first open misses it."""
+        data = json.dumps(record, sort_keys=True).encode()
+        while True:
+            tmp = self.directory / (
+                f"{key}.{os.getpid()}.{threading.get_ident()}.{next(_TEMP_IDS)}.tmp"
+            )
+            try:
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            except FileNotFoundError:
+                self.directory.mkdir(parents=True, exist_ok=True)
+            except FileExistsError:  # left behind by an earlier process of this pid
+                pass
+            else:
+                break
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(record, fh, sort_keys=True)
+            try:
+                if os.write(fd, data) != len(data):
+                    raise OSError(f"short write of cache record {tmp}")
+            finally:
+                os.close(fd)
             os.replace(tmp, self.directory / f"{key}.json")
         except BaseException:
             try:

@@ -150,7 +150,10 @@ def chaos_batches(points, gamma: float, grid: int, mc: MonteCarloConfig, purpose
     batch ends on a lone replica and cells[1, P - 1] belongs to none.  gx
     is replica_grids' view into its workspace and cells a view into one
     cell workspace of the call, both valid until the next stack is
-    yielded; masses is a new array.
+    yielded; masses is a new array.  The product rounds a replica's mass
+    by about 1e-15 relative differently in a batch of another size, so
+    grids are the same in any batch but masses are bit-identical for a
+    fixed (mc.replicas, seed).
     """
     work = None
 

@@ -59,9 +59,10 @@ same batch give common random numbers across moduli.  Pairs are
 correlated, so standard errors come from pair means (pair_mean_se).
 
 The engine allocates its workspaces once per call, one slot per pair of
-a batch: a complex column spectrum (P, G, N+1), the real row basis
-(2(N+1), G), and a real output stack (P, G, G) of even grids.
-_synthesize, the one synthesis routine, fills it for each weight box:
+a batch: a complex column spectrum (P, G, N+1) and a real output stack
+(P, G, G) of even grids; the real row basis (2(N+1), G) is built once per
+(N, G) and shared read-only by every call.
+_synthesize, the one synthesis routine, fills the stack for each weight box:
 alpha * w goes straight into the live rows n mod G of the N+1 columns m = 0..N and
 the inverse FFT runs along n in place.  Only those N+1 of the G//2 + 1
 inputs of an inverse real FFT along m are nonzero, so that stage is one
@@ -78,6 +79,7 @@ view into the output workspace, valid until the next stack is yielded.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -190,24 +192,32 @@ def _mode_grid(cutoff: int):
     return np.meshgrid(idx, idx, indexing="ij")
 
 
-def _coefficient_weights(tau: complex, cutoff: int) -> np.ndarray:
-    """sqrt(c_{n,m}(tau)) on the box, zero at the origin mode."""
-    n, m = _mode_grid(cutoff)
-    k = n * complex(tau) - m
-    k[cutoff, cutoff] = 1.0
-    c = complex(tau).imag / (2.0 * np.pi * np.abs(k) ** 2)
+def _mode_moduli(tau: complex, cutoff: int) -> np.ndarray:
+    """|n*tau - m| on the box, rows n and columns m."""
+    idx = np.arange(-cutoff, cutoff + 1)
+    return np.abs(idx[:, None] * complex(tau) - idx)
+
+
+def _coefficient_weights(tau: complex, cutoff: int, k=None) -> np.ndarray:
+    """sqrt(c_{n,m}(tau)) on the box, zero at the origin mode; k, when
+    given, is _mode_moduli(tau, cutoff)."""
+    k2 = (_mode_moduli(tau, cutoff) if k is None else k) ** 2
+    k2[cutoff, cutoff] = 1.0
+    c = complex(tau).imag / (2.0 * np.pi * k2)
     c[cutoff, cutoff] = 0.0
     return np.sqrt(c)
 
 
 def scaled_mode_weights(tau: complex, cutoff: int, eps: float = 0.0) -> np.ndarray:
-    """sqrt(c_k) mode weights, with the circle-average multiplier if eps > 0.
+    """sqrt(c_k) mode weights, with the circle-average multiplier if eps > 0;
+    both take |n*tau - m| from one _mode_moduli.
 
     Precompute once per (tau, cutoff, eps) when looping over replicas.
     """
-    w = _coefficient_weights(tau, cutoff)
+    k = _mode_moduli(tau, cutoff)
+    w = _coefficient_weights(tau, cutoff, k)
     if eps:
-        w = w * bessel_multiplier(tau, cutoff, eps)
+        w = w * bessel_multiplier(tau, cutoff, eps, k)
     return w
 
 
@@ -247,35 +257,38 @@ def sample_gff(tau: complex, cutoff: int, rng: RngStream) -> SpectralField:
     return SpectralField(tau=tau, cutoff=cutoff, coeffs=coeffs)
 
 
+@functools.lru_cache(maxsize=16)
 def _row_basis(cutoff: int, grid: int) -> np.ndarray:
     """(2(N+1), G) real row basis of the synthesis along m: rows 2m and
     2m + 1 are a_m cos(2 pi m j/G) and -a_m sin(2 pi m j/G), a_0 = 1 and
     a_m = 2, with the angle reduced as (m j mod G).  The -sin row of m = 0
-    is zero, so the imaginary part at m = 0 drops out, as in irfft."""
+    is zero, so the imaginary part at m = 0 drops out, as in irfft.  Built
+    once per (N, G) and shared, so it is read-only."""
     m = np.arange(cutoff + 1)[:, None]
     angle = (2.0 * np.pi / grid) * (m * np.arange(grid) % grid)
     rows = np.stack([np.cos(angle), -np.sin(angle)], axis=1)
-    return (np.where(m == 0, 1.0, 2.0)[:, :, None] * rows).reshape(2 * (cutoff + 1), grid)
+    basis = (np.where(m == 0, 1.0, 2.0)[:, :, None] * rows).reshape(2 * (cutoff + 1), grid)
+    basis.flags.writeable = False
+    return basis
 
 
-def _synthesize(half, grid, weight=None, spec=None, basis=None, out=None) -> np.ndarray:
+def _synthesize(half, grid, weight=None, spec=None, out=None) -> np.ndarray:
     """Real grids at x = (i/G, j/G) of the half-spectra half, times weight if given.
 
     half is the columns m >= 0 of centered Hermitian (2N+1)^2 boxes, shape
     (..., 2N+1, N+1); weight, if given, is one (2N+1, N+1) box applied to
-    all of them.  spec, a (..., G, N+1) complex workspace, basis, the
-    _row_basis of (N, G), and out, the (..., G, G) real result, are made
-    when not given.  Box row n goes to slot n mod G and rows N+1 .. G-N-1
-    are re-zeroed, since a previous transform wrote them; the inverse FFT
-    runs along n in place, then the float view (..., G, 2(N+1)) of the
-    columns times the basis is the sum along m (see the module docstring).
+    all of them.  spec, a (..., G, N+1) complex workspace, and out, the
+    (..., G, G) real result, are made when not given.  Box row n goes to
+    slot n mod G and rows N+1 .. G-N-1 are re-zeroed, since a previous
+    transform wrote them; the inverse FFT runs along n in place, then the
+    float view (..., G, 2(N+1)) of the columns times the _row_basis of
+    (N, G) is the sum along m (see the module docstring).
     """
     N = half.shape[-1] - 1
     if grid <= 2 * N:
         raise ValidationError(f"grid {grid} too coarse for cutoff {N}")
     if spec is None:
         spec = np.empty(half.shape[:-2] + (grid, N + 1), dtype=complex)
-        basis = _row_basis(N, grid)
         out = np.empty(half.shape[:-2] + (grid, grid))
     if weight is None:
         np.copyto(spec[..., : N + 1, :], half[..., N:, :])
@@ -285,7 +298,7 @@ def _synthesize(half, grid, weight=None, spec=None, basis=None, out=None) -> np.
         np.multiply(half[..., :N, :], weight[:N], out=spec[..., grid - N :, :])
     spec[..., N + 1 : grid - N, :] = 0.0
     np.fft.ifft(spec, axis=-2, norm="forward", out=spec)
-    return np.matmul(spec.view(float), basis, out=out)
+    return np.matmul(spec.view(float), _row_basis(N, grid), out=out)
 
 
 def modes_to_grid(half: np.ndarray, grid: int) -> np.ndarray:
@@ -294,7 +307,7 @@ def modes_to_grid(half: np.ndarray, grid: int) -> np.ndarray:
     half is the columns m >= 0 of one centered Hermitian (2N+1)^2 box,
     shape (2N+1, N+1), or a stack of them along leading axes; the whole
     stack goes through one _synthesize call, an inverse FFT along n and
-    one matrix product along m against a row basis built for this call.
+    one matrix product along m against the shared row basis of (N, G).
     """
     return _synthesize(half, grid)
 
@@ -320,18 +333,17 @@ def replica_grids(weights, grid: int, mc: MonteCarloConfig, purpose: int = MODES
     """
     N = weights[0].shape[0] // 2
     batch = min(mc.replicas, 2 * max(1, _BATCH_CELLS // (2 * grid * grid)))
-    # the workspaces of the call, one slot per pair: a column spectrum, the
-    # row basis, and an even grid
+    # the workspaces of the call, one slot per pair: a column spectrum and an
+    # even grid
     pairs = (batch + 1) // 2
     spec = np.empty((pairs, grid, N + 1), dtype=complex)
-    basis = _row_basis(N, grid)
     out = np.empty((pairs, grid, grid))
     halves = [w[:, N:] for w in weights]
 
     def stacks(alpha):
         p = len(alpha)
         for w in halves:
-            yield _synthesize(alpha, grid, w, spec[:p], basis, out[:p])
+            yield _synthesize(alpha, grid, w, spec[:p], out[:p])
 
     for start in range(0, mc.replicas, batch):
         rows = min(batch, mc.replicas - start)
@@ -373,10 +385,10 @@ def evaluate_on_grid(fld: SpectralField, grid: int | None = None) -> np.ndarray:
     return modes_to_grid(fld.coeffs[:, fld.cutoff :], G)
 
 
-def bessel_multiplier(tau: complex, cutoff: int, eps: float) -> np.ndarray:
-    """Circle-average mode multipliers J0(2*pi*eps*|n*tau - m|/Im(tau))."""
-    n, m = _mode_grid(cutoff)
-    k = np.abs(n * complex(tau) - m)
+def bessel_multiplier(tau: complex, cutoff: int, eps: float, k=None) -> np.ndarray:
+    """Circle-average mode multipliers J0(2*pi*eps*|n*tau - m|/Im(tau)); k,
+    when given, is _mode_moduli(tau, cutoff)."""
+    k = _mode_moduli(tau, cutoff) if k is None else k
     return j0(2.0 * np.pi * eps * k / complex(tau).imag)
 
 

@@ -149,12 +149,14 @@ def green_grid(tau: complex, x1c, x2c, cap: float):
     log_eta = math.log(abs(dedekind_eta(tau)))
     n_cut = _theta_cut(tau, tau.imag * np.abs(x2))
     w, log_c = _theta_log_terms(tau, n_cut.max(initial=1))
-    live = np.arange(w.size)[:, None] < n_cut
     iwt = 1j * np.outer(w, tau * x2)
     phase = np.exp(1j * np.outer(x1c, w))
     with np.errstate(all="ignore"):
-        plus = np.where(live, np.exp(log_c[:, None] + iwt), 0.0)
-        minus = np.where(live, np.exp(log_c[:, None] - iwt), 0.0)
+        plus = np.exp(log_c[:, None] + iwt)
+        minus = np.exp(log_c[:, None] - iwt)
+        if n_cut.min() < w.size:  # zero the terms past each column's own count
+            live = np.arange(w.size)[:, None] < n_cut
+            plus, minus = np.where(live, plus, 0.0), np.where(live, minus, 0.0)
         out = np.abs(np.hstack((phase, -phase.conj())) @ np.vstack((plus, minus)))
         np.log(out, out=out)
         np.subtract(np.pi * tau.imag * x2 * x2 + log_eta, out, out=out)

@@ -62,6 +62,7 @@ __all__ = [
     "weyl_anomaly_factor",
     "weyl_anomaly_log_factor",
     "liouville_field_law_sampler",
+    "resampled_measure",
 ]
 
 
@@ -307,6 +308,34 @@ class LiouvilleSample:
     weight: float
 
 
+def _law_batches(params: LQFTParams, tau: complex, ins: InsertionSet, mc, res, purpose):
+    """(h_grid, factor, tilt, batches) of the Liouville law at tau: batches
+    yields (start, gxs, cells, masses, weights) per chaos_batches batch of
+    the tilted point, weights the I^{-s/gamma} of the masses.  Raises when
+    a Seiberg bound fails."""
+    ins.require_seiberg_sum()
+    if not ins.seiberg_local_ok(params.q):
+        raise SeibergViolationLocal(f"every alpha must stay below Q = {params.q:g}")
+    p = ins.alpha_sum / params.gamma
+    point, h_grid = _tilted_point(params, tau, ins, res)
+
+    def batches():
+        for start, ((gxs, cells, masses),) in chaos_batches(
+            [point], params.gamma, res.grid, mc, purpose
+        ):
+            # the array power inverse_power_mean uses, so each weight is bit-equal
+            # to the term partition_function averages for that replica
+            yield start, gxs, cells, masses, masses ** (-p)
+
+    return h_grid, point[1], point[2], batches()
+
+
+def _law_measure(y: float, factor: float, mass: float, cells: np.ndarray, tilt: np.ndarray):
+    """The quantum-area measure of a replica of total tilted mass mass and
+    cells cells, conditioned on volume y: factor * cells * tilt scaled to y."""
+    return (y * factor / mass) * (cells * tilt)
+
+
 def liouville_field_law_sampler(
     params: LQFTParams,
     tau: complex,
@@ -324,30 +353,53 @@ def liouville_field_law_sampler(
     on that total volume instead.  The fields draw under purpose.
     """
     tau = complex(tau)
-    ins.require_seiberg_sum()
-    if not ins.seiberg_local_ok(params.q):
-        raise SeibergViolationLocal(f"every alpha must stay below Q = {params.q:g}")
     gamma = params.gamma
+    h_grid, factor, tilt, batches = _law_batches(params, tau, ins, mc, res, purpose)
     p = ins.alpha_sum / gamma
-    point, h_grid = _tilted_point(params, tau, ins, res)
-    _, factor, tilt = point
     shift = -0.5 * params.q * math.log(tau.imag)
     if y_volume is None:
         u = RngStream(mc.seed, mc.base_stream).uniforms(mc.replicas, 1, VOLUME)[:, 0]
         volumes = gammaincinv(p, u) / params.mu
     else:
         volumes = np.full(mc.replicas, float(y_volume))
-    for start, ((gxs, cells, masses),) in chaos_batches([point], gamma, res.grid, mc, purpose):
-        # the array power inverse_power_mean uses, so each weight is bit-equal
-        # to the term partition_function averages for that replica
-        weights = masses ** (-p)
+    for start, gxs, cells, masses, weights in batches:
         for r, (mass, weight, y) in enumerate(zip(masses, weights, volumes[start:])):
             mass, y = float(mass), float(y)
             c = (math.log(y) - math.log(mass)) / gamma
             # replica start + r is (-1)^r times even grid r // 2 of gamma X
             yield LiouvilleSample(
                 field=gxs[r // 2] * ((-1) ** r / gamma) + h_grid + (c + shift),
-                measure=(y * factor / mass) * (cells[r % 2, r // 2] * tilt),
+                measure=_law_measure(y, factor, mass, cells[r % 2, r // 2], tilt),
                 volume=y,
                 weight=float(weight),
             )
+
+
+def resampled_measure(
+    params: LQFTParams,
+    tau: complex,
+    ins: InsertionSet,
+    mc: MonteCarloConfig,
+    res: FieldResolution,
+    y_volume: float,
+    u: float,
+    purpose: int = MODES,
+) -> np.ndarray:
+    """The measure of the sample of liouville_field_law_sampler(params, tau,
+    ins, mc, res, y_volume, purpose) that importance resampling picks with
+    the uniform u: the first replica whose cumulative weight exceeds u times
+    the total.  Only the picked replica's measure is formed; the cells of a
+    batch before the last are copied, since the next batch overwrites them.
+    """
+    tau = complex(tau)
+    _, factor, tilt, batches = _law_batches(params, tau, ins, mc, res, purpose)
+    held, masses, weights = [], [], []
+    for start, _, cells, m, w in batches:
+        held.append(cells if start + len(m) == mc.replicas else cells.copy())
+        masses.append(m)
+        weights.append(w)
+    cdf = np.cumsum(np.concatenate(weights))
+    pick = min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), mc.replicas - 1)
+    mass = float(np.concatenate(masses)[pick])
+    j, r = divmod(pick, len(masses[0]))
+    return _law_measure(float(y_volume), factor, mass, held[j][r % 2, r // 2], tilt)

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .gff import MODULUS, RESAMPLE, VOLUME, RngStream, free_field_partition
 from .lqft import InsertionSet, LQFTParams, insertion_constant, insertion_mass_table
-from .lqft import inverse_power_mean, liouville_field_law_sampler
+from .lqft import inverse_power_mean, resampled_measure
 from .special import dedekind_eta, theta_aux
 
 __all__ = [
@@ -484,7 +484,8 @@ def joint_law_sampler(
     Sample k is row s = rng.stream + k: columns 0 and 1 of volume row s
     give its volume and its pick among the B = _RESAMPLE_BATCH candidate
     fields, the B/2 antithetic pairs of rows [sB/2, (s+1)B/2) of the
-    resample purpose, by importance resampling on the I^{-s/gamma} weights.
+    resample purpose, by importance resampling on the I^{-s/gamma} weights
+    (lqft.resampled_measure): only the picked candidate's measure is formed.
     """
     ins.require_seiberg_sum()
     taus = sample_modulus(table, count, rng)
@@ -498,8 +499,5 @@ def joint_law_sampler(
         if res is not None:
             pairs = _RESAMPLE_BATCH // 2
             sub = MonteCarloConfig(_RESAMPLE_BATCH, rng.seed, (rng.stream + k) * pairs)
-            samples = list(liouville_field_law_sampler(params, tau, ins, sub, res, y, RESAMPLE))
-            cdf = np.cumsum([s.weight for s in samples])
-            pick = int(np.searchsorted(cdf, u[k, 1] * cdf[-1], side="right"))
-            measure = samples[min(pick, len(samples) - 1)].measure
+            measure = resampled_measure(params, tau, ins, sub, res, y, u[k, 1], RESAMPLE)
         yield JointSample(tau=tau, volume=y, measure=measure)

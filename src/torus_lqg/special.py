@@ -42,6 +42,8 @@ MIN_IM_TAU = 1e-3
 # index of any single series or product
 TOLERANCE = 1e-12
 MAX_TERMS = 200_000
+# terms x points per block of _theta_series: bounds its working set
+_SERIES_CELLS = 1 << 16
 
 
 def _require_tau(tau: complex) -> complex:
@@ -60,34 +62,59 @@ def _term_count(what: str, a: float, b, c: float, s: float, tolerance: float = T
 
     log term_n = a*(n+s)^2 + b*(n+s) + c with a <= 0, so the log ratio
     a*(2(n+s)+1) + b falls with n (a = 0: geometric, ratio exp(b) < 1).
-    The quadratic's larger root, refined once for the (1 - ratio) factor,
-    lands on the count or one past it; the exact test settles which.  A
-    non-finite input gives a NaN or infinite count, refused like any
-    count above MAX_TERMS.
+    A float b takes _float_count, an int.  The count does not fall as b
+    grows, so for an array b the counts of its smallest and largest entry
+    bound every count, and one exact-test pass per count in between
+    settles each entry: the same count as that entry alone.  A non-finite
+    input gives a NaN or infinite root, refused like any count above
+    MAX_TERMS.
     """
+    log_eps = math.log(0.1 * tolerance)
+    if np.ndim(b) == 0:
+        return _float_count(what, a, float(b), c, s, log_eps, tolerance)
+    b = np.asarray(b, dtype=float)
+    if not b.size:
+        return np.zeros(b.shape, dtype=int)
+    b_lo, b_hi = float(b.min()), float(b.max())
+    lo = _float_count(what, a, b_lo, c, s, log_eps, tolerance)
+    hi = lo if b_hi == b_lo else _float_count(what, a, b_hi, c, s, log_eps, tolerance)
+    n = np.full(b.shape, lo)
+    with np.errstate(over="ignore"):
+        for k in range(lo, hi):
+            x = k + s
+            n += ~(np.exp(a * x * x + b * x + c - log_eps) + np.exp(a * (2 * x + 1) + b) <= 1.0)
+    return n
 
+
+def _float_count(what, a, b, c, s, log_eps, tolerance):
+    """_term_count of one float b, in math.  The quadratic's larger root,
+    refined once for the (1 - ratio) factor, lands within one of the count;
+    the exact test settles it."""
     def root(k):  # larger root of a*x^2 + b*x + k
-        return (b + np.sqrt(b * b - 4.0 * a * k)) / (-2.0 * a) if a else -k / b
+        return (b + math.sqrt(b * b - 4.0 * a * k)) / (-2.0 * a) if a else -k / b
 
-    def fits(n):  # term_n / eps + ratio_n <= 1; an overflow to inf fails it
+    def fits(n):  # term_n / eps + ratio_n <= 1; an exponent past exp's range fails it
         x = n + s
-        return np.exp(a * x * x + b * x + c - log_eps) + np.exp(a * (2 * x + 1) + b) <= 1.0
+        t, r = a * x * x + b * x + c - log_eps, a * (2 * x + 1) + b
+        return t < 709.0 and r < 709.0 and math.exp(t) + math.exp(r) <= 1.0
 
-    with np.errstate(all="ignore"):
-        log_eps = np.log(0.1 * tolerance)
+    try:
         x = root(c - log_eps)
-        x = root(c - log_eps - np.log(-np.expm1(a * (2 * x + 1) + b)))
-        n = np.maximum(np.ceil(x - s), 1.0)
-        n = n - ((n > 1) & fits(n - 1))
-        n = n + ~fits(n)
-    if not (n <= MAX_TERMS).all():
+        x = root(c - log_eps - math.log(-math.expm1(a * (2 * x + 1) + b)))
+        n = max(math.ceil(x - s), 1)
+    except (ArithmeticError, ValueError):  # a NaN or infinite root
+        n = math.inf
+    else:
+        n -= n > 1 and fits(n - 1)
+        n += not fits(n)
+    if n > MAX_TERMS:
         raise NonConvergence(
             f"{what} needs more than {MAX_TERMS} terms for tolerance {tolerance:g}"
         )
-    return n.astype(int)
+    return n
 
 
-def _theta_cut(tau: complex, b) -> np.ndarray:
+def _theta_cut(tau: complex, b):
     """Per bound b on |Im z|, the term count of a theta1-type series, whose
     term n has modulus at most 2*|q|^((n+1/2)^2) * exp((2n+1)*pi*b)."""
     if not np.all(np.isfinite(b)):
@@ -129,34 +156,41 @@ def _theta_series(z, tau: complex, over_z: bool) -> np.ndarray:
     does not depend on the other points of the array.  theta1 takes each
     term as a difference of two exps of log coefficient plus phase, so a
     tiny q^((n+1/2)^2) and a huge sin((2n+1)*pi*z) never meet; theta1/z
-    sums c_n * sin(w_n*z)/z.  Raises NumericError when a sum is not
-    finite (the value itself overflows).
+    sums c_n * sin(w_n*z)/z.  The terms of a block of points are one
+    (terms, points) array of at most _SERIES_CELLS entries, added up term
+    by term, each into the points it reaches.  Raises NumericError when a
+    sum is not finite (the value itself overflows).
     """
     tau = _require_tau(tau)
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
     n_cut = _theta_cut(tau, np.abs(flat.imag))
+    n_max = n_cut.max(initial=1)
     if over_z:
-        ns, coeffs = _theta_terms(tau, n_cut.max(initial=1))
-        ws = (2 * ns + 1) * np.pi
+        ns, c = _theta_terms(tau, n_max)
+        w = (2 * ns + 1) * np.pi
     else:
-        ws, coeffs = _theta_log_terms(tau, n_cut.max(initial=1))
+        w, c = _theta_log_terms(tau, n_max)
+    w, c = w[:, None], c[:, None]
+    step = max(1, _SERIES_CELLS // n_max)
     out = np.zeros_like(flat)
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, (w, c) in enumerate(zip(ws, coeffs)):
-            live = n < n_cut
-            zl = flat[live]
+        for lo in range(0, flat.size, step):
+            zs, sums = flat[lo : lo + step], out[lo : lo + step]
             if over_z:
-                out[live] += c * _sine_over_z(w, zl)
+                terms = c * _sine_over_z(w, zs)
             else:
-                out[live] += np.exp(c + 1j * w * zl) - np.exp(c - 1j * w * zl)
+                terms = np.exp(c + 1j * w * zs) - np.exp(c - 1j * w * zs)
+            cut = n_cut[lo : lo + step]
+            for n, term in enumerate(terms):
+                np.add(sums, term, out=sums, where=n < cut)
     if not np.all(np.isfinite(out)):
         raise NumericError(f"theta series is not finite at tau = {tau}")
     return out.reshape(z.shape)
 
 
-def _sine_over_z(w: float, z: np.ndarray) -> np.ndarray:
-    """sin(w*z)/z, filled with its Taylor expansion where |w*z| < 1e-6."""
+def _sine_over_z(w, z: np.ndarray) -> np.ndarray:
+    """sin(w*z)/z for a frequency or a column of them, filled with its Taylor expansion where |w*z| < 1e-6."""
     wz = w * z
     small = np.abs(wz) < 1e-6
     safe = np.where(small, 1.0, z)

@@ -1,7 +1,12 @@
 """Matter coupling, modulus density table, and the joint law sampler."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +23,11 @@ from torus_lqg.errors import (
     TruncationTooTight,
     ValidationError,
 )
-from torus_lqg.gff import MODES, MODULUS, VOLUME, RngStream, free_field_partition
+from torus_lqg.gff import MODES, MODULUS, RESAMPLE, VOLUME, RngStream, free_field_partition
 from torus_lqg.lqft import InsertionSet, LQFTParams, conformal_weight, insertion_mass_samples
+from torus_lqg.lqft import liouville_field_law_sampler
 from torus_lqg.lqg import (
+    _RESAMPLE_BATCH,
     DensityTable,
     MatterCFT,
     alpha_from_matter_weight,
@@ -251,6 +258,33 @@ def test_cache_concurrent_writers_lose_nothing(tmp_path):
             assert caches[1 - w].get(f"{w}-{k}") == {"writer": w, "k": k}
 
 
+# one writer process: 200 puts of its own records under one shared key
+_WRITER = (
+    "import sys\n"
+    "from torus_lqg.cache import MomentCache\n"
+    "cache = MomentCache(sys.argv[1])\n"
+    "for k in range(200):\n"
+    "    cache.put('shared', {'writer': int(sys.argv[2]), 'k': k})\n"
+)
+
+
+def test_cache_two_processes_write_one_key(tmp_path):
+    # the directory does not exist yet, so both processes also race to make it
+    directory = tmp_path / "cache"
+    env = dict(os.environ, PYTHONPATH=str(Path(cache_module.__file__).parents[1]))
+    procs = [
+        subprocess.Popen([sys.executable, "-c", _WRITER, str(directory), str(w)], env=env)
+        for w in range(2)
+    ]
+    for p in procs:
+        assert p.wait(timeout=120) == 0
+    record = json.loads((directory / "shared.json").read_text(encoding="utf-8"))
+    # the last replace is the last put of the writer that finished last
+    assert record["writer"] in (0, 1) and record["k"] == 199
+    assert sorted(f.name for f in directory.iterdir()) == ["shared.json"]
+    assert not list(directory.glob("*.tmp"))
+
+
 def test_cache_key_sensitivity():
     matter, params, ins = pure_setup()
     pts = ins.insertions
@@ -478,3 +512,26 @@ def test_joint_sampler_with_measure():
     for s in samples:
         assert s.measure is not None
         assert abs(float(np.sum(s.measure)) - s.volume) < 1e-10 * s.volume
+
+
+@pytest.mark.parametrize(
+    "res, count",
+    # at G = 28 the 8 candidates are one batch; at G = 132 they are four
+    # batches of one pair, so the cells of all but the last are kept as copies
+    [(FieldResolution(cutoff=6, grid_factor=4), 4), (FieldResolution(cutoff=32), 2)],
+)
+def test_joint_sampler_measure_is_the_picked_candidates(res, count):
+    matter, params, ins = pure_setup()
+    tab = build_density_table(matter, params, ins, MC, RES, re_cells=4, im_cells=4, t_max=12.0)
+    rng = RngStream(29, 3)
+    samples = list(joint_law_sampler(matter, params, ins, tab, count, rng, res=res))
+    u = rng.uniforms(count, 2, VOLUME)
+    pairs = _RESAMPLE_BATCH // 2
+    for k, s in enumerate(samples):
+        sub = MonteCarloConfig(_RESAMPLE_BATCH, rng.seed, (rng.stream + k) * pairs)
+        candidates = list(
+            liouville_field_law_sampler(params, s.tau, ins, sub, res, s.volume, RESAMPLE)
+        )
+        cdf = np.cumsum([c.weight for c in candidates])
+        pick = min(int(np.searchsorted(cdf, u[k, 1] * cdf[-1], side="right")), len(cdf) - 1)
+        assert s.measure.tobytes() == candidates[pick].measure.tobytes()

@@ -231,3 +231,75 @@ def test_term_count_refuses_counts_above_cap():
         _term_count("eta product", 0.0, -2.0 * math.pi * 1e-5, 0.0, 0.0)
     with pytest.raises(NonConvergence, match=f"more than {MAX_TERMS} terms"):
         theta1(1e6j, 1j)
+
+
+def _site(site, y, v, x2):
+    """(a, b, c, s, tol, log_term) of a term-count site at Im tau = y whose
+    b varies with v: theta1 at the bound |Im z| = v * y, the eta product
+    and the appendix m-sum at Im tau = (0.2 + v) * y."""
+    if site == "theta1":
+        bz = v * y
+        return (-math.pi * y, 2.0 * math.pi * bz, math.log(2.0), 0.5, TOLERANCE,
+                lambda n: math.log(2.0) - math.pi * y * (n + 0.5) ** 2 + (2 * n + 1) * math.pi * bz)
+    yk = (0.2 + v) * y
+    if site == "eta":
+        return 0.0, -2.0 * math.pi * yk, 0.0, 0.0, TOLERANCE, lambda n: -2.0 * math.pi * yk * n
+    return (0.0, -2.0 * math.pi * yk, math.log(2.0), -x2, 1e-10,
+            lambda m: math.log(2.0) - 2.0 * math.pi * yk * (m - x2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_y=st.floats(math.log10(MIN_IM_TAU), math.log10(110.0)),
+    vs=st.lists(st.floats(0.0, 1.2), min_size=1, max_size=12),
+    x2=st.floats(0.0, 1.0, exclude_max=True),
+    site=st.sampled_from(["theta1", "eta", "appendix"]),
+)
+def test_term_count_array_path_equals_float_path(log_y, vs, x2, site):
+    y = 10.0**log_y
+    sites = [_site(site, y, v, x2) for v in vs]
+    a, _, c, s, tol, _ = sites[0]
+    counts = _term_count("series", a, np.array([b for _, b, *_ in sites]), c, s, tol)
+    assert counts.shape == (len(vs),)
+    for n, (_, b, _, _, _, log_term) in zip(counts, sites):
+        assert n == _term_count("series", a, b, c, s, tol)
+        assert 1 <= n <= MAX_TERMS and _bound_met(log_term, n, tol)
+        if n > 1:
+            assert not _bound_met(log_term, n - 1, tol)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_term_count_refuses_non_finite_bounds_on_both_paths(bad):
+    a, c = -math.pi, math.log(2.0)
+    with pytest.raises(NonConvergence):
+        _term_count("theta series", a, bad, c, 0.5)
+    with pytest.raises(NonConvergence):
+        _term_count("theta series", a, np.array([0.0, bad, 1.0]), c, 0.5)
+    for b in (bad, np.array([0.1, bad])):
+        with pytest.raises(NonConvergence, match="non-finite"):
+            _theta_cut(1j, b)
+
+
+def test_term_count_refuses_counts_above_cap_on_both_paths():
+    # |Im z| = 1e6 at tau = i needs about 2e6 theta terms, Im tau = 1e-5 about 4.8e5 eta factors
+    sites = [("theta series", -math.pi, 2.0 * math.pi * 1e6, math.log(2.0), 0.5),
+             ("eta product", 0.0, -2.0 * math.pi * 1e-5, 0.0, 0.0)]
+    for what, a, b, c, s in sites:
+        for bound in (b, np.array([-2.0 * math.pi, b]), np.array([b, b])):
+            with pytest.raises(NonConvergence, match=f"more than {MAX_TERMS} terms"):
+                _term_count(what, a, bound, c, s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    re=st.floats(-0.5, 0.5),
+    log_y=st.floats(math.log10(MIN_IM_TAU), math.log10(110.0)),
+    fracs=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=40),
+)
+def test_theta_cut_is_the_same_alone_and_in_any_array(re, log_y, fracs):
+    tau = complex(re, 10.0**log_y)
+    b = np.array(fracs) * tau.imag
+    cut = _theta_cut(tau, b)
+    assert cut.dtype.kind == "i"
+    assert cut.tolist() == [_theta_cut(tau, float(v)) for v in b]
+    assert cut[::-1].tolist() == _theta_cut(tau, b[::-1]).tolist()
