@@ -43,8 +43,12 @@ __all__ = ["MomentCache", "SAMPLER_VERSION", "default_cache_dir", "moment_key"]
 # and every moment, at the 1e-15 level; version 8 folds gamma into the
 # mode weights and the variance offset into the cell factor, and sums
 # each replica's tilted cells by one matrix-vector product, which moves
-# every mass, and every moment, at the 1e-16 level.
-SAMPLER_VERSION = 8
+# every mass, and every moment, at the 1e-16 level; version 9 builds the
+# setup of a block of moduli in array passes and evaluates H at each
+# point's centered representative, with theta1 and theta1/z truncated
+# relative to their first term too and Theta(tau) at an exact lattice
+# point, which moves H, and every moment tilted by it, at the 1e-15 level.
+SAMPLER_VERSION = 9
 
 # per-process counter in temp file names, so no two puts share one
 _TEMP_IDS = itertools.count()

@@ -14,6 +14,9 @@ studies only fight genuine chaos fluctuations, not normalization drift.
 cell_constants, chaos_cells and chaos_batches are the one home of this
 weight, computed as factor * exp(gamma X): everything but the field is
 one scalar per modulus (cell_constants), so a cell costs one exp.
+cell_constants forms the factors of an array of moduli in array passes
+too, taking their variances from the J0 pass of gff.scaled_mode_weights
+when a caller already made one, as lqft's block setup does.
 chaos_batches has the engine synthesize gamma X directly (the mode
 weights times gamma), forms the cells of an antithetic pair from its
 even grid alone, the odd cells being the reciprocals, and sums them
@@ -81,12 +84,12 @@ class ChaosMeasure:
         return float(np.max(self.weights) / total) if total > 0 else 0.0
 
 
-def chaos_prefactor(tau: complex, gamma: float, q: float) -> float:
-    """exp((gamma^2/2)*Theta(tau) - (gamma*q/2)*ln Im(tau))."""
-    tau = complex(tau)
-    return math.exp(
-        0.5 * gamma * gamma * theta_offset(tau) - 0.5 * gamma * q * math.log(tau.imag)
-    )
+def chaos_prefactor(tau, gamma: float, q: float):
+    """exp((gamma^2/2)*Theta(tau) - (gamma*q/2)*ln Im(tau)), at one modulus
+    (a float) or at each of an array of moduli."""
+    t = np.atleast_1d(np.asarray(tau, dtype=complex))
+    out = np.exp(0.5 * gamma * gamma * theta_offset(t) - 0.5 * gamma * q * np.log(t.imag))
+    return float(out[0]) if np.ndim(tau) == 0 else out
 
 
 def expected_total_mass(tau: complex, gamma: float, q: float) -> float:
@@ -95,26 +98,35 @@ def expected_total_mass(tau: complex, gamma: float, q: float) -> float:
 
 
 def cell_constants(
-    tau: complex, gamma: float, q: float, cutoff: int, eps: float, grid: int, critical: bool = False
-) -> float:
+    tau, gamma: float, q: float, cutoff: int, eps, grid: int, critical: bool = False, variance=None
+):
     """The factor of one modulus: a cell weighs factor * chaos_cells(gamma X).
 
     factor = prefactor * Im(tau) / G^2 * e^{offset}, with the critical
     prefactor when critical is set and offset = -(gamma^2/2) sigma_eps^2,
-    so the normalization is one scalar and the cells one exp each.
-    Callers validate gamma.
+    so the normalization is one scalar and the cells one exp each.  tau
+    may be an array of moduli, eps a scalar or one per modulus; then the
+    factors are an array, formed in array passes.  variance, when given,
+    is sigma_eps^2 at each modulus (scaled_mode_weights gives it from its
+    J0 pass); else regularized_variance of a scalar tau.  Callers
+    validate gamma.
     """
-    tau = complex(tau)
+    t = np.atleast_1d(np.asarray(tau, dtype=complex))
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), t.shape)
     if critical:
-        if not 0.0 < eps < 1.0:
-            raise ValidationError(f"critical correction needs eps in (0, 1), got {eps:g}")
+        if not np.all((0.0 < eps) & (eps < 1.0)):
+            bad = eps[~((0.0 < eps) & (eps < 1.0))][0]
+            raise ValidationError(f"critical correction needs eps in (0, 1), got {bad:g}")
         # sqrt(pi/2) sqrt(ln 1/eps) times the gamma = 2 prefactor
-        push = math.sqrt(0.5 * math.pi) * math.sqrt(math.log(1.0 / eps))
-        pref = push * chaos_prefactor(tau, 2.0, 2.0)
+        push = math.sqrt(0.5 * math.pi) * np.sqrt(np.log(1.0 / eps))
+        pref = push * chaos_prefactor(t, 2.0, 2.0)
     else:
-        pref = chaos_prefactor(tau, gamma, q)
-    offset = -0.5 * gamma * gamma * regularized_variance(tau, cutoff, eps)
-    return pref * tau.imag / (grid * grid) * math.exp(offset)
+        pref = chaos_prefactor(t, gamma, q)
+    if variance is None:
+        variance = regularized_variance(complex(tau), cutoff, float(eps[0]))
+    offset = -0.5 * gamma * gamma * np.asarray(variance, dtype=float)
+    out = pref * t.imag / (grid * grid) * np.exp(offset)
+    return float(out[0]) if np.ndim(tau) == 0 else out
 
 
 def chaos_cells(gx: np.ndarray, paired=False, out=None):

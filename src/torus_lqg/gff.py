@@ -192,33 +192,65 @@ def _mode_grid(cutoff: int):
     return np.meshgrid(idx, idx, indexing="ij")
 
 
-def _mode_moduli(tau: complex, cutoff: int) -> np.ndarray:
-    """|n*tau - m| on the box, rows n and columns m."""
+def _mode_moduli(tau, cutoff: int) -> np.ndarray:
+    """|n*tau - m| on the box, rows n and columns m, along leading axes
+    for an array of moduli."""
     idx = np.arange(-cutoff, cutoff + 1)
-    return np.abs(idx[:, None] * complex(tau) - idx)
+    return np.abs(idx[:, None] * np.asarray(tau, dtype=complex)[..., None, None] - idx)
+
+
+def _spectral_box(tau, cutoff: int, k=None) -> np.ndarray:
+    """c_{n,m}(tau) on the box, zero at the origin mode; k, when given, is
+    _mode_moduli(tau, cutoff)."""
+    k2 = (_mode_moduli(tau, cutoff) if k is None else k) ** 2
+    k2[..., cutoff, cutoff] = 1.0
+    c = _per_modulus(np.imag(tau)) / (2.0 * np.pi * k2)
+    c[..., cutoff, cutoff] = 0.0
+    return c
+
+
+def _per_modulus(v) -> np.ndarray:
+    """A scalar, or one value per modulus, broadcast against (2N+1)^2 boxes."""
+    return np.asarray(v, dtype=float)[..., None, None]
 
 
 def _coefficient_weights(tau: complex, cutoff: int, k=None) -> np.ndarray:
     """sqrt(c_{n,m}(tau)) on the box, zero at the origin mode; k, when
     given, is _mode_moduli(tau, cutoff)."""
-    k2 = (_mode_moduli(tau, cutoff) if k is None else k) ** 2
-    k2[cutoff, cutoff] = 1.0
-    c = complex(tau).imag / (2.0 * np.pi * k2)
-    c[cutoff, cutoff] = 0.0
-    return np.sqrt(c)
+    return np.sqrt(_spectral_box(tau, cutoff, k))
 
 
-def scaled_mode_weights(tau: complex, cutoff: int, eps: float = 0.0) -> np.ndarray:
-    """sqrt(c_k) mode weights, with the circle-average multiplier if eps > 0;
-    both take |n*tau - m| from one _mode_moduli.
+def scaled_mode_weights(tau, cutoff: int, eps=0.0, variance: bool = False):
+    """sqrt(c_k) mode weights, with the circle-average multiplier J0 if
+    eps > 0, of one modulus, or (K, 2N+1, 2N+1) for an array of K moduli
+    with eps a scalar or one per modulus: one |n*tau - m| box and one J0
+    pass for all of them.
 
-    Precompute once per (tau, cutoff, eps) when looping over replicas.
+    With variance, also returns regularized_variance at each modulus from
+    the same box: below _VARIANCE_ROWS box rows, the brute sum's own rows,
+    the n = 0 row and then twice the rows n = 1..N, bit for bit; above,
+    regularized_variance itself.  Precompute once per (tau, cutoff, eps)
+    when looping over replicas.
     """
     k = _mode_moduli(tau, cutoff)
-    w = _coefficient_weights(tau, cutoff, k)
-    if eps:
-        w = w * bessel_multiplier(tau, cutoff, eps, k)
-    return w
+    c = _spectral_box(tau, cutoff, k)
+    w, mult = np.sqrt(c), 1.0
+    if np.any(eps):
+        mult = bessel_multiplier(tau, cutoff, eps, k)
+        w = w * mult
+    if not variance:
+        return w
+    N = cutoff
+    if N >= _VARIANCE_ROWS:
+        taus, eps = np.broadcast_arrays(tau, eps)
+        var = np.array([regularized_variance(t, N, e) for t, e in zip(taus.flat, eps.flat)])
+        var = var.reshape(taus.shape)
+    else:
+        cj = c * mult**2
+        row0 = np.concatenate((cj[..., N, :N], cj[..., N, N + 1 :]), axis=-1).sum(axis=-1)
+        rows = cj[..., N + 1 :, :].reshape(cj.shape[:-2] + (-1,)).sum(axis=-1)
+        var = row0 + 2.0 * rows
+    return w, (float(var) if np.ndim(var) == 0 else var)
 
 
 def draw_modes(rng: RngStream, rows: int, cutoff: int, purpose: int = MODES) -> np.ndarray:
@@ -385,11 +417,12 @@ def evaluate_on_grid(fld: SpectralField, grid: int | None = None) -> np.ndarray:
     return modes_to_grid(fld.coeffs[:, fld.cutoff :], G)
 
 
-def bessel_multiplier(tau: complex, cutoff: int, eps: float, k=None) -> np.ndarray:
-    """Circle-average mode multipliers J0(2*pi*eps*|n*tau - m|/Im(tau)); k,
-    when given, is _mode_moduli(tau, cutoff)."""
+def bessel_multiplier(tau, cutoff: int, eps, k=None) -> np.ndarray:
+    """Circle-average mode multipliers J0(2*pi*eps*|n*tau - m|/Im(tau)),
+    along leading axes for an array of moduli (eps a scalar or one per
+    modulus); k, when given, is _mode_moduli(tau, cutoff)."""
     k = _mode_moduli(tau, cutoff) if k is None else k
-    return j0(2.0 * np.pi * eps * k / complex(tau).imag)
+    return j0(2.0 * np.pi * _per_modulus(eps) * k / _per_modulus(np.imag(tau)))
 
 
 def circle_average(fld: SpectralField, eps: float) -> SpectralField:
@@ -537,10 +570,11 @@ def truncated_covariance(tau: complex, cutoff: int, x, eps: float = 0.0) -> floa
     return 2.0 * float(np.sum(c * np.cos(2.0 * np.pi * (n * x1 + m * x2))))
 
 
-def free_field_partition(tau: complex) -> float:
-    """Z^FF(tau) = 1 / (sqrt(Im tau) * |eta(tau)|^2); modular invariant."""
-    tau = complex(tau)
-    return 1.0 / (math.sqrt(tau.imag) * abs(dedekind_eta(tau)) ** 2)
+def free_field_partition(tau):
+    """Z^FF(tau) = 1 / (sqrt(Im tau) * |eta(tau)|^2); modular invariant.
+    tau may be an array of moduli."""
+    out = 1.0 / (np.sqrt(np.imag(tau)) * np.abs(dedekind_eta(tau)) ** 2)
+    return float(out) if np.ndim(tau) == 0 else out
 
 
 @dataclass(frozen=True)

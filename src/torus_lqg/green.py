@@ -9,9 +9,12 @@ independent so they can cross-check each other:
             exponentially convergent log corrections, one step before the
             resummation into theta1.
 
-On a product grid the closed route is separable (green_grid): theta1 is
-one complex matrix product of x1 factors and x2 factors, and only points
-within _NODE of the lattice point take the pointwise theta1_over_z route.
+On a product grid the closed route is separable (green_grid): every
+point is taken at its centered representative, theta1 is a matrix
+product of the tau-free x1 phases and the x2 factors, stacked over a
+block of moduli, an exact lattice point takes Theta(tau) directly, and
+only points within _NODE of, but off, the lattice point take the
+pointwise theta1_over_z route.
 
 G integrates to zero against d(lambda_tau) = Im(tau) dx and has the
 short-distance behaviour G(x) = -ln|p_tau(x)| + Theta(tau) + o(1) with
@@ -29,7 +32,7 @@ import numpy as np
 
 from .errors import NonConvergence, NumericError, SingularPoint, ValidationError
 from .modular import c_tau, p_tau, wrap_centered, wrap_unit
-from .special import _term_count, _theta_cut, _theta_log_terms, dedekind_eta, theta1, theta1_over_z
+from .special import _term_count, _theta_count, _theta_log_terms, dedekind_eta, theta1, theta1_over_z
 
 __all__ = [
     "GreenEvalConfig",
@@ -82,9 +85,11 @@ def min_lattice_distance(tau: complex) -> float:
     return min(1.0, horiz, 2.0 * tau.imag)
 
 
-def theta_offset(tau: complex) -> float:
-    """Theta(tau) = -ln(2*pi) - 2*ln|eta(tau)|, the short-distance constant."""
-    return float(-math.log(2.0 * math.pi) - 2.0 * math.log(abs(dedekind_eta(tau))))
+def theta_offset(tau):
+    """Theta(tau) = -ln(2*pi) - 2*ln|eta(tau)|, the short-distance constant,
+    at one modulus (a float) or at each of an array of moduli."""
+    out = -math.log(2.0 * math.pi) - 2.0 * np.log(np.abs(dedekind_eta(tau)))
+    return float(out) if np.ndim(tau) == 0 else out
 
 
 def spectral_coefficient(tau: complex, n, m):
@@ -121,54 +126,94 @@ def green_centered(tau: complex, x1c, x2c):
     return out
 
 
-def green_grid(tau: complex, x1c, x2c, cap: float):
+def green_grid(tau, x1c, x2c, cap):
     """G on the product grid (x1c[a], x2c[b]) of centered coordinates in
-    [-1/2, 1/2), with -ln|p| frozen at -ln(cap) on near points closer than
-    cap.  Lattice points are not rejected.
+    [-1/2, 1/2), with -ln|p| frozen at -ln(cap) where |p| < min(cap, r),
+    r a quarter of the shortest lattice vector.  tau is one modulus, or an
+    array of K moduli with cap a scalar or one per modulus, and then the
+    result is (K, len(x1c), len(x2c)).  Lattice points are not rejected.
 
-    The routes are green_centered's: pi*Im(tau)*x2^2 - ln|theta1(z)/eta|
-    at the unit-square representative, and on near points the same at the
-    centered one plus ln|p| - ln max(|p|, cap), so each point sums the
-    terms green_centered sums.  With z = x1 + tau*x2 each theta1 term is
+    Every point is taken at its centered representative z = x1 + tau*x2,
+    where |Im z| <= Im(tau)/2: pi*Im(tau)*x2^2 - ln|theta1(z)/eta| is
+    periodic, and this is green_centered's near route.  With
+    each theta1 term
 
         e^(l_n +- i*w_n*z) = e^(+- i*w_n*x1) * e^(l_n +- i*w_n*tau*x2),
 
-    so theta1 is one (len(x1c), 2n) x (2n, columns) complex product over
-    the unit columns and the centered columns that hold near points, each
-    column zero past its own term count.  Within _NODE of 0 the difference
-    of exps cancels to a few digits: those points take theta1_over_z.
+    theta1 is the (len(x1c), 2n) x (2n, columns) complex product of the
+    tau-free x1 phases and each modulus's x2 factors, every column zero
+    past the _theta_count of its own |Im z|, taken as two real products
+    whose outputs are Re and Im theta1, so only real grids are stored.
+    The moduli that share a term count n go through one stacked product,
+    so each runs the same products as alone.  An exact lattice point is Theta(tau) - ln(cap),
+    since theta1'(0) = 2*pi*eta^3; within _NODE of it the difference of
+    exps cancels to a few digits, so those points take theta1_over_z.
     """
-    tau = complex(tau)
+    taus = np.atleast_1d(np.asarray(tau, dtype=complex))
+    caps = np.broadcast_to(np.asarray(cap, dtype=float), taus.shape)
     x1c, x2c = np.asarray(x1c, dtype=float), np.asarray(x2c, dtype=float)
-    r = 0.25 * min_lattice_distance(tau)
-    cols = np.flatnonzero(tau.imag * np.abs(x2c) < r)
-    az = np.hypot(np.add.outer(x1c, tau.real * x2c[cols]), tau.imag * x2c[cols])
-    i, k = np.nonzero(az < r)
-    az = az[i, k]
-    x2 = np.concatenate((wrap_unit(x2c), x2c[cols]))
-    log_eta = math.log(abs(dedekind_eta(tau)))
-    n_cut = _theta_cut(tau, tau.imag * np.abs(x2))
-    w, log_c = _theta_log_terms(tau, n_cut.max(initial=1))
-    iwt = 1j * np.outer(w, tau * x2)
-    phase = np.exp(1j * np.outer(x1c, w))
+    y = taus.imag
+    log_eta = np.log(np.abs(dedekind_eta(taus)))
+    n_cut = _theta_count(taus[:, None], y[:, None] * np.abs(x2c))
+    n_max = n_cut.max(axis=1, initial=1)
+    phase = np.exp(1j * np.outer(x1c, _theta_log_terms(taus[0], n_max.max())[0]))
+    groups = []
     with np.errstate(all="ignore"):
-        plus = np.exp(log_c[:, None] + iwt)
-        minus = np.exp(log_c[:, None] - iwt)
-        if n_cut.min() < w.size:  # zero the terms past each column's own count
-            live = np.arange(w.size)[:, None] < n_cut
-            plus, minus = np.where(live, plus, 0.0), np.where(live, minus, 0.0)
-        out = np.abs(np.hstack((phase, -phase.conj())) @ np.vstack((plus, minus)))
-        np.log(out, out=out)
-        np.subtract(np.pi * tau.imag * x2 * x2 + log_eta, out, out=out)
-        out[i, cols[k]] = out[i, x2c.size + k] + np.log(az) - np.log(np.maximum(az, cap))
-    node = az < _NODE
-    i, j = i[node], cols[k[node]]
-    ratio = np.abs(theta1_over_z(x1c[i] + tau * x2c[j], tau))
-    out[i, j] = np.pi * tau.imag * x2c[j] ** 2 + log_eta - np.log(ratio * np.maximum(az[node], cap))
-    out = out[:, : x2c.size]
+        for n in np.unique(n_max):  # one stacked product per term count
+            ks = np.flatnonzero(n_max == n)
+            t, cut = taus[ks, None], n_cut[ks, None, :]
+            w, log_c = _theta_log_terms(t, n)
+            iwt = 1j * (w[:, None] * (t * x2c)[:, None, :])
+            plus = np.exp(log_c[:, :, None] + iwt)
+            minus = np.exp(log_c[:, :, None] - iwt)
+            if cut.min() < n:  # zero the terms past each column's own count
+                live = np.arange(n)[:, None] < cut
+                plus, minus = np.where(live, plus, 0.0), np.where(live, minus, 0.0)
+            # theta = L @ R with L = [phase, -conj(phase)] and R = [plus; minus],
+            # as real products of [Re L, -Im L] and [Im L, Re L] with [Re R; Im R]
+            ph = phase[:, :n]
+            right = np.concatenate((plus.real, minus.real, plus.imag, minus.imag), axis=1)
+            theta = np.hstack((ph.real, -ph.real, -ph.imag, -ph.imag)) @ right
+            np.hypot(theta, np.hstack((ph.imag, ph.imag, ph.real, -ph.real)) @ right, out=theta)
+            front = np.pi * y[ks, None] * x2c * x2c + log_eta[ks, None]
+            groups.append((ks, np.subtract(front[:, None, :], np.log(theta, out=theta), out=theta)))
+    if len(groups) == 1:
+        out = groups[0][1]
+    else:
+        out = np.empty((taus.size, x1c.size, x2c.size))
+        for ks, part in groups:
+            out[ks] = part
+    _near_lattice(out, taus, caps, log_eta, x1c, x2c)
     if not np.all(np.isfinite(out)):
         raise NumericError(f"Green function grid is not finite at tau = {tau}")
-    return out
+    return out[0] if np.ndim(tau) == 0 else out
+
+
+def _near_lattice(out, taus, caps, log_eta, x1c, x2c):
+    """green_grid's points next to the lattice point, in place: the cap
+    where |p| < min(cap, r), Theta(tau) - ln(cap) at p = 0, theta1_over_z
+    where 0 < |p| < min(_NODE, r).  Only columns with |Im p| below the
+    larger reach hold such points, so |p| is formed on those alone."""
+    y = taus.imag
+    r = 0.25 * np.array([min_lattice_distance(t) for t in taus])
+    reach = np.minimum(r, np.maximum(caps, _NODE))
+    kc, jc = np.nonzero(y[:, None] * np.abs(x2c) < reach[:, None])
+    az = np.abs(x1c + (taus[kc] * x2c[jc])[:, None])  # |p_tau|, as green_centered forms it
+    p, i = np.nonzero(az < reach[kc, None])
+    k, j, az = kc[p], jc[p], az[p, i]
+    capped = (az > 0) & (az < np.minimum(caps[k], r[k]))
+    kk, ii, jj = k[capped], i[capped], j[capped]
+    out[kk, ii, jj] += np.log(az[capped]) - np.log(caps[kk])
+    node = az < np.minimum(_NODE, r[k])
+    k, i, j, az = k[node], i[node], j[node], az[node]
+    zero = az == 0
+    out[k[zero], i[zero], j[zero]] = -math.log(2.0 * math.pi) - 2.0 * log_eta[k[zero]] - np.log(caps[k[zero]])
+    for m in np.unique(k[~zero]):
+        s = ~zero & (k == m)
+        ratio = np.abs(theta1_over_z(x1c[i[s]] + taus[m] * x2c[j[s]], taus[m]))
+        out[m, i[s], j[s]] = (
+            np.pi * y[m] * x2c[j[s]] ** 2 + log_eta[m] - np.log(ratio * np.maximum(az[s], caps[m]))
+        )
 
 
 def _far_route(tau: complex, x1c, x2c):

@@ -15,11 +15,22 @@ checks downstream exploit.
 
 On the sampling grid H is regularized at the chaos scale: the log
 divergence at each insertion is capped at metric distance eps, matching
-the plateau of the circle-averaged Green function.  Each insertion's
-term is one green.green_grid call, a separable theta1 product over the
-grid with a pointwise fallback next to the insertion.  A Lebesgue cell
+the plateau of the circle-averaged Green function.  A Lebesgue cell
 average of e^{gamma H} is not used because it diverges under refinement
 once gamma*alpha_i >= 2, which pure-gravity weights reach.
+
+Every modulus pays a setup before its replicas: mode weights, the cell
+factor, H and the tilt e^{gamma H}.  _tilted_points forms them for a
+block of K moduli in array passes: eta and Theta over the K moduli, one
+J0 pass over K mode boxes that gives both the weights and the variance in
+the factor, and per insertion one green.green_grid call over the K moduli,
+a stacked separable theta1 product.  _tilted_blocks cuts a list of moduli
+into blocks of K * G^2 <= gff._BATCH_CELLS grid cells (at least one
+modulus), so the working set stays bounded with no knob of its own; a
+modulus's point is byte for byte the same alone and in any block.  A
+density table's missing moduli, the joint sampler's samples and the
+single modulus of partition_function and the law sampler all take this
+one path.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ from .errors import (
     SeibergViolationSum,
     ValidationError,
 )
+from . import gff
 from .gff import MODES, VOLUME, RngStream, SpectralField, dirichlet_energy
 from .gff import free_field_partition, pair_mean_se, scaled_mode_weights
 from .green import green, green_grid, theta_offset
@@ -145,40 +157,44 @@ def insertion_potential(tau: complex, ins: InsertionSet, x):
     return total
 
 
-def insertion_potential_grid(
-    tau: complex, ins: InsertionSet, grid: int, eps_cap: float
-) -> np.ndarray:
+def insertion_potential_grid(tau, ins: InsertionSet, grid: int, eps_cap) -> np.ndarray:
     """H on the sampling grid with each log singularity capped at eps_cap.
 
     Within metric distance eps_cap of an insertion the -ln|p| part is
     frozen at -ln(eps_cap), which reproduces the height of the
     circle-regularized potential there and keeps e^{gamma H} summable for
-    every admissible alpha.
+    every admissible alpha.  tau may be an array of K moduli, eps_cap a
+    scalar or one per modulus; then H is (K, G, G), one green_grid call
+    per insertion for all of them.
     """
-    tau = complex(tau)
-    if not eps_cap > 0:
+    if not np.all(np.asarray(eps_cap) > 0):
         raise ValidationError("eps_cap must be positive")
     u = np.arange(grid) / grid
-    total = np.zeros((grid, grid))
+    total = None
     for i in ins.insertions:
-        total += i.alpha * green_grid(tau, wrap_centered(u - i.x1), wrap_centered(u - i.x2), eps_cap)
-    return total
+        term = green_grid(tau, wrap_centered(u - i.x1), wrap_centered(u - i.x2), eps_cap)
+        term *= i.alpha
+        if total is None:  # 0 + x is x: the first term is the sum so far
+            total = term
+        else:
+            total += term
+    return np.zeros(np.shape(tau) + (grid, grid)) if total is None else total
 
 
-def insertion_constant(tau: complex, ins: InsertionSet, q: float) -> float:
+def insertion_constant(tau, ins: InsertionSet, q: float):
     """C_tau(z) = sum_{i<j} a_i a_j G(z_i - z_j) + (Theta/2) sum a_i^2
-    - (q/2) ln(Im tau) sum a_i."""
-    tau = complex(tau)
+    - (q/2) ln(Im tau) sum a_i, at one modulus (a float) or at each of an
+    array of moduli: the pair terms per modulus, the rest in array passes."""
+    t = np.atleast_1d(np.asarray(tau, dtype=complex))
     items = ins.insertions
-    total = 0.0
+    total = np.zeros(t.shape)
     for a in range(len(items)):
         for b in range(a + 1, len(items)):
-            total += items[a].alpha * items[b].alpha * float(
-                green(tau, (items[a].x1 - items[b].x1, items[a].x2 - items[b].x2))
-            )
-    total += 0.5 * theta_offset(tau) * sum(i.alpha**2 for i in items)
-    total -= 0.5 * q * math.log(tau.imag) * sum(i.alpha for i in items)
-    return total
+            dx = (items[a].x1 - items[b].x1, items[a].x2 - items[b].x2)
+            total += items[a].alpha * items[b].alpha * np.array([float(green(tk, dx)) for tk in t])
+    total += 0.5 * theta_offset(t) * sum(i.alpha**2 for i in items)
+    total -= 0.5 * q * np.log(t.imag) * sum(i.alpha for i in items)
+    return float(total[0]) if np.ndim(tau) == 0 else total
 
 
 @dataclass(frozen=True)
@@ -189,14 +205,30 @@ class PartitionEstimate:
     diagnostic: str | None = None
 
 
-def _tilted_point(params: LQFTParams, tau: complex, ins: InsertionSet, res: FieldResolution):
-    """The chaos_batches point (mode weights, factor, tilt) of the tilted
-    mass at one modulus, and the H grid behind the tilt."""
-    eps = res.eps_for(tau)
-    h_grid = insertion_potential_grid(tau, ins, res.grid, eps)
-    factor = cell_constants(tau, params.gamma, params.q, res.cutoff, eps, res.grid)
-    weights = scaled_mode_weights(tau, res.cutoff, eps)
-    return (weights, factor, np.exp(params.gamma * h_grid)), h_grid
+def _tilted_points(params: LQFTParams, taus, ins: InsertionSet, res: FieldResolution, keep_h=True):
+    """The chaos_batches points (mode weights, factor, tilt) of the tilted
+    mass at each of the K moduli taus, and the (K, G, G) H grids behind
+    the tilts, formed in array passes over the block (see the module
+    docstring); each modulus's point and H are the same alone.  Without
+    keep_h the tilts take the memory of H, and None stands for H."""
+    taus = np.asarray(taus, dtype=complex)
+    eps = np.array([res.eps_for(t) for t in taus])
+    h_grids = insertion_potential_grid(taus, ins, res.grid, eps)
+    weights, variance = scaled_mode_weights(taus, res.cutoff, eps, variance=True)
+    factors = cell_constants(taus, params.gamma, params.q, res.cutoff, eps, res.grid, variance=variance)
+    tilts = np.multiply(params.gamma, h_grids, out=None if keep_h else h_grids)
+    np.exp(tilts, out=tilts)
+    return [(w, float(f), t) for w, f, t in zip(weights, factors, tilts)], (h_grids if keep_h else None)
+
+
+def _tilted_blocks(params: LQFTParams, taus, ins: InsertionSet, res: FieldResolution):
+    """Yield (start, points) for consecutive blocks of taus, each holding as
+    many moduli as fit gff._BATCH_CELLS grid cells, and at least one;
+    points are the block's _tilted_points."""
+    taus = np.asarray(taus, dtype=complex)
+    size = max(1, gff._BATCH_CELLS // (res.grid * res.grid))
+    for start in range(0, len(taus), size):
+        yield start, _tilted_points(params, taus[start : start + size], ins, res, keep_h=False)[0]
 
 
 def insertion_mass_table(
@@ -209,10 +241,11 @@ def insertion_mass_table(
     """Replica arrays of I at several moduli, shape (len(taus), replicas).
 
     Every modulus reuses the same replica draws (common random numbers),
-    so row k equals insertion_mass_samples at taus[k].  Holds one
-    G x G tilt grid per modulus while the batches run.
+    so row k equals insertion_mass_samples at taus[k].  The points are
+    formed block by block (_tilted_blocks); the pass holds one G x G tilt
+    grid per modulus while the batches run.
     """
-    points = [_tilted_point(params, complex(tau), ins, res)[0] for tau in taus]
+    points = [pt for _, block in _tilted_blocks(params, taus, ins, res) for pt in block]
     return total_mass_table(points, params.gamma, res.grid, mc)
 
 
@@ -308,16 +341,19 @@ class LiouvilleSample:
     weight: float
 
 
-def _law_batches(params: LQFTParams, tau: complex, ins: InsertionSet, mc, res, purpose):
+def _law_batches(params: LQFTParams, tau: complex, ins: InsertionSet, mc, res, purpose, point=None):
     """(h_grid, factor, tilt, batches) of the Liouville law at tau: batches
     yields (start, gxs, cells, masses, weights) per chaos_batches batch of
-    the tilted point, weights the I^{-s/gamma} of the masses.  Raises when
-    a Seiberg bound fails."""
+    the tilted point, weights the I^{-s/gamma} of the masses.  point, when
+    given, is tau's point from a block of _tilted_points, and h_grid is
+    then None.  Raises when a Seiberg bound fails."""
     ins.require_seiberg_sum()
     if not ins.seiberg_local_ok(params.q):
         raise SeibergViolationLocal(f"every alpha must stay below Q = {params.q:g}")
     p = ins.alpha_sum / params.gamma
-    point, h_grid = _tilted_point(params, tau, ins, res)
+    h_grid = None
+    if point is None:
+        (point,), (h_grid,) = _tilted_points(params, [tau], ins, res)
 
     def batches():
         for start, ((gxs, cells, masses),) in chaos_batches(
@@ -384,15 +420,17 @@ def resampled_measure(
     y_volume: float,
     u: float,
     purpose: int = MODES,
+    point=None,
 ) -> np.ndarray:
     """The measure of the sample of liouville_field_law_sampler(params, tau,
     ins, mc, res, y_volume, purpose) that importance resampling picks with
     the uniform u: the first replica whose cumulative weight exceeds u times
     the total.  Only the picked replica's measure is formed; the cells of a
     batch before the last are copied, since the next batch overwrites them.
+    point, when given, is tau's tilted point from a block (_tilted_blocks).
     """
     tau = complex(tau)
-    _, factor, tilt, batches = _law_batches(params, tau, ins, mc, res, purpose)
+    _, factor, tilt, batches = _law_batches(params, tau, ins, mc, res, purpose, point)
     held, masses, weights = [], [], []
     for start, _, cells, m, w in batches:
         held.append(cells if start + len(m) == mc.replicas else cells.copy())

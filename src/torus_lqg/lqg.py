@@ -34,7 +34,7 @@ from .errors import (
 )
 from .gff import MODULUS, RESAMPLE, VOLUME, RngStream, free_field_partition
 from .lqft import InsertionSet, LQFTParams, insertion_constant, insertion_mass_table
-from .lqft import inverse_power_mean, resampled_measure
+from .lqft import _tilted_blocks, inverse_power_mean, resampled_measure
 from .special import dedekind_eta, theta_aux
 
 __all__ = [
@@ -155,12 +155,12 @@ def ghost_partition(tau: complex) -> float:
     return abs(dedekind_eta(tau)) ** 4 / (2.0 * tau.imag)
 
 
-def matter_partition(matter: MatterCFT, tau: complex) -> float:
+def matter_partition(matter: MatterCFT, tau):
     """Z_Matter per kind; overall constants are fixed to 1 (the modulus
-    law is normalized downstream, so they cancel)."""
-    tau = complex(tau)
+    law is normalized downstream, so they cancel).  tau may be an array of
+    moduli, each kind's q-series then running over all of them at once."""
     if matter.kind == "pure_gravity":
-        return 1.0
+        return 1.0 if np.ndim(tau) == 0 else np.ones(np.shape(tau))
     if matter.kind == "ising":
         eta = dedekind_eta(tau)
         return sum(abs(theta_aux(k, tau) / (2.0 * eta)) for k in (2, 3, 4))
@@ -231,17 +231,17 @@ def _negative_moments(params, taus, ins, mc, res, cache):
     return found
 
 
-def _deterministic_factor(
-    matter: MatterCFT, params: LQFTParams, ins: InsertionSet, tau: complex
-) -> float:
-    n = len(ins.insertions)
-    im = tau.imag
+def _deterministic_factors(matter: MatterCFT, params: LQFTParams, ins: InsertionSet, taus):
+    """e^{C_tau(z)} Z_Matter (Im tau)^n sqrt(Im tau) |eta|^2 at each of the
+    moduli taus, in array passes (the pair Green terms of C per modulus)."""
+    taus = np.asarray(taus, dtype=complex)
+    im = taus.imag
     return (
-        math.exp(insertion_constant(tau, ins, params.q))
-        * matter_partition(matter, tau)
-        * im**n
-        * math.sqrt(im)
-        * abs(dedekind_eta(tau)) ** 2
+        np.exp(insertion_constant(taus, ins, params.q))
+        * matter_partition(matter, taus)
+        * im ** len(ins.insertions)
+        * np.sqrt(im)
+        * np.abs(dedekind_eta(taus)) ** 2
     )
 
 
@@ -257,7 +257,7 @@ def modulus_density(
     """Unnormalized modulus density w.r.t. lambda_S at one point, with SE."""
     tau = complex(tau)
     moment, se = negative_moment(params, tau, ins, mc, res, cache)
-    det = _deterministic_factor(matter, params, ins, tau)
+    det = float(_deterministic_factors(matter, params, ins, [tau])[0])
     return det * moment, det * se
 
 
@@ -355,8 +355,8 @@ def build_density_table(
     cells = list(zip(*np.nonzero(_in_fundamental_domain(re_c[:, None], im_c[None, :]))))
     taus = [complex(re_c[a], im_c[b]) for a, b in cells]
     moments = _negative_moments(params, taus, ins, mc, res, cache)
-    for (a, b), tau, (moment, se) in zip(cells, taus, moments):
-        det = _deterministic_factor(matter, params, ins, tau)
+    dets = _deterministic_factors(matter, params, ins, taus)
+    for (a, b), det, (moment, se) in zip(cells, dets.tolist(), moments):
         density[a, b] = det * moment
         stderr[a, b] = det * se
 
@@ -486,18 +486,22 @@ def joint_law_sampler(
     fields, the B/2 antithetic pairs of rows [sB/2, (s+1)B/2) of the
     resample purpose, by importance resampling on the I^{-s/gamma} weights
     (lqft.resampled_measure): only the picked candidate's measure is formed.
+    The tilted points of the samples' moduli are formed a block at a time
+    (lqft._tilted_blocks), as each block's first sample is reached.
     """
     ins.require_seiberg_sum()
     taus = sample_modulus(table, count, rng)
     p = ins.alpha_sum / params.gamma
     u = rng.uniforms(count, 2, VOLUME)
     volumes = gammaincinv(p, u[:, 0]) / params.mu
-    for k in range(count):
-        tau = complex(taus[k])
-        y = float(volumes[k])
-        measure = None
-        if res is not None:
-            pairs = _RESAMPLE_BATCH // 2
+    if res is None:
+        for tau, y in zip(taus.tolist(), volumes.tolist()):
+            yield JointSample(tau=tau, volume=y, measure=None)
+        return
+    pairs = _RESAMPLE_BATCH // 2
+    for start, points in _tilted_blocks(params, taus, ins, res):
+        for k, point in enumerate(points, start):
+            tau, y = complex(taus[k]), float(volumes[k])
             sub = MonteCarloConfig(_RESAMPLE_BATCH, rng.seed, (rng.stream + k) * pairs)
-            measure = resampled_measure(params, tau, ins, sub, res, y, u[k, 1], RESAMPLE)
-        yield JointSample(tau=tau, volume=y, measure=measure)
+            measure = resampled_measure(params, tau, ins, sub, res, y, u[k, 1], RESAMPLE, point)
+            yield JointSample(tau=tau, volume=y, measure=measure)

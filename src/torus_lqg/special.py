@@ -46,39 +46,50 @@ MAX_TERMS = 200_000
 _SERIES_CELLS = 1 << 16
 
 
-def _require_tau(tau: complex) -> complex:
-    tau = complex(tau)
-    if not (tau.imag > 0):
-        raise ValidationError(f"tau must lie in the upper half-plane, got {tau}")
-    if tau.imag < MIN_IM_TAU:
-        raise NonConvergence(
-            f"Im tau = {tau.imag:g} below supported minimum {MIN_IM_TAU:g}"
-        )
+def _is_array(v) -> bool:
+    """Whether v is an array of one or more dimensions; np.ndim would turn
+    a float into an array first, a cost every scalar call would pay."""
+    return isinstance(v, np.ndarray) and v.ndim > 0
+
+
+def _require_tau(tau):
+    """tau as a complex, or an array of moduli as a complex array, each
+    in the upper half-plane with Im tau >= MIN_IM_TAU."""
+    scalar = not _is_array(tau)
+    tau = complex(tau) if scalar else np.asarray(tau, dtype=complex)
+    low = tau.imag if scalar else tau.imag.min(initial=math.inf)
+    if not low > 0:  # a NaN imaginary part fails here too
+        bad = tau if scalar else tau[~(tau.imag > 0)][0]
+        raise ValidationError(f"tau must lie in the upper half-plane, got {bad}")
+    if low < MIN_IM_TAU:
+        raise NonConvergence(f"Im tau = {low:g} below supported minimum {MIN_IM_TAU:g}")
     return tau
 
 
-def _term_count(what: str, a: float, b, c: float, s: float, tolerance: float = TOLERANCE):
-    """Smallest n >= 1 with term_n / (1 - ratio_n) <= 0.1 * tolerance, per b.
+def _term_count(what: str, a, b, c, s: float, tolerance: float = TOLERANCE):
+    """Smallest n >= 1 with term_n / (1 - ratio_n) <= 0.1 * tolerance, per (a, b, c).
 
     log term_n = a*(n+s)^2 + b*(n+s) + c with a <= 0, so the log ratio
     a*(2(n+s)+1) + b falls with n (a = 0: geometric, ratio exp(b) < 1).
-    A float b takes _float_count, an int.  The count does not fall as b
-    grows, so for an array b the counts of its smallest and largest entry
-    bound every count, and one exact-test pass per count in between
-    settles each entry: the same count as that entry alone.  A non-finite
-    input gives a NaN or infinite root, refused like any count above
-    MAX_TERMS.
+    Floats take _float_count, an int.  The count does not fall as a, b or
+    c grows, so for arrays (broadcast together) the counts at their
+    smallest and at their largest entries bound every count, and one
+    exact-test pass per count in between settles each entry: the same
+    count as that entry alone.  A non-finite input gives a NaN or
+    infinite root, refused like any count above MAX_TERMS.
     """
     log_eps = math.log(0.1 * tolerance)
-    if np.ndim(b) == 0:
-        return _float_count(what, a, float(b), c, s, log_eps, tolerance)
-    b = np.asarray(b, dtype=float)
-    if not b.size:
-        return np.zeros(b.shape, dtype=int)
-    b_lo, b_hi = float(b.min()), float(b.max())
-    lo = _float_count(what, a, b_lo, c, s, log_eps, tolerance)
-    hi = lo if b_hi == b_lo else _float_count(what, a, b_hi, c, s, log_eps, tolerance)
-    n = np.full(b.shape, lo)
+    if not (_is_array(a) or _is_array(b) or _is_array(c)):
+        return _float_count(what, float(a), float(b), float(c), s, log_eps, tolerance)
+    a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
+    shape = np.broadcast_shapes(a.shape, b.shape, c.shape)
+    if not math.prod(shape):
+        return np.zeros(shape, dtype=int)
+    least = [float(v.min()) for v in (a, b, c)]
+    most = [float(v.max()) for v in (a, b, c)]
+    lo = _float_count(what, *least, s, log_eps, tolerance)
+    hi = lo if most == least else _float_count(what, *most, s, log_eps, tolerance)
+    n = np.full(shape, lo)
     with np.errstate(over="ignore"):
         for k in range(lo, hi):
             x = k + s
@@ -114,28 +125,76 @@ def _float_count(what, a, b, c, s, log_eps, tolerance):
     return n
 
 
-def _theta_cut(tau: complex, b):
-    """Per bound b on |Im z|, the term count of a theta1-type series, whose
-    term n has modulus at most 2*|q|^((n+1/2)^2) * exp((2n+1)*pi*b)."""
+def _theta_cut(tau, b):
+    """Per bound b on |Im z|, the absolute term count of a theta1-type
+    series, whose term n has modulus at most 2*|q|^((n+1/2)^2) *
+    exp((2n+1)*pi*b).  tau may be an array broadcasting with b."""
     if not np.all(np.isfinite(b)):
         raise NonConvergence("theta series diverges at a non-finite |Im z|")
-    return _term_count("theta series", -math.pi * tau.imag, 2.0 * math.pi * b, math.log(2.0), 0.5)
+    return _term_count("theta series", -math.pi * np.imag(tau), 2.0 * math.pi * b, math.log(2.0), 0.5)
 
 
-def dedekind_eta(tau: complex) -> complex:
-    """eta(tau) = q^(1/12) * prod_{n>=1} (1 - q^(2n)), q = exp(i*pi*tau)."""
+def _theta_count(tau, b):
+    """Per bound b on |Im z|, the term count of theta1 and theta1/z: its
+    tail is within the tolerance both absolutely, as _theta_cut's, and
+    relative to the first term.  For either series |term_n / term_0| =
+    |q|^(n^2+n) |sin((2n+1)u) / sin(u)|, u = pi*z, which is at most
+    (2n+1) exp(-pi y (n^2+n) + 2 pi b n), y = Im tau; ln(2n+1) is at most
+    its tangent at m, about the absolute count at b = 0, g + beta*n with
+    beta = 2/(2m+1), g = ln(2m+1) - m*beta.  In x = n + 1/2 one quadratic
+    bounds both terms: -pi y x^2 + (2 pi b + beta) x + max(ln 2,
+    pi y/4 + g - beta/2).  The absolute count alone stops theta1'(0)
+    after one term near y = 4.4, 3e-12 short of it relative; this keeps
+    a second.  tau may be an array broadcasting with b."""
+    if not np.all(np.isfinite(b)):
+        raise NonConvergence("theta series diverges at a non-finite |Im z|")
+    y = np.imag(tau)
+    reach = (math.log(2.0) - math.log(0.1 * TOLERANCE)) / math.pi
+    m = np.maximum(np.ceil(np.sqrt(reach / y) - 0.5), 1.0)
+    beta = 2.0 / (2.0 * m + 1.0)
+    c = np.maximum(math.log(2.0), 0.25 * math.pi * y + np.log(2.0 * m + 1.0) - m * beta - 0.5 * beta)
+    return _term_count("theta series", -math.pi * y, 2.0 * math.pi * b + beta, c, 0.5)
+
+
+def _partial_sums(terms: np.ndarray, cut) -> np.ndarray:
+    """The sums of terms[..., j] over j < cut, added term by term, so an
+    entry's sum does not depend on the counts of the others."""
+    out = np.zeros(terms.shape[:-1], dtype=terms.dtype)
+    for j in range(terms.shape[-1]):
+        np.add(out, terms[..., j], out=out, where=j < cut)
+    return out
+
+
+def dedekind_eta(tau):
+    """eta(tau) = q^(1/12) * prod_{n>=1} (1 - q^(2n)), q = exp(i*pi*tau).
+
+    tau may be an array of moduli: each takes its own factor count, the
+    factors past it are ones, and a scalar tau is an array of one, so a
+    value is the same alone and inside any array.
+    """
     tau = _require_tau(tau)
     # tail of sum_n log(1 - q^(2n)) is below |q2|^(N+1)/(1-|q2|)
-    n_terms = _term_count("eta product", 0.0, -2.0 * math.pi * tau.imag, 0.0, 0.0)
-    q2 = np.exp(2j * np.pi * tau)
-    factors = 1.0 - q2 ** np.arange(1, n_terms + 1)
-    return complex(np.exp(1j * np.pi * tau / 12.0) * np.prod(factors))
+    n_terms = np.atleast_1d(_term_count("eta product", 0.0, -2.0 * math.pi * np.imag(tau), 0.0, 0.0))
+    t = np.atleast_1d(tau)
+    ns = np.arange(1, n_terms.max() + 1)
+    factors = 1.0 - _exp_i_pi(2.0 * t)[..., None] ** ns
+    if n_terms.min() < ns.size:
+        factors[ns > n_terms[..., None]] = 1.0
+    out = _exp_i_pi(t / 12.0) * np.prod(factors, axis=-1)
+    return out if _is_array(tau) else complex(out[0])
 
 
-def _theta_terms(tau: complex, n_terms: int):
-    """The first n_terms coefficients 2*(-1)^n*q^((n+1/2)^2) of theta1-type series."""
+def _exp_i_pi(t: np.ndarray) -> np.ndarray:
+    """exp(i*pi*t) with its exponent -pi*Im t + i*pi*Re t formed in real
+    arithmetic, so it rounds once per part."""
+    return np.exp(-np.pi * t.imag + 1j * (np.pi * t.real))
+
+
+def _theta_terms(tau, n_terms: int):
+    """The first n_terms coefficients 2*(-1)^n*q^((n+1/2)^2) of theta1-type
+    series, along a last axis for an array tau."""
     ns = np.arange(n_terms)
-    q = np.exp(1j * np.pi * tau)
+    q = np.expand_dims(np.exp(1j * np.pi * tau), -1)
     return ns, 2.0 * (-1.0) ** ns * q ** ((ns + 0.5) ** 2)
 
 
@@ -164,7 +223,7 @@ def _theta_series(z, tau: complex, over_z: bool) -> np.ndarray:
     tau = _require_tau(tau)
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
-    n_cut = _theta_cut(tau, np.abs(flat.imag))
+    n_cut = _theta_count(tau, np.abs(flat.imag))
     n_max = n_cut.max(initial=1)
     if over_z:
         ns, c = _theta_terms(tau, n_max)
@@ -241,24 +300,35 @@ def theta1_product(z: complex, tau: complex) -> complex:
 
 
 def theta1_z_derivative_at_zero(tau: complex) -> complex:
-    """d/dz theta_1(z, tau) at z = 0, by termwise differentiation."""
+    """d/dz theta_1(z, tau) at z = 0, by termwise differentiation, with
+    theta1/z's count at z = 0 (within the tolerance relative to the first
+    term, 2*pi*|q|^(1/4))."""
     tau = _require_tau(tau)
-    ns, coeff = _theta_terms(tau, _theta_cut(tau, 0.0))
+    ns, coeff = _theta_terms(tau, _theta_count(tau, 0.0))
     return complex(np.sum(coeff * (2 * ns + 1) * np.pi))
 
 
-def theta_aux(k: int, tau: complex) -> complex:
-    """Auxiliary theta constants theta_k(0, tau) for k in {2, 3, 4}."""
+def theta_aux(k: int, tau):
+    """Auxiliary theta constants theta_k(0, tau) for k in {2, 3, 4}.
+
+    tau may be an array of moduli, each summing its own term count; a
+    scalar tau is an array of one.
+    """
     tau = _require_tau(tau)
-    q = np.exp(1j * np.pi * tau)
+    t = np.atleast_1d(tau)
     if k == 2:
-        ns, coeff = _theta_terms(tau, _theta_cut(tau, 0.0))
+        n_cut = np.atleast_1d(_theta_cut(tau, 0.0))
+        ns, coeff = _theta_terms(t, n_cut.max())
         # same Gaussian exponents as theta1 with the alternating sign undone
-        return complex(np.sum(coeff * (-1.0) ** ns))
-    if k not in (3, 4):
+        out = _partial_sums(coeff * (-1.0) ** ns, n_cut)
+    elif k in (3, 4):
+        # integer-square series 2*|q|^(n^2) from n = 1, the count itself included
+        what = f"theta_{k} series"
+        n_cut = np.atleast_1d(_term_count(what, -math.pi * np.imag(tau), 0.0, math.log(2.0), 0.0))
+        ns = np.arange(1, n_cut.max() + 1)
+        sign = (-1.0) ** ns if k == 4 else np.ones_like(ns, dtype=float)
+        q = np.exp(1j * np.pi * t)[..., None]
+        out = 1.0 + 2.0 * _partial_sums(sign * q ** (ns * ns), n_cut)
+    else:
         raise ValidationError(f"theta_aux index must be 2, 3 or 4, got {k}")
-    # integer-square series 2*|q|^(n^2) from n = 1, the count itself included
-    n_cut = _term_count(f"theta_{k} series", -math.pi * tau.imag, 0.0, math.log(2.0), 0.0)
-    ns = np.arange(1, n_cut + 1)
-    sign = (-1.0) ** ns if k == 4 else np.ones_like(ns, dtype=float)
-    return complex(1.0 + 2.0 * np.sum(sign * q ** (ns * ns)))
+    return out if _is_array(tau) else complex(out[0])

@@ -185,6 +185,20 @@ def test_circle_average_bookkeeping():
         circle_average(fld, 0.0)
 
 
+@pytest.mark.parametrize("cutoff", (1, 8, 40))
+def test_mode_boxes_of_several_moduli_give_weights_and_variances(cutoff):
+    # one J0 pass over K boxes: each box is its modulus's weights alone, and
+    # each variance is regularized_variance bit for bit (the brute sum's rows)
+    rng = np.random.default_rng(cutoff)
+    taus = rng.uniform(-0.5, 0.5, 5) + 1j * rng.uniform(0.8, 12.0, 5)
+    eps = rng.uniform(1e-3, 0.2, 5)
+    w, var = scaled_mode_weights(taus, cutoff, eps, variance=True)
+    assert w.shape == (5, 2 * cutoff + 1, 2 * cutoff + 1)
+    for k in range(5):
+        assert var[k] == regularized_variance(taus[k], cutoff, eps[k])
+        assert w[k].tobytes() == scaled_mode_weights(taus[k], cutoff, eps[k]).tobytes()
+
+
 def test_regularized_variance_equals_coincident_covariance():
     for cutoff in (10, 40):
         a = regularized_variance(TAU, cutoff, 0.05)

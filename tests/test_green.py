@@ -30,6 +30,7 @@ green_module = importlib.import_module("torus_lqg.green")
 G_AT_I = -0.2653187654762589130082547      # green(i, (0.3, 0.4))
 G_AT_TAU = -0.1626936464784249713635174    # green(0.3+1.2j, (0.15, -0.35))
 THETA_AT_I = -1.310532925911509518252275   # -ln(2 pi) - 2 ln eta(i)
+G_NEAR_LATTICE = 2.702641908899733165107377  # green(4.5387i, (0, 0.975))
 
 POINTS = [(0.3, 0.4), (0.15, -0.35), (0.05, 0.45), (-0.4, 0.2), (0.25, 0.25)]
 
@@ -40,6 +41,29 @@ def test_reference_values():
     assert abs(green(1j, (0.3, 0.4)) - G_AT_I) < 1e-12
     assert abs(green(TAU, (0.15, -0.35)) - G_AT_TAU) < 1e-12
     assert abs(theta_offset(1j) - THETA_AT_I) < 1e-12
+
+
+def test_near_lattice_point_is_relatively_truncated():
+    # |theta1| is small here; theta1's absolute tail bound alone left G
+    # 1.45e-12 off, the count relative to the first term keeps it within 1e-15
+    assert abs(green(4.5387j, (0.0, 0.975)) - G_NEAR_LATTICE) < 1e-14
+
+
+def test_green_against_mpmath_next_to_the_lattice():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+
+    def reference(tau, x1, x2):
+        t = mp.mpc(tau)
+        q = mp.exp(1j * mp.pi * t)
+        eta = mp.exp(1j * mp.pi * t / 12) * mp.qp(q**2)
+        theta = mp.jtheta(1, mp.pi * (x1 + t * x2), q)
+        return mp.pi * t.imag * x2**2 - mp.log(abs(theta / eta))
+
+    for im in np.linspace(1.0, 12.0, 45):
+        for x1, x2 in ((0.0, 0.975), (0.0, -0.025), (0.01, 0.99), (0.2, 0.03), (0.3, 0.0)):
+            want = float(reference(complex(0.0, im), mp.mpf(x1), mp.mpf(x2)))
+            assert abs(green(complex(0.0, im), (x1, x2)) - want) <= 1e-12
 
 
 def test_periodicity():

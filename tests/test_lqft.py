@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from torus_lqg import gff
+from torus_lqg import gff, lqft
 from torus_lqg.chaos import chaos_prefactor, sample_total_masses
 from torus_lqg.config import FieldResolution, MonteCarloConfig
 from torus_lqg.errors import (
@@ -175,6 +175,44 @@ def test_insertion_potential_grid_equals_pointwise(re, im, grid, log_cap, data):
     cap = 10.0**log_cap
     h = insertion_potential_grid(tau, ins, grid, cap)
     assert np.abs(h - pointwise_potential_grid(tau, ins, grid, cap)).max() <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    moduli=st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(0.5, 12.0)), min_size=1, max_size=6),
+    cutoff=st.integers(1, 6),
+    gamma=st.floats(0.1, 1.9),
+    batch=st.integers(1, 6),
+    data=st.data(),
+)
+def test_tilted_points_are_the_same_alone_and_in_any_block(moduli, cutoff, gamma, batch, data):
+    # weights, factor, tilt and H of each modulus are byte for byte those it
+    # has alone, in one block of all moduli and in _BATCH_CELLS blocks of
+    # `batch` moduli; H matches the pointwise reference
+    params = LQFTParams(gamma=gamma)
+    res = FieldResolution(cutoff=cutoff, grid_factor=4)
+    G = res.grid
+    try:
+        ins = InsertionSet(data.draw(grid_insertions(G)))
+    except DuplicateInsertion:
+        assume(False)
+    taus = [complex(re, im) for re, im in moduli]
+    alone = [lqft._tilted_points(params, [tau], ins, res) for tau in taus]
+    together, h_grids = lqft._tilted_points(params, taus, ins, res)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gff, "_BATCH_CELLS", batch * G * G)
+        blocks = list(lqft._tilted_blocks(params, taus, ins, res))
+    assert [start for start, _ in blocks] == list(range(0, len(taus), batch))
+    split = [pt for _, block in blocks for pt in block]
+    for k, tau in enumerate(taus):
+        (point,), (h_alone,) = alone[k]
+        assert h_grids[k].tobytes() == h_alone.tobytes()
+        for other in (together[k], split[k]):
+            assert other[0].tobytes() == point[0].tobytes()
+            assert other[1] == point[1]
+            assert other[2].tobytes() == point[2].tobytes()
+        cap = res.eps_for(tau)
+        assert np.abs(h_alone - pointwise_potential_grid(tau, ins, G, cap)).max() <= 1e-12
 
 
 def test_insertion_potential_grid_in_the_cusp():

@@ -157,6 +157,16 @@ def test_matter_partition():
     assert abs(ff - free_field_partition(TAU) ** c) < 1e-13
 
 
+def test_matter_partition_of_an_array_of_moduli():
+    # one array pass per q-series gives each modulus's value alone
+    taus = np.array([0.3 + 1.2j, -0.45 + 0.95j, 0.1 + 4.4j, 11.5j])
+    for matter in (MatterCFT.pure_gravity(), MatterCFT.ising(), MatterCFT.free_field_power(0.7)):
+        values = matter_partition(matter, taus)
+        for tau, value in zip(taus, values):
+            want = matter_partition(matter, tau)
+            assert abs(value - want) <= 1e-15 * want
+
+
 def test_negative_moment_matches_mass_samples():
     matter, params, ins = pure_setup()
     p = ins.alpha_sum / params.gamma

@@ -20,6 +20,7 @@ from torus_lqg.special import (
     MIN_IM_TAU,
     TOLERANCE,
     _term_count,
+    _theta_count,
     _theta_cut,
     dedekind_eta,
     theta1,
@@ -40,6 +41,9 @@ THETA2_I = 0.9135791381561168214072426
 THETA3_I = 1.086434811213308014575316
 THETA4_I = 0.9135791381561168214072426
 DTHETA1_I = 2.848694603987787316079985
+# theta1'(0) where theta1's absolute tail bound alone keeps one term
+DTHETA1_A = 0.184723923470741114448165 + 0.07327166839154732413114958j  # 0.4808 + 4.3974i
+DTHETA1_B = 0.177850925317502983027842  # 4.5387i
 
 TIGHT = 1e-13
 GRID_TOL = 1e-10
@@ -90,6 +94,47 @@ def test_theta1_derivative_is_eta_cubed():
         lhs = theta1_z_derivative_at_zero(tau)
         rhs = 2.0 * math.pi * dedekind_eta(tau) ** 3
         assert abs(lhs - rhs) < GRID_TOL
+
+
+@pytest.mark.parametrize("tau, want", ((0.4808 + 4.3974j, DTHETA1_A), (4.5387j, DTHETA1_B)))
+def test_theta1_derivative_is_relatively_exact(tau, want):
+    # one term would leave 3.0e-12 and 1.2e-12 of the value; the count keeps two
+    for value in (theta1_z_derivative_at_zero(tau), theta1_over_z(0.0, tau)):
+        assert abs(value - want) <= 1e-13 * abs(want)
+
+
+def test_theta1_derivative_against_mpmath_over_the_cusp():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    for im in np.linspace(1.0, 12.0, 111):
+        for re in (0.0, 0.31, -0.5):
+            tau = complex(re, im)
+            want = complex(mp.pi * mp.jtheta(1, 0, mp.exp(1j * mp.pi * mp.mpc(tau)), 1))
+            for value in (theta1_z_derivative_at_zero(tau), theta1_over_z(0.0, tau)):
+                assert abs(value - want) <= 1e-13 * abs(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_y=st.floats(math.log10(MIN_IM_TAU), 2.0), b_frac=st.floats(0.0, 1.0))
+def test_theta_count_keeps_the_absolute_and_relative_bounds(log_y, b_frac):
+    # at least theta1's absolute count, and a tail within the tolerance of
+    # the first term: (2n+1) |q|^(n^2+n) e^(2 pi b n) summed from the count
+    y = 10.0**log_y
+    b = b_frac * y
+    n = int(_theta_count(complex(0.2, y), b))
+    assert n >= int(_theta_cut(complex(0.2, y), b))
+    k = np.arange(n, n + 400)
+    rel = np.exp(np.log(2 * k + 1) - math.pi * y * (k * k + k) + 2 * math.pi * b * k)
+    assert rel.sum() <= 0.1 * TOLERANCE
+
+
+def test_q_series_of_an_array_of_moduli_are_those_alone():
+    rng = np.random.default_rng(4)
+    taus = rng.uniform(-0.5, 0.5, 40) + 1j * 10.0 ** rng.uniform(-2.5, 2.0, 40)
+    eta = dedekind_eta(taus)
+    assert [complex(v) for v in eta] == [dedekind_eta(t) for t in taus]
+    for k in (2, 3, 4):
+        assert [complex(v) for v in theta_aux(k, taus)] == [theta_aux(k, t) for t in taus]
 
 
 def test_theta1_derivative_is_theta_product():

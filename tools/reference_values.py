@@ -81,12 +81,17 @@ ROWS = [
     ("THETA3_I", theta_aux(3, 1j)),
     ("THETA4_I", theta_aux(4, 1j)),
     ("DTHETA1_I", dtheta1_at_zero(1j)),
+    # where theta1's absolute tail bound alone keeps one term
+    ("DTHETA1_A", dtheta1_at_zero(mp.mpc("0.4808", "4.3974"))),
+    ("DTHETA1_B", dtheta1_at_zero(mp.mpc("0", "4.5387"))),
     ("THETA_AT_I", theta_offset(1j)),
     ("ZFF_AT_I", free_field_partition(1j)),
     ("Z_GHOST_AT_I", ghost_partition(1j)),
     ("Z_ISING_AT_I", ising_partition(1j)),
     ("G_AT_I", green(1j, mp.mpf("0.3"), mp.mpf("0.4"))),
     ("G_AT_TAU", green(TAU, mp.mpf("0.15"), mp.mpf("-0.35"))),
+    # next to the lattice point, where |theta1| is small
+    ("G_NEAR_LATTICE", green(mp.mpc(0, "4.5387"), mp.mpf(0), mp.mpf("0.975"))),
 ]
 
 if __name__ == "__main__":
