@@ -47,8 +47,11 @@ __all__ = ["MomentCache", "SAMPLER_VERSION", "default_cache_dir", "moment_key"]
 # setup of a block of moduli in array passes and evaluates H at each
 # point's centered representative, with theta1 and theta1/z truncated
 # relative to their first term too and Theta(tau) at an exact lattice
-# point, which moves H, and every moment tilted by it, at the 1e-15 level.
-SAMPLER_VERSION = 9
+# point, which moves H, and every moment tilted by it, at the 1e-15 level;
+# version 10 gives regularized_variance a finer step on the coarse rows
+# whose J0 sits near a zero, which moves variances above cutoff 1024 in
+# their last bits.
+SAMPLER_VERSION = 10
 
 # per-process counter in temp file names, so no two puts share one
 _TEMP_IDS = itertools.count()

@@ -139,15 +139,18 @@ def _provenance(args, argv, t0: float) -> dict:
 _BLOCK_ROWS = 4096
 
 
-def _cells(column: np.ndarray) -> list[str]:
-    """The CSV cells of a column: `str` of an integer, `repr` of a float64, each
-    distinct float64 bit pattern formatted once (so -0.0 stays apart from 0.0)."""
+def _cells(column: np.ndarray) -> np.ndarray:
+    """The CSV cells of a column as an object array: `str` of an integer, `repr`
+    of a float64, each distinct value (a float64 by its int64 bit pattern, so
+    -0.0 stays apart from 0.0) formatted once and taken back to its rows."""
     if column.dtype.kind in "iu":
-        return list(map(str, column.tolist()))
-    column = np.asarray(column, dtype=np.float64)
-    bits = column.view(np.int64).tolist()
-    text = {b: repr(v) for b, v in dict(zip(bits, column.tolist())).items()}
-    return list(map(text.__getitem__, bits))
+        distinct, at = np.unique(column, return_inverse=True)
+        text = map(str, distinct.tolist())
+    else:
+        bits = np.asarray(column, dtype=np.float64).view(np.int64)
+        distinct, at = np.unique(bits, return_inverse=True)
+        text = map(repr, distinct.view(np.float64).tolist())
+    return np.array(list(text), dtype=object)[at]
 
 
 def _render(kind: str, result, record: dict):
@@ -177,12 +180,19 @@ def _render(kind: str, result, record: dict):
 
 
 def _csv_pieces(head: list[str], data):
-    """Yield the head lines, then the rows in blocks of _BLOCK_ROWS, formatted lazily."""
+    """Yield the head lines, then the rows in blocks of _BLOCK_ROWS, formatted lazily.
+
+    A block is one join of a (rows, 2 * columns) object array: column k's
+    cells at 2k, then "," after every cell but the last, which is "\n"."""
     data = [np.asarray(c) for c in data]
     yield "\n".join(head) + "\n"
+    block = np.full((min(_BLOCK_ROWS, len(data[0])), 2 * len(data)), ",", dtype=object)
+    block[:, -1] = "\n"
     for start in range(0, len(data[0]), _BLOCK_ROWS):
-        cells = [_cells(c[start : start + _BLOCK_ROWS]) for c in data]
-        yield "\n".join(map(",".join, zip(*cells, strict=True))) + "\n"
+        rows = block[: len(data[0]) - start]
+        for k, c in enumerate(data):
+            rows[:, 2 * k] = _cells(c[start : start + _BLOCK_ROWS])
+        yield "".join(rows.ravel().tolist())
 
 
 def _write(args, argv, t0: float, result) -> None:
@@ -440,65 +450,62 @@ def _add_mc_flags(p, replicas=1000):
     p.add_argument("--grid-factor", type=int, default=4, dest="grid_factor")
 
 
-def build_parser() -> tuple[_Parser, dict]:
-    """The parser and its (group, cmd) -> subcommand parser map."""
-    parser = _Parser(prog="torus-lqg", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"torus-lqg {__version__}")
-    parser.add_argument("--config", help="key = value defaults, overridden by flags")
-    groups = parser.add_subparsers(dest="group", required=True, parser_class=_Parser)
-    cmds = {
-        g: groups.add_parser(g).add_subparsers(dest="cmd", required=True, parser_class=_Parser)
-        for g in ("special-fn", "modular", "green", "gff", "gmc", "lqft", "lqg")
-    }
-    registry: dict[tuple[str, str], argparse.ArgumentParser] = {}
-
-    def sub(group, name, handler, kind):
-        p = registry[(group, name)] = cmds[group].add_parser(name)
-        p.set_defaults(func=handler, _kind=kind)
-        return p
-
-    p = sub("special-fn", "eval", _cmd_special_eval, "json")
+def _special_eval_flags(p):
     p.add_argument("--fn", required=True,
                    choices=["eta", "theta1", "theta2", "theta3", "theta4"])
     p.add_argument("--tau", type=_tau, required=True)
     p.add_argument("--z", type=_point, default=None)
     p.add_argument("--out")
-    p = sub("modular", "reduce", _cmd_modular_reduce, "json")
+
+
+def _modular_reduce_flags(p):
     p.add_argument("--tau", type=_tau, required=True)
     p.add_argument("--out")
-    p = sub("green", "eval", _cmd_green_eval, "json")
+
+
+def _green_eval_flags(p):
     p.add_argument("--tau", type=_tau, required=True)
     p.add_argument("--x", type=_point, required=True)
     p.add_argument("--mode", choices=["closed", "eigen", "appendix"], default="closed")
     p.add_argument("--eigen-cutoff", type=int, default=200, dest="eigen_cutoff")
     p.add_argument("--tolerance", type=float, default=1e-2)
     p.add_argument("--out")
-    p = sub("green", "table", _cmd_green_table, "csv")
+
+
+def _green_table_flags(p):
     p.add_argument("--tau", type=_tau, required=True)
     p.add_argument("--grid", type=int, default=64)
     p.add_argument("--out", required=True)
-    p = sub("gff", "sample", _cmd_gff_sample, "csv")
+
+
+def _gff_sample_flags(p):
     p.add_argument("--tau", type=_tau, required=True)
     p.add_argument("--cutoff", type=int, default=32)
     p.add_argument("--grid", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stream", type=int, default=0)
     p.add_argument("--out", required=True)
-    p = sub("gmc", "sample", _cmd_gmc_sample, "csv")
+
+
+def _gmc_sample_flags(p):
     p.add_argument("--tau", type=_tau, required=True)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--critical", action="store_true")
     p.add_argument("--eps", type=float, default=None)
     _add_mc_flags(p)
     p.add_argument("--out", required=True)
-    p = sub("lqft", "partition", _cmd_lqft_partition, "json")
+
+
+def _lqft_partition_flags(p):
     p.add_argument("--tau", type=_tau, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--insertions", type=_insertions, required=True)
     _add_mc_flags(p)
     p.add_argument("--out")
-    p = sub("lqft", "check-kpz", _cmd_lqft_check_kpz, "json")
+
+
+def _lqft_check_kpz_flags(p):
     p.add_argument("--tau", type=_tau, default=complex(0.2, 1.3))
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--insertions", type=_insertions,
@@ -506,35 +513,115 @@ def build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--mu-list", type=_float_list, default=(0.5, 2.0, 10.0), dest="mu_list")
     _add_mc_flags(p, replicas=256)
     p.add_argument("--out")
-    p = sub("lqft", "check-modular", _cmd_lqft_check_modular, "json")
+
+
+def _lqft_check_modular_flags(p):
     p.add_argument("--tau", type=_tau, default=complex(0.0, 2.0))
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=1.0)
     _add_mc_flags(p, replicas=2000)
     p.add_argument("--out")
-    for name, handler in (("modulus-density", _cmd_lqg_density),
-                          ("sample-joint", _cmd_lqg_sample_joint)):
-        p = sub("lqg", name, handler, "csv")
-        p.add_argument("--matter", type=_matter, required=True)
-        p.add_argument("--mu", type=float, default=1.0)
-        p.add_argument("--n", type=int, default=1)
-        p.add_argument("--re-cells", type=int, default=12, dest="re_cells")
-        p.add_argument("--im-cells", type=int, default=12, dest="im_cells")
-        p.add_argument("--t-max", type=float, default=8.0, dest="t_max")
-        p.add_argument("--tail-tol", type=float, default=1e-3, dest="tail_tol")
-        p.add_argument("--no-cache", action="store_true", dest="no_cache")
-        _add_mc_flags(p, replicas=256)
-        if name == "sample-joint":
-            p.add_argument("--samples", type=int, default=1000)
-        p.add_argument("--out", required=True)
-    p = sub("lqg", "plot", _cmd_lqg_plot, "svg")
+
+
+def _lqg_table_flags(p, samples=False):
+    p.add_argument("--matter", type=_matter, required=True)
+    p.add_argument("--mu", type=float, default=1.0)
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--re-cells", type=int, default=12, dest="re_cells")
+    p.add_argument("--im-cells", type=int, default=12, dest="im_cells")
+    p.add_argument("--t-max", type=float, default=8.0, dest="t_max")
+    p.add_argument("--tail-tol", type=float, default=1e-3, dest="tail_tol")
+    p.add_argument("--no-cache", action="store_true", dest="no_cache")
+    _add_mc_flags(p, replicas=256)
+    if samples:
+        p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--out", required=True)
+
+
+def _lqg_plot_flags(p):
     p.add_argument("data")
     p.add_argument("--kind", choices=["heatmap", "line"], default="heatmap")
     p.add_argument("--out", required=True)
-    p = registry[("check", "all")] = groups.add_parser("check")
+
+
+def _check_flags(p):
     p.add_argument("scope", choices=["all"])
     p.add_argument("--quick", action="store_true")
-    p.set_defaults(func=_cmd_check, _kind="text")
+
+
+# (group, cmd) -> (handler, output kind, flag function), in help order.  The
+# one command of `check` is named by its `scope` positional, so the group's
+# own parser is that command's parser.
+_COMMANDS = {
+    ("special-fn", "eval"): (_cmd_special_eval, "json", _special_eval_flags),
+    ("modular", "reduce"): (_cmd_modular_reduce, "json", _modular_reduce_flags),
+    ("green", "eval"): (_cmd_green_eval, "json", _green_eval_flags),
+    ("green", "table"): (_cmd_green_table, "csv", _green_table_flags),
+    ("gff", "sample"): (_cmd_gff_sample, "csv", _gff_sample_flags),
+    ("gmc", "sample"): (_cmd_gmc_sample, "csv", _gmc_sample_flags),
+    ("lqft", "partition"): (_cmd_lqft_partition, "json", _lqft_partition_flags),
+    ("lqft", "check-kpz"): (_cmd_lqft_check_kpz, "json", _lqft_check_kpz_flags),
+    ("lqft", "check-modular"): (_cmd_lqft_check_modular, "json", _lqft_check_modular_flags),
+    ("lqg", "modulus-density"): (_cmd_lqg_density, "csv", _lqg_table_flags),
+    ("lqg", "sample-joint"): (_cmd_lqg_sample_joint, "csv",
+                              partial(_lqg_table_flags, samples=True)),
+    ("lqg", "plot"): (_cmd_lqg_plot, "svg", _lqg_plot_flags),
+    ("check", "all"): (_cmd_check, "text", _check_flags),
+}
+
+
+class _LazySubparsers(argparse._SubParsersAction):
+    """Subparsers whose parsers are filled only when argparse selects one:
+    `fill(name, parser)` adds the chosen parser's commands or flags, once,
+    before the parser reads the rest of the arguments."""
+
+    def __init__(self, *args, fill, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fill = fill
+        self._filled = set()
+
+    def fill(self, name: str) -> None:
+        if name not in self._filled:
+            self._filled.add(name)
+            self._fill(name, self.choices[name])
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        self.fill(values[0])
+        super().__call__(parser, namespace, values, option_string)
+
+
+def build_parser() -> tuple[_Parser, dict]:
+    """The parser and its (group, cmd) -> subcommand parser map.
+
+    The top parser and the group parsers exist at once; a group's commands,
+    and a command's flags, from _COMMANDS, are added when argparse selects
+    that group or command, so one invocation builds one command's parser.
+    The map holds the command parsers filled so far.
+    """
+    parser = _Parser(prog="torus-lqg", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"torus-lqg {__version__}")
+    parser.add_argument("--config", help="key = value defaults, overridden by flags")
+    registry: dict[tuple[str, str], argparse.ArgumentParser] = {}
+
+    def fill_command(key, p):
+        handler, kind, flags = _COMMANDS[key]
+        registry[key] = p
+        p.set_defaults(func=handler, _kind=kind)
+        flags(p)
+
+    def fill_group(group, p):
+        if group == "check":
+            return fill_command(("check", "all"), p)
+        cmds = p.add_subparsers(dest="cmd", required=True, action=_LazySubparsers,
+                                fill=lambda cmd, sub: fill_command((group, cmd), sub))
+        for g, cmd in _COMMANDS:
+            if g == group:
+                cmds.add_parser(cmd)
+
+    groups = parser.add_subparsers(dest="group", required=True, action=_LazySubparsers,
+                                   fill=fill_group)
+    for group in dict.fromkeys(g for g, _ in _COMMANDS):
+        groups.add_parser(group)
     return parser, registry
 
 

@@ -28,7 +28,9 @@ h plus Euler-Maclaurin endpoint terms,
 whose odd derivatives come from Taylor series of J0 built by its ODE.
 The step h* = min(2 pi b/(9 pi + 2ab), 0.75/a) keeps the trapezoid's
 aliasing error, about e^(-b(2pi/h - 2a)), near e^(-9pi) ~ 5e-13 of the
-row, and the omitted endpoint terms, of order (a h/pi)^18, below that;
+row's envelope, and the omitted endpoint terms, of order (a h/pi)^18,
+below that; a row whose J0 stays near a zero is a small part of its
+envelope, so its budget 9 pi grows by _near_zero_budget;
 it is rounded down to a power of two, so rows fall into O(log N) blocks
 that are summed as arrays under a cap on rows x nodes.  Rows whose coarse
 grid would keep a quarter of the 2N + 1 points or more stay brute force,
@@ -38,8 +40,10 @@ Every random draw is a row addressed by (seed, purpose, row): the Philox
 key is (seed, purpose) and the counter is the row times the row's width
 in blocks, so row r holds the same numbers alone or inside any batch and
 no two purposes (modes, resample, volume, modulus) share a stream.
-RngStream.uniforms is the one draw path; even the modulus sampler's
-rejection rounds draw their proposals as rows.
+RngStream.reader is the one draw path: it reads consecutive rows under one
+Philox, so the replica engine reads the batches of a call from one reader,
+and RngStream.uniforms is one read; even the modulus sampler's rejection
+rounds draw their proposals as rows.
 
 Monte Carlo estimators draw their replicas through one batched engine,
 replica_grids, in antithetic pairs (Hammersley & Morton 1956).  The field
@@ -84,7 +88,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import j0, j1, ndtri
+from scipy.special import j0, j1, ndtri, y0
 
 from .config import MonteCarloConfig
 from .errors import IndexOutOfCutoff, ValidationError
@@ -140,23 +144,35 @@ class RngStream:
     seed: int
     stream: int = 0
 
-    def uniforms(self, rows: int, width: int, purpose: int = MODES) -> np.ndarray:
-        """(rows, width) uniforms of rows stream .. stream + rows - 1, one
-        random_raw call: a word's top 52 bits k give (k + 1/2) 2^-52 in (0, 1).
+    def reader(self, width: int, purpose: int = MODES):
+        """The one draw path: a function read(rows) that returns the
+        (rows, width) uniforms of the next rows from row stream on, each call
+        going on where the last one ended, under one Philox.
 
-        k is set as the mantissa of 1 + k 2^-52 in place; subtracting
-        1 - 2^-53 from that is exact (Sterbenz), so u is a view into the
-        words, contiguous when width is a multiple of 4.
+        A row is whole 4-word blocks, so random_raw leaves nothing buffered
+        and rows read in any split are the rows read at once.  A word's top
+        52 bits k give (k + 1/2) 2^-52 in (0, 1): k is set as the mantissa of
+        1 + k 2^-52 in place, and subtracting 1 - 2^-53 from that is exact
+        (Sterbenz), so u is a view into the words, contiguous when width is a
+        multiple of 4.
         """
         blocks = -(-width // 4)
         key = np.array([self.seed % 2**64, purpose], dtype=np.uint64)
         philox = np.random.Philox(key=key, counter=self.stream * blocks % 2**256)
-        raw = philox.random_raw(rows * 4 * blocks).reshape(rows, 4 * blocks)
-        raw >>= np.uint64(12)
-        raw |= np.uint64(0x3FF0000000000000)
-        u = raw.view(np.float64)[:, :width]
-        u -= 1.0 - 2.0**-53
-        return u
+
+        def read(rows: int) -> np.ndarray:
+            raw = philox.random_raw(rows * 4 * blocks).reshape(rows, 4 * blocks)
+            raw >>= np.uint64(12)
+            raw |= np.uint64(0x3FF0000000000000)
+            u = raw.view(np.float64)[:, :width]
+            u -= 1.0 - 2.0**-53
+            return u
+
+        return read
+
+    def uniforms(self, rows: int, width: int, purpose: int = MODES) -> np.ndarray:
+        """(rows, width) uniforms of rows stream .. stream + rows - 1, one read."""
+        return self.reader(width, purpose)(rows)
 
 
 @dataclass(frozen=True)
@@ -255,14 +271,18 @@ def scaled_mode_weights(tau, cutoff: int, eps=0.0, variance: bool = False):
 
 def draw_modes(rng: RngStream, rows: int, cutoff: int, purpose: int = MODES) -> np.ndarray:
     """Unit complex normal modes of rows rng.stream .. + rows - 1 on the
-    half-spectrum m >= 0 of the box, shape (rows, 2N+1, N+1).
+    half-spectrum m >= 0 of the box, shape (rows, 2N+1, N+1)."""
+    return _unit_modes(rng.uniforms(rows, (2 * cutoff + 1) ** 2 - 1, purpose), cutoff)
 
-    A row's (2N+1)^2 - 1 uniforms become N(0, 1/2) real degrees of freedom
-    by ndtri, paired (re, im) into the columns m = 1..N, then the modes
-    n = 1..N of column 0, mirrored as conjugates to n < 0; the mean mode is 0.
+
+def _unit_modes(u: np.ndarray, N: int) -> np.ndarray:
+    """The half-spectra of rows of (2N+1)^2 - 1 uniforms, overwritten.
+
+    A row's uniforms become N(0, 1/2) real degrees of freedom by ndtri,
+    paired (re, im) into the columns m = 1..N, then the modes n = 1..N of
+    column 0, mirrored as conjugates to n < 0; the mean mode is 0.
     """
-    N = cutoff
-    u = rng.uniforms(rows, (2 * N + 1) ** 2 - 1, purpose)
+    rows = len(u)
     ndtri(u, out=u)
     u *= math.sqrt(0.5)
     z = u.view(complex)
@@ -349,8 +369,9 @@ def replica_grids(weights, grid: int, mc: MonteCarloConfig, purpose: int = MODES
 
     Yields (start, grids) per batch of replicas start .. start + B - 1.
     Replica r is (-1)^r times the field of row mc.base_stream + r // 2 of
-    draw_modes under (mc.seed, purpose): one call draws the batch's
-    P = ceil(B/2) rows, and each weight box is synthesized once per pair.
+    draw_modes under (mc.seed, purpose): one read of the call's one
+    RngStream.reader draws the batch's P = ceil(B/2) rows, and each weight
+    box is synthesized once per pair.
     grids yields, lazily and in the order of weights, one (P, G, G) stack
     per weight box w of the even grids only, byte for byte
     modes_to_grid(alpha * w) of their rows drawn alone; the odd grid
@@ -377,10 +398,12 @@ def replica_grids(weights, grid: int, mc: MonteCarloConfig, purpose: int = MODES
         for w in halves:
             yield _synthesize(alpha, grid, w, spec[:p], out[:p])
 
+    # batches after the first hold a whole number of pairs, so their rows
+    # follow on: one reader serves the call
+    read = RngStream(mc.seed, mc.base_stream).reader((2 * N + 1) ** 2 - 1, purpose)
     for start in range(0, mc.replicas, batch):
         rows = min(batch, mc.replicas - start)
-        rng = RngStream(mc.seed, mc.base_stream + start // 2)
-        yield start, stacks(draw_modes(rng, (rows + 1) // 2, N, purpose))
+        yield start, stacks(_unit_modes(read((rows + 1) // 2), N))
 
 
 def pair_mean_se(values) -> tuple[float, float]:
@@ -517,15 +540,44 @@ def _coarse_row_sums(tau: complex, cutoff: int, eps: float, ns: np.ndarray, step
     return y / (2.0 * np.pi) * out
 
 
+def _near_zero_budget(tau: complex, cutoff: int, a: float, b: np.ndarray) -> np.ndarray:
+    """ln(1/(2c)) where positive, else 0, for each row n = 1..N: what the
+    aliasing budget of the row must grow by when its J0^2 sits near a zero.
+
+    The budget e^-L is relative to the row's envelope, the sum of A^2/u with
+    A^2 = min(1, J0^2 + Y0^2) the squared amplitude of J0 at a sqrt(u); c is
+    the row's sum over that, so e^-L/c is the error relative to the row.
+    Along m - s = b tan(theta), dm/u = dtheta/b, so c is a ratio of means
+    over theta, taken here by an 8-node midpoint rule.  A row whose J0
+    argument, a b sec(theta), spans a period of J0^2 (pi) or more has c
+    near 1/2 and keeps the plain budget; the rule is for the narrower rows.
+    """
+    s = np.arange(1, cutoff + 1) * tau.real
+    lo, hi = np.arctan((-cutoff - s) / b), np.arctan((cutoff - s) / b)
+    x0 = a * b
+    narrow = np.flatnonzero(x0 / np.cos(np.maximum(-lo, hi)) - x0 < np.pi)
+    out = np.zeros(cutoff)
+    if narrow.size:
+        t = (np.arange(8) + 0.5) / 8
+        theta = lo[narrow, None] + t * (hi - lo)[narrow, None]
+        x = x0[narrow, None] / np.cos(theta)
+        j = j0(x) ** 2
+        c = np.sum(j, axis=1) / np.sum(np.minimum(1.0, j + y0(x) ** 2), axis=1)
+        out[narrow] = np.maximum(0.0, -np.log(2.0 * c))
+    return out
+
+
 def _coarse_steps(tau: complex, cutoff: int, eps: float) -> np.ndarray:
     """Trapezoid step of each row n = 1..N, or 0 where the row stays brute:
-    h* = min(2 pi b/(L + 2ab), c/a), L = _EM_ALIAS, c = _EM_OSCILLATION,
-    rounded down to a power of two (see the module docstring)."""
+    h* = min(2 pi b/(L + l_n + 2ab), c/a), L = _EM_ALIAS, l_n the row's
+    _near_zero_budget, c = _EM_OSCILLATION, rounded down to a power of two
+    (see the module docstring)."""
     y = tau.imag
     a = 2.0 * np.pi * eps / y
     b = np.arange(1, cutoff + 1) * y
+    alias = _EM_ALIAS + _near_zero_budget(tau, cutoff, a, b)
     wave = _EM_OSCILLATION / a if a else math.inf
-    step = 2.0 ** np.floor(np.log2(np.minimum(2.0 * np.pi * b / (_EM_ALIAS + 2.0 * a * b), wave)))
+    step = 2.0 ** np.floor(np.log2(np.minimum(2.0 * np.pi * b / (alias + 2.0 * a * b), wave)))
     panels = np.ceil(2 * cutoff / step)
     return np.where(4 * (panels + 1) < 2 * cutoff + 1, step, 0.0)
 

@@ -439,6 +439,120 @@ def test_csv_cells_are_repr_and_str(cols, block):
         assert line == f"{float(v)!r},{int(k)}"
 
 
+def test_csv_cells_keep_their_text_across_block_edges():
+    # more than two blocks of 4096 rows; -0.0 and 0.0, and NaNs of several
+    # payloads and signs, sit on both sides of each block edge
+    specials = np.array([-0.0, 0.0, math.inf, -math.inf, 5e-324, 0.1, 1e16])
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0x7FF8DEADBEEF0001], dtype=np.uint64).view(np.float64)
+    pool = np.concatenate([specials, nans, np.linspace(-1.0, 1.0, 40)])
+    n = 2 * cli._BLOCK_ROWS + 77
+    pick = np.random.default_rng(5).integers(0, len(pool), n)
+    for edge in (cli._BLOCK_ROWS, 2 * cli._BLOCK_ROWS):
+        pick[edge - 2 : edge + 2] = [0, 1, 7, 8]
+    floats = pool[pick]
+    ints = np.random.default_rng(6).integers(-3, 4, n) * 2**61 - 1
+    text = "".join(cli._render("csv", (["x", "n"], [floats, ints]), RECORD))
+    body = text.split("\n")[6:-1]
+    assert body == [f"{float(v)!r},{int(k)}" for v, k in zip(floats, ints)]
+    assert body[cli._BLOCK_ROWS - 2].startswith("-0.0,")
+    assert body[cli._BLOCK_ROWS - 1].startswith("0.0,")
+
+
+# ---------------------------------------------------------------- lazy parser
+
+
+def eager_parser():
+    """build_parser with every group and every command filled up front."""
+    parser, _ = cli.build_parser()
+
+    def fill(p):
+        for action in p._actions:
+            if isinstance(action, cli._LazySubparsers):
+                for name, sub in action.choices.items():
+                    action.fill(name)
+                    fill(sub)
+
+    fill(parser)
+    return parser
+
+
+def parser_levels():
+    """argv of the top level, every group and every (group, cmd); `check`
+    is both the group and its one command."""
+    levels = [[]]
+    for group, cmd in cli._COMMANDS:
+        if [group] not in levels:
+            levels.append([group])
+        if group != "check":
+            levels.append([group, cmd])
+    return levels
+
+
+def exit_of(call, argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        call(argv)
+    out = capsys.readouterr()
+    return info.value.code, out.out, out.err
+
+
+def level_parser(parser, argv):
+    for name in argv:
+        (action,) = [a for a in parser._actions if isinstance(a, cli._LazySubparsers)]
+        parser = action.choices[name]
+    return parser
+
+
+@pytest.mark.parametrize("argv", parser_levels(), ids=lambda a: " ".join(a) or "top")
+def test_lazy_help_and_usage_errors_equal_an_eager_tree(argv, capsys):
+    eager = eager_parser()
+    p = level_parser(eager, argv)
+    flags = [a for a in p._actions if a.option_strings and a.dest != "help"]
+    subs = [a for a in p._actions if isinstance(a, cli._LazySubparsers)]
+    errors = [argv + ["bogus"]] if subs else []
+    if flags and argv:
+        # a value error raised by this level's own parser, not the top one
+        opt = flags[0].option_strings[-1]
+        errors.append(argv + ([f"{opt}=x"] if flags[0].nargs == 0 else [opt]))
+    for case in [argv + ["--help"], *errors]:
+        want = exit_of(eager.parse_args, case, capsys)
+        got = exit_of(cli.main, case, capsys)
+        assert got == want
+        assert got[0] == (0 if case[-1] == "--help" else 1)
+        usage = f"usage: torus-lqg {' '.join(argv)}".rstrip()
+        assert (got[1] if got[0] == 0 else got[2]).startswith(usage)
+
+
+@pytest.mark.parametrize("key", list(cli._COMMANDS), ids=" ".join)
+def test_dispatch_fills_only_the_chosen_command(key, monkeypatch, capsys):
+    ran = []
+
+    def spy(key, flags):
+        return lambda p: (ran.append(key), flags(p))
+
+    monkeypatch.setattr(cli, "_COMMANDS", {k: (h, kind, spy(k, f))
+                                          for k, (h, kind, f) in cli._COMMANDS.items()})
+    argv = [key[0]] if key[0] == "check" else list(key)
+    assert exit_of(cli.main, argv + ["--help"], capsys)[0] == 0
+    assert ran == [key]
+    parser, registry = cli.build_parser()
+    assert registry == {} and ran == [key]
+
+
+def test_a_run_fills_one_command_once(tmp_path, monkeypatch, capsys):
+    # --config parses argv a second time; the chosen command is filled once
+    ran = []
+    handler, kind, flags = cli._COMMANDS[("green", "eval")]
+    monkeypatch.setitem(cli._COMMANDS, ("green", "eval"),
+                        (handler, kind, lambda p: (ran.append(1), flags(p))))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = appendix\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "green", "eval",
+                       "--tau", "0,1", "--x", "0.3,0.4")
+    assert code == 0 and json.loads(out)["meta"]["config"]["mode"] == "appendix"
+    assert ran == [1]
+
+
 def test_config_file_defaults_yield_to_flags(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 9\nreplicas = 8\ncutoff = 8\n")

@@ -227,6 +227,9 @@ def _brute_row(tau, cutoff, eps, n):
     cutoff=st.integers(1024, 4000),
     pick=st.floats(0.0, 1.0),
 )
+# row 364 has J0 arguments 2.287-2.478 around J0's first zero, so the row is
+# 1.8e-3 of its 1/u envelope: its step must be finer than the envelope's
+@example(re=0.0, im=8.0, eps=0.001, cutoff=1213, pick=0.296875)
 def test_coarse_row_sum_matches_brute_row(re, im, eps, cutoff, pick):
     tau = complex(re, im)
     steps = gff._coarse_steps(tau, cutoff, eps)
@@ -587,6 +590,30 @@ def test_uniforms_are_half_offset_top_bits(width):
         u = rng.uniforms(3, width, purpose)
         assert u.shape == (3, width)
         assert u.tobytes() == reference_uniforms(rng, 3, width, purpose).tobytes()
+        # one reader goes on where its last read ended: reads of 1, 2 and 3
+        # rows are rows 0, 1-2 and 3-5, each also readable alone
+        read = rng.reader(width, purpose)
+        pieces = np.concatenate([read(1), read(2), read(3)])
+        assert pieces.tobytes() == rng.uniforms(6, width, purpose).tobytes()
+        alone = RngStream(seed, 12345 + 4).uniforms(1, width, purpose)
+        assert alone.tobytes() == pieces[4:5].tobytes()
+
+
+def test_replica_engine_builds_one_generator_per_call(monkeypatch):
+    # 40 replicas in batches of 6 (three pairs): seven batches, one Philox
+    built = []
+    philox = np.random.Philox
+
+    def spy(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(gff, "_BATCH_CELLS", 3 * 2 * 12 * 12)
+    monkeypatch.setattr(np.random, "Philox", spy)
+    mc = MonteCarloConfig(replicas=40, seed=SEED, base_stream=5)
+    starts = [start for start, grids in replica_grids([scaled_mode_weights(TAU, 2)], 12, mc)
+              if list(grids)]
+    assert starts == list(range(0, 40, 6)) and built == [1]
 
 
 def test_purposes_share_no_value():

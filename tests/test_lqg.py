@@ -387,7 +387,7 @@ def test_warm_density_table_draws_no_replicas(tmp_path, monkeypatch):
     def no_draw(self, *args):
         raise AssertionError("warm table drew a replica")
 
-    monkeypatch.setattr(RngStream, "uniforms", no_draw)
+    monkeypatch.setattr(RngStream, "reader", no_draw)
     warm = build_density_table(matter, params, ins, MC, RES, **kw)
     assert np.array_equal(warm.density, cold.density)
 
@@ -497,13 +497,13 @@ def test_joint_draws_share_no_density_table_row(monkeypatch):
     matter, params, ins = pure_setup()
     keys = {"table": set(), "joint": set()}
     phase = "table"
-    uniforms = RngStream.uniforms
+    reader = RngStream.reader
 
-    def spy(self, rows, width, purpose=MODES):
+    def spy(self, width, purpose=MODES):
         keys[phase].add((self.seed, purpose))
-        return uniforms(self, rows, width, purpose)
+        return reader(self, width, purpose)
 
-    monkeypatch.setattr(RngStream, "uniforms", spy)
+    monkeypatch.setattr(RngStream, "reader", spy)
     tab = build_density_table(matter, params, ins, MC, RES, re_cells=4, im_cells=4, t_max=12.0)
     phase = "joint"
     n = 50
