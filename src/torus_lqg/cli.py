@@ -30,7 +30,7 @@ from .checks import KPZ_TOLERANCE, kpz_scaling, modular_partition_ratio, run_che
 from .config import FieldResolution, MonteCarloConfig
 from .errors import NumericError, SchemaMismatch, TorusLQGError, ValidationError
 from .gff import RngStream, evaluate_on_grid, sample_gff
-from .green import GreenEvalConfig, green
+from .green import GreenEvalConfig, green, green_grid
 from .lqft import InsertionSet, LQFTParams, partition_function
 from .lqg import (
     MatterCFT,
@@ -39,7 +39,7 @@ from .lqg import (
     params_from_matter,
     template_from_matter,
 )
-from .modular import reduce_to_fundamental
+from .modular import reduce_to_fundamental, wrap_centered
 from .special import dedekind_eta, theta1, theta_aux
 from .svg import render_heatmap, render_line
 
@@ -252,7 +252,7 @@ def _cmd_green_table(args, write):
     g = args.grid
     u = (np.arange(g) + 0.5) / g
     x1, x2 = np.meshgrid(u, u, indexing="ij")
-    vals = green(args.tau, (x1, x2))
+    vals = green_grid(args.tau, wrap_centered(u), wrap_centered(u), 0.0)
     write((["x1", "x2", "green"], [x1.ravel(), x2.ravel(), vals.ravel()]))
     return 0
 

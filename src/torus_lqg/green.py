@@ -9,12 +9,13 @@ independent so they can cross-check each other:
             exponentially convergent log corrections, one step before the
             resummation into theta1.
 
-On a product grid the closed route is separable (green_grid): every
-point is taken at its centered representative, theta1 is a matrix
-product of the tau-free x1 phases and the x2 factors, stacked over a
-block of moduli, an exact lattice point takes Theta(tau) directly, and
-only points within _NODE of, but off, the lattice point take the
-pointwise theta1_over_z route.
+The closed route is one formula.  Every point is taken at its centered
+representative z = x1 + tau*x2 (|Im z| <= Im(tau)/2) and reads
+pi*Im(tau)*x2^2 + ln|eta| - ln|theta1(z)|; a node point, 0 < |z| <
+min(_NODE, r) with r a quarter of the shortest lattice vector, where
+theta1's difference of exps cancels, takes theta1(z)/z (_node_form) and
+subtracts ln|z|.  green_centered applies it to points and green_grid to
+product grids, the path of every grid-shaped caller.
 
 G integrates to zero against d(lambda_tau) = Im(tau) dx and has the
 short-distance behaviour G(x) = -ln|p_tau(x)| + Theta(tau) + o(1) with
@@ -48,7 +49,7 @@ __all__ = [
 ]
 
 _SINGULAR_TOL = 1e-13
-_NODE = 1e-2  # |p| below which green_grid's difference of exps loses digits
+_NODE = 1e-2  # |p| below which theta1's difference of exps loses digits
 _CIRCLE_POINTS = 48  # trapezoid nodes per circle in green_regularized
 
 
@@ -99,30 +100,34 @@ def spectral_coefficient(tau: complex, n, m):
     return tau.imag / (2.0 * np.pi * np.abs(k) ** 2)
 
 
-def _check_singular(tau, x1, x2):
-    z = p_tau(tau, wrap_centered(x1), wrap_centered(x2))
-    if np.any(np.abs(z) < _SINGULAR_TOL):
-        raise SingularPoint(f"green function diverges at the lattice point, x=({x1}, {x2})")
+def _check_singular(tau, x1c, x2c):
+    if np.any(np.abs(p_tau(tau, x1c, x2c)) < _SINGULAR_TOL):
+        raise SingularPoint(f"green function diverges at the lattice point, x=({x1c}, {x2c})")
+
+
+def _node_form(tau, z, x2, log_eta, s):
+    """pi*Im(tau)*x2^2 + ln|eta| - ln(|theta1(z)/z| * s) at z = p_tau(x1, x2):
+    G + ln|z| - ln(s), stable through z = 0."""
+    return np.pi * tau.imag * (x2 * x2) + log_eta - np.log(np.abs(theta1_over_z(z, tau)) * s)
 
 
 def green_centered(tau: complex, x1c, x2c):
-    """G at centered coordinates x~ in [-1/2, 1/2)^2, one route per point.
-
-    Points with |p_tau(x~)| below a quarter of the shortest lattice vector
-    take green_log_subtracted - ln|p|, which stays stable near 0; the rest
-    take the closed form at the unit-square representative.  Each route
-    sees only its own points and runs only when it has some.  Lattice
-    points are not rejected here.
-    """
+    """G at centered coordinates x~ in [-1/2, 1/2)^2: _node_form - ln|p| at
+    the node points, the closed form at the rest, each route run only when
+    it has points.  ln|p| is a log of its own, so a subnormal |p| does not
+    round a product.  Lattice points are not rejected here."""
     tau = complex(tau)
     x1c, x2c = np.broadcast_arrays(np.asarray(x1c, dtype=float), np.asarray(x2c, dtype=float))
-    az = np.abs(p_tau(tau, x1c, x2c))
-    near = az < 0.25 * min_lattice_distance(tau)
+    z = p_tau(tau, x1c, x2c)
+    az = np.abs(z)
+    log_eta = np.log(np.abs(dedekind_eta(tau)))
+    node = (az > 0) & (az < min(_NODE, 0.25 * min_lattice_distance(tau)))
     out = np.empty(az.shape)
-    if near.any():
-        out[near] = green_log_subtracted(tau, x1c[near], x2c[near]) - np.log(az[near])
-    if not near.all():
-        out[~near] = _far_route(tau, x1c[~near], x2c[~near])
+    if node.any():
+        out[node] = _node_form(tau, z[node], x2c[node], log_eta, 1.0) - np.log(az[node])
+    if not node.all():
+        x2b = x2c[~node]
+        out[~node] = np.pi * tau.imag * x2b * x2b + log_eta - np.log(np.abs(theta1(z[~node], tau)))
     return out
 
 
@@ -131,12 +136,12 @@ def green_grid(tau, x1c, x2c, cap):
     [-1/2, 1/2), with -ln|p| frozen at -ln(cap) where |p| < min(cap, r),
     r a quarter of the shortest lattice vector.  tau is one modulus, or an
     array of K moduli with cap a scalar or one per modulus, and then the
-    result is (K, len(x1c), len(x2c)).  Lattice points are not rejected.
+    result is (K, len(x1c), len(x2c)).  cap = 0 leaves G uncapped: an
+    exact lattice point then reads non-finite and raises NumericError,
+    which a midpoint grid never hits.
 
     Every point is taken at its centered representative z = x1 + tau*x2,
-    where |Im z| <= Im(tau)/2: pi*Im(tau)*x2^2 - ln|theta1(z)/eta| is
-    periodic, and this is green_centered's near route.  With
-    each theta1 term
+    as in green_centered.  With each theta1 term
 
         e^(l_n +- i*w_n*z) = e^(+- i*w_n*x1) * e^(l_n +- i*w_n*tau*x2),
 
@@ -145,9 +150,9 @@ def green_grid(tau, x1c, x2c, cap):
     past the _theta_count of its own |Im z|, taken as two real products
     whose outputs are Re and Im theta1, so only real grids are stored.
     The moduli that share a term count n go through one stacked product,
-    so each runs the same products as alone.  An exact lattice point is Theta(tau) - ln(cap),
-    since theta1'(0) = 2*pi*eta^3; within _NODE of it the difference of
-    exps cancels to a few digits, so those points take theta1_over_z.
+    so each runs the same products as alone.  An exact lattice point is
+    Theta(tau) - ln(cap), since theta1'(0) = 2*pi*eta^3; the node points
+    take _node_form.
     """
     taus = np.atleast_1d(np.asarray(tau, dtype=complex))
     caps = np.broadcast_to(np.asarray(cap, dtype=float), taus.shape)
@@ -166,7 +171,7 @@ def green_grid(tau, x1c, x2c, cap):
             iwt = 1j * (w[:, None] * (t * x2c)[:, None, :])
             plus = np.exp(log_c[:, :, None] + iwt)
             minus = np.exp(log_c[:, :, None] - iwt)
-            if cut.min() < n:  # zero the terms past each column's own count
+            if cut.min(initial=n) < n:  # zero the terms past each column's own count
                 live = np.arange(n)[:, None] < cut
                 plus, minus = np.where(live, plus, 0.0), np.where(live, minus, 0.0)
             # theta = L @ R with L = [phase, -conj(phase)] and R = [plus; minus],
@@ -177,13 +182,13 @@ def green_grid(tau, x1c, x2c, cap):
             np.hypot(theta, np.hstack((ph.imag, ph.imag, ph.real, -ph.real)) @ right, out=theta)
             front = np.pi * y[ks, None] * x2c * x2c + log_eta[ks, None]
             groups.append((ks, np.subtract(front[:, None, :], np.log(theta, out=theta), out=theta)))
-    if len(groups) == 1:
-        out = groups[0][1]
-    else:
-        out = np.empty((taus.size, x1c.size, x2c.size))
-        for ks, part in groups:
-            out[ks] = part
-    _near_lattice(out, taus, caps, log_eta, x1c, x2c)
+        if len(groups) == 1:
+            out = groups[0][1]
+        else:
+            out = np.empty((taus.size, x1c.size, x2c.size))
+            for ks, part in groups:
+                out[ks] = part
+        _near_lattice(out, taus, caps, log_eta, x1c, x2c)  # ln(cap = 0) is caught below
     if not np.all(np.isfinite(out)):
         raise NumericError(f"Green function grid is not finite at tau = {tau}")
     return out[0] if np.ndim(tau) == 0 else out
@@ -191,7 +196,7 @@ def green_grid(tau, x1c, x2c, cap):
 
 def _near_lattice(out, taus, caps, log_eta, x1c, x2c):
     """green_grid's points next to the lattice point, in place: the cap
-    where |p| < min(cap, r), Theta(tau) - ln(cap) at p = 0, theta1_over_z
+    where |p| < min(cap, r), Theta(tau) - ln(cap) at p = 0, _node_form
     where 0 < |p| < min(_NODE, r).  Only columns with |Im p| below the
     larger reach hold such points, so |p| is formed on those alone."""
     y = taus.imag
@@ -210,24 +215,15 @@ def _near_lattice(out, taus, caps, log_eta, x1c, x2c):
     out[k[zero], i[zero], j[zero]] = -math.log(2.0 * math.pi) - 2.0 * log_eta[k[zero]] - np.log(caps[k[zero]])
     for m in np.unique(k[~zero]):
         s = ~zero & (k == m)
-        ratio = np.abs(theta1_over_z(x1c[i[s]] + taus[m] * x2c[j[s]], taus[m]))
-        out[m, i[s], j[s]] = (
-            np.pi * y[m] * x2c[j[s]] ** 2 + log_eta[m] - np.log(ratio * np.maximum(az[s], caps[m]))
-        )
-
-
-def _far_route(tau: complex, x1c, x2c):
-    x1, x2 = wrap_unit(x1c), wrap_unit(x2c)
-    ratio = theta1(x1 + tau * x2, tau) / dedekind_eta(tau)
-    return np.pi * tau.imag * x2**2 - np.log(np.abs(ratio))
+        x1, x2, floor = x1c[i[s]], x2c[j[s]], np.maximum(az[s], caps[m])
+        out[m, i[s], j[s]] = _node_form(taus[m], x1 + taus[m] * x2, x2, log_eta[m], floor)
 
 
 def _green_closed(tau: complex, x1, x2):
-    """Production closed form: wraps to the unit square, rejects lattice points."""
-    x1 = wrap_unit(x1)
-    x2 = wrap_unit(x2)
-    _check_singular(tau, x1, x2)
-    return green_centered(tau, wrap_centered(x1), wrap_centered(x2))
+    """Production closed form: wraps to centered coordinates, rejects lattice points."""
+    x1c, x2c = wrap_centered(x1), wrap_centered(x2)
+    _check_singular(tau, x1c, x2c)
+    return green_centered(tau, x1c, x2c)
 
 
 def green_log_subtracted(tau: complex, x1, x2):
@@ -237,16 +233,8 @@ def green_log_subtracted(tau: complex, x1, x2):
     representative is the nearest lattice translate.
     """
     tau = complex(tau)
-    x1c = wrap_centered(x1)
-    x2c = wrap_centered(x2)
-    return _log_subtracted(tau, p_tau(tau, x1c, x2c), x2c)
-
-
-def _log_subtracted(tau: complex, z, x2):
-    """pi*Im(tau)*x2^2 - ln|theta1(z)/(z*eta(tau))| for z = p_tau(x1, x2)."""
-    # numpy's division and x2 * x2, not Python's: a scalar rounds as inside an array
-    ratio = np.divide(theta1_over_z(z, tau), dedekind_eta(tau))
-    return np.pi * tau.imag * (x2 * x2) - np.log(np.abs(ratio))
+    x1c, x2c = wrap_centered(x1), wrap_centered(x2)
+    return _node_form(tau, p_tau(tau, x1c, x2c), x2c, np.log(np.abs(dedekind_eta(tau))), 1.0)
 
 
 def _green_eigen(tau: complex, x1: float, x2: float, cutoff: int, tolerance: float):
@@ -304,7 +292,7 @@ def green(tau: complex, x, cfg: GreenEvalConfig = _DEFAULT):
         return float(out) if out.ndim == 0 else out
     x1 = float(x1)
     x2 = float(x2)
-    _check_singular(tau, x1, x2)
+    _check_singular(tau, wrap_centered(x1), wrap_centered(x2))
     if cfg.mode == "eigen":
         return _green_eigen(tau, x1, x2, cfg.eigen_cutoff, cfg.tolerance)
     return _green_appendix(tau, x1, x2, cfg.tolerance)
@@ -321,12 +309,11 @@ def green_mean_zero(tau: complex, grid: int = 256) -> float:
     if grid < 8:
         raise ValidationError("mean-zero quadrature needs at least an 8x8 grid")
     r = 0.3 * min_lattice_distance(tau)
-    u = (np.arange(grid) + 0.5) / grid
-    x1, x2 = np.meshgrid(u, u, indexing="ij")
-    vals = np.asarray(_green_closed(tau, x1, x2))
-    z = p_tau(tau, wrap_centered(x1), wrap_centered(x2))
-    inside = np.abs(z) < r
-    vals = vals - np.where(inside, np.log(r / np.where(inside, np.abs(z), 1.0)), 0.0)
+    c = wrap_centered((np.arange(grid) + 0.5) / grid)
+    vals = green_grid(tau, c, c, 0.0)
+    az = np.abs(p_tau(tau, c[:, None], c))
+    inside = az < r
+    vals = vals - np.where(inside, np.log(r / np.where(inside, az, 1.0)), 0.0)
     return float(tau.imag * np.mean(vals) + np.pi * r * r / 2.0)
 
 
@@ -353,6 +340,6 @@ def green_regularized(tau: complex, x, eps: float) -> float:
     z0 = p_tau(tau, wrap_centered(x1), wrap_centered(x2))
     if abs(z0) < _SINGULAR_TOL:
         # R(c_tau(w)) with p exactly w: no re-wrapping, the offsets are tiny
-        return float(-math.log(eps) + np.mean(_log_subtracted(tau, diff, d2)))
-    vals = np.asarray(_green_closed(tau, x1 + d1, x2 + d2))
-    return float(np.mean(vals))
+        log_eta = np.log(np.abs(dedekind_eta(tau)))
+        return float(-math.log(eps) + np.mean(_node_form(tau, diff, d2, log_eta, 1.0)))
+    return float(np.mean(_green_closed(tau, x1 + d1, x2 + d2)))

@@ -184,14 +184,15 @@ def insertion_potential_grid(tau, ins: InsertionSet, grid: int, eps_cap) -> np.n
 def insertion_constant(tau, ins: InsertionSet, q: float):
     """C_tau(z) = sum_{i<j} a_i a_j G(z_i - z_j) + (Theta/2) sum a_i^2
     - (q/2) ln(Im tau) sum a_i, at one modulus (a float) or at each of an
-    array of moduli: the pair terms per modulus, the rest in array passes."""
+    array of moduli, in array passes: each pair term is one green_grid
+    call over all the moduli."""
     t = np.atleast_1d(np.asarray(tau, dtype=complex))
     items = ins.insertions
     total = np.zeros(t.shape)
     for a in range(len(items)):
         for b in range(a + 1, len(items)):
-            dx = (items[a].x1 - items[b].x1, items[a].x2 - items[b].x2)
-            total += items[a].alpha * items[b].alpha * np.array([float(green(tk, dx)) for tk in t])
+            d = wrap_centered([[items[a].x1 - items[b].x1], [items[a].x2 - items[b].x2]])
+            total += items[a].alpha * items[b].alpha * green_grid(t, d[0], d[1], 0.0)[:, 0, 0]
     total += 0.5 * theta_offset(t) * sum(i.alpha**2 for i in items)
     total -= 0.5 * q * np.log(t.imag) * sum(i.alpha for i in items)
     return float(total[0]) if np.ndim(tau) == 0 else total

@@ -233,7 +233,7 @@ def _negative_moments(params, taus, ins, mc, res, cache):
 
 def _deterministic_factors(matter: MatterCFT, params: LQFTParams, ins: InsertionSet, taus):
     """e^{C_tau(z)} Z_Matter (Im tau)^n sqrt(Im tau) |eta|^2 at each of the
-    moduli taus, in array passes (the pair Green terms of C per modulus)."""
+    moduli taus, in array passes (each pair Green term of C in one of them)."""
     taus = np.asarray(taus, dtype=complex)
     im = taus.imag
     return (

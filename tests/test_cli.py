@@ -16,7 +16,7 @@ from torus_lqg.chaos import sample_total_masses
 from torus_lqg.checks import CheckResult
 from torus_lqg.config import FieldResolution, MonteCarloConfig
 from torus_lqg.gff import RngStream, evaluate_on_grid, sample_gff
-from torus_lqg.green import green
+from torus_lqg.green import green, green_grid
 from torus_lqg.lqft import LQFTParams
 from torus_lqg.lqg import (
     MatterCFT,
@@ -25,6 +25,7 @@ from torus_lqg.lqg import (
     params_from_matter,
     template_from_matter,
 )
+from torus_lqg.modular import wrap_centered
 from torus_lqg.special import dedekind_eta
 
 
@@ -354,11 +355,18 @@ def test_green_table_matches_row_oracle(tmp_path, capsys, grid):
     assert code == 0, err
     u = (np.arange(grid) + 0.5) / grid
     x1, x2 = np.meshgrid(u, u, indexing="ij")
-    vals = green(0.3 + 1.2j, (x1, x2))
+    vals = green_grid(0.3 + 1.2j, wrap_centered(u), wrap_centered(u), 0.0)
     rows = [(float(x1[i, j]), float(x2[i, j]), float(vals[i, j]))
             for i in range(grid) for j in range(grid)]
     assert (grid * grid > cli._BLOCK_ROWS) == (grid == 65)
     assert csv_parts(out)[1] == oracle_body(["x1", "x2", "green"], rows)
+
+
+def test_empty_green_table_writes_its_column_line(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    code, _, err = run(capsys, "green", "table", "--tau", "0.3,1.2", "--grid", "0", "--out", str(out))
+    assert code == 0, err
+    assert csv_parts(out)[1] == ["x1,x2,green"]
 
 
 def test_sampled_csvs_match_row_oracle(tmp_path, capsys):

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from torus_lqg.errors import NonConvergence, SingularPoint, ValidationError
+from torus_lqg.errors import NonConvergence, NumericError, SingularPoint, ValidationError
 from torus_lqg.green import (
     GreenEvalConfig,
     green,
+    green_centered,
+    green_grid,
     green_log_subtracted,
     green_mean_zero,
     green_regularized,
@@ -20,7 +22,7 @@ from torus_lqg.green import (
     spectral_coefficient,
     theta_offset,
 )
-from torus_lqg.modular import S, T, p_tau
+from torus_lqg.modular import S, T, p_tau, wrap_centered
 from torus_lqg.special import TOLERANCE, _theta_cut, theta1, theta1_over_z
 
 TAU = 0.3 + 1.2j
@@ -79,8 +81,8 @@ def test_evenness():
 
 
 def test_vectorized_matches_scalar():
-    # two near-lattice points make the array mixed near/far
-    points = POINTS + [(0.03, -0.02), (-0.96, 0.99)]
+    # two points near the lattice and one node point (|p| < 1e-2) make the array mixed node/bulk
+    points = POINTS + [(0.03, -0.02), (-0.96, 0.99), (1.004, -0.003)]
     x1 = np.array([p[0] for p in points])
     x2 = np.array([p[1] for p in points])
     vec = green(TAU, (x1, x2))
@@ -122,6 +124,33 @@ def test_point_value_independent_of_batch(re, im, size, seed):
         batch = fn(tau, (x1, x2))
         for k in range(size):
             assert fn(tau, (x1[k], x2[k])) == batch[k]
+
+
+# an axis shift of 0 puts a point on the lattice, one below 1e-2 on a node
+SHIFT = st.one_of(st.just(0.0), st.floats(-1e-2, 1e-2), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    re=st.floats(-0.5, 0.5),
+    im=st.floats(0.6, 12.0),
+    n1=st.integers(1, 80),
+    n2=st.integers(1, 80),
+    d1=SHIFT,
+    d2=SHIFT,
+)
+def test_uncapped_grid_equals_green(re, im, n1, n2, d1, d2):
+    tau = complex(re, im)
+    x1, x2 = np.arange(n1) / n1 + d1, np.arange(n2) / n2 + d2
+    c1, c2 = wrap_centered(x1), wrap_centered(x2)
+    az = np.abs(p_tau(tau, c1[:, None], c2))
+    if np.any(az == 0):
+        with pytest.raises(NumericError):
+            green_grid(tau, c1, c2, 0.0)
+        return
+    assume(az.min() >= 1e-13)  # green rejects the points closer to the lattice
+    want = green(tau, np.meshgrid(x1, x2, indexing="ij"))
+    assert np.abs(green_grid(tau, c1, c2, 0.0) - want).max() <= 1e-12
 
 
 def test_eigen_route_agrees():
@@ -178,12 +207,17 @@ def test_short_distance_expansion():
         delta = 1e-6
         val = green(tau, (delta, 0.0)) + math.log(abs(p_tau(tau, delta, 0.0)))
         assert abs(val - theta_offset(tau)) < 1e-5
+    # green_centered also takes the points green rejects as singular; ln|p|
+    # is a log of its own, so a subnormal |p| keeps the expansion exact
+    for x1, x2 in ((0.0, 5e-324), (5e-324, 0.0), (3e-320, -7e-321)):
+        val = green_centered(TAU, x1, x2) + math.log(abs(p_tau(TAU, x1, x2)))
+        assert abs(val - theta_offset(TAU)) < 1e-12
 
 
 def test_no_jump_at_route_switch():
-    # closed form switches representation at |z| = 0.25 * min lattice
-    # distance; second differences across the switch stay smooth
-    xs = np.linspace(0.23, 0.27, 41)
+    # closed form switches from theta1 to the node form theta1/z at
+    # |z| = 1e-2; second differences across the switch stay smooth
+    xs = np.linspace(0.0095, 0.0105, 41)
     vals = np.array([green(1j, (x, 0.0)) for x in xs])
     second = np.abs(np.diff(vals, n=2))
     # a jump would spike one second difference far above its neighbours
@@ -192,18 +226,18 @@ def test_no_jump_at_route_switch():
 
 
 def test_each_route_runs_only_when_it_has_points(monkeypatch):
-    far = (np.array([0.3, 0.45, -0.2]), np.array([0.4, 0.1, 0.35]))
-    near = (np.array([0.01, -0.02]), np.array([0.0, 0.03]))
-    want_far, want_near = green(TAU, far), green(TAU, near)
+    bulk = (np.array([0.3, 0.45, -0.2]), np.array([0.4, 0.1, 0.35]))
+    node = (np.array([0.004, -0.003]), np.array([0.0, 0.002]))
+    want_bulk, want_node = green(TAU, bulk), green(TAU, node)
 
     def refuse(*args):
         raise AssertionError("route called without points")
 
-    monkeypatch.setattr(green_module, "green_log_subtracted", refuse)
-    assert np.array_equal(green(TAU, far), want_far)
+    monkeypatch.setattr(green_module, "theta1_over_z", refuse)
+    assert np.array_equal(green(TAU, bulk), want_bulk)
     monkeypatch.undo()
-    monkeypatch.setattr(green_module, "_far_route", refuse)
-    assert np.array_equal(green(TAU, near), want_near)
+    monkeypatch.setattr(green_module, "theta1", refuse)
+    assert np.array_equal(green(TAU, node), want_node)
 
 
 def test_regularized_at_origin():

@@ -236,12 +236,19 @@ def test_insertion_potential_grid_in_the_cusp():
 def test_insertion_constant_two_point_formula():
     q = 2.5
     a1, a2 = 0.8, 0.5
-    want = (
-        a1 * a2 * green(TAU, (0.2 - 0.7, 0.3 - 0.6))
-        + 0.5 * theta_offset(TAU) * (a1 * a1 + a2 * a2)
-        - 0.5 * q * math.log(TAU.imag) * (a1 + a2)
-    )
-    assert abs(insertion_constant(TAU, TWO_POINTS, q) - want) < 1e-13
+
+    def want(tau):
+        return (
+            a1 * a2 * green(tau, (0.2 - 0.7, 0.3 - 0.6))
+            + 0.5 * theta_offset(tau) * (a1 * a1 + a2 * a2)
+            - 0.5 * q * math.log(tau.imag) * (a1 + a2)
+        )
+
+    assert abs(insertion_constant(TAU, TWO_POINTS, q) - want(TAU)) < 1e-13
+    # a block of moduli, each pair term in one green_grid call over all of them
+    taus = [TAU, 1j, -0.4 + 0.95j, 0.1 + 7.5j]
+    block = insertion_constant(np.array(taus), TWO_POINTS, q)
+    assert np.abs(block - [want(t) for t in taus]).max() < 1e-13
 
 
 def test_partition_requires_positive_alpha_sum():
