@@ -14,14 +14,13 @@ studies only fight genuine chaos fluctuations, not normalization drift.
 cell_constants, chaos_cells and chaos_batches are the one home of this
 weight, computed as factor * exp(gamma X): everything but the field is
 one scalar per modulus (cell_constants), so a cell costs one exp.
-cell_constants forms the factors of an array of moduli in array passes
-too, taking their variances from the J0 pass of gff.scaled_mode_weights
-when a caller already made one, as lqft's block setup does.
+chaos_points is the one setup of a block of moduli, untilted (the GMC
+mass, H = 0) or tilted by the insertion potential H of lqft: it forms
+each modulus's mode weights, factor and tilt e^{gamma H} in array passes.
 chaos_batches has the engine synthesize gamma X directly (the mode
 weights times gamma), forms the cells of an antithetic pair from its
 even grid alone, the odd cells being the reciprocals, and sums them
-against the tilt e^{gamma H} of the Liouville functionals, a grid of
-ones for the plain mass, in one matrix-vector product per stack.
+against the tilts in one matrix-vector product per stack.
 
 At the critical point gamma = 2 the same recipe acquires the
 sqrt(ln(1/eps)) push and a sqrt(pi/2) constant; the critical mass has
@@ -55,6 +54,7 @@ __all__ = [
     "chaos_batches",
     "chaos_cells",
     "chaos_measure",
+    "chaos_points",
     "chaos_prefactor",
     "critical_chaos_measure",
     "expected_total_mass",
@@ -97,19 +97,16 @@ def expected_total_mass(tau: complex, gamma: float, q: float) -> float:
     return chaos_prefactor(tau, gamma, q) * complex(tau).imag
 
 
-def cell_constants(
-    tau, gamma: float, q: float, cutoff: int, eps, grid: int, critical: bool = False, variance=None
-):
+def cell_constants(tau, gamma: float, q: float, eps, grid: int, variance, critical: bool = False):
     """The factor of one modulus: a cell weighs factor * chaos_cells(gamma X).
 
     factor = prefactor * Im(tau) / G^2 * e^{offset}, with the critical
     prefactor when critical is set and offset = -(gamma^2/2) sigma_eps^2,
-    so the normalization is one scalar and the cells one exp each.  tau
-    may be an array of moduli, eps a scalar or one per modulus; then the
-    factors are an array, formed in array passes.  variance, when given,
-    is sigma_eps^2 at each modulus (scaled_mode_weights gives it from its
-    J0 pass); else regularized_variance of a scalar tau.  Callers
-    validate gamma.
+    so the normalization is one scalar and the cells one exp each.
+    variance is sigma_eps^2 (regularized_variance, or the J0 pass of
+    scaled_mode_weights).  tau may be an array of moduli, eps and variance
+    scalars or one per modulus; then the factors are an array, formed in
+    array passes.  Callers validate gamma.
     """
     t = np.atleast_1d(np.asarray(tau, dtype=complex))
     eps = np.broadcast_to(np.asarray(eps, dtype=float), t.shape)
@@ -122,11 +119,29 @@ def cell_constants(
         pref = push * chaos_prefactor(t, 2.0, 2.0)
     else:
         pref = chaos_prefactor(t, gamma, q)
-    if variance is None:
-        variance = regularized_variance(complex(tau), cutoff, float(eps[0]))
     offset = -0.5 * gamma * gamma * np.asarray(variance, dtype=float)
     out = pref * t.imag / (grid * grid) * np.exp(offset)
     return float(out[0]) if np.ndim(tau) == 0 else out
+
+
+def chaos_points(taus, gamma: float, q: float, res: FieldResolution, h_grids=None, critical=False):
+    """The chaos_batches points (mode weights, factor, tilt) of the K moduli
+    taus, the tilt e^{gamma H} of h_grids, (K, G, G) grids of H, formed in
+    their memory, or a grid of ones when h_grids is None.
+
+    Every modulus pays this setup before its replicas, in array passes over
+    the block: eta and Theta over the K moduli (cell_constants) and one J0
+    pass over the K mode boxes (gff.scaled_mode_weights) for both the
+    weights and the variance in the factor.  A modulus's point is byte for
+    byte the same alone and in any block.  Callers validate gamma.
+    """
+    taus = np.asarray(taus, dtype=complex)
+    eps = np.array([res.eps_for(t) for t in taus])
+    weights, variance = scaled_mode_weights(taus, res.cutoff, eps)
+    factors = cell_constants(taus, gamma, q, eps, res.grid, variance, critical)
+    h = np.zeros((len(taus), res.grid, res.grid)) if h_grids is None else h_grids
+    tilts = np.exp(np.multiply(gamma, h, out=h), out=h)
+    return [(w, float(f), t) for w, f, t in zip(weights, factors, tilts)]
 
 
 def chaos_cells(gx: np.ndarray, paired=False, out=None):
@@ -150,9 +165,9 @@ def chaos_cells(gx: np.ndarray, paired=False, out=None):
 def chaos_batches(points, gamma: float, grid: int, mc: MonteCarloConfig, purpose: int = MODES):
     """One replica_grids pass under purpose at several moduli, common random numbers.
 
-    points holds one (mode weights, factor, tilt) per modulus, factor from
-    cell_constants and tilt a (G, G) grid (ones when untilted).  The
-    engine synthesizes gamma X directly, from the weights times gamma.
+    points holds one (mode weights, factor, tilt) per modulus, from
+    chaos_points.  The engine synthesizes gamma X directly, from the
+    weights times gamma.
     Yields (start, stacks) per batch of B replicas; stacks yields, lazily
     and in the order of points, (gx, cells, masses): gx the (P, G, G) even
     grids of gamma X, cells their paired chaos_cells, cells[r % 2, r // 2]
@@ -205,7 +220,8 @@ def _measure(fld: SpectralField, gamma: float, q: float, grid: int | None, criti
     if not fld.eps > 0:
         raise ValidationError("chaos needs a circle-averaged field; call circle_average first")
     x = evaluate_on_grid(fld, grid)
-    factor = cell_constants(fld.tau, gamma, q, fld.cutoff, fld.eps, x.shape[0], critical)
+    variance = regularized_variance(fld.tau, fld.cutoff, fld.eps)
+    factor = cell_constants(fld.tau, gamma, q, fld.eps, x.shape[0], variance, critical)
     return ChaosMeasure(
         tau=fld.tau,
         gamma=gamma,
@@ -262,9 +278,6 @@ def sample_total_masses(
     critical: bool = False,
 ) -> np.ndarray:
     """Replica array of total chaos masses, deterministic per (seed, stream)."""
-    tau = complex(tau)
-    eps = res.eps_for(tau)
     gamma = 2.0 if critical else _subcritical(gamma)
-    factor = cell_constants(tau, gamma, q, res.cutoff, eps, res.grid, critical)
-    point = (scaled_mode_weights(tau, res.cutoff, eps), factor, np.ones((res.grid, res.grid)))
-    return total_mass_table([point], gamma, res.grid, mc)[0]
+    points = chaos_points([tau], gamma, q, res, critical=critical)
+    return total_mass_table(points, gamma, res.grid, mc)[0]

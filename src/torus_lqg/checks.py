@@ -120,12 +120,10 @@ def kpz_scaling(
     """|Pi_mu / Pi_1 - mu^{-s/gamma}| for each mu of mus (exact KPZ
     scaling), the largest, and whether it is within KPZ_TOLERANCE.
 
-    Raises SeibergViolationLocal when some alpha_i >= Q: every Pi is then
-    zero and the ratio undefined.
+    Raises as InsertionSet.require_seiberg: with some alpha_i >= Q every
+    Pi is zero and the ratio undefined.
     """
-    q = LQFTParams(gamma).q
-    if not ins.seiberg_local_ok(q):
-        raise SeibergViolationLocal(f"every alpha must stay below Q = {q:g} for a KPZ ratio")
+    ins.require_seiberg(LQFTParams(gamma).q)
     base = partition_function(LQFTParams(gamma, 1.0), tau, ins, mc, res).value
     p = ins.alpha_sum / gamma
     residuals = [

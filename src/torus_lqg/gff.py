@@ -236,17 +236,16 @@ def _coefficient_weights(tau: complex, cutoff: int, k=None) -> np.ndarray:
     return np.sqrt(_spectral_box(tau, cutoff, k))
 
 
-def scaled_mode_weights(tau, cutoff: int, eps=0.0, variance: bool = False):
-    """sqrt(c_k) mode weights, with the circle-average multiplier J0 if
-    eps > 0, of one modulus, or (K, 2N+1, 2N+1) for an array of K moduli
-    with eps a scalar or one per modulus: one |n*tau - m| box and one J0
-    pass for all of them.
+def scaled_mode_weights(tau, cutoff: int, eps=0.0):
+    """(weights, variance): the sqrt(c_k) mode weights, with the
+    circle-average multiplier J0 if eps > 0, of one modulus, or
+    (K, 2N+1, 2N+1) for an array of K moduli with eps a scalar or one per
+    modulus, and regularized_variance at each modulus: one |n*tau - m| box
+    and one J0 pass for all of them.
 
-    With variance, also returns regularized_variance at each modulus from
-    the same box: below _VARIANCE_ROWS box rows, the brute sum's own rows,
-    the n = 0 row and then twice the rows n = 1..N, bit for bit; above,
-    regularized_variance itself.  Precompute once per (tau, cutoff, eps)
-    when looping over replicas.
+    Below _VARIANCE_ROWS box rows the variance is the brute sum's own rows
+    of that box, the n = 0 row and then twice the rows n = 1..N, bit for
+    bit; above, regularized_variance itself.
     """
     k = _mode_moduli(tau, cutoff)
     c = _spectral_box(tau, cutoff, k)
@@ -254,8 +253,6 @@ def scaled_mode_weights(tau, cutoff: int, eps=0.0, variance: bool = False):
     if np.any(eps):
         mult = bessel_multiplier(tau, cutoff, eps, k)
         w = w * mult
-    if not variance:
-        return w
     N = cutoff
     if N >= _VARIANCE_ROWS:
         taus, eps = np.broadcast_arrays(tau, eps)

@@ -269,10 +269,12 @@ def _green_appendix(tau: complex, x1: float, x2: float, tolerance: float):
     val -= math.log(abs(1.0 - np.exp(2j * np.pi * z)))
     # factor m contributes at most 2*|q|^(2(m - x2)) to the log-error
     m_cut = _term_count("appendix m-sum", 0.0, -2.0 * math.pi * y, math.log(2.0), -x2, tolerance)
-    ms = np.arange(1, m_cut + 1)
-    q2m = np.exp(2j * np.pi * tau * ms)
-    val -= np.sum(np.log(np.abs(1.0 - q2m * np.exp(2j * np.pi * z))))
-    val -= np.sum(np.log(np.abs(1.0 - q2m * np.exp(-2j * np.pi * z))))
+    # each factor from one exponent: q^m e^{-2 pi i z} apart is 0 * inf deep in the cusp
+    tm = tau * np.arange(1, m_cut + 1)
+    val -= np.sum(np.log(np.abs(1.0 - np.exp(2j * np.pi * (tm + z)))))
+    val -= np.sum(np.log(np.abs(1.0 - np.exp(2j * np.pi * (tm - z)))))
+    if not math.isfinite(val):
+        raise NumericError(f"appendix Green series is not finite at tau = {tau}")
     return float(val)
 
 

@@ -19,18 +19,14 @@ the plateau of the circle-averaged Green function.  A Lebesgue cell
 average of e^{gamma H} is not used because it diverges under refinement
 once gamma*alpha_i >= 2, which pure-gravity weights reach.
 
-Every modulus pays a setup before its replicas: mode weights, the cell
-factor, H and the tilt e^{gamma H}.  _tilted_points forms them for a
-block of K moduli in array passes: eta and Theta over the K moduli, one
-J0 pass over K mode boxes that gives both the weights and the variance in
-the factor, and per insertion one green.green_grid call over the K moduli,
-a stacked separable theta1 product.  _tilted_blocks cuts a list of moduli
-into blocks of K * G^2 <= gff._BATCH_CELLS grid cells (at least one
-modulus), so the working set stays bounded with no knob of its own; a
-modulus's point is byte for byte the same alone and in any block.  A
-density table's missing moduli, the joint sampler's samples and the
-single modulus of partition_function and the law sampler all take this
-one path.
+_tilted_points forms the tilted points of a block of K moduli: H by one
+green.green_grid call per insertion over the K moduli, a stacked
+separable theta1 product, then chaos.chaos_points.  _tilted_blocks cuts
+a list of moduli into blocks of K * G^2 <= gff._BATCH_CELLS grid cells
+(at least one modulus), so the working set stays bounded with no knob of
+its own.  A density table's missing moduli, the joint sampler's samples
+and the single modulus of partition_function and the law sampler all
+take this one path.
 """
 
 from __future__ import annotations
@@ -52,9 +48,9 @@ from .errors import (
 )
 from . import gff
 from .gff import MODES, VOLUME, RngStream, SpectralField, dirichlet_energy
-from .gff import free_field_partition, pair_mean_se, scaled_mode_weights
+from .gff import free_field_partition, pair_mean_se
 from .green import green, green_grid, theta_offset
-from .chaos import cell_constants, chaos_batches, total_mass_table
+from .chaos import chaos_batches, chaos_points, total_mass_table
 from .modular import wrap_centered
 
 __all__ = [
@@ -143,6 +139,13 @@ class InsertionSet:
     def seiberg_local_ok(self, q: float) -> bool:
         return all(i.alpha < q for i in self.insertions)
 
+    def require_seiberg(self, q: float) -> None:
+        """Raise SeibergViolationSum unless sum(alpha) > 0, then
+        SeibergViolationLocal unless every alpha < q."""
+        self.require_seiberg_sum()
+        if not self.seiberg_local_ok(q):
+            raise SeibergViolationLocal(f"every alpha must stay below Q = {q:g}")
+
 
 def insertion_potential(tau: complex, ins: InsertionSet, x):
     """H(x) = sum_i alpha_i G_tau(x - z_i), exact Green function.
@@ -206,20 +209,13 @@ class PartitionEstimate:
     diagnostic: str | None = None
 
 
-def _tilted_points(params: LQFTParams, taus, ins: InsertionSet, res: FieldResolution, keep_h=True):
-    """The chaos_batches points (mode weights, factor, tilt) of the tilted
-    mass at each of the K moduli taus, and the (K, G, G) H grids behind
-    the tilts, formed in array passes over the block (see the module
-    docstring); each modulus's point and H are the same alone.  Without
-    keep_h the tilts take the memory of H, and None stands for H."""
-    taus = np.asarray(taus, dtype=complex)
+def _tilted_points(params: LQFTParams, taus, ins: InsertionSet, res: FieldResolution):
+    """The chaos_points of the tilted mass at each of the K moduli taus,
+    the tilts formed in the memory of their H grids; each modulus's point
+    is the same alone."""
     eps = np.array([res.eps_for(t) for t in taus])
     h_grids = insertion_potential_grid(taus, ins, res.grid, eps)
-    weights, variance = scaled_mode_weights(taus, res.cutoff, eps, variance=True)
-    factors = cell_constants(taus, params.gamma, params.q, res.cutoff, eps, res.grid, variance=variance)
-    tilts = np.multiply(params.gamma, h_grids, out=None if keep_h else h_grids)
-    np.exp(tilts, out=tilts)
-    return [(w, float(f), t) for w, f, t in zip(weights, factors, tilts)], (h_grids if keep_h else None)
+    return chaos_points(taus, params.gamma, params.q, res, h_grids)
 
 
 def _tilted_blocks(params: LQFTParams, taus, ins: InsertionSet, res: FieldResolution):
@@ -229,7 +225,7 @@ def _tilted_blocks(params: LQFTParams, taus, ins: InsertionSet, res: FieldResolu
     taus = np.asarray(taus, dtype=complex)
     size = max(1, gff._BATCH_CELLS // (res.grid * res.grid))
     for start in range(0, len(taus), size):
-        yield start, _tilted_points(params, taus[start : start + size], ins, res, keep_h=False)[0]
+        yield start, _tilted_points(params, taus[start : start + size], ins, res)
 
 
 def insertion_mass_table(
@@ -343,18 +339,15 @@ class LiouvilleSample:
 
 
 def _law_batches(params: LQFTParams, tau: complex, ins: InsertionSet, mc, res, purpose, point=None):
-    """(h_grid, factor, tilt, batches) of the Liouville law at tau: batches
-    yields (start, gxs, cells, masses, weights) per chaos_batches batch of
-    the tilted point, weights the I^{-s/gamma} of the masses.  point, when
-    given, is tau's point from a block of _tilted_points, and h_grid is
-    then None.  Raises when a Seiberg bound fails."""
-    ins.require_seiberg_sum()
-    if not ins.seiberg_local_ok(params.q):
-        raise SeibergViolationLocal(f"every alpha must stay below Q = {params.q:g}")
+    """(factor, tilt, batches) of the Liouville law at tau: batches yields
+    (start, gxs, cells, masses, weights) per chaos_batches batch of the
+    tilted point, weights the I^{-s/gamma} of the masses.  point, when
+    given, is tau's point from a block of _tilted_points.  Raises when a
+    Seiberg bound fails."""
+    ins.require_seiberg(params.q)
     p = ins.alpha_sum / params.gamma
-    h_grid = None
     if point is None:
-        (point,), (h_grid,) = _tilted_points(params, [tau], ins, res)
+        (point,) = _tilted_points(params, [tau], ins, res)
 
     def batches():
         for start, ((gxs, cells, masses),) in chaos_batches(
@@ -364,7 +357,7 @@ def _law_batches(params: LQFTParams, tau: complex, ins: InsertionSet, mc, res, p
             # to the term partition_function averages for that replica
             yield start, gxs, cells, masses, masses ** (-p)
 
-    return h_grid, point[1], point[2], batches()
+    return point[1], point[2], batches()
 
 
 def _law_measure(y: float, factor: float, mass: float, cells: np.ndarray, tilt: np.ndarray):
@@ -391,7 +384,8 @@ def liouville_field_law_sampler(
     """
     tau = complex(tau)
     gamma = params.gamma
-    h_grid, factor, tilt, batches = _law_batches(params, tau, ins, mc, res, purpose)
+    factor, tilt, batches = _law_batches(params, tau, ins, mc, res, purpose)
+    h_grid = insertion_potential_grid(tau, ins, res.grid, res.eps_for(tau))
     p = ins.alpha_sum / gamma
     shift = -0.5 * params.q * math.log(tau.imag)
     if y_volume is None:
@@ -431,7 +425,7 @@ def resampled_measure(
     point, when given, is tau's tilted point from a block (_tilted_blocks).
     """
     tau = complex(tau)
-    _, factor, tilt, batches = _law_batches(params, tau, ins, mc, res, purpose, point)
+    factor, tilt, batches = _law_batches(params, tau, ins, mc, res, purpose, point)
     held, masses, weights = [], [], []
     for start, _, cells, m, w in batches:
         held.append(cells if start + len(m) == mc.replicas else cells.copy())

@@ -28,7 +28,6 @@ from .config import FieldResolution, MonteCarloConfig
 from .errors import (
     InvalidCentralCharge,
     NoAdmissibleRoot,
-    SeibergViolationLocal,
     TruncationTooTight,
     ValidationError,
 )
@@ -183,12 +182,7 @@ def _negative_moments(params, taus, ins, mc, res, cache):
     """negative_moment at every tau of taus from one common-random-numbers
     pass: every tau is looked up in the cache first, and replicas are
     drawn only when some tau misses, once for all of them."""
-    ins.require_seiberg_sum()
-    if not ins.seiberg_local_ok(params.q):
-        raise SeibergViolationLocal(
-            f"insertion weight reaches Q = {params.q:g}; "
-            "the modulus law is not defined there"
-        )
+    ins.require_seiberg(params.q)
     keys = [None] * len(taus)
     found = [None] * len(taus)
     if cache is not None:

@@ -157,7 +157,7 @@ def test_05_gff_covariance_matches_series():
     )
     # field r is row r of draw_modes under seed 31, drawn in batches and
     # mirrored to the full box as sample_gff does
-    weights = scaled_mode_weights(tau, cutoff)[:, cutoff:]
+    weights = scaled_mode_weights(tau, cutoff)[0][:, cutoff:]
     batch = 100
     prods = np.empty((replicas, len(disps)))
     for start in range(0, replicas, batch):

@@ -215,6 +215,17 @@ def test_green_in_the_cusp_exits_0(capsys):
     assert abs(json.loads(out)["green"] - 24.085543677521756) < 1e-9
 
 
+def test_appendix_green_deep_in_the_cusp_is_finite(capsys):
+    argv = ("green", "eval", "--tau", "0,900", "--x", "0.3,0.5")
+    code, out, err = run(capsys, *argv, "--mode", "appendix", "--tolerance", "1e-10")
+    assert code == 0, err
+    value = json.loads(out)["green"]
+    assert math.isfinite(value)
+    code, ref, err = run(capsys, *argv)
+    assert code == 0, err
+    assert abs(value - json.loads(ref)["green"]) < 1e-8
+
+
 @pytest.mark.parametrize("cmd, pairs", (
     (("green", "table", "--grid", "2"), (("--tau", "-0.4,0.9"),)),
     (("green", "eval"), (("--tau", "-0.4,0.9"), ("--x", "-0.3,0.4"))),

@@ -116,14 +116,14 @@ def test_grid_too_coarse_rejected():
 def test_replica_engine_rejects_coarse_grid():
     mc = MonteCarloConfig(replicas=2, seed=SEED)
     with pytest.raises(ValidationError):
-        for _, grids in replica_grids([scaled_mode_weights(TAU, 4)], 8, mc):
+        for _, grids in replica_grids([scaled_mode_weights(TAU, 4)[0]], 8, mc):
             list(grids)
 
 
 def test_mode_variance_matches_spectrum():
     # per-mode sample variance ~ c_{n,m} within 4 SE
     replicas = 3000
-    weights = scaled_mode_weights(TAU, 2)
+    weights = scaled_mode_weights(TAU, 2)[0]
     draws = draw_modes(RngStream(SEED, 7), replicas, 2)[:, 2 + 1, 0] * weights[2 + 1, 2 + 0]
     c = spectral_coefficient(TAU, 1, 0)
     var = np.mean(np.abs(draws) ** 2)
@@ -192,11 +192,11 @@ def test_mode_boxes_of_several_moduli_give_weights_and_variances(cutoff):
     rng = np.random.default_rng(cutoff)
     taus = rng.uniform(-0.5, 0.5, 5) + 1j * rng.uniform(0.8, 12.0, 5)
     eps = rng.uniform(1e-3, 0.2, 5)
-    w, var = scaled_mode_weights(taus, cutoff, eps, variance=True)
+    w, var = scaled_mode_weights(taus, cutoff, eps)
     assert w.shape == (5, 2 * cutoff + 1, 2 * cutoff + 1)
     for k in range(5):
         assert var[k] == regularized_variance(taus[k], cutoff, eps[k])
-        assert w[k].tobytes() == scaled_mode_weights(taus[k], cutoff, eps[k]).tobytes()
+        assert w[k].tobytes() == scaled_mode_weights(taus[k], cutoff, eps[k])[0].tobytes()
 
 
 def test_regularized_variance_equals_coincident_covariance():
@@ -367,7 +367,7 @@ def test_replica_engine_matches_per_replica_reference(
 ):
     grid = grid_factor * (cutoff + 1)
     mc = MonteCarloConfig(replicas=replicas, seed=SEED, base_stream=base_stream)
-    weights = scaled_mode_weights(TAU, cutoff, 0.1)
+    weights = scaled_mode_weights(TAU, cutoff, 0.1)[0]
     # shrink the cell budget to `batch` grids, rounded down to whole pairs
     # (at least one) per batch, so runs cross batch boundaries at every
     # grid size
@@ -453,7 +453,7 @@ def test_replica_engine_is_bit_identical_to_rows_alone(
     grid = grid_factor * (cutoff + 1) - shave
     mc = MonteCarloConfig(replicas=replicas, seed=SEED, base_stream=base_stream)
     weights = [
-        scaled_mode_weights(tau, cutoff, eps)
+        scaled_mode_weights(tau, cutoff, eps)[0]
         for tau, eps in ((TAU, 0.1), (1j, 0.0), (-0.4 + 0.9j, 0.05))[:boxes]
     ]
     # a batch is a whole number of pairs, at least one, within the budget
@@ -504,7 +504,7 @@ def test_replica_pairs_are_negated_rows(
     gamma, offset = 1.3, -0.7
     ones = np.ones((grid, grid))
     points = [
-        (scaled_mode_weights(tau, cutoff, eps), math.exp(offset), ones)
+        (scaled_mode_weights(tau, cutoff, eps)[0], math.exp(offset), ones)
         for tau, eps in ((TAU, 0.1), (1j, 0.0), (-0.4 + 0.9j, 0.05))[:boxes]
     ]
     seen = 0
@@ -552,7 +552,7 @@ def test_replica_batches_follow_cell_budget():
     # 2^16 cells per batch in whole pairs: 50 replicas at G = 36, one pair at G = 260
     for grid, size in ((36, 50), (260, 2)):
         mc = MonteCarloConfig(replicas=size + 1, seed=SEED)
-        weights = scaled_mode_weights(TAU, grid // 4 - 1)
+        weights = scaled_mode_weights(TAU, grid // 4 - 1)[0]
         # a batch yields its even grids, one per pair: B = min(2P, R - start)
         sizes = [
             min(2 * len(next(grids)), mc.replicas - start)
@@ -611,7 +611,7 @@ def test_replica_engine_builds_one_generator_per_call(monkeypatch):
     monkeypatch.setattr(gff, "_BATCH_CELLS", 3 * 2 * 12 * 12)
     monkeypatch.setattr(np.random, "Philox", spy)
     mc = MonteCarloConfig(replicas=40, seed=SEED, base_stream=5)
-    starts = [start for start, grids in replica_grids([scaled_mode_weights(TAU, 2)], 12, mc)
+    starts = [start for start, grids in replica_grids([scaled_mode_weights(TAU, 2)[0]], 12, mc)
               if list(grids)]
     assert starts == list(range(0, 40, 6)) and built == [1]
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from torus_lqg import gff, lqft
-from torus_lqg.chaos import chaos_prefactor, sample_total_masses
+from torus_lqg.chaos import chaos_points, chaos_prefactor, sample_total_masses
 from torus_lqg.config import FieldResolution, MonteCarloConfig
 from torus_lqg.errors import (
     DuplicateInsertion,
@@ -83,6 +83,16 @@ def test_insertion_set_basics():
     assert ins.seiberg_local_ok(q=1.0)
     assert not ins.seiberg_local_ok(q=0.7)
     assert not InsertionSet(((0.1, 0.1, -0.4),)).seiberg_sum_ok()
+
+
+def test_seiberg_gate_checks_the_sum_then_each_weight():
+    InsertionSet(((0.2, 0.3, 0.8),)).require_seiberg(1.0)
+    with pytest.raises(SeibergViolationSum):
+        InsertionSet(()).require_seiberg(2.5)
+    with pytest.raises(SeibergViolationSum):
+        InsertionSet(((0.2, 0.3, 3.0), (0.7, 0.6, -4.0))).require_seiberg(2.5)
+    with pytest.raises(SeibergViolationLocal):
+        InsertionSet(((0.2, 0.3, 3.0), (0.7, 0.6, 0.5))).require_seiberg(2.5)
 
 
 def test_duplicate_insertions_rejected():
@@ -188,7 +198,8 @@ def test_insertion_potential_grid_equals_pointwise(re, im, grid, log_cap, data):
 def test_tilted_points_are_the_same_alone_and_in_any_block(moduli, cutoff, gamma, batch, data):
     # weights, factor, tilt and H of each modulus are byte for byte those it
     # has alone, in one block of all moduli and in _BATCH_CELLS blocks of
-    # `batch` moduli; H matches the pointwise reference
+    # `batch` moduli; so is each untilted chaos_points point, whose tilt is
+    # ones; H matches the pointwise reference
     params = LQFTParams(gamma=gamma)
     res = FieldResolution(cutoff=cutoff, grid_factor=4)
     G = res.grid
@@ -197,20 +208,28 @@ def test_tilted_points_are_the_same_alone_and_in_any_block(moduli, cutoff, gamma
     except DuplicateInsertion:
         assume(False)
     taus = [complex(re, im) for re, im in moduli]
+    eps = np.array([res.eps_for(tau) for tau in taus])
     alone = [lqft._tilted_points(params, [tau], ins, res) for tau in taus]
-    together, h_grids = lqft._tilted_points(params, taus, ins, res)
+    together = lqft._tilted_points(params, taus, ins, res)
+    h_grids = insertion_potential_grid(np.array(taus), ins, G, eps)
+    plain = chaos_points(taus, gamma, params.q, res)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gff, "_BATCH_CELLS", batch * G * G)
         blocks = list(lqft._tilted_blocks(params, taus, ins, res))
     assert [start for start, _ in blocks] == list(range(0, len(taus), batch))
     split = [pt for _, block in blocks for pt in block]
     for k, tau in enumerate(taus):
-        (point,), (h_alone,) = alone[k]
+        (point,) = alone[k]
+        (h_alone,) = insertion_potential_grid(np.array([tau]), ins, G, eps[k : k + 1])
         assert h_grids[k].tobytes() == h_alone.tobytes()
         for other in (together[k], split[k]):
             assert other[0].tobytes() == point[0].tobytes()
             assert other[1] == point[1]
             assert other[2].tobytes() == point[2].tobytes()
+        (plain_alone,) = chaos_points([tau], gamma, params.q, res)
+        assert plain[k][0].tobytes() == plain_alone[0].tobytes() == point[0].tobytes()
+        assert plain[k][1] == plain_alone[1] == point[1]
+        assert plain[k][2].tobytes() == plain_alone[2].tobytes() == np.ones((G, G)).tobytes()
         cap = res.eps_for(tau)
         assert np.abs(h_alone - pointwise_potential_grid(tau, ins, G, cap)).max() <= 1e-12
 
@@ -422,13 +441,24 @@ def test_sampler_volume_marginal_mean():
     assert abs(np.mean(vols) - 0.5) < 4.0 * se
 
 
+@pytest.mark.parametrize("gamma, cutoff, replicas", ((0.7, 4, 7), (1.5, 9, 6)))
+def test_untilted_mass_is_the_tilted_mass_of_no_insertions(gamma, cutoff, replicas):
+    # one setup path: the tilt of H = 0 is ones, so the GMC mass is I byte for byte
+    params = LQFTParams(gamma=gamma)
+    res = FieldResolution(cutoff=cutoff)
+    mc = MonteCarloConfig(replicas=replicas, seed=SEED, base_stream=3)
+    plain = sample_total_masses(TAU, gamma, params.q, mc, res)
+    tilted = insertion_mass_samples(params, TAU, InsertionSet(()), mc, res)
+    assert plain.tobytes() == tilted.tobytes()
+
+
 def direct_cells(tau, gamma, q, mc, res, h_grid):
     """The fields (-1)^r X of rows base_stream + r // 2, each drawn alone,
     and their tilted cell weights scale * exp(gamma X + offset) * e^{gamma H},
     with scale and offset written out from the prefactor and the variance."""
     N, G = res.cutoff, res.grid
     eps = res.eps_for(tau)
-    w = scaled_mode_weights(tau, N, eps)[:, N:]
+    w = scaled_mode_weights(tau, N, eps)[0][:, N:]
     scale = chaos_prefactor(tau, gamma, q) * tau.imag / (G * G)
     offset = -0.5 * gamma * gamma * regularized_variance(tau, N, eps)
     xs = np.empty((mc.replicas, G, G))
