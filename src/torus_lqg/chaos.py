@@ -20,7 +20,8 @@ each modulus's mode weights, factor and tilt e^{gamma H} in array passes.
 chaos_batches has the engine synthesize gamma X directly (the mode
 weights times gamma), forms the cells of an antithetic pair from its
 even grid alone, the odd cells being the reciprocals, and sums them
-against the tilts in one matrix-vector product per stack.
+against the tilts in one matrix-vector product per stack; it yields one
+flat tuple per batch and modulus, as replica_grids does.
 
 At the critical point gamma = 2 the same recipe acquires the
 sqrt(ln(1/eps)) push and a sqrt(pi/2) constant; the critical mass has
@@ -168,44 +169,36 @@ def chaos_batches(points, gamma: float, grid: int, mc: MonteCarloConfig, purpose
     points holds one (mode weights, factor, tilt) per modulus, from
     chaos_points.  The engine synthesizes gamma X directly, from the
     weights times gamma.
-    Yields (start, stacks) per batch of B replicas; stacks yields, lazily
-    and in the order of points, (gx, cells, masses): gx the (P, G, G) even
-    grids of gamma X, cells their paired chaos_cells, cells[r % 2, r // 2]
-    those of replica start + r, and masses the B totals
-    factor * sum(cells * tilt) in replica order, from one matrix-vector
-    product of the (2P, G^2) cells with the tilt.  When B = 2P - 1, the
-    batch ends on a lone replica and cells[1, P - 1] belongs to none.  gx
-    is replica_grids' view into its workspace and cells a view into one
-    cell workspace of the call, both valid until the next stack is
-    yielded; masses is a new array.  The product rounds a replica's mass
-    by about 1e-15 relative differently in a batch of another size, so
-    grids are the same in any batch but masses are bit-identical for a
-    fixed (mc.replicas, seed).
+    Yields (start, k, gx, cells, masses) per batch of B replicas and point
+    k, in the order of points: gx the (P, G, G) even grids of gamma X,
+    cells their paired chaos_cells, cells[r % 2, r // 2] those of replica
+    start + r, and masses the B totals factor * sum(cells * tilt) in
+    replica order, from one matrix-vector product of the (2P, G^2) cells
+    with the tilt.  When B = 2P - 1, the batch ends on a lone replica and
+    cells[1, P - 1] belongs to none.  gx is replica_grids' view into its
+    workspace and cells a view into one cell workspace of the call, both
+    valid until the next tuple is yielded; masses is a new array.  The
+    product rounds a replica's mass by about 1e-15 relative differently in
+    a batch of another size, so grids are the same in any batch but masses
+    are bit-identical for a fixed (mc.replicas, seed).
     """
     work = None
-
-    def stacks(start, grids):
-        nonlocal work
-        for gx, (_, factor, tilt) in zip(grids, points):
-            if work is None:  # the first batch is the largest
-                work = np.empty(2 * gx.size)
-            cells = chaos_cells(gx, paired=True, out=work[: 2 * gx.size].reshape((2,) + gx.shape))
-            sums = cells.reshape(2 * len(gx), -1) @ tilt.ravel()
-            # (evens, odds) to replica order
-            masses = sums.reshape(2, -1).T.ravel()[: mc.replicas - start]
-            yield gx, cells, factor * masses
-
-    weights = [gamma * pt[0] for pt in points]
-    for start, grids in replica_grids(weights, grid, mc, purpose):
-        yield start, stacks(start, grids)
+    for start, k, gx in replica_grids([gamma * pt[0] for pt in points], grid, mc, purpose):
+        if work is None:  # the first batch is the largest
+            work = np.empty(2 * gx.size)
+        cells = chaos_cells(gx, paired=True, out=work[: 2 * gx.size].reshape((2,) + gx.shape))
+        _, factor, tilt = points[k]
+        sums = cells.reshape(2 * len(gx), -1) @ tilt.ravel()
+        # (evens, odds) to replica order
+        masses = sums.reshape(2, -1).T.ravel()[: mc.replicas - start]
+        yield start, k, gx, cells, factor * masses
 
 
 def total_mass_table(points, gamma: float, grid: int, mc: MonteCarloConfig) -> np.ndarray:
     """Total masses of chaos_batches, shape (len(points), mc.replicas)."""
     out = np.empty((len(points), mc.replicas))
-    for start, stacks in chaos_batches(points, gamma, grid, mc):
-        for k, (_, _, masses) in enumerate(stacks):
-            out[k, start : start + len(masses)] = masses
+    for start, k, _, _, masses in chaos_batches(points, gamma, grid, mc):
+        out[k, start : start + len(masses)] = masses
     return out
 
 

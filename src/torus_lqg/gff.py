@@ -66,19 +66,21 @@ The engine allocates its workspaces once per call, one slot per pair of
 a batch: a complex column spectrum (P, G, N+1) and a real output stack
 (P, G, G) of even grids; the real row basis (2(N+1), G) is built once per
 (N, G) and shared read-only by every call.
-_synthesize, the one synthesis routine, fills the stack for each weight box:
-alpha * w goes straight into the live rows n mod G of the N+1 columns m = 0..N and
-the inverse FFT runs along n in place.  Only those N+1 of the G//2 + 1
-inputs of an inverse real FFT along m are nonzero, so that stage is one
-real matrix product instead (FFT pruning, Markel 1971, taken to its end):
-the float view (P, G, 2(N+1)) of the columns times the basis whose rows
-are a_m cos(2 pi m j/G) and -a_m sin(2 pi m j/G), a_0 = 1, a_m = 2.  The
-grids agree with irfft2 to rounding, about 1e-15 of their largest value,
-and an engine grid is byte for byte the modes_to_grid of its row drawn
-alone, since both multiply the same (G, 2(N+1)) blocks by the same basis.
-A multi-threaded BLAS may split that product differently at another
-thread count, so bit identity holds at a fixed one.  A yielded stack is a
-view into the output workspace, valid until the next stack is yielded.
+modes_to_grid, the one synthesis routine, fills the stack for each
+weight box: alpha * w goes straight into the live rows n mod G of the
+N+1 columns m = 0..N and the inverse FFT runs along n in place.  Only
+those N+1 of the G//2 + 1 inputs of an inverse real FFT along m are
+nonzero, so that stage is one real matrix product instead (FFT pruning,
+Markel 1971, taken to its end): the float view (P, G, 2(N+1)) of the
+columns times the basis whose rows are a_m cos(2 pi m j/G) and -a_m
+sin(2 pi m j/G), a_0 = 1, a_m = 2.  The grids agree with irfft2 to
+rounding, about 1e-15 of their largest value, and an engine grid is byte
+for byte the modes_to_grid of its row drawn alone, since both multiply
+the same (G, 2(N+1)) blocks by the same basis.  A multi-threaded BLAS may
+split that product differently at another thread count, so bit identity
+holds at a fixed one.  The engine yields one flat (start, k, stack) per
+batch and weight box k; a stack is a view into the output workspace,
+valid until the next one is yielded.
 """
 
 from __future__ import annotations
@@ -321,24 +323,24 @@ def _row_basis(cutoff: int, grid: int) -> np.ndarray:
     return basis
 
 
-def _synthesize(half, grid, weight=None, spec=None, out=None) -> np.ndarray:
+def modes_to_grid(half, grid: int, weight=None, spec=None, out=None) -> np.ndarray:
     """Real grids at x = (i/G, j/G) of the half-spectra half, times weight if given.
 
     half is the columns m >= 0 of centered Hermitian (2N+1)^2 boxes, shape
-    (..., 2N+1, N+1); weight, if given, is one (2N+1, N+1) box applied to
-    all of them.  spec, a (..., G, N+1) complex workspace, and out, the
-    (..., G, G) real result, are made when not given.  Box row n goes to
-    slot n mod G and rows N+1 .. G-N-1 are re-zeroed, since a previous
-    transform wrote them; the inverse FFT runs along n in place, then the
-    float view (..., G, 2(N+1)) of the columns times the _row_basis of
-    (N, G) is the sum along m (see the module docstring).
+    (2N+1, N+1) or a stack of them along leading axes; weight, if given, is
+    one (2N+1, N+1) box applied to all of them.  spec, a (..., G, N+1)
+    complex workspace, and out, the (..., G, G) real result, are made when
+    not given.  Box row n goes to slot n mod G and rows N+1 .. G-N-1 are
+    re-zeroed, since a previous transform wrote them; the inverse FFT runs
+    along n in place, then the float view (..., G, 2(N+1)) of the columns
+    times the _row_basis of (N, G) is the sum along m (see the module
+    docstring).
     """
     N = half.shape[-1] - 1
     if grid <= 2 * N:
         raise ValidationError(f"grid {grid} too coarse for cutoff {N}")
     if spec is None:
         spec = np.empty(half.shape[:-2] + (grid, N + 1), dtype=complex)
-        out = np.empty(half.shape[:-2] + (grid, grid))
     if weight is None:
         np.copyto(spec[..., : N + 1, :], half[..., N:, :])
         np.copyto(spec[..., grid - N :, :], half[..., :N, :])
@@ -350,32 +352,19 @@ def _synthesize(half, grid, weight=None, spec=None, out=None) -> np.ndarray:
     return np.matmul(spec.view(float), _row_basis(N, grid), out=out)
 
 
-def modes_to_grid(half: np.ndarray, grid: int) -> np.ndarray:
-    """Real-space values at x = (i/G, j/G) from the half-spectrum of a box.
-
-    half is the columns m >= 0 of one centered Hermitian (2N+1)^2 box,
-    shape (2N+1, N+1), or a stack of them along leading axes; the whole
-    stack goes through one _synthesize call, an inverse FFT along n and
-    one matrix product along m against the shared row basis of (N, G).
-    """
-    return _synthesize(half, grid)
-
-
 def replica_grids(weights, grid: int, mc: MonteCarloConfig, purpose: int = MODES):
     """Batched replica engine: real fields of mc.replicas replicas on a G x G grid.
 
-    Yields (start, grids) per batch of replicas start .. start + B - 1.
-    Replica r is (-1)^r times the field of row mc.base_stream + r // 2 of
-    draw_modes under (mc.seed, purpose): one read of the call's one
-    RngStream.reader draws the batch's P = ceil(B/2) rows, and each weight
-    box is synthesized once per pair.
-    grids yields, lazily and in the order of weights, one (P, G, G) stack
-    per weight box w of the even grids only, byte for byte
-    modes_to_grid(alpha * w) of their rows drawn alone; the odd grid
-    2j + 1 is the negation of grid j of the stack and is never stored.
-    B = min(2P, mc.replicas - start).  One draw serves every modulus
-    (common random numbers).  Consume grids before advancing to the next
-    batch.
+    Yields (start, k, gx) per batch of replicas start .. start + B - 1 and
+    weight box k = 0, 1, ... of weights, in that order.  Replica r is
+    (-1)^r times the field of row mc.base_stream + r // 2 of draw_modes
+    under (mc.seed, purpose): one read of the call's one RngStream.reader
+    draws the batch's P = ceil(B/2) rows, and each weight box is
+    synthesized once per pair.  gx is the (P, G, G) stack of the even grids
+    only, byte for byte modes_to_grid(alpha * w) of their rows drawn alone;
+    the odd grid 2j + 1 is the negation of grid j of the stack and is
+    never stored.  B = min(2P, mc.replicas - start).  One draw serves every
+    modulus (common random numbers).
 
     Every stack is a view into one output workspace that the next stack
     overwrites: it is valid until the next stack is yielded, so copy it
@@ -388,19 +377,14 @@ def replica_grids(weights, grid: int, mc: MonteCarloConfig, purpose: int = MODES
     pairs = (batch + 1) // 2
     spec = np.empty((pairs, grid, N + 1), dtype=complex)
     out = np.empty((pairs, grid, grid))
-    halves = [w[:, N:] for w in weights]
-
-    def stacks(alpha):
-        p = len(alpha)
-        for w in halves:
-            yield _synthesize(alpha, grid, w, spec[:p], out[:p])
-
     # batches after the first hold a whole number of pairs, so their rows
     # follow on: one reader serves the call
     read = RngStream(mc.seed, mc.base_stream).reader((2 * N + 1) ** 2 - 1, purpose)
     for start in range(0, mc.replicas, batch):
-        rows = min(batch, mc.replicas - start)
-        yield start, stacks(_unit_modes(read((rows + 1) // 2), N))
+        p = (min(batch, mc.replicas - start) + 1) // 2
+        alpha = _unit_modes(read(p), N)
+        for k, w in enumerate(weights):
+            yield start, k, modes_to_grid(alpha, grid, w[:, N:], spec[:p], out[:p])
 
 
 def pair_mean_se(values) -> tuple[float, float]:

@@ -19,14 +19,19 @@ the plateau of the circle-averaged Green function.  A Lebesgue cell
 average of e^{gamma H} is not used because it diverges under refinement
 once gamma*alpha_i >= 2, which pure-gravity weights reach.
 
-_tilted_points forms the tilted points of a block of K moduli: H by one
-green.green_grid call per insertion over the K moduli, a stacked
-separable theta1 product, then chaos.chaos_points.  _tilted_blocks cuts
-a list of moduli into blocks of K * G^2 <= gff._BATCH_CELLS grid cells
-(at least one modulus), so the working set stays bounded with no knob of
-its own.  A density table's missing moduli, the joint sampler's samples
-and the single modulus of partition_function and the law sampler all
-take this one path.
+_tilted_points yields the tilted point of each modulus of a list, formed
+block by block: blocks of K * G^2 <= gff._BATCH_CELLS grid cells (at
+least one modulus), so the working set stays bounded with no knob of its
+own, and per block H by one green.green_grid call per insertion over the
+K moduli, then chaos.chaos_points.  A density table's missing moduli, the
+joint sampler's samples and the single modulus of partition_function and
+the law sampler all take this one path.
+
+The law of the Liouville field weighs a replica of tilted mass I by
+I^{-s/gamma} (_inverse_powers, also the terms of the partition function's
+moment) and draws its volume from Gamma(s/gamma, mu) (_volume_law); the
+law sampler and resampled_measure iterate chaos_batches of the one
+tilted point themselves.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv
+import scipy.special
 
 from .config import FieldResolution, MonteCarloConfig
 from .errors import (
@@ -210,22 +215,19 @@ class PartitionEstimate:
 
 
 def _tilted_points(params: LQFTParams, taus, ins: InsertionSet, res: FieldResolution):
-    """The chaos_points of the tilted mass at each of the K moduli taus,
-    the tilts formed in the memory of their H grids; each modulus's point
-    is the same alone."""
-    eps = np.array([res.eps_for(t) for t in taus])
-    h_grids = insertion_potential_grid(taus, ins, res.grid, eps)
-    return chaos_points(taus, params.gamma, params.q, res, h_grids)
-
-
-def _tilted_blocks(params: LQFTParams, taus, ins: InsertionSet, res: FieldResolution):
-    """Yield (start, points) for consecutive blocks of taus, each holding as
-    many moduli as fit gff._BATCH_CELLS grid cells, and at least one;
-    points are the block's _tilted_points."""
+    """Yield the chaos_points of the tilted mass at each modulus of taus, in
+    order, formed a block at a time, each block holding as many moduli as
+    fit gff._BATCH_CELLS grid cells, and at least one: H by
+    insertion_potential_grid, then chaos_points with the tilts formed in the
+    memory of the H grids.  Each modulus's point is the same alone and in
+    any block."""
     taus = np.asarray(taus, dtype=complex)
     size = max(1, gff._BATCH_CELLS // (res.grid * res.grid))
     for start in range(0, len(taus), size):
-        yield start, _tilted_points(params, taus[start : start + size], ins, res)
+        block = taus[start : start + size]
+        eps = np.array([res.eps_for(t) for t in block])
+        h_grids = insertion_potential_grid(block, ins, res.grid, eps)
+        yield from chaos_points(block, params.gamma, params.q, res, h_grids)
 
 
 def insertion_mass_table(
@@ -239,10 +241,10 @@ def insertion_mass_table(
 
     Every modulus reuses the same replica draws (common random numbers),
     so row k equals insertion_mass_samples at taus[k].  The points are
-    formed block by block (_tilted_blocks); the pass holds one G x G tilt
+    formed block by block (_tilted_points); the pass holds one G x G tilt
     grid per modulus while the batches run.
     """
-    points = [pt for _, block in _tilted_blocks(params, taus, ins, res) for pt in block]
+    points = list(_tilted_points(params, taus, ins, res))
     return total_mass_table(points, params.gamma, res.grid, mc)
 
 
@@ -262,9 +264,15 @@ def insertion_mass_samples(
     return insertion_mass_table(params, [tau], ins, mc, res)[0]
 
 
+def _inverse_powers(masses: np.ndarray, p: float) -> np.ndarray:
+    """masses^{-p}: the terms inverse_power_mean averages, and the weights of
+    the law sampler and of resampled_measure's pick, bit-equal in all three."""
+    return masses ** (-p)
+
+
 def inverse_power_mean(masses: np.ndarray, p: float) -> tuple[float, float]:
     """(mean, SE) of masses^{-p} over a replica array of antithetic pairs."""
-    return pair_mean_se(masses ** (-p))
+    return pair_mean_se(_inverse_powers(masses, p))
 
 
 def partition_function(
@@ -338,26 +346,9 @@ class LiouvilleSample:
     weight: float
 
 
-def _law_batches(params: LQFTParams, tau: complex, ins: InsertionSet, mc, res, purpose, point=None):
-    """(factor, tilt, batches) of the Liouville law at tau: batches yields
-    (start, gxs, cells, masses, weights) per chaos_batches batch of the
-    tilted point, weights the I^{-s/gamma} of the masses.  point, when
-    given, is tau's point from a block of _tilted_points.  Raises when a
-    Seiberg bound fails."""
-    ins.require_seiberg(params.q)
-    p = ins.alpha_sum / params.gamma
-    if point is None:
-        (point,) = _tilted_points(params, [tau], ins, res)
-
-    def batches():
-        for start, ((gxs, cells, masses),) in chaos_batches(
-            [point], params.gamma, res.grid, mc, purpose
-        ):
-            # the array power inverse_power_mean uses, so each weight is bit-equal
-            # to the term partition_function averages for that replica
-            yield start, gxs, cells, masses, masses ** (-p)
-
-    return point[1], point[2], batches()
+def _volume_law(params: LQFTParams, ins: InsertionSet, u):
+    """Gamma(s/gamma, rate mu) volumes, by inversion of the uniforms u."""
+    return scipy.special.gammaincinv(ins.alpha_sum / params.gamma, u) / params.mu
 
 
 def _law_measure(y: float, factor: float, mass: float, cells: np.ndarray, tilt: np.ndarray):
@@ -380,20 +371,24 @@ def liouville_field_law_sampler(
     The volume marginal is Gamma(s/gamma, rate mu), independent of the
     modulus and of the shape of the measure, drawn from volume row
     base_stream + r; when y_volume is given every sample is conditioned
-    on that total volume instead.  The fields draw under purpose.
+    on that total volume instead.  The fields draw under purpose.  Raises
+    when a Seiberg bound fails.
     """
     tau = complex(tau)
     gamma = params.gamma
-    factor, tilt, batches = _law_batches(params, tau, ins, mc, res, purpose)
+    ins.require_seiberg(params.q)
+    (point,) = _tilted_points(params, [tau], ins, res)
+    _, factor, tilt = point
     h_grid = insertion_potential_grid(tau, ins, res.grid, res.eps_for(tau))
     p = ins.alpha_sum / gamma
     shift = -0.5 * params.q * math.log(tau.imag)
     if y_volume is None:
         u = RngStream(mc.seed, mc.base_stream).uniforms(mc.replicas, 1, VOLUME)[:, 0]
-        volumes = gammaincinv(p, u) / params.mu
+        volumes = _volume_law(params, ins, u)
     else:
         volumes = np.full(mc.replicas, float(y_volume))
-    for start, gxs, cells, masses, weights in batches:
+    for start, _, gxs, cells, masses in chaos_batches([point], gamma, res.grid, mc, purpose):
+        weights = _inverse_powers(masses, p)
         for r, (mass, weight, y) in enumerate(zip(masses, weights, volumes[start:])):
             mass, y = float(mass), float(y)
             c = (math.log(y) - math.log(mass)) / gamma
@@ -408,29 +403,30 @@ def liouville_field_law_sampler(
 
 def resampled_measure(
     params: LQFTParams,
-    tau: complex,
+    point,
     ins: InsertionSet,
     mc: MonteCarloConfig,
     res: FieldResolution,
     y_volume: float,
     u: float,
     purpose: int = MODES,
-    point=None,
 ) -> np.ndarray:
     """The measure of the sample of liouville_field_law_sampler(params, tau,
     ins, mc, res, y_volume, purpose) that importance resampling picks with
-    the uniform u: the first replica whose cumulative weight exceeds u times
-    the total.  Only the picked replica's measure is formed; the cells of a
-    batch before the last are copied, since the next batch overwrites them.
-    point, when given, is tau's tilted point from a block (_tilted_blocks).
+    the uniform u, point being tau's tilted point (_tilted_points): the
+    first replica whose cumulative weight exceeds u times the total, the
+    last when none does.  Only the picked replica's measure is formed; the
+    cells of a batch before the last are copied, since the next batch
+    overwrites them.  Raises when a Seiberg bound fails.
     """
-    tau = complex(tau)
-    factor, tilt, batches = _law_batches(params, tau, ins, mc, res, purpose, point)
+    ins.require_seiberg(params.q)
+    _, factor, tilt = point
+    p = ins.alpha_sum / params.gamma
     held, masses, weights = [], [], []
-    for start, _, cells, m, w in batches:
+    for start, _, _, cells, m in chaos_batches([point], params.gamma, res.grid, mc, purpose):
         held.append(cells if start + len(m) == mc.replicas else cells.copy())
         masses.append(m)
-        weights.append(w)
+        weights.append(_inverse_powers(m, p))
     cdf = np.cumsum(np.concatenate(weights))
     pick = min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), mc.replicas - 1)
     mass = float(np.concatenate(masses)[pick])

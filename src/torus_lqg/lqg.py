@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .cache import MomentCache, moment_key
 from .config import FieldResolution, MonteCarloConfig
@@ -33,7 +32,7 @@ from .errors import (
 )
 from .gff import MODULUS, RESAMPLE, VOLUME, RngStream, free_field_partition
 from .lqft import InsertionSet, LQFTParams, insertion_constant, insertion_mass_table
-from .lqft import _tilted_blocks, inverse_power_mean, resampled_measure
+from .lqft import _tilted_points, _volume_law, inverse_power_mean, resampled_measure
 from .special import dedekind_eta, theta_aux
 
 __all__ = [
@@ -288,11 +287,10 @@ class DensityTable:
 
 
 def _im_edges(im_cells: int, t_max: float) -> np.ndarray:
-    """Uniform spacing up to Im = 2, logarithmic above."""
+    """Uniform spacing up to Im = 2, logarithmic above to t_max > 2; one
+    cell spans the whole range."""
     lo = math.sqrt(3.0) / 2.0
-    if t_max <= 2.0:
-        return np.linspace(lo, t_max, im_cells + 1)
-    n_lin = max(1, im_cells // 2)
+    n_lin = im_cells // 2
     n_log = im_cells - n_lin
     lin = np.linspace(lo, 2.0, n_lin + 1)
     log = np.geomspace(2.0, t_max, n_log + 1)
@@ -481,21 +479,19 @@ def joint_law_sampler(
     resample purpose, by importance resampling on the I^{-s/gamma} weights
     (lqft.resampled_measure): only the picked candidate's measure is formed.
     The tilted points of the samples' moduli are formed a block at a time
-    (lqft._tilted_blocks), as each block's first sample is reached.
+    (lqft._tilted_points), as each block's first sample is reached.
     """
     ins.require_seiberg_sum()
     taus = sample_modulus(table, count, rng)
-    p = ins.alpha_sum / params.gamma
     u = rng.uniforms(count, 2, VOLUME)
-    volumes = gammaincinv(p, u[:, 0]) / params.mu
+    volumes = _volume_law(params, ins, u[:, 0])
     if res is None:
         for tau, y in zip(taus.tolist(), volumes.tolist()):
             yield JointSample(tau=tau, volume=y, measure=None)
         return
     pairs = _RESAMPLE_BATCH // 2
-    for start, points in _tilted_blocks(params, taus, ins, res):
-        for k, point in enumerate(points, start):
-            tau, y = complex(taus[k]), float(volumes[k])
-            sub = MonteCarloConfig(_RESAMPLE_BATCH, rng.seed, (rng.stream + k) * pairs)
-            measure = resampled_measure(params, tau, ins, sub, res, y, u[k, 1], RESAMPLE, point)
-            yield JointSample(tau=tau, volume=y, measure=measure)
+    for k, point in enumerate(_tilted_points(params, taus, ins, res)):
+        y = float(volumes[k])
+        sub = MonteCarloConfig(_RESAMPLE_BATCH, rng.seed, (rng.stream + k) * pairs)
+        measure = resampled_measure(params, point, ins, sub, res, y, u[k, 1], RESAMPLE)
+        yield JointSample(tau=complex(taus[k]), volume=y, measure=measure)

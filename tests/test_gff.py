@@ -116,8 +116,7 @@ def test_grid_too_coarse_rejected():
 def test_replica_engine_rejects_coarse_grid():
     mc = MonteCarloConfig(replicas=2, seed=SEED)
     with pytest.raises(ValidationError):
-        for _, grids in replica_grids([scaled_mode_weights(TAU, 4)[0]], 8, mc):
-            list(grids)
+        list(replica_grids([scaled_mode_weights(TAU, 4)[0]], 8, mc))
 
 
 def test_mode_variance_matches_spectrum():
@@ -345,7 +344,7 @@ def engine_grids(weights, grid, mc):
     """Every replica of a replica_grids run: the engine yields the even
     grids of a batch, and replica 2j + 1 is the negation of grid j."""
     out = []
-    for start, (xs,) in replica_grids([weights], grid, mc):
+    for start, _, xs in replica_grids([weights], grid, mc):
         assert start == len(out)
         rows = min(2 * len(xs), mc.replicas - start)
         # a stack is a view into the engine's workspace, valid until the next one
@@ -458,26 +457,27 @@ def test_replica_engine_is_bit_identical_to_rows_alone(
     ]
     # a batch is a whole number of pairs, at least one, within the budget
     size = 2 * max(1, batch // 2)
-    starts = []
+    keys = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gff, "_BATCH_CELLS", batch * grid * grid)
-        for start, grids in replica_grids(weights, grid, mc, purpose):
-            starts.append(start)
+        for start, k, xs in replica_grids(weights, grid, mc, purpose):
+            keys.append((start, k))
+            w = weights[k]
             rows = min(size, replicas - start)
             # the even replicas start, start + 2, ... are rows start / 2, ...
             rng = RngStream(SEED, base_stream + start // 2)
             alpha = draw_modes(rng, (rows + 1) // 2, cutoff, purpose)
             want = reference_modes(rng, (rows + 1) // 2, cutoff, purpose)
             assert alpha.tobytes() == want.tobytes()
-            for w, xs in zip(weights, grids, strict=True):
-                # only the even grids are stored, one per pair
-                assert xs.shape == ((rows + 1) // 2, grid, grid)
-                for j in range(len(xs)):
-                    row = RngStream(SEED, base_stream + start // 2 + j)
-                    alone = draw_modes(row, 1, cutoff, purpose)[0]
-                    assert xs[j].tobytes() == modes_to_grid(alone * w[:, cutoff:], grid).tobytes()
-                assert_near_irfft2(xs, alpha, w, grid)
-    assert starts == list(range(0, replicas, size))
+            # only the even grids are stored, one per pair
+            assert xs.shape == ((rows + 1) // 2, grid, grid)
+            for j in range(len(xs)):
+                row = RngStream(SEED, base_stream + start // 2 + j)
+                alone = draw_modes(row, 1, cutoff, purpose)[0]
+                assert xs[j].tobytes() == modes_to_grid(alone * w[:, cutoff:], grid).tobytes()
+            assert_near_irfft2(xs, alpha, w, grid)
+    # one stack per batch and weight box, in order
+    assert keys == [(start, k) for start in range(0, replicas, size) for k in range(boxes)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -507,27 +507,31 @@ def test_replica_pairs_are_negated_rows(
         (scaled_mode_weights(tau, cutoff, eps)[0], math.exp(offset), ones)
         for tau, eps in ((TAU, 0.1), (1j, 0.0), (-0.4 + 0.9j, 0.05))[:boxes]
     ]
-    seen = 0
+    size = 2 * max(1, batch // 2)
+    seen, keys = 0, []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gff, "_BATCH_CELLS", batch * grid * grid)
-        for start, stacks in chaos_batches(points, gamma, grid, mc):
-            for (w, _, _), (gxs, cells, masses) in zip(points, stacks, strict=True):
-                w = gamma * w
-                rows = len(masses)
-                assert rows == min(2 * len(gxs), replicas - start)
-                assert cells.shape == (2,) + gxs.shape
-                assert cells[1].tobytes() == np.reciprocal(cells[0]).tobytes()
-                for j in range(len(gxs)):
-                    rng = RngStream(SEED, base_stream + start // 2 + j)
-                    alpha = reference_modes(rng, 1, cutoff, MODES)
-                    alone = modes_to_grid(alpha[0] * w[:, cutoff:], grid)
-                    assert gxs[j].tobytes() == alone.tobytes()
-                    assert_near_irfft2(gxs[j], alpha[0], w, grid)
-                for k in range(1, rows, 2):
-                    direct = np.exp(-gxs[k // 2] + offset).sum()
-                    assert abs(masses[k] - direct) <= 1e-12 * direct
-            seen += rows
+        for start, i, gxs, cells, masses in chaos_batches(points, gamma, grid, mc):
+            keys.append((start, i))
+            w = gamma * points[i][0]
+            rows = len(masses)
+            assert rows == min(2 * len(gxs), replicas - start)
+            assert cells.shape == (2,) + gxs.shape
+            assert cells[1].tobytes() == np.reciprocal(cells[0]).tobytes()
+            for j in range(len(gxs)):
+                rng = RngStream(SEED, base_stream + start // 2 + j)
+                alpha = reference_modes(rng, 1, cutoff, MODES)
+                alone = modes_to_grid(alpha[0] * w[:, cutoff:], grid)
+                assert gxs[j].tobytes() == alone.tobytes()
+                assert_near_irfft2(gxs[j], alpha[0], w, grid)
+            for k in range(1, rows, 2):
+                direct = np.exp(-gxs[k // 2] + offset).sum()
+                assert abs(masses[k] - direct) <= 1e-12 * direct
+            if i == boxes - 1:
+                seen += rows
     assert seen == replicas
+    # one tuple per batch and point, in order
+    assert keys == [(start, i) for start in range(0, replicas, size) for i in range(boxes)]
 
 
 def test_pair_mean_se():
@@ -555,8 +559,8 @@ def test_replica_batches_follow_cell_budget():
         weights = scaled_mode_weights(TAU, grid // 4 - 1)[0]
         # a batch yields its even grids, one per pair: B = min(2P, R - start)
         sizes = [
-            min(2 * len(next(grids)), mc.replicas - start)
-            for start, grids in replica_grids([weights], grid, mc)
+            min(2 * len(xs), mc.replicas - start)
+            for start, _, xs in replica_grids([weights], grid, mc)
         ]
         assert sizes == [size, 1]
 
@@ -611,8 +615,7 @@ def test_replica_engine_builds_one_generator_per_call(monkeypatch):
     monkeypatch.setattr(gff, "_BATCH_CELLS", 3 * 2 * 12 * 12)
     monkeypatch.setattr(np.random, "Philox", spy)
     mc = MonteCarloConfig(replicas=40, seed=SEED, base_stream=5)
-    starts = [start for start, grids in replica_grids([scaled_mode_weights(TAU, 2)[0]], 12, mc)
-              if list(grids)]
+    starts = [start for start, _, _ in replica_grids([scaled_mode_weights(TAU, 2)[0]], 12, mc)]
     assert starts == list(range(0, 40, 6)) and built == [1]
 
 

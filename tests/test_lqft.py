@@ -21,7 +21,7 @@ from torus_lqg.errors import (
     ValidationError,
 )
 from torus_lqg.gff import build_log_conformal_factor, free_field_partition
-from torus_lqg.gff import LogConformalFactor, RngStream, SpectralField
+from torus_lqg.gff import RESAMPLE, LogConformalFactor, RngStream, SpectralField
 from torus_lqg.gff import draw_modes, modes_to_grid, regularized_variance, scaled_mode_weights
 from torus_lqg.green import (
     GreenEvalConfig,
@@ -209,15 +209,24 @@ def test_tilted_points_are_the_same_alone_and_in_any_block(moduli, cutoff, gamma
         assume(False)
     taus = [complex(re, im) for re, im in moduli]
     eps = np.array([res.eps_for(tau) for tau in taus])
-    alone = [lqft._tilted_points(params, [tau], ins, res) for tau in taus]
-    together = lqft._tilted_points(params, taus, ins, res)
+    alone = [list(lqft._tilted_points(params, [tau], ins, res)) for tau in taus]
+    together = list(lqft._tilted_points(params, taus, ins, res))
     h_grids = insertion_potential_grid(np.array(taus), ins, G, eps)
     plain = chaos_points(taus, gamma, params.q, res)
+    # the blocks' first moduli, seen by the one chaos_points call of each block
+    starts, formed = [], []
+
+    def spy(block, *args):
+        starts.append(len(formed))
+        points = chaos_points(block, *args)
+        formed.extend(points)
+        return points
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gff, "_BATCH_CELLS", batch * G * G)
-        blocks = list(lqft._tilted_blocks(params, taus, ins, res))
-    assert [start for start, _ in blocks] == list(range(0, len(taus), batch))
-    split = [pt for _, block in blocks for pt in block]
+        mp.setattr(lqft, "chaos_points", spy)
+        split = list(lqft._tilted_points(params, taus, ins, res))
+    assert starts == list(range(0, len(taus), batch))
     for k, tau in enumerate(taus):
         (point,) = alone[k]
         (h_alone,) = insertion_potential_grid(np.array([tau]), ins, G, eps[k : k + 1])
@@ -410,6 +419,26 @@ def test_sampler_weights_are_mass_powers():
     for r, weight in enumerate(weights):
         assert weight == (masses ** (-p))[r]
     assert np.mean(weights) == inverse_power_mean(masses, p)[0]
+
+
+def test_resampled_measure_is_the_picked_law_sample():
+    # at cutoff 32 (G = 132) the 8 candidates are four batches of one pair,
+    # so the cells of all but the last batch are kept as copies; u = 0
+    # picks the first candidate, u = 1 the last (the R - 1 clamp), and a u
+    # inside each candidate's share of the weight picks it: every pick is
+    # byte for byte that candidate's law-sampler measure
+    params = LQFTParams(gamma=1.0, mu=2.0)
+    res = FieldResolution(cutoff=32)
+    mc = MonteCarloConfig(replicas=8, seed=SEED, base_stream=5)
+    y = 2.5
+    candidates = list(liouville_field_law_sampler(params, TAU, TWO_POINTS, mc, res, y, RESAMPLE))
+    (point,) = lqft._tilted_points(params, [TAU], TWO_POINTS, res)
+    cdf = np.cumsum([c.weight for c in candidates])
+    mids = (np.concatenate(([0.0], cdf[:-1])) + cdf) / (2.0 * cdf[-1])
+    picks = [(0.0, 0), (1.0, len(candidates) - 1)] + [(float(u), k) for k, u in enumerate(mids)]
+    for u, k in picks:
+        measure = lqft.resampled_measure(params, point, TWO_POINTS, mc, res, y, u, RESAMPLE)
+        assert measure.tobytes() == candidates[k].measure.tobytes()
 
 
 def test_sampler_measure_total_is_volume():

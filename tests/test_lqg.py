@@ -321,6 +321,17 @@ def test_density_table_truncation_guard():
     assert "t_max" in str(info.value)
 
 
+def test_one_row_table_reaches_t_max():
+    # a single Im row spans [sqrt(3)/2, t_max]: the band above Im = 2 is
+    # neither dropped from the table nor left out of the tail estimate
+    matter, params, ins = pure_setup()
+    tab = build_density_table(
+        matter, params, ins, MC, RES, re_cells=4, im_cells=1, t_max=12.0, tail_tol=0.5
+    )
+    assert tab.im_edges[-1] == 12.0
+    assert tab.im_edges.tolist() == [math.sqrt(3.0) / 2.0, 12.0]
+
+
 def test_density_table_structure():
     matter, params, ins = pure_setup()
     tab = build_density_table(matter, params, ins, MC, RES, re_cells=12, im_cells=12, t_max=12.0)
