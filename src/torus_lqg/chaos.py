@@ -16,9 +16,10 @@ weight, computed as factor * exp(gamma X): everything but the field is
 one scalar per modulus (cell_constants), so a cell costs one exp.
 chaos_points is the one setup of a block of moduli, untilted (the GMC
 mass, H = 0) or tilted by the insertion potential H of lqft: it forms
-each modulus's mode weights, factor and tilt e^{gamma H} in array passes.
-chaos_batches has the engine synthesize gamma X directly (the mode
-weights times gamma), forms the cells of an antithetic pair from its
+each modulus's point in array passes, (mode weights of gamma X, factor,
+tilt e^{gamma H}), which carries all that a replica pass reads, the grid
+size being the tilt's.  chaos_batches has the engine synthesize gamma X
+from the point's weights, forms the cells of an antithetic pair from its
 even grid alone, the odd cells being the reciprocals, and sums them
 against the tilts in one matrix-vector product per stack; it yields one
 flat tuple per batch and modulus, as replica_grids does.
@@ -126,9 +127,9 @@ def cell_constants(tau, gamma: float, q: float, eps, grid: int, variance, critic
 
 
 def chaos_points(taus, gamma: float, q: float, res: FieldResolution, h_grids=None, critical=False):
-    """The chaos_batches points (mode weights, factor, tilt) of the K moduli
-    taus, the tilt e^{gamma H} of h_grids, (K, G, G) grids of H, formed in
-    their memory, or a grid of ones when h_grids is None.
+    """The chaos_batches points (mode weights of gamma X, factor, tilt) of
+    the K moduli taus, the tilt e^{gamma H} of h_grids, (K, G, G) grids of
+    H, formed in their memory, or a grid of ones when h_grids is None.
 
     Every modulus pays this setup before its replicas, in array passes over
     the block: eta and Theta over the K moduli (cell_constants) and one J0
@@ -137,8 +138,9 @@ def chaos_points(taus, gamma: float, q: float, res: FieldResolution, h_grids=Non
     byte the same alone and in any block.  Callers validate gamma.
     """
     taus = np.asarray(taus, dtype=complex)
-    eps = np.array([res.eps_for(t) for t in taus])
+    eps = res.eps_for(taus)
     weights, variance = scaled_mode_weights(taus, res.cutoff, eps)
+    weights *= gamma
     factors = cell_constants(taus, gamma, q, eps, res.grid, variance, critical)
     h = np.zeros((len(taus), res.grid, res.grid)) if h_grids is None else h_grids
     tilts = np.exp(np.multiply(gamma, h, out=h), out=h)
@@ -149,26 +151,23 @@ def chaos_cells(gx: np.ndarray, paired=False, out=None):
     """exp(gamma X) from gx, a grid or a stack of grids of gamma X.
 
     paired marks gx as the (P, G, G) even grids of a replica_grids stack;
-    the cells are then (2, P, G, G), cells[s, j] those of replica 2j + s:
-    exp(gx[j]), and for s = 1, whose field is -gx[j], their reciprocals.
-    Each half is one contiguous pass.  The cells go to out when given,
-    else to a new array.
+    the cells then go to out, (2, P, G, G), out[s, j] those of replica
+    2j + s: exp(gx[j]), and for s = 1, whose field is -gx[j], their
+    reciprocals.  Each half is one contiguous pass.  Unpaired, the cells go
+    to out when given, else to a new array.
     """
     if not paired:
         return np.exp(gx, out=out)
-    if out is None:
-        out = np.empty((2,) + gx.shape)
     np.exp(gx, out=out[0])
     np.reciprocal(out[0], out=out[1])
     return out
 
 
-def chaos_batches(points, gamma: float, grid: int, mc: MonteCarloConfig, purpose: int = MODES):
+def chaos_batches(points, mc: MonteCarloConfig, purpose: int = MODES):
     """One replica_grids pass under purpose at several moduli, common random numbers.
 
-    points holds one (mode weights, factor, tilt) per modulus, from
-    chaos_points.  The engine synthesizes gamma X directly, from the
-    weights times gamma.
+    points holds one (mode weights of gamma X, factor, tilt) per modulus,
+    from chaos_points; the engine synthesizes gamma X on the tilts' grid.
     Yields (start, k, gx, cells, masses) per batch of B replicas and point
     k, in the order of points: gx the (P, G, G) even grids of gamma X,
     cells their paired chaos_cells, cells[r % 2, r // 2] those of replica
@@ -183,7 +182,8 @@ def chaos_batches(points, gamma: float, grid: int, mc: MonteCarloConfig, purpose
     are bit-identical for a fixed (mc.replicas, seed).
     """
     work = None
-    for start, k, gx in replica_grids([gamma * pt[0] for pt in points], grid, mc, purpose):
+    grid = points[0][2].shape[0]  # the tilts' G
+    for start, k, gx in replica_grids([pt[0] for pt in points], grid, mc, purpose):
         if work is None:  # the first batch is the largest
             work = np.empty(2 * gx.size)
         cells = chaos_cells(gx, paired=True, out=work[: 2 * gx.size].reshape((2,) + gx.shape))
@@ -194,10 +194,10 @@ def chaos_batches(points, gamma: float, grid: int, mc: MonteCarloConfig, purpose
         yield start, k, gx, cells, factor * masses
 
 
-def total_mass_table(points, gamma: float, grid: int, mc: MonteCarloConfig) -> np.ndarray:
+def total_mass_table(points, mc: MonteCarloConfig) -> np.ndarray:
     """Total masses of chaos_batches, shape (len(points), mc.replicas)."""
     out = np.empty((len(points), mc.replicas))
-    for start, k, _, _, masses in chaos_batches(points, gamma, grid, mc):
+    for start, k, _, _, masses in chaos_batches(points, mc):
         out[k, start : start + len(masses)] = masses
     return out
 
@@ -273,4 +273,4 @@ def sample_total_masses(
     """Replica array of total chaos masses, deterministic per (seed, stream)."""
     gamma = 2.0 if critical else _subcritical(gamma)
     points = chaos_points([tau], gamma, q, res, critical=critical)
-    return total_mass_table(points, gamma, res.grid, mc)[0]
+    return total_mass_table(points, mc)[0]

@@ -179,10 +179,10 @@ def modular_partition_ratio(
     alpha: float,
     mc: MonteCarloConfig,
     res: FieldResolution,
-    z=(0.0, 0.0),
 ) -> tuple[float, float, float, bool]:
     """Covariance ratio for the inversion: Pi at -1/tau over the matched
-    prediction |psi'(tau)|^{-Delta} times Pi at tau with the mapped point.
+    prediction |psi'(tau)|^{-Delta} times Pi at tau, with one insertion of
+    weight alpha at the origin, the point S fixes.
 
     The resolution at -1/tau is metric-matched, eps' = eps sqrt|psi'| =
     eps sqrt(Im psi(tau) / Im tau); with equal mode cutoffs the inversion
@@ -198,16 +198,14 @@ def modular_partition_ratio(
         raise SeibergViolationLocal(f"alpha must stay below Q = {params.q:g} for a modular ratio")
     psi_tau = S.act_on_uhp(tau)
     dpsi = abs(S.derivative(tau))
-    z1, z2 = S.act_on_torus(np.array([z[0]]), np.array([z[1]]))
-    ins_there = InsertionSet(((z[0], z[1], alpha),))
-    ins_here = InsertionSet(((float(z1[0]), float(z2[0]), alpha),))
+    ins = InsertionSet(((0.0, 0.0, alpha),))
     eps_here = res.eps_for(tau)
     res_here = FieldResolution(res.cutoff, res.grid_factor, eps=eps_here)
     res_there = FieldResolution(
         res.cutoff, res.grid_factor, eps=eps_here * math.sqrt(dpsi)
     )
-    a = partition_function(params, psi_tau, ins_there, mc, res_there)
-    b = partition_function(params, tau, ins_here, mc, res_here)
+    a = partition_function(params, psi_tau, ins, mc, res_there)
+    b = partition_function(params, tau, ins, mc, res_here)
     delta = conformal_weight(alpha, params.q)
     pred = dpsi ** (-delta) * b.value
     ratio = a.value / pred

@@ -9,8 +9,9 @@ N proportional to 1/eps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -50,7 +51,6 @@ class FieldResolution:
     def grid(self) -> int:
         return self.grid_factor * (self.cutoff + 1)
 
-    def eps_for(self, tau: complex) -> float:
-        if self.eps is not None:
-            return self.eps
-        return 2.0 * math.sqrt(complex(tau).imag) / self.grid
+    def eps_for(self, tau):
+        """eps, a scalar, else 2 sqrt(Im tau)/G at tau or an array of moduli."""
+        return self.eps if self.eps is not None else 2.0 * np.sqrt(np.imag(tau)) / self.grid

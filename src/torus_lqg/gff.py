@@ -217,10 +217,10 @@ def _mode_moduli(tau, cutoff: int) -> np.ndarray:
     return np.abs(idx[:, None] * np.asarray(tau, dtype=complex)[..., None, None] - idx)
 
 
-def _spectral_box(tau, cutoff: int, k=None) -> np.ndarray:
-    """c_{n,m}(tau) on the box, zero at the origin mode; k, when given, is
+def _spectral_box(tau, cutoff: int, k) -> np.ndarray:
+    """c_{n,m}(tau) on the box, zero at the origin mode; k is
     _mode_moduli(tau, cutoff)."""
-    k2 = (_mode_moduli(tau, cutoff) if k is None else k) ** 2
+    k2 = k**2
     k2[..., cutoff, cutoff] = 1.0
     c = _per_modulus(np.imag(tau)) / (2.0 * np.pi * k2)
     c[..., cutoff, cutoff] = 0.0
@@ -232,15 +232,14 @@ def _per_modulus(v) -> np.ndarray:
     return np.asarray(v, dtype=float)[..., None, None]
 
 
-def _coefficient_weights(tau: complex, cutoff: int, k=None) -> np.ndarray:
-    """sqrt(c_{n,m}(tau)) on the box, zero at the origin mode; k, when
-    given, is _mode_moduli(tau, cutoff)."""
-    return np.sqrt(_spectral_box(tau, cutoff, k))
+def _coefficient_weights(tau: complex, cutoff: int) -> np.ndarray:
+    """sqrt(c_{n,m}(tau)) on the box, zero at the origin mode."""
+    return np.sqrt(_spectral_box(tau, cutoff, _mode_moduli(tau, cutoff)))
 
 
 def scaled_mode_weights(tau, cutoff: int, eps=0.0):
-    """(weights, variance): the sqrt(c_k) mode weights, with the
-    circle-average multiplier J0 if eps > 0, of one modulus, or
+    """(weights, variance): the sqrt(c_k) mode weights times the
+    circle-average multiplier J0 (exactly 1 at eps = 0) of one modulus, or
     (K, 2N+1, 2N+1) for an array of K moduli with eps a scalar or one per
     modulus, and regularized_variance at each modulus: one |n*tau - m| box
     and one J0 pass for all of them.
@@ -251,10 +250,8 @@ def scaled_mode_weights(tau, cutoff: int, eps=0.0):
     """
     k = _mode_moduli(tau, cutoff)
     c = _spectral_box(tau, cutoff, k)
-    w, mult = np.sqrt(c), 1.0
-    if np.any(eps):
-        mult = bessel_multiplier(tau, cutoff, eps, k)
-        w = w * mult
+    mult = bessel_multiplier(tau, cutoff, eps, k)
+    w = np.sqrt(c) * mult
     N = cutoff
     if N >= _VARIANCE_ROWS:
         taus, eps = np.broadcast_arrays(tau, eps)

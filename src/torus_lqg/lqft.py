@@ -31,7 +31,8 @@ The law of the Liouville field weighs a replica of tilted mass I by
 I^{-s/gamma} (_inverse_powers, also the terms of the partition function's
 moment) and draws its volume from Gamma(s/gamma, mu) (_volume_law); the
 law sampler and resampled_measure iterate chaos_batches of the one
-tilted point themselves.
+tilted point themselves, and _law_measure forms a replica's measure from
+that point, which carries its own gamma and grid.
 """
 
 from __future__ import annotations
@@ -225,8 +226,7 @@ def _tilted_points(params: LQFTParams, taus, ins: InsertionSet, res: FieldResolu
     size = max(1, gff._BATCH_CELLS // (res.grid * res.grid))
     for start in range(0, len(taus), size):
         block = taus[start : start + size]
-        eps = np.array([res.eps_for(t) for t in block])
-        h_grids = insertion_potential_grid(block, ins, res.grid, eps)
+        h_grids = insertion_potential_grid(block, ins, res.grid, res.eps_for(block))
         yield from chaos_points(block, params.gamma, params.q, res, h_grids)
 
 
@@ -245,7 +245,7 @@ def insertion_mass_table(
     grid per modulus while the batches run.
     """
     points = list(_tilted_points(params, taus, ins, res))
-    return total_mass_table(points, params.gamma, res.grid, mc)
+    return total_mass_table(points, mc)
 
 
 def insertion_mass_samples(
@@ -351,9 +351,11 @@ def _volume_law(params: LQFTParams, ins: InsertionSet, u):
     return scipy.special.gammaincinv(ins.alpha_sum / params.gamma, u) / params.mu
 
 
-def _law_measure(y: float, factor: float, mass: float, cells: np.ndarray, tilt: np.ndarray):
-    """The quantum-area measure of a replica of total tilted mass mass and
-    cells cells, conditioned on volume y: factor * cells * tilt scaled to y."""
+def _law_measure(y: float, point, mass: float, cells: np.ndarray):
+    """The quantum-area measure of a replica of the chaos point point, of total
+    tilted mass mass and cells cells, conditioned on volume y: factor *
+    cells * tilt scaled to y."""
+    _, factor, tilt = point
     return (y * factor / mass) * (cells * tilt)
 
 
@@ -378,7 +380,6 @@ def liouville_field_law_sampler(
     gamma = params.gamma
     ins.require_seiberg(params.q)
     (point,) = _tilted_points(params, [tau], ins, res)
-    _, factor, tilt = point
     h_grid = insertion_potential_grid(tau, ins, res.grid, res.eps_for(tau))
     p = ins.alpha_sum / gamma
     shift = -0.5 * params.q * math.log(tau.imag)
@@ -387,7 +388,7 @@ def liouville_field_law_sampler(
         volumes = _volume_law(params, ins, u)
     else:
         volumes = np.full(mc.replicas, float(y_volume))
-    for start, _, gxs, cells, masses in chaos_batches([point], gamma, res.grid, mc, purpose):
+    for start, _, gxs, cells, masses in chaos_batches([point], mc, purpose):
         weights = _inverse_powers(masses, p)
         for r, (mass, weight, y) in enumerate(zip(masses, weights, volumes[start:])):
             mass, y = float(mass), float(y)
@@ -395,7 +396,7 @@ def liouville_field_law_sampler(
             # replica start + r is (-1)^r times even grid r // 2 of gamma X
             yield LiouvilleSample(
                 field=gxs[r // 2] * ((-1) ** r / gamma) + h_grid + (c + shift),
-                measure=_law_measure(y, factor, mass, cells[r % 2, r // 2], tilt),
+                measure=_law_measure(y, point, mass, cells[r % 2, r // 2]),
                 volume=y,
                 weight=float(weight),
             )
@@ -406,24 +407,22 @@ def resampled_measure(
     point,
     ins: InsertionSet,
     mc: MonteCarloConfig,
-    res: FieldResolution,
     y_volume: float,
     u: float,
     purpose: int = MODES,
 ) -> np.ndarray:
     """The measure of the sample of liouville_field_law_sampler(params, tau,
     ins, mc, res, y_volume, purpose) that importance resampling picks with
-    the uniform u, point being tau's tilted point (_tilted_points): the
+    the uniform u, point being tau's tilted point (_tilted_points) at res: the
     first replica whose cumulative weight exceeds u times the total, the
     last when none does.  Only the picked replica's measure is formed; the
     cells of a batch before the last are copied, since the next batch
     overwrites them.  Raises when a Seiberg bound fails.
     """
     ins.require_seiberg(params.q)
-    _, factor, tilt = point
     p = ins.alpha_sum / params.gamma
     held, masses, weights = [], [], []
-    for start, _, _, cells, m in chaos_batches([point], params.gamma, res.grid, mc, purpose):
+    for start, _, _, cells, m in chaos_batches([point], mc, purpose):
         held.append(cells if start + len(m) == mc.replicas else cells.copy())
         masses.append(m)
         weights.append(_inverse_powers(m, p))
@@ -431,4 +430,4 @@ def resampled_measure(
     pick = min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), mc.replicas - 1)
     mass = float(np.concatenate(masses)[pick])
     j, r = divmod(pick, len(masses[0]))
-    return _law_measure(float(y_volume), factor, mass, held[j][r % 2, r // 2], tilt)
+    return _law_measure(float(y_volume), point, mass, held[j][r % 2, r // 2])

@@ -177,6 +177,16 @@ def negative_moment(
     return _negative_moments(params, [complex(tau)], ins, mc, res, cache)[0]
 
 
+def _cached_moment(record):
+    """(moment, se) of a cache record if both parse as finite floats, else
+    None: a miss, recomputed and rewritten (a nan SE is refused anew)."""
+    try:
+        moment, se = float(record["moment"]), float(record["std_error"])
+    except (TypeError, KeyError, ValueError, OverflowError):
+        return None
+    return (moment, se) if math.isfinite(moment) and math.isfinite(se) else None
+
+
 def _negative_moments(params, taus, ins, mc, res, cache):
     """negative_moment at every tau of taus from one common-random-numbers
     pass: every tau is looked up in the cache first, and replicas are
@@ -197,10 +207,7 @@ def _negative_moments(params, taus, ins, mc, res, cache):
                 mc.seed,
                 mc.base_stream,
             )
-            hit = cache.get(keys[i])
-            # a nan SE marks a one-pair record of an older version: recompute, so it is refused
-            if hit is not None and math.isfinite(float(hit["std_error"])):
-                found[i] = (float(hit["moment"]), float(hit["std_error"]))
+            found[i] = _cached_moment(cache.get(keys[i]))
     missing = [i for i, f in enumerate(found) if f is None]
     if not missing:
         return found
@@ -405,12 +412,12 @@ def _neighbors(centers: np.ndarray, x: np.ndarray):
 def sample_modulus(table: DensityTable, count: int, rng: RngStream) -> np.ndarray:
     """Inverse-CDF draws over table cells, bilinear density within cells.
 
-    Sample k takes its cell from row rng.stream + k of MODULUS.  The density
-    interpolated bilinearly between neighboring cell centers and weighted
-    by 1/Im^2 is then drawn by rejection in rounds of arrays: each pending
-    sample, in index order, takes one (re, Im-marginal, accept) row from
-    the next unused rows, from row rng.stream + count on.  Proposals outside
-    the fundamental domain are rejected too, so every sample lies in it.
+    Sample k takes its cell from row rng.stream + k of one MODULUS reader.
+    The density interpolated bilinearly between neighboring cell centers and
+    weighted by 1/Im^2 is then drawn by rejection in rounds of arrays: each
+    pending sample, in index order, takes one (re, Im-marginal, accept) row
+    from the next rows of that reader.  Proposals outside the fundamental
+    domain are rejected too, so every sample lies in it.
     """
     if count <= 0:
         raise ValidationError("count must be positive")
@@ -428,9 +435,8 @@ def sample_modulus(table: DensityTable, count: int, rng: RngStream) -> np.ndarra
             + d[a1, b1] * fr * fi
         )
 
-    a, b = np.divmod(
-        np.searchsorted(cdf, rng.uniforms(count, 1, MODULUS)[:, 0]), len(table.im_centers)
-    )
+    read = rng.reader(3, MODULUS)
+    a, b = np.divmod(np.searchsorted(cdf, read(count)[:, 0]), len(table.im_centers))
     # bilinear values inside a cell are convex combinations of the
     # surrounding centers, so the max over its clipped 3x3 window bounds them
     pad = np.pad(table.density, 1, mode="edge")
@@ -439,10 +445,8 @@ def sample_modulus(table: DensityTable, count: int, rng: RngStream) -> np.ndarra
     inv_lo, inv_hi = 1.0 / table.im_edges[b], 1.0 / table.im_edges[b + 1]
     out = np.empty(count, dtype=complex)
     pending = np.arange(count)
-    row = rng.stream + count
     while pending.size:
-        u = RngStream(rng.seed, row).uniforms(pending.size, 3, MODULUS)
-        row += pending.size
+        u = read(pending.size)
         re = re_lo[pending] + u[:, 0] * (re_hi - re_lo)[pending]
         # Im from the cell's exact 1/Im^2 marginal; the volume factor
         # then cancels in the acceptance ratio
@@ -493,5 +497,5 @@ def joint_law_sampler(
     for k, point in enumerate(_tilted_points(params, taus, ins, res)):
         y = float(volumes[k])
         sub = MonteCarloConfig(_RESAMPLE_BATCH, rng.seed, (rng.stream + k) * pairs)
-        measure = resampled_measure(params, point, ins, sub, res, y, u[k, 1], RESAMPLE)
+        measure = resampled_measure(params, point, ins, sub, y, u[k, 1], RESAMPLE)
         yield JointSample(tau=complex(taus[k]), volume=y, measure=measure)

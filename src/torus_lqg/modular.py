@@ -83,10 +83,6 @@ class ModularElement:
     def inverse(self) -> "ModularElement":
         return ModularElement(self.d, -self.b, -self.c, self.a)
 
-    def transpose(self) -> "ModularElement":
-        """Swap the off-diagonal entries; pairs with the index relabeling rule."""
-        return ModularElement(self.a, self.c, self.b, self.d)
-
     def derivative(self, tau: complex) -> complex:
         """psi'(tau) = (c*tau + d)^(-2)."""
         tau = complex(tau)

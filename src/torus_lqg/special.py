@@ -135,10 +135,10 @@ def _theta_cut(tau, b):
 
 
 def _theta_count(tau, b):
-    """Per bound b on |Im z|, the term count of theta1 and theta1/z: its
-    tail is within the tolerance both absolutely, as _theta_cut's, and
-    relative to the first term.  For either series |term_n / term_0| =
-    |q|^(n^2+n) |sin((2n+1)u) / sin(u)|, u = pi*z, which is at most
+    """Per bound b on |Im z|, the term count of theta1, theta1/z and (b = 0)
+    theta2: its tail is within the tolerance both absolutely, as
+    _theta_cut's, and relative to the first term.  For all three |term_n /
+    term_0| <= |q|^(n^2+n) |sin((2n+1)u) / sin(u)|, u = pi*z, at most
     (2n+1) exp(-pi y (n^2+n) + 2 pi b n), y = Im tau; ln(2n+1) is at most
     its tangent at m, about the absolute count at b = 0, g + beta*n with
     beta = 2/(2m+1), g = ln(2m+1) - m*beta.  In x = n + 1/2 one quadratic
@@ -311,13 +311,14 @@ def theta1_z_derivative_at_zero(tau: complex) -> complex:
 def theta_aux(k: int, tau):
     """Auxiliary theta constants theta_k(0, tau) for k in {2, 3, 4}.
 
+    theta2 keeps theta1/z's count at z = 0 (relative to its first term).
     tau may be an array of moduli, each summing its own term count; a
     scalar tau is an array of one.
     """
     tau = _require_tau(tau)
     t = np.atleast_1d(tau)
     if k == 2:
-        n_cut = np.atleast_1d(_theta_cut(tau, 0.0))
+        n_cut = np.atleast_1d(_theta_count(tau, 0.0))
         ns, coeff = _theta_terms(t, n_cut.max())
         # same Gaussian exponents as theta1 with the alternating sign undone
         out = _partial_sums(coeff * (-1.0) ** ns, n_cut)

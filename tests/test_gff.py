@@ -184,16 +184,19 @@ def test_circle_average_bookkeeping():
         circle_average(fld, 0.0)
 
 
-@pytest.mark.parametrize("cutoff", (1, 8, 40))
+@pytest.mark.parametrize("cutoff", (1, 8, 40, 512))
 def test_mode_boxes_of_several_moduli_give_weights_and_variances(cutoff):
     # one J0 pass over K boxes: each box is its modulus's weights alone, and
-    # each variance is regularized_variance bit for bit (the brute sum's rows)
+    # each variance is regularized_variance bit for bit (below _VARIANCE_ROWS
+    # the brute sum's rows, from cutoff 512 on regularized_variance itself,
+    # at two moduli to bound the box memory)
+    count = 2 if cutoff >= 512 else 5
     rng = np.random.default_rng(cutoff)
-    taus = rng.uniform(-0.5, 0.5, 5) + 1j * rng.uniform(0.8, 12.0, 5)
-    eps = rng.uniform(1e-3, 0.2, 5)
+    taus = rng.uniform(-0.5, 0.5, count) + 1j * rng.uniform(0.8, 12.0, count)
+    eps = rng.uniform(1e-3, 0.2, count)
     w, var = scaled_mode_weights(taus, cutoff, eps)
-    assert w.shape == (5, 2 * cutoff + 1, 2 * cutoff + 1)
-    for k in range(5):
+    assert w.shape == (count, 2 * cutoff + 1, 2 * cutoff + 1)
+    for k in range(count):
         assert var[k] == regularized_variance(taus[k], cutoff, eps[k])
         assert w[k].tobytes() == scaled_mode_weights(taus[k], cutoff, eps[k])[0].tobytes()
 
@@ -504,16 +507,16 @@ def test_replica_pairs_are_negated_rows(
     gamma, offset = 1.3, -0.7
     ones = np.ones((grid, grid))
     points = [
-        (scaled_mode_weights(tau, cutoff, eps)[0], math.exp(offset), ones)
+        (gamma * scaled_mode_weights(tau, cutoff, eps)[0], math.exp(offset), ones)
         for tau, eps in ((TAU, 0.1), (1j, 0.0), (-0.4 + 0.9j, 0.05))[:boxes]
     ]
     size = 2 * max(1, batch // 2)
     seen, keys = 0, []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gff, "_BATCH_CELLS", batch * grid * grid)
-        for start, i, gxs, cells, masses in chaos_batches(points, gamma, grid, mc):
+        for start, i, gxs, cells, masses in chaos_batches(points, mc):
             keys.append((start, i))
-            w = gamma * points[i][0]
+            w = points[i][0]
             rows = len(masses)
             assert rows == min(2 * len(gxs), replicas - start)
             assert cells.shape == (2,) + gxs.shape

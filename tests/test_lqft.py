@@ -437,7 +437,7 @@ def test_resampled_measure_is_the_picked_law_sample():
     mids = (np.concatenate(([0.0], cdf[:-1])) + cdf) / (2.0 * cdf[-1])
     picks = [(0.0, 0), (1.0, len(candidates) - 1)] + [(float(u), k) for k, u in enumerate(mids)]
     for u, k in picks:
-        measure = lqft.resampled_measure(params, point, TWO_POINTS, mc, res, y, u, RESAMPLE)
+        measure = lqft.resampled_measure(params, point, TWO_POINTS, mc, y, u, RESAMPLE)
         assert measure.tobytes() == candidates[k].measure.tobytes()
 
 

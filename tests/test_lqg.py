@@ -246,8 +246,13 @@ def test_cache_tolerates_corruption(tmp_path):
     matter, params, ins = pure_setup()
     cache = MomentCache(tmp_path)
     a = negative_moment(params, TAU, ins, MC, RES, cache=cache)
-    # neither garbage, undecodable bytes nor JSON that is not an object is trusted
-    for junk in (b"not json at all", b"[]", b"\xff\xfe"):
+    # neither garbage, undecodable bytes, JSON that is not an object nor an
+    # object without a finite moment and standard error is trusted
+    junks = (
+        b"not json at all", b"[]", b"\xff\xfe", b"{}", b'{"moment": 1.0}',
+        b'{"moment": "x", "std_error": 0.1}', b'{"moment": null, "std_error": 0.1}',
+    )
+    for junk in junks:
         for f in tmp_path.iterdir():
             f.write_bytes(junk)
         b = negative_moment(params, TAU, ins, MC, RES, cache=cache)

@@ -44,6 +44,8 @@ DTHETA1_I = 2.848694603987787316079985
 # theta1'(0) where theta1's absolute tail bound alone keeps one term
 DTHETA1_A = 0.184723923470741114448165 + 0.07327166839154732413114958j  # 0.4808 + 4.3974i
 DTHETA1_B = 0.177850925317502983027842  # 4.5387i
+# theta2 where its absolute tail bound alone keeps one term
+THETA2_A = 0.0606577164724852901628098 - 0.0251252488254853007184419j  # -0.5 + 4.35i
 
 TIGHT = 1e-13
 GRID_TOL = 1e-10
@@ -103,15 +105,23 @@ def test_theta1_derivative_is_relatively_exact(tau, want):
         assert abs(value - want) <= 1e-13 * abs(want)
 
 
+def test_theta2_is_relatively_exact():
+    # one term would leave 1.3e-12 of the value; the count keeps two
+    assert abs(theta_aux(2, -0.5 + 4.35j) - THETA2_A) <= 1e-13 * abs(THETA2_A)
+
+
 def test_theta1_derivative_against_mpmath_over_the_cusp():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     for im in np.linspace(1.0, 12.0, 111):
         for re in (0.0, 0.31, -0.5):
             tau = complex(re, im)
-            want = complex(mp.pi * mp.jtheta(1, 0, mp.exp(1j * mp.pi * mp.mpc(tau)), 1))
+            q = mp.exp(1j * mp.pi * mp.mpc(tau))
+            want = complex(mp.pi * mp.jtheta(1, 0, q, 1))
             for value in (theta1_z_derivative_at_zero(tau), theta1_over_z(0.0, tau)):
                 assert abs(value - want) <= 1e-13 * abs(want)
+            want = complex(mp.jtheta(2, 0, q))
+            assert abs(theta_aux(2, tau) - want) <= 1e-13 * abs(want)
 
 
 @settings(max_examples=200, deadline=None)

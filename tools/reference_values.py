@@ -80,6 +80,8 @@ ROWS = [
     ("THETA2_I", theta_aux(2, 1j)),
     ("THETA3_I", theta_aux(3, 1j)),
     ("THETA4_I", theta_aux(4, 1j)),
+    # where theta2's absolute tail bound alone keeps one term
+    ("THETA2_A", theta_aux(2, mp.mpc("-0.5", "4.35"))),
     ("DTHETA1_I", dtheta1_at_zero(1j)),
     # where theta1's absolute tail bound alone keeps one term
     ("DTHETA1_A", dtheta1_at_zero(mp.mpc("0.4808", "4.3974"))),
