@@ -50,8 +50,10 @@ __all__ = ["MomentCache", "SAMPLER_VERSION", "default_cache_dir", "moment_key"]
 # point, which moves H, and every moment tilted by it, at the 1e-15 level;
 # version 10 gives regularized_variance a finer step on the coarse rows
 # whose J0 sits near a zero, which moves variances above cutoff 1024 in
-# their last bits.
-SAMPLER_VERSION = 10
+# their last bits; version 11 sums long runs of coarse rows of
+# regularized_variance along n by the same Euler-Maclaurin identity, which
+# moves variances above cutoff 1024 in their last bits again.
+SAMPLER_VERSION = 11
 
 # per-process counter in temp file names, so no two puts share one
 _TEMP_IDS = itertools.count()

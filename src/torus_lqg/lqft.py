@@ -379,8 +379,12 @@ def liouville_field_law_sampler(
     tau = complex(tau)
     gamma = params.gamma
     ins.require_seiberg(params.q)
-    (point,) = _tilted_points(params, [tau], ins, res)
-    h_grid = insertion_potential_grid(tau, ins, res.grid, res.eps_for(tau))
+    # H as a block of one, as _tilted_points forms it: the field keeps a
+    # copy, and chaos_points turns the block into the tilt in place
+    block = np.array([tau])
+    h_grids = insertion_potential_grid(block, ins, res.grid, res.eps_for(block))
+    h_grid = h_grids[0].copy()
+    (point,) = chaos_points(block, gamma, params.q, res, h_grids)
     p = ins.alpha_sum / gamma
     shift = -0.5 * params.q * math.log(tau.imag)
     if y_volume is None:

@@ -268,11 +268,59 @@ def test_regularized_variance_below_fast_cutoff_is_the_brute_sum():
         assert regularized_variance(*args) == gff._brute_variance(*args) == want
 
 
+def _count_rows(monkeypatch):
+    """Count the rows (integer or real n) that _coarse_row_sums evaluates."""
+    seen = [0]
+    inner = gff._coarse_row_sums
+
+    def counted(tau, cutoff, eps, ns, step):
+        seen[0] += len(ns)
+        return inner(tau, cutoff, eps, ns, step)
+
+    monkeypatch.setattr(gff, "_coarse_row_sums", counted)
+    return seen
+
+
 def test_regularized_variance_coarse_chunking_invariant(monkeypatch):
     a = regularized_variance(TAU, 1500, 0.002)
     monkeypatch.setattr(gff, "_VARIANCE_CELLS", 1000)
+    seen = _count_rows(monkeypatch)
     b = regularized_variance(TAU, 1500, 0.002)
     assert abs(a - b) < 1e-13 * abs(a)
+    # the rule along n is active: rows 306..1500 take 151 + 58 row sums
+    assert seen[0] < np.count_nonzero(gff._coarse_steps(TAU, 1500, 0.002)) // 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    re=st.floats(-2.0, 2.0),
+    im=st.floats(0.5, 8.0),
+    eps=st.floats(1e-3, 0.1),
+    cutoff=st.integers(1024, 4000),
+)
+# the first coarse rows lie within d = 6 of the singularities of R, and J0^2
+# turns along n at 2a|tau| = 1.2 a row: the step rule must keep these runs
+# row by row (at a fixed H = 8 the variance comes out 7 times too large)
+@example(re=0.45, im=7.558, eps=0.0962, cutoff=3147)
+def test_run_total_matches_its_rows(re, im, eps, cutoff):
+    tau = complex(re, im)
+    for run, step in gff._coarse_runs(tau, cutoff, eps):
+        fast = gff._run_total(tau, cutoff, eps, run, step)
+        want = float(np.sum(gff._coarse_row_sums(tau, cutoff, eps, run, step)))
+        assert abs(fast - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("tau, cutoff, eps", ((0.3 + 1.2j, 4000, 3e-3), (1j, 15000, 1e-3)))
+def test_run_rule_matches_row_by_row_variance(monkeypatch, tau, cutoff, eps):
+    # the variance-constant rungs of check all --quick and check all
+    seen = _count_rows(monkeypatch)
+    fast = regularized_variance(tau, cutoff, eps)
+    rows = seen[0]
+    monkeypatch.setattr(gff, "_RUN_MIN_ROWS", cutoff + 1)  # every run row by row
+    want = regularized_variance(tau, cutoff, eps)
+    assert seen[0] - rows == np.count_nonzero(gff._coarse_steps(tau, cutoff, eps))
+    assert rows < (seen[0] - rows) // 5
+    assert abs(fast - want) <= 1e-13 * want
 
 
 def test_free_field_partition():

@@ -405,6 +405,27 @@ def test_sampler_determinism_and_shapes():
         assert sa.field.shape == (res.grid, res.grid)
 
 
+def test_sampler_forms_h_once(monkeypatch):
+    # one insertion_potential_grid call per sampler call: the field keeps a
+    # copy of the H that chaos_points turns into the tilt
+    inner = lqft.insertion_potential_grid
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(lqft, "insertion_potential_grid", counted)
+    params = LQFTParams(gamma=1.0, mu=2.0)
+    res = FieldResolution(cutoff=6, grid_factor=4)
+    mc = MonteCarloConfig(replicas=4, seed=SEED)
+    a, b = list(liouville_field_law_sampler(params, TAU, TWO_POINTS, mc, res))[:2]
+    assert len(calls) == 1
+    # replicas 0 and 1 carry X and -X, so their fields sum to 2H + a constant
+    h = inner(TAU, TWO_POINTS, res.grid, res.eps_for(TAU))
+    assert np.ptp(a.field + b.field - 2.0 * h) < 1e-12
+
+
 def test_sampler_weights_are_mass_powers():
     # the law sampler and insertion_mass_samples share one cell-weight kernel,
     # and each weight is the term partition_function averages
