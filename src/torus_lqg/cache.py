@@ -52,8 +52,10 @@ __all__ = ["MomentCache", "SAMPLER_VERSION", "default_cache_dir", "moment_key"]
 # whose J0 sits near a zero, which moves variances above cutoff 1024 in
 # their last bits; version 11 sums long runs of coarse rows of
 # regularized_variance along n by the same Euler-Maclaurin identity, which
-# moves variances above cutoff 1024 in their last bits again.
-SAMPLER_VERSION = 11
+# moves variances above cutoff 1024 in their last bits again; version 12
+# sums the tails of the n = 0 row and of the rows left brute by the same
+# identity, which moves them in their last bits once more.
+SAMPLER_VERSION = 12
 
 # per-process counter in temp file names, so no two puts share one
 _TEMP_IDS = itertools.count()

@@ -32,9 +32,15 @@ row's envelope, and the omitted endpoint terms, of order (a h/pi)^18,
 below that; a row whose J0 stays near a zero is a small part of its
 envelope, so its budget 9 pi grows by _near_zero_budget;
 it is rounded down to a power of two, so rows fall into O(log N) blocks
-that are summed as arrays under a cap on rows x nodes.  Rows whose coarse
-grid would keep a quarter of the 2N + 1 points or more stay brute force,
-as does the n = 0 row; a coarse row has h >= 8, so b >= 36.
+that are summed as arrays under a cap on rows x nodes.  A coarse row has
+h >= 8, so b >= 36; a row whose coarse grid would keep a quarter of the
+2N + 1 points or more is a near row, as is the n = 0 row.  A near row is
+a core, the integers |m - n Re tau| < W = 64 term by term, and two tails
+out to -N and N by the same identity over [lo, hi] with the endpoint
+terms at both ends: a tail's inner end is W or more from the row's
+singularities, so W takes the place of b in the step rule,
+min(2 pi W/(9 pi + 2aW), 0.75/a) rounded down to a power of two.  Where
+that step is below 4 (a > 3/16) the core is the whole row.
 
 The same identity then runs along n.  The coarse rows of one step fall
 into contiguous runs n_a..n_b, and a run's row sums R(n), analytic in n
@@ -111,7 +117,6 @@ from scipy.special import j0, j1, ndtri, y0
 
 from .config import MonteCarloConfig
 from .errors import IndexOutOfCutoff, ValidationError
-from .green import spectral_coefficient
 from .modular import reduce_to_fundamental
 from .special import dedekind_eta
 
@@ -162,6 +167,11 @@ _RUN_MIN_STEP = 4.0
 _RUN_MIN_ROWS = 384
 _RUN_END_WIDTH = 96.0
 _RUN_END_DEGREE = 28
+# near rows (the n = 0 row and the rows _coarse_steps leaves brute): the core
+# |m - n Re tau| < W term by term, the tails by the coarse rule; a tail step
+# below the minimum keeps the whole row term by term
+_NEAR_WIDTH = 64
+_NEAR_MIN_STEP = 4.0
 
 
 MODES, RESAMPLE, VOLUME, MODULUS = range(4)  # purposes: second word of the Philox key
@@ -464,27 +474,21 @@ def circle_average(fld: SpectralField, eps: float) -> SpectralField:
     return replace(fld, coeffs=fld.coeffs * mult, eps=eps)
 
 
-def _brute_terms(tau: complex, cutoff: int, eps: float, stop: int):
-    """The n = 0 row, then the doubled sums of rows 1 .. stop - 1 (k <-> -k
-    symmetry), one per _VARIANCE_ROWS chunk so cutoffs of order 10^4 stay
-    inside memory."""
+def _brute_variance(tau: complex, cutoff: int, eps: float) -> float:
+    """The box sum term by term: the oracle, and regularized_variance's
+    value below _FAST_CUTOFF.  The n = 0 row, then the doubled sums of rows
+    1 .. N (k <-> -k symmetry), one per _VARIANCE_ROWS chunk so cutoffs of
+    order 10^4 stay inside memory."""
+    tau = complex(tau)
     y = tau.imag
     m = np.arange(-cutoff, cutoff + 1)
     k = np.abs(m[m != 0]).astype(float)
-    yield float(np.sum(y / (2.0 * np.pi * k**2) * j0(2.0 * np.pi * eps * k / y) ** 2))
-    for start in range(1, stop, _VARIANCE_ROWS):
-        ns = np.arange(start, min(start + _VARIANCE_ROWS, stop))
+    total = float(np.sum(y / (2.0 * np.pi * k**2) * j0(2.0 * np.pi * eps * k / y) ** 2))
+    for start in range(1, cutoff + 1, _VARIANCE_ROWS):
+        ns = np.arange(start, min(start + _VARIANCE_ROWS, cutoff + 1))
         kk = np.abs(ns[:, None] * tau - m[None, :])
         c = y / (2.0 * np.pi * kk**2)
-        yield 2.0 * float(np.sum(c * j0(2.0 * np.pi * eps * kk / y) ** 2))
-
-
-def _brute_variance(tau: complex, cutoff: int, eps: float) -> float:
-    """The box sum term by term: the oracle, and regularized_variance's
-    value below _FAST_CUTOFF."""
-    total = 0.0
-    for part in _brute_terms(complex(tau), cutoff, eps, cutoff + 1):
-        total += part
+        total += 2.0 * float(np.sum(c * j0(2.0 * np.pi * eps * kk / y) ** 2))
     return total
 
 
@@ -517,33 +521,86 @@ def _endpoint_series(u0, p, a):
     return q
 
 
-def _coarse_row_sums(tau: complex, cutoff: int, eps: float, ns: np.ndarray, step: float):
-    """Unit-step sums over |m| <= N of rows ns: the trapezoid sum at
-    h = 2N/ceil(2N/step) plus the Euler-Maclaurin endpoint terms, in chunks
-    of at most _VARIANCE_CELLS rows x nodes."""
+def _coarse_row_sums(
+    tau: complex, cutoff: int, eps: float, ns: np.ndarray, step: float, lo=None, hi=None
+):
+    """Unit-step sums over lo <= m <= hi of rows ns, integer bounds per row
+    (default -N and N): the trapezoid sum at h = (hi - lo)/P, P =
+    ceil(max(hi - lo)/step), plus the Euler-Maclaurin endpoint terms at both
+    ends, in chunks of at most _VARIANCE_CELLS rows x nodes."""
     y = tau.imag
     a = 2.0 * np.pi * eps / y
     N = cutoff
-    panels = math.ceil(2 * N / step)
-    h = 2 * N / panels
-    m = np.linspace(-N, N, panels + 1)
+    lo = np.broadcast_to(np.asarray(-N if lo is None else lo, dtype=float), ns.shape)
+    hi = np.broadcast_to(np.asarray(N if hi is None else hi, dtype=float), ns.shape)
+    panels = max(1, math.ceil(np.max(hi - lo) / step))
+    h = (hi - lo) / panels
+    nodes = np.arange(panels + 1)
     out = np.empty(len(ns))
     chunk = max(1, _VARIANCE_CELLS // (panels + 1))
-    for lo in range(0, len(ns), chunk):
-        n = ns[lo : lo + chunk].astype(float)
+    for start in range(0, len(ns), chunk):
+        rows = slice(start, start + chunk)
+        n, low, high, hn = ns[rows].astype(float), lo[rows], hi[rows], h[rows]
         shift, b2 = n * tau.real, (n * y) ** 2
-        u = (m[None, :] - shift[:, None]) ** 2 + b2[:, None]
+        m = nodes * hn[:, None] + low[:, None]
+        m[:, -1] = high
+        u = (m - shift[:, None]) ** 2 + b2[:, None]
         f = j0(a * np.sqrt(u)) ** 2 / u
         ends = 0.5 * (f[:, 0] + f[:, -1])
-        total = h * (np.sum(f, axis=1) - ends) + ends
-        hi = _endpoint_series((N - shift) ** 2 + b2, 2.0 * (N - shift), a)
-        low = _endpoint_series((N + shift) ** 2 + b2, -2.0 * (N + shift), a)
+        total = hn * (np.sum(f, axis=1) - ends) + ends
+        top = _endpoint_series((high - shift) ** 2 + b2, 2.0 * (high - shift), a)
+        bottom = _endpoint_series((low - shift) ** 2 + b2, 2.0 * (low - shift), a)
         for k, bern in enumerate(_EM_BERNOULLI, start=1):
             # B_2k/(2k)! f^(2k-1) = B_2k/(2k) times the series coefficient
             d = 2 * k - 1
-            total += bern / (2 * k) * (1.0 - h ** (2 * k)) * (hi[d] - low[d])
-        out[lo : lo + chunk] = total
+            total += bern / (2 * k) * (1.0 - hn ** (2 * k)) * (top[d] - bottom[d])
+        out[rows] = total
     return y / (2.0 * np.pi) * out
+
+
+def _near_step(tau: complex, eps: float) -> float:
+    """The tail step of the near rows: the _coarse_steps rule with the core
+    half-width W = _NEAR_WIDTH in place of b, min(2 pi W/(L + 2aW), c/a),
+    rounded down to a power of two."""
+    a = 2.0 * np.pi * eps / tau.imag
+    W = _NEAR_WIDTH
+    wave = _EM_OSCILLATION / a if a else math.inf
+    return 2.0 ** math.floor(math.log2(min(2.0 * np.pi * W / (_EM_ALIAS + 2.0 * a * W), wave)))
+
+
+def _near_row_sums(tau: complex, cutoff: int, eps: float, ns: np.ndarray) -> np.ndarray:
+    """Unit-step sums over |m| <= N of rows ns >= 0 (the n = 0 row without
+    m = 0): the core |m - n Re tau| < W term by term, and the tails beyond
+    it out to -N and N by _coarse_row_sums at _near_step, whose inner ends
+    lie at distance W or more from the row's singularities.  Where that
+    step is below _NEAR_MIN_STEP the core is the whole row."""
+    N = cutoff
+    y = tau.imag
+    a = 2.0 * np.pi * eps / y
+    step = _near_step(tau, eps)
+    width = _NEAR_WIDTH if step >= _NEAR_MIN_STEP else math.inf
+    s = ns * tau.real
+    first = np.maximum(-N, np.floor(s - width) + 1.0)
+    last = np.minimum(N, np.ceil(s + width) - 1.0)
+    offsets = np.arange(int(np.max(last - first, initial=-1.0)) + 1)
+    core = np.empty(len(ns))
+    chunk = max(1, _VARIANCE_CELLS // max(1, offsets.size))
+    for start in range(0, len(ns), chunk):
+        rows = slice(start, start + chunk)
+        m = first[rows, None] + offsets
+        u = (m - s[rows, None]) ** 2 + (ns[rows, None] * y) ** 2
+        live = (m <= last[rows, None]) & (u > 0)
+        u[~live] = 1.0
+        core[rows] = np.sum(j0(a * np.sqrt(u)) ** 2 / u, axis=1, where=live)
+    out = y / (2.0 * np.pi) * core
+    left, right = np.flatnonzero(first > -N), np.flatnonzero(last < N)
+    if left.size + right.size:
+        tails = np.concatenate((left, right))
+        lo = np.concatenate((np.full(left.size, -N), np.maximum(-N, last[right] + 1.0)))
+        hi = np.concatenate((np.minimum(N, first[left] - 1.0), np.full(right.size, N)))
+        sums = _coarse_row_sums(tau, cutoff, eps, ns[tails], step, lo, hi)
+        out += np.bincount(tails, sums, minlength=len(ns))
+    return out
 
 
 def _near_zero_budget(tau: complex, cutoff: int, a: float, b: np.ndarray) -> np.ndarray:
@@ -661,8 +718,9 @@ def regularized_variance(tau: complex, cutoff: int, eps: float) -> float:
 
     Below _FAST_CUTOFF it is the brute sum.  Above, the rows that
     _coarse_steps gives a step (a tail n >= n0, since the step grows with n)
-    are summed by _coarse_row_sums; the n = 0 row and rows 1 .. n0 - 1 stay
-    brute force.  The coarse rows of one step fall into contiguous runs
+    are summed by _coarse_row_sums; the n = 0 row and rows 1 .. n0 - 1 are
+    the near rows of _near_row_sums, a core term by term and two tails by
+    the same identity.  The coarse rows of one step fall into contiguous runs
     (_coarse_runs), and _run_total sums a run's row sums R(n) along n by the
     same identity at a row step H: below the aliasing bound at distance d
     from the singularities of R, below 0.5/(a|tau|) for the turns of J0^2
@@ -674,30 +732,56 @@ def regularized_variance(tau: complex, cutoff: int, eps: float) -> float:
     if cutoff < _FAST_CUTOFF:
         return _brute_variance(tau, cutoff, eps)
     runs = list(_coarse_runs(tau, cutoff, eps))
-    total = 0.0
-    for part in _brute_terms(tau, cutoff, eps, cutoff + 1 - sum(run.size for run, _ in runs)):
-        total += part
+    stop = cutoff + 1 - sum(run.size for run, _ in runs)
+    near = _near_row_sums(tau, cutoff, eps, np.arange(stop))
+    total = float(near[0]) + 2.0 * float(np.sum(near[1:]))
     for run, step in runs:
         total += 2.0 * _run_total(tau, cutoff, eps, run, step)
     return total
 
 
 def truncated_covariance(tau: complex, cutoff: int, x, eps: float = 0.0) -> float:
-    """E[X_eps(x) X_eps(0)] for the truncated field: box sum of c * J0^2 * cos.
+    """E[X_eps(x) X_eps(0)] for the truncated field: the box sum of
+    c * J0^2 * cos 2 pi (n x1 + m x2), at eps = 0 the spectral series of the
+    Green function (green's eigen route).
 
     The summand is even under (n, m) -> (-n, -m), so the sum is twice that
-    over the rows n > 0 and the half-row n = 0, m > 0.
+    over the rows n > 0 and the half-row n = 0, m > 0, and it separates:
+    with a_n = e^(2 pi i n x1) and b_m = e^(2 pi i m x2) it is
+    2 Re sum_{n>0} a_n (C_n . b) + 2 sum_{m>0} C_{0,m} cos 2 pi m x2, one
+    real matrix product with [Re b, Im b] per chunk of _VARIANCE_ROWS rows.
+    k^2 = (n Re tau - m)^2 + (n Im tau)^2 is formed in real arithmetic and
+    J0^2 applied only when eps > 0.
     """
-    n, m = _mode_grid(cutoff)
-    half = (n > 0) | ((n == 0) & (m > 0))
-    n = n[half]
-    m = m[half]
-    c = spectral_coefficient(tau, n, m)
-    if eps:
-        k = np.abs(n * complex(tau) - m)
-        c = c * j0(2.0 * np.pi * eps * k / complex(tau).imag) ** 2
+    tau = complex(tau)
+    y = tau.imag
+    N = cutoff
     x1, x2 = x
-    return 2.0 * float(np.sum(c * np.cos(2.0 * np.pi * (n * x1 + m * x2))))
+    m = np.arange(-N, N + 1)
+    wave = np.exp(2j * np.pi * x2 * m)
+    basis = np.stack((wave.real, wave.imag), axis=1)
+
+    def coefficients(k2):
+        """Im tau/(2 pi k^2), times J0(a k)^2 when eps > 0; k2 is overwritten."""
+        c = np.divide(y / (2.0 * np.pi), k2)
+        if eps:
+            mult = np.sqrt(k2, out=k2)
+            mult *= 2.0 * np.pi * eps / y
+            mult = j0(mult, out=mult)
+            mult *= mult
+            c *= mult
+        return c
+
+    total = coefficients(m[N + 1 :] ** 2.0) @ basis[N + 1 :, 0]
+    for start in range(1, N + 1, _VARIANCE_ROWS):
+        n = np.arange(start, min(start + _VARIANCE_ROWS, N + 1))[:, None]
+        k2 = n * tau.real - m
+        k2 *= k2
+        k2 += (n * y) ** 2
+        re, im = (coefficients(k2) @ basis).T
+        phase = 2.0 * np.pi * x1 * n[:, 0]
+        total += np.cos(phase) @ re - np.sin(phase) @ im
+    return 2.0 * float(total)
 
 
 def free_field_partition(tau):

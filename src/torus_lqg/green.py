@@ -21,7 +21,9 @@ G integrates to zero against d(lambda_tau) = Im(tau) dx and has the
 short-distance behaviour G(x) = -ln|p_tau(x)| + Theta(tau) + o(1) with
 Theta(tau) = -ln(2*pi) - 2*ln|eta(tau)|.  The eigen route converges only
 like 1/cutoff and reports an error estimate; it exists as an oracle, not
-as a production path.
+as a production path.  It is gff.truncated_covariance at eps = 0, the one
+place the spectral series is written, imported when the route runs, so
+importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -246,13 +248,9 @@ def _green_eigen(tau: complex, x1: float, x2: float, cutoff: int, tolerance: flo
             f"eigen-route error estimate {estimate:.2e} exceeds tolerance {tolerance:.2e};"
             f" raise eigen_cutoff above {cutoff}"
         )
-    idx = np.arange(-cutoff, cutoff + 1)
-    n, m = np.meshgrid(idx, idx, indexing="ij")
-    mask = (n != 0) | (m != 0)
-    n = n[mask]
-    m = m[mask]
-    c = spectral_coefficient(tau, n, m)
-    return float(np.sum(c * np.cos(2.0 * np.pi * (n * x1 + m * x2))))
+    from .gff import truncated_covariance  # the one spectral series; gff loads scipy
+
+    return truncated_covariance(tau, cutoff, (x1, x2))
 
 
 def _green_appendix(tau: complex, x1: float, x2: float, tolerance: float):

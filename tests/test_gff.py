@@ -1,6 +1,9 @@
 """Spectral GFF sampling, circle averages, and the conformal-factor field."""
 
+import contextlib
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -217,6 +220,7 @@ def test_regularized_variance_chunking_invariant(monkeypatch):
 
 def _brute_row(tau, cutoff, eps, n):
     m = np.arange(-cutoff, cutoff + 1)
+    m = m[(m != 0) | (n != 0)]
     mult = j0(2.0 * np.pi * eps * np.abs(n * tau - m) / tau.imag)
     return float(np.sum(spectral_coefficient(tau, n, m) * mult**2))
 
@@ -244,6 +248,89 @@ def test_coarse_row_sum_matches_brute_row(re, im, eps, cutoff, pick):
         assert abs(fast - want) <= 1e-11 * want
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    re=st.floats(-2.0, 2.0),
+    im=st.floats(0.5, 8.0),
+    eps=st.floats(1e-3, 0.1),
+    cutoff=st.integers(1024, 4000),
+    pick=st.floats(0.0, 1.0),
+)
+# a = 2 pi eps/Im tau = 1.26: the tail step would be 1/2, below the minimum,
+# so the guard must keep these rows brute, with no tail sums at all
+@example(re=0.3, im=0.5, eps=0.1, cutoff=2000, pick=0.5)
+def test_near_row_sums_match_brute_rows(re, im, eps, cutoff, pick):
+    tau = complex(re, im)
+    stop = cutoff + 1 - np.count_nonzero(gff._coarse_steps(tau, cutoff, eps))
+    ns = np.unique([0, 1, stop - 1, round(pick * (stop - 1))])
+    guard = gff._near_step(tau, eps) < gff._NEAR_MIN_STEP
+    no_tails = mock.patch.object(gff, "_coarse_row_sums", side_effect=AssertionError("a tail sum"))
+    with no_tails if guard else contextlib.nullcontext():
+        fast = gff._near_row_sums(tau, cutoff, eps, ns)
+    for n, got in zip(ns, fast):
+        want = _brute_row(tau, cutoff, eps, int(n))
+        assert abs(got - want) <= 1e-12 * want
+
+
+def test_near_rows_evaluate_a_fifth_of_their_points(monkeypatch):
+    # the variance-constant rung of check all --quick: 32 near rows, whose
+    # brute sum evaluates J0 at 8000 + 31 * 8001 = 256,031 points
+    tau, cutoff, eps = 0.3 + 1.2j, 4000, 3e-3
+    stop = cutoff + 1 - np.count_nonzero(gff._coarse_steps(tau, cutoff, eps))
+    assert stop == 32 and gff._near_step(tau, eps) >= gff._NEAR_MIN_STEP
+    seen = [0]
+    inner = gff.j0
+
+    def counted(x, *args, **kwargs):
+        seen[0] += np.size(x)
+        return inner(x, *args, **kwargs)
+
+    monkeypatch.setattr(gff, "j0", counted)
+    gff._near_row_sums(tau, cutoff, eps, np.arange(stop))
+    assert seen[0] < 256_031 // 5
+
+
+def _per_mode_covariance(tau, cutoff, x, eps):
+    """The spectral series mode by mode, with a cosine per mode: the oracle of
+    the separable truncated_covariance.  Returns the sum and the sum of |c|."""
+    idx = np.arange(-cutoff, cutoff + 1)
+    n, m = np.meshgrid(idx, idx, indexing="ij")
+    half = (n > 0) | ((n == 0) & (m > 0))
+    n, m = n[half], m[half]
+    c = spectral_coefficient(tau, n, m)
+    if eps:
+        c = c * j0(2.0 * np.pi * eps * np.abs(n * tau - m) / tau.imag) ** 2
+    cos = np.cos(2.0 * np.pi * (n * x[0] + m * x[1]))
+    return 2.0 * float(np.sum(c * cos)), 2.0 * float(np.sum(c))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    re=st.floats(-2.0, 2.0),
+    im=st.floats(0.3, 6.0),
+    x1=st.floats(-3.0, 3.0),
+    x2=st.floats(-3.0, 3.0),
+    eps=st.one_of(st.just(0.0), st.floats(1e-3, 0.2)),
+    cutoff=st.integers(1, 80),
+)
+def test_separable_covariance_matches_per_mode_sum(re, im, x1, x2, eps, cutoff):
+    tau = complex(re, im)
+    want, scale = _per_mode_covariance(tau, cutoff, (x1, x2), eps)
+    assert abs(truncated_covariance(tau, cutoff, (x1, x2), eps) - want) <= 1e-13 * scale
+
+
+def test_truncated_covariance_memory_is_bounded_by_its_row_chunks():
+    # the stationarity base of test_04; the whole box took 225 MB traced
+    tracemalloc.start()
+    try:
+        value = truncated_covariance(1j, 1500, (0.0, 0.0), 1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    assert abs(value - regularized_variance(1j, 1500, 1e-2)) <= 1e-12 * value
+
+
 @pytest.mark.parametrize("eps", (1e-3, 1e-2))
 @pytest.mark.parametrize(
     "tau",
@@ -269,13 +356,14 @@ def test_regularized_variance_below_fast_cutoff_is_the_brute_sum():
 
 
 def _count_rows(monkeypatch):
-    """Count the rows (integer or real n) that _coarse_row_sums evaluates."""
+    """Count the whole rows |m| <= N (integer or real n) that _coarse_row_sums
+    evaluates; the tails of the near rows are not counted."""
     seen = [0]
     inner = gff._coarse_row_sums
 
-    def counted(tau, cutoff, eps, ns, step):
-        seen[0] += len(ns)
-        return inner(tau, cutoff, eps, ns, step)
+    def counted(tau, cutoff, eps, ns, step, lo=None, hi=None):
+        seen[0] += len(ns) if lo is None else 0
+        return inner(tau, cutoff, eps, ns, step, lo, hi)
 
     monkeypatch.setattr(gff, "_coarse_row_sums", counted)
     return seen

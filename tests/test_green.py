@@ -3,6 +3,10 @@ against fixed high-precision reference values (mpmath, 30 digits)."""
 
 import importlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +170,22 @@ def test_appendix_route_agrees():
         for x1, x2 in POINTS:
             a = green(tau, (x1, x2), APPENDIX_FINE)
             assert abs(a - green(tau, (x1, x2))) < 1e-9
+
+
+def test_eigen_route_is_the_truncated_covariance():
+    from torus_lqg.gff import truncated_covariance
+
+    cfg = GreenEvalConfig(mode="eigen", eigen_cutoff=150, tolerance=2e-2)
+    for tau in (1j, TAU):
+        for x in POINTS:
+            assert green(tau, x, cfg) == truncated_covariance(tau, 150, x)
+
+
+def test_green_module_loads_no_scipy():
+    code = "import sys, torus_lqg.green; assert 'scipy' not in sys.modules"
+    src = str(Path(green_module.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_eigen_route_reports_nonconvergence():
