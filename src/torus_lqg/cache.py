@@ -26,36 +26,12 @@ from pathlib import Path
 __all__ = ["MomentCache", "SAMPLER_VERSION", "default_cache_dir", "moment_key"]
 
 # Version of the replica sampler that produced a moment.  It enters every
-# key, so a change to the draws or the field synthesis never reads the
-# moments an earlier sampler wrote.  Version 1 (unkeyed) synthesized each
-# replica with a complex ifft2; version 2 is the batched irfft2 engine;
-# version 3 truncates the theta series per point, which moves the Green
-# function, so the insertion potential H and every moment tilted by it, at
-# the 1e-13 level; version 4 draws replica r as row r of the mode purpose
-# (inverse-CDF normals on the half lattice), which moves every replica;
-# version 5 pairs the replicas antithetically, replica r being (-1)^r times
-# row r // 2, and takes standard errors from pair means, which moves every
-# moment and every standard error; version 6 evaluates H on the grid as
-# one separable theta1 product per insertion and sums theta1 in log space,
-# which moves H, and every moment tilted by it, at the 1e-14 level; version
-# 7 synthesizes the grid by an inverse FFT along n and one real matrix
-# product along m in place of the irfft along m, which moves every grid,
-# and every moment, at the 1e-15 level; version 8 folds gamma into the
-# mode weights and the variance offset into the cell factor, and sums
-# each replica's tilted cells by one matrix-vector product, which moves
-# every mass, and every moment, at the 1e-16 level; version 9 builds the
-# setup of a block of moduli in array passes and evaluates H at each
-# point's centered representative, with theta1 and theta1/z truncated
-# relative to their first term too and Theta(tau) at an exact lattice
-# point, which moves H, and every moment tilted by it, at the 1e-15 level;
-# version 10 gives regularized_variance a finer step on the coarse rows
-# whose J0 sits near a zero, which moves variances above cutoff 1024 in
-# their last bits; version 11 sums long runs of coarse rows of
-# regularized_variance along n by the same Euler-Maclaurin identity, which
-# moves variances above cutoff 1024 in their last bits again; version 12
-# sums the tails of the n = 0 row and of the rows left brute by the same
-# identity, which moves them in their last bits once more.
-SAMPLER_VERSION = 12
+# key, so a change to the draws, the field synthesis, the potential H or the
+# chaos normalization, which moves moments in any bit, never reads the
+# moments an earlier sampler wrote.  Version 13 takes every chaos variance
+# from the J0 pass of its own mode weights, which moves moments at cutoff
+# 512 and above in their last bits; CHANGES.md records earlier versions.
+SAMPLER_VERSION = 13
 
 # per-process counter in temp file names, so no two puts share one
 _TEMP_IDS = itertools.count()

@@ -43,7 +43,6 @@ from .gff import (
     MODES,
     SpectralField,
     evaluate_on_grid,
-    regularized_variance,
     replica_grids,
     scaled_mode_weights,
 )
@@ -105,10 +104,10 @@ def cell_constants(tau, gamma: float, q: float, eps, grid: int, variance, critic
     factor = prefactor * Im(tau) / G^2 * e^{offset}, with the critical
     prefactor when critical is set and offset = -(gamma^2/2) sigma_eps^2,
     so the normalization is one scalar and the cells one exp each.
-    variance is sigma_eps^2 (regularized_variance, or the J0 pass of
-    scaled_mode_weights).  tau may be an array of moduli, eps and variance
-    scalars or one per modulus; then the factors are an array, formed in
-    array passes.  Callers validate gamma.
+    variance is sigma_eps^2, from the J0 pass of scaled_mode_weights that
+    made the modulus's mode weights.  tau may be an array of moduli, eps
+    and variance scalars or one per modulus; then the factors are an array,
+    formed in array passes.  Callers validate gamma.
     """
     t = np.atleast_1d(np.asarray(tau, dtype=complex))
     eps = np.broadcast_to(np.asarray(eps, dtype=float), t.shape)
@@ -209,11 +208,12 @@ def _subcritical(gamma: float) -> float:
 
 
 def _measure(fld: SpectralField, gamma: float, q: float, grid: int | None, critical: bool):
-    """The chaos measure of a circle-averaged field on its evaluation grid."""
+    """The chaos measure of a circle-averaged field on its evaluation grid,
+    its variance from scaled_mode_weights as in chaos_points."""
     if not fld.eps > 0:
         raise ValidationError("chaos needs a circle-averaged field; call circle_average first")
     x = evaluate_on_grid(fld, grid)
-    variance = regularized_variance(fld.tau, fld.cutoff, fld.eps)
+    variance = scaled_mode_weights(fld.tau, fld.cutoff, fld.eps)[1]
     factor = cell_constants(fld.tau, gamma, q, fld.eps, x.shape[0], variance, critical)
     return ChaosMeasure(
         tau=fld.tau,

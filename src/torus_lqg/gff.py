@@ -12,12 +12,16 @@ spectral weights and alpha complex standard normal on a half lattice.
 Circle averages act diagonally: averaging over the metric circle of
 radius eps multiplies mode (n, m) by J0(2*pi*eps*|n*tau - m|/Im(tau)).
 The exact variance of the averaged, truncated field is then a plain
-coefficient sum, which the chaos normalization downstream relies on.
+coefficient sum, which the chaos normalization downstream relies on.  A
+chaos weight takes it from the rows of the J0 pass that made its own mode
+weights (scaled_mode_weights), so the weights and the variance that
+normalizes them come from one box.
 
-regularized_variance evaluates that sum row by row.  Below cutoff 1024
-it is the brute sum, term by term, so every Monte Carlo run keeps its
-bits.  Above, row n of the box is f(m) = (Im tau/2pi) J0(a sqrt(u))^2/u
-with u = (m - n Re tau)^2 + b^2, b = n Im tau and a = 2 pi eps/Im tau:
+regularized_variance evaluates that sum without the box, row by row, by
+one rule at every cutoff; truncated_covariance at x = 0, the box summed
+term by term, is its oracle.  Row n of the box is f(m) = (Im tau/2pi)
+J0(a sqrt(u))^2/u with u = (m - n Re tau)^2 + b^2, b = n Im tau and
+a = 2 pi eps/Im tau:
 analytic in the strip |Im m| < b, where it grows like e^(2a|Im m|).  Its
 unit-step sum over |m| <= N is then a trapezoid sum T_h at a coarse step
 h plus Euler-Maclaurin endpoint terms,
@@ -30,17 +34,18 @@ The step h* = min(2 pi b/(9 pi + 2ab), 0.75/a) keeps the trapezoid's
 aliasing error, about e^(-b(2pi/h - 2a)), near e^(-9pi) ~ 5e-13 of the
 row's envelope, and the omitted endpoint terms, of order (a h/pi)^18,
 below that; a row whose J0 stays near a zero is a small part of its
-envelope, so its budget 9 pi grows by _near_zero_budget;
-it is rounded down to a power of two, so rows fall into O(log N) blocks
-that are summed as arrays under a cap on rows x nodes.  A coarse row has
-h >= 8, so b >= 36; a row whose coarse grid would keep a quarter of the
-2N + 1 points or more is a near row, as is the n = 0 row.  A near row is
-a core, the integers |m - n Re tau| < W = 64 term by term, and two tails
-out to -N and N by the same identity over [lo, hi] with the endpoint
-terms at both ends: a tail's inner end is W or more from the row's
-singularities, so W takes the place of b in the step rule,
-min(2 pi W/(9 pi + 2aW), 0.75/a) rounded down to a power of two.  Where
-that step is below 4 (a > 3/16) the core is the whole row.
+envelope, so its budget 9 pi grows by _near_zero_budget; it is rounded
+down to a power of two (_em_step, the step rule of every sum below), so
+rows fall into O(log N) blocks that are summed as arrays under a cap on
+rows x nodes.  A coarse row has h >= 8, so b >= 36; a row whose coarse
+grid would keep a quarter of the 2N + 1 points or more is a near row, as
+is the n = 0 row.  A near row is a core, the integers
+|m - n Re tau| < W = 64 term by term, and two tails out to -N and N by
+the same identity over [lo, hi] with the endpoint terms at both ends: a
+tail's inner end is W or more from the row's singularities, so W takes
+the place of b in the step rule, min(2 pi W/(9 pi + 2aW), 0.75/a)
+rounded down to a power of two.  Where that step is below 4 (a > 3/16)
+the core is the whole row.
 
 The same identity then runs along n.  The coarse rows of one step fall
 into contiguous runs n_a..n_b, and a run's row sums R(n), analytic in n
@@ -145,12 +150,8 @@ __all__ = [
 
 # grid cells per replica batch: bounds the engine's working set
 _BATCH_CELLS = 1 << 16
-# box rows per brute regularized_variance chunk: bounds its working set
-_VARIANCE_ROWS = 512
-# rows x nodes per coarse regularized_variance chunk
+# rows x nodes per chunk of a variance or covariance sum: bounds its working set
 _VARIANCE_CELLS = 1 << 18
-# regularized_variance is the brute sum below this cutoff
-_FAST_CUTOFF = 1024
 # coarse-row step rule: trapezoid aliasing below e^-L, and h <= c / a
 _EM_ALIAS = 9.0 * math.pi
 _EM_OSCILLATION = 0.75
@@ -279,27 +280,21 @@ def scaled_mode_weights(tau, cutoff: int, eps=0.0):
     """(weights, variance): the sqrt(c_k) mode weights times the
     circle-average multiplier J0 (exactly 1 at eps = 0) of one modulus, or
     (K, 2N+1, 2N+1) for an array of K moduli with eps a scalar or one per
-    modulus, and regularized_variance at each modulus: one |n*tau - m| box
-    and one J0 pass for all of them.
+    modulus, and the variance sum of c_k J0^2 at each modulus: one
+    |n*tau - m| box and one J0 pass for all of them.
 
-    Below _VARIANCE_ROWS box rows the variance is the brute sum's own rows
-    of that box, the n = 0 row and then twice the rows n = 1..N, bit for
-    bit; above, regularized_variance itself.
+    The variance is the rows of that box, the n = 0 row and then twice the
+    rows n = 1..N; regularized_variance is the same sum without the box.
     """
     k = _mode_moduli(tau, cutoff)
     c = _spectral_box(tau, cutoff, k)
     mult = bessel_multiplier(tau, cutoff, eps, k)
     w = np.sqrt(c) * mult
     N = cutoff
-    if N >= _VARIANCE_ROWS:
-        taus, eps = np.broadcast_arrays(tau, eps)
-        var = np.array([regularized_variance(t, N, e) for t, e in zip(taus.flat, eps.flat)])
-        var = var.reshape(taus.shape)
-    else:
-        cj = c * mult**2
-        row0 = np.concatenate((cj[..., N, :N], cj[..., N, N + 1 :]), axis=-1).sum(axis=-1)
-        rows = cj[..., N + 1 :, :].reshape(cj.shape[:-2] + (-1,)).sum(axis=-1)
-        var = row0 + 2.0 * rows
+    cj = c * mult**2
+    row0 = np.concatenate((cj[..., N, :N], cj[..., N, N + 1 :]), axis=-1).sum(axis=-1)
+    rows = cj[..., N + 1 :, :].reshape(cj.shape[:-2] + (-1,)).sum(axis=-1)
+    var = row0 + 2.0 * rows
     return w, (float(var) if np.ndim(var) == 0 else var)
 
 
@@ -474,22 +469,13 @@ def circle_average(fld: SpectralField, eps: float) -> SpectralField:
     return replace(fld, coeffs=fld.coeffs * mult, eps=eps)
 
 
-def _brute_variance(tau: complex, cutoff: int, eps: float) -> float:
-    """The box sum term by term: the oracle, and regularized_variance's
-    value below _FAST_CUTOFF.  The n = 0 row, then the doubled sums of rows
-    1 .. N (k <-> -k symmetry), one per _VARIANCE_ROWS chunk so cutoffs of
-    order 10^4 stay inside memory."""
-    tau = complex(tau)
-    y = tau.imag
-    m = np.arange(-cutoff, cutoff + 1)
-    k = np.abs(m[m != 0]).astype(float)
-    total = float(np.sum(y / (2.0 * np.pi * k**2) * j0(2.0 * np.pi * eps * k / y) ** 2))
-    for start in range(1, cutoff + 1, _VARIANCE_ROWS):
-        ns = np.arange(start, min(start + _VARIANCE_ROWS, cutoff + 1))
-        kk = np.abs(ns[:, None] * tau - m[None, :])
-        c = y / (2.0 * np.pi * kk**2)
-        total += 2.0 * float(np.sum(c * j0(2.0 * np.pi * eps * kk / y) ** 2))
-    return total
+def _em_step(d, alias, r: float, c: float):
+    """The step rule of every Euler-Maclaurin sum here, at distance d from
+    the singularities, aliasing budget alias (each a scalar or an array)
+    and J0 rate r: min(2 pi d/(alias + 2 r d), c/r), rounded down to a power
+    of two."""
+    wave = c / r if r else math.inf
+    return 2.0 ** np.floor(np.log2(np.minimum(2.0 * np.pi * d / (alias + 2.0 * r * d), wave)))
 
 
 def _endpoint_series(u0, p, a):
@@ -560,12 +546,8 @@ def _coarse_row_sums(
 
 def _near_step(tau: complex, eps: float) -> float:
     """The tail step of the near rows: the _coarse_steps rule with the core
-    half-width W = _NEAR_WIDTH in place of b, min(2 pi W/(L + 2aW), c/a),
-    rounded down to a power of two."""
-    a = 2.0 * np.pi * eps / tau.imag
-    W = _NEAR_WIDTH
-    wave = _EM_OSCILLATION / a if a else math.inf
-    return 2.0 ** math.floor(math.log2(min(2.0 * np.pi * W / (_EM_ALIAS + 2.0 * a * W), wave)))
+    half-width W = _NEAR_WIDTH in place of b."""
+    return _em_step(_NEAR_WIDTH, _EM_ALIAS, 2.0 * np.pi * eps / tau.imag, _EM_OSCILLATION)
 
 
 def _near_row_sums(tau: complex, cutoff: int, eps: float, ns: np.ndarray) -> np.ndarray:
@@ -632,15 +614,13 @@ def _near_zero_budget(tau: complex, cutoff: int, a: float, b: np.ndarray) -> np.
 
 def _coarse_steps(tau: complex, cutoff: int, eps: float) -> np.ndarray:
     """Trapezoid step of each row n = 1..N, or 0 where the row stays brute:
-    h* = min(2 pi b/(L + l_n + 2ab), c/a), L = _EM_ALIAS, l_n the row's
-    _near_zero_budget, c = _EM_OSCILLATION, rounded down to a power of two
-    (see the module docstring)."""
+    _em_step at b = n Im tau, budget _EM_ALIAS plus the row's
+    _near_zero_budget, rate a and c = _EM_OSCILLATION (see the module
+    docstring)."""
     y = tau.imag
     a = 2.0 * np.pi * eps / y
     b = np.arange(1, cutoff + 1) * y
-    alias = _EM_ALIAS + _near_zero_budget(tau, cutoff, a, b)
-    wave = _EM_OSCILLATION / a if a else math.inf
-    step = 2.0 ** np.floor(np.log2(np.minimum(2.0 * np.pi * b / (alias + 2.0 * a * b), wave)))
+    step = _em_step(b, _EM_ALIAS + _near_zero_budget(tau, cutoff, a, b), a, _EM_OSCILLATION)
     panels = np.ceil(2 * cutoff / step)
     return np.where(4 * (panels + 1) < 2 * cutoff + 1, step, 0.0)
 
@@ -681,19 +661,16 @@ def _run_total(tau: complex, cutoff: int, eps: float, run: np.ndarray, step: flo
     over the rows n_a..n_b of run, by the rule along n of
     regularized_variance where it holds, else row by row.
 
-    The row step is H = min(2 pi d/(L + 2a|tau|d), c/(a|tau|)), L =
-    _RUN_ALIAS, c = _RUN_OSCILLATION, rounded down to a power of two and
-    at most _RUN_STEP, with d = n_a Im tau/|tau|.  R is taken at the real
-    nodes n_a + j H', H' = (n_b - n_a)/ceil((n_b - n_a)/H), and its odd
-    derivatives at each end from _end_interpolant over the min(_RUN_END_WIDTH,
-    2d) rows at that end.
+    The row step H is _em_step at d = n_a Im tau/|tau|, budget _RUN_ALIAS,
+    rate a|tau| and c = _RUN_OSCILLATION, and at most _RUN_STEP.  R is
+    taken at the real nodes n_a + j H', H' = (n_b - n_a)/ceil((n_b - n_a)/H),
+    and its odd derivatives at each end from _end_interpolant over the
+    min(_RUN_END_WIDTH, 2d) rows at that end.
     """
     first, last = int(run[0]), int(run[-1])
     ak = 2.0 * np.pi * eps * abs(tau) / tau.imag
     d = first * tau.imag / abs(tau)
-    wave = _RUN_OSCILLATION / ak if ak else math.inf
-    H = min(2.0 * np.pi * d / (_RUN_ALIAS + 2.0 * ak * d), wave)
-    H = min(_RUN_STEP, 2.0 ** math.floor(math.log2(H)))
+    H = min(_RUN_STEP, _em_step(d, _RUN_ALIAS, ak, _RUN_OSCILLATION))
     if H < _RUN_MIN_STEP or run.size < _RUN_MIN_ROWS:
         return float(np.sum(_coarse_row_sums(tau, cutoff, eps, run, step)))
     panels = math.ceil((last - first) / H)
@@ -716,11 +693,11 @@ def regularized_variance(tau: complex, cutoff: int, eps: float) -> float:
     """Exact variance of the truncated circle-averaged field at any point:
     sum over the box of c_{n,m} * J0(2*pi*eps*|n*tau-m|/Im tau)^2.
 
-    Below _FAST_CUTOFF it is the brute sum.  Above, the rows that
-    _coarse_steps gives a step (a tail n >= n0, since the step grows with n)
-    are summed by _coarse_row_sums; the n = 0 row and rows 1 .. n0 - 1 are
-    the near rows of _near_row_sums, a core term by term and two tails by
-    the same identity.  The coarse rows of one step fall into contiguous runs
+    One rule at every cutoff.  The rows that _coarse_steps gives a step (a
+    tail n >= n0, since the step grows with n) are summed by
+    _coarse_row_sums; the n = 0 row and rows 1 .. n0 - 1 are the near rows
+    of _near_row_sums, a core term by term and two tails by the same
+    identity.  The coarse rows of one step fall into contiguous runs
     (_coarse_runs), and _run_total sums a run's row sums R(n) along n by the
     same identity at a row step H: below the aliasing bound at distance d
     from the singularities of R, below 0.5/(a|tau|) for the turns of J0^2
@@ -729,8 +706,6 @@ def regularized_variance(tau: complex, cutoff: int, eps: float) -> float:
     row by row.
     """
     tau = complex(tau)
-    if cutoff < _FAST_CUTOFF:
-        return _brute_variance(tau, cutoff, eps)
     runs = list(_coarse_runs(tau, cutoff, eps))
     stop = cutoff + 1 - sum(run.size for run, _ in runs)
     near = _near_row_sums(tau, cutoff, eps, np.arange(stop))
@@ -749,7 +724,8 @@ def truncated_covariance(tau: complex, cutoff: int, x, eps: float = 0.0) -> floa
     over the rows n > 0 and the half-row n = 0, m > 0, and it separates:
     with a_n = e^(2 pi i n x1) and b_m = e^(2 pi i m x2) it is
     2 Re sum_{n>0} a_n (C_n . b) + 2 sum_{m>0} C_{0,m} cos 2 pi m x2, one
-    real matrix product with [Re b, Im b] per chunk of _VARIANCE_ROWS rows.
+    real matrix product with [Re b, Im b] per chunk of _VARIANCE_CELLS
+    // (2N + 1) rows.
     k^2 = (n Re tau - m)^2 + (n Im tau)^2 is formed in real arithmetic and
     J0^2 applied only when eps > 0.
     """
@@ -773,8 +749,9 @@ def truncated_covariance(tau: complex, cutoff: int, x, eps: float = 0.0) -> floa
         return c
 
     total = coefficients(m[N + 1 :] ** 2.0) @ basis[N + 1 :, 0]
-    for start in range(1, N + 1, _VARIANCE_ROWS):
-        n = np.arange(start, min(start + _VARIANCE_ROWS, N + 1))[:, None]
+    chunk = max(1, _VARIANCE_CELLS // (2 * N + 1))
+    for start in range(1, N + 1, chunk):
+        n = np.arange(start, min(start + chunk, N + 1))[:, None]
         k2 = n * tau.real - m
         k2 *= k2
         k2 += (n * y) ** 2

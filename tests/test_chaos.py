@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from torus_lqg.chaos import (
+    chaos_cells,
     chaos_measure,
+    chaos_points,
     chaos_prefactor,
     critical_chaos_measure,
     expected_total_mass,
@@ -78,6 +80,19 @@ def test_cell_weights_reproduce_definition():
     area = TAU.imag / (32 * 32)
     want = chaos_prefactor(TAU, gamma, q) * np.exp(gamma * x - 0.5 * gamma * gamma * sigma2) * area
     assert np.max(np.abs(m.weights - want)) < 1e-15 * np.max(want)
+
+
+@pytest.mark.parametrize("cutoff", (1, 8, 40, 600))
+def test_measure_is_the_chaos_point_factor_times_its_cells(cutoff):
+    # chaos_measure takes sigma^2 from the J0 pass of chaos_points, so its
+    # weights are the engine's factor times its cells, byte for byte
+    gamma = 1.3
+    q = q_of(gamma)
+    res = FieldResolution(cutoff=cutoff, grid_factor=2)
+    fld = circle_average(sample_gff(TAU, cutoff, RngStream(SEED, cutoff)), res.eps_for(TAU))
+    ((_, factor, _),) = chaos_points([TAU], gamma, q, res)
+    want = factor * chaos_cells(gamma * evaluate_on_grid(fld, res.grid))
+    assert chaos_measure(fld, gamma, q, res.grid).weights.tobytes() == want.tobytes()
 
 
 def test_unit_mean_cells():

@@ -189,10 +189,10 @@ def test_circle_average_bookkeeping():
 
 @pytest.mark.parametrize("cutoff", (1, 8, 40, 512))
 def test_mode_boxes_of_several_moduli_give_weights_and_variances(cutoff):
-    # one J0 pass over K boxes: each box is its modulus's weights alone, and
-    # each variance is regularized_variance bit for bit (below _VARIANCE_ROWS
-    # the brute sum's rows, from cutoff 512 on regularized_variance itself,
-    # at two moduli to bound the box memory)
+    # one J0 pass over K boxes: each box is its modulus's weights alone, byte
+    # for byte, and each variance, the sum of that box's rows, is
+    # regularized_variance to rounding (at two moduli from cutoff 512 on, to
+    # bound the box memory)
     count = 2 if cutoff >= 512 else 5
     rng = np.random.default_rng(cutoff)
     taus = rng.uniform(-0.5, 0.5, count) + 1j * rng.uniform(0.8, 12.0, count)
@@ -200,7 +200,8 @@ def test_mode_boxes_of_several_moduli_give_weights_and_variances(cutoff):
     w, var = scaled_mode_weights(taus, cutoff, eps)
     assert w.shape == (count, 2 * cutoff + 1, 2 * cutoff + 1)
     for k in range(count):
-        assert var[k] == regularized_variance(taus[k], cutoff, eps[k])
+        want = regularized_variance(taus[k], cutoff, eps[k])
+        assert abs(var[k] - want) <= 1e-13 * want
         assert w[k].tobytes() == scaled_mode_weights(taus[k], cutoff, eps[k])[0].tobytes()
 
 
@@ -211,10 +212,10 @@ def test_regularized_variance_equals_coincident_covariance():
         assert abs(a - b) < 1e-10 * abs(a)
 
 
-def test_regularized_variance_chunking_invariant(monkeypatch):
-    a = regularized_variance(TAU, 60, 0.02)
-    monkeypatch.setattr(gff, "_VARIANCE_ROWS", 7)
-    b = regularized_variance(TAU, 60, 0.02)
+def test_truncated_covariance_chunking_invariant(monkeypatch):
+    a = truncated_covariance(TAU, 60, (0.3, 0.1), 0.02)
+    monkeypatch.setattr(gff, "_VARIANCE_CELLS", 7 * 121)  # 7 of the 60 rows a chunk
+    b = truncated_covariance(TAU, 60, (0.3, 0.1), 0.02)
     assert abs(a - b) < 1e-12 * abs(a)
 
 
@@ -331,6 +332,17 @@ def test_truncated_covariance_memory_is_bounded_by_its_row_chunks():
     assert abs(value - regularized_variance(1j, 1500, 1e-2)) <= 1e-12 * value
 
 
+def test_truncated_covariance_chunks_bound_its_cells_not_its_rows():
+    # rows of 6001 cells: chunks of 512 rows would take 49.5 MB traced
+    tracemalloc.start()
+    try:
+        truncated_covariance(1j, 3000, (0.0, 0.0), 1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+
+
 @pytest.mark.parametrize("eps", (1e-3, 1e-2))
 @pytest.mark.parametrize(
     "tau",
@@ -341,18 +353,35 @@ def test_regularized_variance_matches_brute_sum(tau, eps):
     coarse = np.count_nonzero(gff._coarse_steps(tau, cutoff, eps))
     assert coarse or eps == 1e-2  # every tau has coarse rows at eps = 1e-3
     fast = regularized_variance(tau, cutoff, eps)
-    want = gff._brute_variance(tau, cutoff, eps)
+    want = truncated_covariance(tau, cutoff, (0.0, 0.0), eps)
     assert abs(fast - want) <= 1e-11 * want
 
 
-def test_regularized_variance_below_fast_cutoff_is_the_brute_sum():
-    # values of the brute sum before the coarse rows existed, bit for bit
-    for args, want in (
+def test_regularized_variance_matches_pinned_brute_sums():
+    # reference values of the box summed term by term, row by row
+    for (tau, cutoff, eps), want in (
         ((0.3 + 1.2j, 1023, 0.003), 4.582605782249967),
         ((1j, 64, 0.05), 1.6790009540627246),
         ((-0.5 + 0.866j, 700, 0.01), 3.2061809769087324),
     ):
-        assert regularized_variance(*args) == gff._brute_variance(*args) == want
+        assert abs(regularized_variance(tau, cutoff, eps) - want) <= 1e-13 * want
+        assert abs(truncated_covariance(tau, cutoff, (0.0, 0.0), eps) - want) <= 1e-13 * want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    re=st.floats(-2.0, 2.0),
+    im=st.floats(0.05, 12.0),
+    eps=st.floats(1e-4, 0.3),
+    cutoff=st.integers(1, 1023),
+)
+# the largest gap of 700 random cases, 5.8e-14 relative: rows 6..16 are
+# coarse rows of two to four panels
+@example(re=-1.0281571642624638, im=6.5880701094894425, eps=1.86e-4, cutoff=16)
+def test_regularized_variance_matches_the_box_below_cutoff_1024(re, im, eps, cutoff):
+    tau = complex(re, im)
+    want = truncated_covariance(tau, cutoff, (0.0, 0.0), eps)
+    assert abs(regularized_variance(tau, cutoff, eps) - want) <= 1e-12 * want
 
 
 def _count_rows(monkeypatch):
