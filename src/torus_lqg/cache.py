@@ -28,10 +28,10 @@ __all__ = ["MomentCache", "SAMPLER_VERSION", "default_cache_dir", "moment_key"]
 # Version of the replica sampler that produced a moment.  It enters every
 # key, so a change to the draws, the field synthesis, the potential H or the
 # chaos normalization, which moves moments in any bit, never reads the
-# moments an earlier sampler wrote.  Version 13 takes every chaos variance
-# from the J0 pass of its own mode weights, which moves moments at cutoff
-# 512 and above in their last bits; CHANGES.md records earlier versions.
-SAMPLER_VERSION = 13
+# moments an earlier sampler wrote.  Version 14 takes every Green value
+# from one theta1 series and scales each green_grid column by its largest
+# term, which moves H in its last bits; CHANGES.md records earlier versions.
+SAMPLER_VERSION = 14
 
 # per-process counter in temp file names, so no two puts share one
 _TEMP_IDS = itertools.count()

@@ -11,11 +11,12 @@ independent so they can cross-check each other:
 
 The closed route is one formula.  Every point is taken at its centered
 representative z = x1 + tau*x2 (|Im z| <= Im(tau)/2) and reads
-pi*Im(tau)*x2^2 + ln|eta| - ln|theta1(z)|; a node point, 0 < |z| <
-min(_NODE, r) with r a quarter of the shortest lattice vector, where
-theta1's difference of exps cancels, takes theta1(z)/z (_node_form) and
-subtracts ln|z|.  green_centered applies it to points and green_grid to
-product grids, the path of every grid-shaped caller.
+_regular_part(z) - ln|z|, with _regular_part = pi*Im(tau)*x2^2 + ln|eta|
+- ln|theta1(z)/z| = G + ln|z|, smooth through z = 0.  ln|theta1/z| comes
+in log space from special's one theta1 series, so G stays finite deep in
+the cusp until eta underflows (Im tau near 2700), where NumericError is
+raised.  green_centered applies it to points and green_grid to product
+grids, the path of every grid-shaped caller.
 
 G integrates to zero against d(lambda_tau) = Im(tau) dx and has the
 short-distance behaviour G(x) = -ln|p_tau(x)| + Theta(tau) + o(1) with
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import NonConvergence, NumericError, SingularPoint, ValidationError
 from .modular import c_tau, p_tau, wrap_centered, wrap_unit
-from .special import _term_count, _theta_count, _theta_log_terms, dedekind_eta, theta1, theta1_over_z
+from .special import _log_theta1_over_z, _term_count, _theta_count, _theta_log_terms, dedekind_eta
 
 __all__ = [
     "GreenEvalConfig",
@@ -51,7 +52,7 @@ __all__ = [
 ]
 
 _SINGULAR_TOL = 1e-13
-_NODE = 1e-2  # |p| below which theta1's difference of exps loses digits
+_NODE = 1e-2  # |p| below which green_grid's difference of exps loses digits
 _CIRCLE_POINTS = 48  # trapezoid nodes per circle in green_regularized
 
 
@@ -88,10 +89,20 @@ def min_lattice_distance(tau: complex) -> float:
     return min(1.0, horiz, 2.0 * tau.imag)
 
 
+def _log_eta(tau):
+    """ln|eta(tau)| at one modulus or at each of an array of moduli.
+    |eta| = e^(-pi*Im(tau)/12) turns subnormal past Im tau ~ 2700 and loses
+    its digits (G is 2e-4 off at 2840i), so that raises NumericError."""
+    eta = np.abs(dedekind_eta(tau))
+    if not np.all(eta >= np.finfo(float).tiny):
+        raise NumericError(f"eta underflows at tau = {tau}")
+    return np.log(eta)
+
+
 def theta_offset(tau):
     """Theta(tau) = -ln(2*pi) - 2*ln|eta(tau)|, the short-distance constant,
     at one modulus (a float) or at each of an array of moduli."""
-    out = -math.log(2.0 * math.pi) - 2.0 * np.log(np.abs(dedekind_eta(tau)))
+    out = -math.log(2.0 * math.pi) - 2.0 * _log_eta(tau)
     return float(out) if np.ndim(tau) == 0 else out
 
 
@@ -107,30 +118,20 @@ def _check_singular(tau, x1c, x2c):
         raise SingularPoint(f"green function diverges at the lattice point, x=({x1c}, {x2c})")
 
 
-def _node_form(tau, z, x2, log_eta, s):
-    """pi*Im(tau)*x2^2 + ln|eta| - ln(|theta1(z)/z| * s) at z = p_tau(x1, x2):
-    G + ln|z| - ln(s), stable through z = 0."""
-    return np.pi * tau.imag * (x2 * x2) + log_eta - np.log(np.abs(theta1_over_z(z, tau)) * s)
+def _regular_part(tau, z, x2, log_eta, s):
+    """pi*Im(tau)*x2^2 + ln|eta| - ln|theta1(z)/z| - ln(s) at z = p_tau(x1, x2):
+    G + ln|z| - ln(s), stable through z = 0 and deep in the cusp."""
+    return np.pi * tau.imag * (x2 * x2) + log_eta - _log_theta1_over_z(z, tau) - np.log(s)
 
 
 def green_centered(tau: complex, x1c, x2c):
-    """G at centered coordinates x~ in [-1/2, 1/2)^2: _node_form - ln|p| at
-    the node points, the closed form at the rest, each route run only when
-    it has points.  ln|p| is a log of its own, so a subnormal |p| does not
-    round a product.  Lattice points are not rejected here."""
+    """G at centered coordinates x~ in [-1/2, 1/2)^2: _regular_part - ln|p|.
+    ln|p| is a log of its own, so a subnormal |p| does not round a product.
+    Lattice points are not rejected here."""
     tau = complex(tau)
     x1c, x2c = np.broadcast_arrays(np.asarray(x1c, dtype=float), np.asarray(x2c, dtype=float))
     z = p_tau(tau, x1c, x2c)
-    az = np.abs(z)
-    log_eta = np.log(np.abs(dedekind_eta(tau)))
-    node = (az > 0) & (az < min(_NODE, 0.25 * min_lattice_distance(tau)))
-    out = np.empty(az.shape)
-    if node.any():
-        out[node] = _node_form(tau, z[node], x2c[node], log_eta, 1.0) - np.log(az[node])
-    if not node.all():
-        x2b = x2c[~node]
-        out[~node] = np.pi * tau.imag * x2b * x2b + log_eta - np.log(np.abs(theta1(z[~node], tau)))
-    return out
+    return _regular_part(tau, z, x2c, _log_eta(tau), 1.0) - np.log(np.abs(z))
 
 
 def green_grid(tau, x1c, x2c, cap):
@@ -151,16 +152,20 @@ def green_grid(tau, x1c, x2c, cap):
     tau-free x1 phases and each modulus's x2 factors, every column zero
     past the _theta_count of its own |Im z|, taken as two real products
     whose outputs are Re and Im theta1, so only real grids are stored.
-    The moduli that share a term count n go through one stacked product,
-    so each runs the same products as alone.  An exact lattice point is
-    Theta(tau) - ln(cap), since theta1'(0) = 2*pi*eta^3; the node points
-    take _node_form.
+    Each column's factors are scaled by e^(-pi*Im(tau)*(|x2| - 1/4)), the
+    size of its largest term, so no factor under- or overflows and G =
+    pi*Im(tau)*(|x2| - 1/2)^2 + ln|eta| - ln|scaled theta1|.  The moduli
+    that share a term count n go through one stacked product, so each runs
+    the same products as alone.  An exact lattice point is Theta(tau) -
+    ln(cap), since theta1'(0) = 2*pi*eta^3; the node points take
+    _regular_part.
     """
     taus = np.atleast_1d(np.asarray(tau, dtype=complex))
     caps = np.broadcast_to(np.asarray(cap, dtype=float), taus.shape)
     x1c, x2c = np.asarray(x1c, dtype=float), np.asarray(x2c, dtype=float)
     y = taus.imag
-    log_eta = np.log(np.abs(dedekind_eta(taus)))
+    log_eta = _log_eta(taus)
+    shift = np.pi * y[:, None] * (np.abs(x2c) - 0.25)  # ln of each column's largest term
     n_cut = _theta_count(taus[:, None], y[:, None] * np.abs(x2c))
     n_max = n_cut.max(axis=1, initial=1)
     phase = np.exp(1j * np.outer(x1c, _theta_log_terms(taus[0], n_max.max())[0]))
@@ -171,8 +176,8 @@ def green_grid(tau, x1c, x2c, cap):
             t, cut = taus[ks, None], n_cut[ks, None, :]
             w, log_c = _theta_log_terms(t, n)
             iwt = 1j * (w[:, None] * (t * x2c)[:, None, :])
-            plus = np.exp(log_c[:, :, None] + iwt)
-            minus = np.exp(log_c[:, :, None] - iwt)
+            log_c = log_c[:, :, None] - shift[ks, None, :]
+            plus, minus = np.exp(log_c + iwt), np.exp(log_c - iwt)
             if cut.min(initial=n) < n:  # zero the terms past each column's own count
                 live = np.arange(n)[:, None] < cut
                 plus, minus = np.where(live, plus, 0.0), np.where(live, minus, 0.0)
@@ -182,7 +187,7 @@ def green_grid(tau, x1c, x2c, cap):
             right = np.concatenate((plus.real, minus.real, plus.imag, minus.imag), axis=1)
             theta = np.hstack((ph.real, -ph.real, -ph.imag, -ph.imag)) @ right
             np.hypot(theta, np.hstack((ph.imag, ph.imag, ph.real, -ph.real)) @ right, out=theta)
-            front = np.pi * y[ks, None] * x2c * x2c + log_eta[ks, None]
+            front = np.pi * y[ks, None] * (np.abs(x2c) - 0.5) ** 2 + log_eta[ks, None]
             groups.append((ks, np.subtract(front[:, None, :], np.log(theta, out=theta), out=theta)))
         if len(groups) == 1:
             out = groups[0][1]
@@ -198,7 +203,7 @@ def green_grid(tau, x1c, x2c, cap):
 
 def _near_lattice(out, taus, caps, log_eta, x1c, x2c):
     """green_grid's points next to the lattice point, in place: the cap
-    where |p| < min(cap, r), Theta(tau) - ln(cap) at p = 0, _node_form
+    where |p| < min(cap, r), Theta(tau) - ln(cap) at p = 0, _regular_part
     where 0 < |p| < min(_NODE, r).  Only columns with |Im p| below the
     larger reach hold such points, so |p| is formed on those alone."""
     y = taus.imag
@@ -218,7 +223,7 @@ def _near_lattice(out, taus, caps, log_eta, x1c, x2c):
     for m in np.unique(k[~zero]):
         s = ~zero & (k == m)
         x1, x2, floor = x1c[i[s]], x2c[j[s]], np.maximum(az[s], caps[m])
-        out[m, i[s], j[s]] = _node_form(taus[m], x1 + taus[m] * x2, x2, log_eta[m], floor)
+        out[m, i[s], j[s]] = _regular_part(taus[m], x1 + taus[m] * x2, x2, log_eta[m], floor)
 
 
 def _green_closed(tau: complex, x1, x2):
@@ -236,7 +241,7 @@ def green_log_subtracted(tau: complex, x1, x2):
     """
     tau = complex(tau)
     x1c, x2c = wrap_centered(x1), wrap_centered(x2)
-    return _node_form(tau, p_tau(tau, x1c, x2c), x2c, np.log(np.abs(dedekind_eta(tau))), 1.0)
+    return _regular_part(tau, p_tau(tau, x1c, x2c), x2c, _log_eta(tau), 1.0)
 
 
 def _green_eigen(tau: complex, x1: float, x2: float, cutoff: int, tolerance: float):
@@ -340,6 +345,5 @@ def green_regularized(tau: complex, x, eps: float) -> float:
     z0 = p_tau(tau, wrap_centered(x1), wrap_centered(x2))
     if abs(z0) < _SINGULAR_TOL:
         # R(c_tau(w)) with p exactly w: no re-wrapping, the offsets are tiny
-        log_eta = np.log(np.abs(dedekind_eta(tau)))
-        return float(-math.log(eps) + np.mean(_node_form(tau, diff, d2, log_eta, 1.0)))
+        return float(-math.log(eps) + np.mean(_regular_part(tau, diff, d2, _log_eta(tau), 1.0)))
     return float(np.mean(_green_closed(tau, x1 + d1, x2 + d2)))

@@ -12,6 +12,10 @@ space, so no exp underflows, and refuses counts above MAX_TERMS.  A theta
 point's count comes from tau and its own |Im z|, so it evaluates to the
 same value alone and inside any array.
 
+theta1 is one series, _theta_kernel's theta1(z)/z, exact through z = 0:
+theta1 = z * (theta1/z), theta1'(0) = (theta1/z)(0), and the Green
+function takes ln|theta1/z| from it in log space.
+
 Double precision limits how far tau may approach the real axis: below
 MIN_IM_TAU the term counts explode and we refuse to evaluate rather than
 return silently degraded values.
@@ -42,8 +46,6 @@ MIN_IM_TAU = 1e-3
 # index of any single series or product
 TOLERANCE = 1e-12
 MAX_TERMS = 200_000
-# terms x points per block of _theta_series: bounds its working set
-_SERIES_CELLS = 1 << 16
 
 
 def _is_array(v) -> bool:
@@ -207,74 +209,70 @@ def _theta_log_terms(tau: complex, n_terms: int):
     return (2 * ns + 1) * np.pi, 1j * np.pi * (tau * (ns + 0.5) ** 2 + ns - 0.5)
 
 
-def _theta_series(z, tau: complex, over_z: bool) -> np.ndarray:
-    """theta1(z), or theta1(z)/z with over_z, over z flattened to one
-    dimension, returned in z's shape (a scalar z gives a 0-d array).
+def _theta_kernel(z, tau: complex):
+    """(z, E(z)*S(z)) over z flattened to one dimension and taken to
+    Im z >= 0, the one theta1 series:
 
-    Each point stops at the term count of its own |Im z|, so its value
-    does not depend on the other points of the array.  theta1 takes each
-    term as a difference of two exps of log coefficient plus phase, so a
-    tiny q^((n+1/2)^2) and a huge sin((2n+1)*pi*z) never meet; theta1/z
-    sums c_n * sin(w_n*z)/z.  The terms of a block of points are one
-    (terms, points) array of at most _SERIES_CELLS entries, added up term
-    by term, each into the points it reaches.  Raises NumericError when a
-    sum is not finite (the value itself overflows).
+        theta1(z)/z = -i q^(1/4) e^(-i*pi*z) E(z) S(z),  E(z) = (e^(2*pi*i*z) - 1)/z,
+        S(z) = sum_n (-1)^n q^(n^2+n) sin((2n+1)*pi*z) / sin(pi*z).
+
+    theta1/z is even, so z and -z are one point.  Term n of S is (-1)^n
+    e^(i*pi*(tau*(n^2+n) - 2n*z)) D_n(z) with D_n = sum_{j<=2n}
+    e^(2*pi*i*j*z) = 1 + e^(2*pi*i*z) + e^(4*pi*i*z) D_(n-1), so for |Im z|
+    <= Im(tau)/2 no term exceeds (2n+1)|q|^(n^2) and S is finite at z = 0.
+    Each point stops at the _theta_count of its own Im z, which bounds
+    |term_n / term_0| of exactly this S, so its value does not depend on
+    the other points.  E takes its Taylor expansion where |2*pi*z| < 1e-6,
+    so a subnormal z keeps every digit.  Callers reshape: a scalar is an
+    array of one, since numpy's scalar complex product rounds differently.
+    Raises NumericError when E*S is not finite.
     """
-    tau = _require_tau(tau)
-    z = np.asarray(z, dtype=complex)
-    flat = z.ravel()
-    n_cut = _theta_count(tau, np.abs(flat.imag))
-    n_max = n_cut.max(initial=1)
-    if over_z:
-        ns, c = _theta_terms(tau, n_max)
-        w = (2 * ns + 1) * np.pi
-    else:
-        w, c = _theta_log_terms(tau, n_max)
-    w, c = w[:, None], c[:, None]
-    step = max(1, _SERIES_CELLS // n_max)
-    out = np.zeros_like(flat)
+    z = np.asarray(z, dtype=complex).ravel()
+    z = np.where(z.imag < 0, -z, z)
+    n_cut = _theta_count(tau, z.imag)
+    w = 2j * np.pi * z
+    small = np.abs(w) < 1e-6
+    e_minus_1 = np.expm1(w)
+    ew = e_minus_1 + 1.0  # e^(2*pi*i*z)
+    head, ew2, d, s = ew + 1.0, ew * ew, np.ones_like(z), np.ones_like(z)
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, flat.size, step):
-            zs, sums = flat[lo : lo + step], out[lo : lo + step]
-            if over_z:
-                terms = c * _sine_over_z(w, zs)
-            else:
-                terms = np.exp(c + 1j * w * zs) - np.exp(c - 1j * w * zs)
-            cut = n_cut[lo : lo + step]
-            for n, term in enumerate(terms):
-                np.add(sums, term, out=sums, where=n < cut)
+        for n in range(1, n_cut.max(initial=1)):
+            d = head + ew2 * d
+            term = _exp_i_pi(tau * (n * n + n) - 2 * n * z) * d
+            (np.subtract if n % 2 else np.add)(s, term, out=s, where=n < n_cut)
+        e = np.where(small, 2j * np.pi * (1.0 + w * (0.5 + w / 6.0)), e_minus_1 / np.where(small, 1.0, z))
+        out = e * s
     if not np.all(np.isfinite(out)):
         raise NumericError(f"theta series is not finite at tau = {tau}")
-    return out.reshape(z.shape)
+    return z, out
 
 
-def _sine_over_z(w, z: np.ndarray) -> np.ndarray:
-    """sin(w*z)/z for a frequency or a column of them, filled with its Taylor expansion where |w*z| < 1e-6."""
-    wz = w * z
-    small = np.abs(wz) < 1e-6
-    safe = np.where(small, 1.0, z)
-    return np.where(small, w * (1.0 - wz * wz / 6.0), np.sin(w * safe) / safe)
+def _log_theta1_over_z(z, tau: complex):
+    """ln|theta1(z)/z| = ln|E*S| + pi*(|Im z| - Im(tau)/4) from _theta_kernel,
+    finite however deep in the cusp tau lies."""
+    zf, es = _theta_kernel(z, tau)
+    return (np.log(np.abs(es)) + np.pi * (zf.imag - 0.25 * tau.imag)).reshape(np.shape(z))
 
 
 def theta1(z, tau: complex):
-    """First Jacobi theta function theta_1(z, tau).
+    """First Jacobi theta function theta_1(z, tau) = z * theta1_over_z(z, tau).
 
-    Sums 2*sum_n (-1)^n q^((n+1/2)^2) sin((2n+1)*pi*z), each term as
-    e^(l_n + i*w_n*z) - e^(l_n - i*w_n*z) in log space.  z may be a scalar
-    (returns complex) or a numpy array; a point's value is the same either
-    way.  theta1_product is the independent reference.
+    z may be a scalar (returns complex) or a numpy array; a point's value
+    is the same either way.  theta1_product is the independent reference.
     """
-    out = _theta_series(z, tau, over_z=False)
+    z = np.asarray(z, dtype=complex)
+    out = (z.ravel() * theta1_over_z(z.ravel(), tau)).reshape(z.shape)
     return complex(out) if out.ndim == 0 else out
 
 
 def theta1_over_z(z, tau: complex):
-    """theta_1(z, tau) / z evaluated stably through z = 0.
-
-    Uses sin((2n+1)*pi*z)/z termwise; the removable singularity is filled
-    with the quadratic Taylor expansion once |(2n+1)*pi*z| < 1e-6.
-    """
-    out = _theta_series(z, tau, over_z=True)
+    """theta_1(z, tau) / z through z = 0, from _theta_kernel as
+    -i q^(1/4) e^(-i*pi*z) E(z) S(z), the two exponentials one exp."""
+    tau = _require_tau(tau)
+    zf, es = _theta_kernel(z, tau)
+    out = (_exp_i_pi(0.25 * tau - zf) * (-1j * es)).reshape(np.shape(z))
+    if not np.all(np.isfinite(out)):
+        raise NumericError(f"theta1/z is not finite at tau = {tau}")
     return complex(out) if out.ndim == 0 else out
 
 
@@ -300,12 +298,9 @@ def theta1_product(z: complex, tau: complex) -> complex:
 
 
 def theta1_z_derivative_at_zero(tau: complex) -> complex:
-    """d/dz theta_1(z, tau) at z = 0, by termwise differentiation, with
-    theta1/z's count at z = 0 (within the tolerance relative to the first
-    term, 2*pi*|q|^(1/4))."""
-    tau = _require_tau(tau)
-    ns, coeff = _theta_terms(tau, _theta_count(tau, 0.0))
-    return complex(np.sum(coeff * (2 * ns + 1) * np.pi))
+    """d/dz theta_1(z, tau) at z = 0: theta1_over_z at 0, with its count
+    (within the tolerance relative to the first term, 2*pi*|q|^(1/4))."""
+    return theta1_over_z(0.0, tau)
 
 
 def theta_aux(k: int, tau):

@@ -172,6 +172,31 @@ def test_appendix_route_agrees():
             assert abs(a - green(tau, (x1, x2))) < 1e-9
 
 
+def test_closed_route_agrees_with_the_appendix_deep_in_the_cusp():
+    # |theta1| itself leaves the float range here (ln|theta1| ~ 785); ln|theta1/z| is in log space
+    want = green(1000j, (0.3, 0.5), APPENDIX_FINE)
+    assert abs(green(1000j, (0.3, 0.5)) - want) <= 1e-12 * abs(want)
+    # every grid column's theta1 terms are scaled by its largest term
+    u = (np.arange(8) + 0.5) / 8
+    grid = green_grid(2000j, wrap_centered(u), wrap_centered(u), 0.0)
+    for i, j in np.ndindex(grid.shape):
+        want = green(2000j, (u[i], u[j]), APPENDIX_FINE)
+        assert abs(grid[i, j] - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("im", [2800.0, 2900.0])
+def test_closed_route_refuses_once_eta_underflows(im):
+    # |eta| = e^(-pi Im tau / 12) is subnormal at 2800i (G would be 6e-9
+    # off) and 0 at 2900i (G would be -inf): an error, never a wrong value
+    u = wrap_centered((np.arange(8) + 0.5) / 8)
+    with pytest.raises(NumericError):
+        green(complex(0.0, im), (0.3, 0.5))
+    with pytest.raises(NumericError):
+        green(complex(0.0, im), (np.array([0.3, 0.004]), np.array([0.5, 0.0])))
+    with pytest.raises(NumericError):
+        green_grid(complex(0.0, im), u, u, 0.0)
+
+
 def test_eigen_route_is_the_truncated_covariance():
     from torus_lqg.gff import truncated_covariance
 
@@ -236,8 +261,8 @@ def test_short_distance_expansion():
 
 
 def test_no_jump_at_route_switch():
-    # closed form switches from theta1 to the node form theta1/z at
-    # |z| = 1e-2; second differences across the switch stay smooth
+    # one formula at every point: second differences stay smooth across
+    # |z| = 1e-2, where green_grid's node cells begin
     xs = np.linspace(0.0095, 0.0105, 41)
     vals = np.array([green(1j, (x, 0.0)) for x in xs])
     second = np.abs(np.diff(vals, n=2))
@@ -246,19 +271,20 @@ def test_no_jump_at_route_switch():
     assert np.max(second) < 1e-4
 
 
-def test_each_route_runs_only_when_it_has_points(monkeypatch):
-    bulk = (np.array([0.3, 0.45, -0.2]), np.array([0.4, 0.1, 0.35]))
-    node = (np.array([0.004, -0.003]), np.array([0.0, 0.002]))
-    want_bulk, want_node = green(TAU, bulk), green(TAU, node)
+def test_one_kernel_call_per_green_call(monkeypatch):
+    # node points (|p| < 1e-2) and bulk points in one array take one theta1 series pass
+    x = (np.array([0.3, 0.004, 0.45, -0.003, -0.2]), np.array([0.4, 0.0, 0.1, 0.002, 0.35]))
+    want = green(TAU, x)
+    calls = []
+    kernel = green_module._log_theta1_over_z
 
-    def refuse(*args):
-        raise AssertionError("route called without points")
+    def spy(z, tau):
+        calls.append(np.shape(z))
+        return kernel(z, tau)
 
-    monkeypatch.setattr(green_module, "theta1_over_z", refuse)
-    assert np.array_equal(green(TAU, bulk), want_bulk)
-    monkeypatch.undo()
-    monkeypatch.setattr(green_module, "theta1", refuse)
-    assert np.array_equal(green(TAU, node), want_node)
+    monkeypatch.setattr(green_module, "_log_theta1_over_z", spy)
+    assert np.array_equal(green(TAU, x), want)
+    assert calls == [(5,)]
 
 
 def test_regularized_at_origin():

@@ -37,6 +37,9 @@ ETA_I = 0.7682254223260566590025942
 ETA_2I = 0.5923827813324158852903634
 ETA_TAU = 0.7282998191384615449427624 + 0.05694821566090455791407909j
 THETA1_Z_TAU = 0.3685578069265340028971477 + 0.6296612010732234140773034j
+# theta1 next to its zero at z = 0, at 1e-9 and at 1e-8 * (0.6 - 0.2i)
+THETA1_NEAR_ZERO = 2.382705765796857778069086e-9 + 5.682188326869557460968524e-10j
+THETA1_NEAR_ZERO_C = 1.543267226015505743250624e-8 - 1.356098535471980389574105e-9j
 THETA2_I = 0.9135791381561168214072426
 THETA3_I = 1.086434811213308014575316
 THETA4_I = 0.9135791381561168214072426
@@ -69,6 +72,12 @@ def test_eta_reference_values():
 
 def test_theta1_reference_value():
     assert abs(theta1(Z, TAU) - THETA1_Z_TAU) < TIGHT
+
+
+def test_theta1_next_to_its_zero_is_relatively_exact():
+    # a difference of exps would lose 3e-8 of the value at 1e-9
+    for z, want in ((1e-9, THETA1_NEAR_ZERO), (1e-8 * (0.6 - 0.2j), THETA1_NEAR_ZERO_C)):
+        assert abs(theta1(z, TAU) - want) <= 1e-12 * abs(want)
 
 
 def test_theta_constants_at_i():

@@ -77,6 +77,9 @@ ROWS = [
     ("ETA_2I", eta(2j)),
     ("ETA_TAU", eta(TAU)),
     ("THETA1_Z_TAU", theta1(Z, TAU)),
+    # next to theta1's zero at z = 0
+    ("THETA1_NEAR_ZERO", theta1(mp.mpf("1e-9"), TAU)),
+    ("THETA1_NEAR_ZERO_C", theta1(mp.mpf("1e-8") * mp.mpc("0.6", "-0.2"), TAU)),
     ("THETA2_I", theta_aux(2, 1j)),
     ("THETA3_I", theta_aux(3, 1j)),
     ("THETA4_I", theta_aux(4, 1j)),
