@@ -13,10 +13,11 @@ The closed route is one formula.  Every point is taken at its centered
 representative z = x1 + tau*x2 (|Im z| <= Im(tau)/2) and reads
 _regular_part(z) - ln|z|, with _regular_part = pi*Im(tau)*x2^2 + ln|eta|
 - ln|theta1(z)/z| = G + ln|z|, smooth through z = 0.  ln|theta1/z| comes
-in log space from special's one theta1 series, so G stays finite deep in
-the cusp until eta underflows (Im tau near 2700), where NumericError is
-raised.  green_centered applies it to points and green_grid to product
-grids, the path of every grid-shaped caller.
+in log space from special's one theta1 series, ln|eta| as -pi*Im(tau)/12
+plus the log of eta's product, so G is finite however deep in the cusp.
+green_centered applies it to points (green_log_subtracted and
+green_regularized take _regular_part itself) and green_grid, from the
+same series, to product grids, the path of every grid-shaped caller.
 
 G integrates to zero against d(lambda_tau) = Im(tau) dx and has the
 short-distance behaviour G(x) = -ln|p_tau(x)| + Theta(tau) + o(1) with
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import NonConvergence, NumericError, SingularPoint, ValidationError
 from .modular import c_tau, p_tau, wrap_centered, wrap_unit
-from .special import _log_theta1_over_z, _term_count, _theta_count, _theta_log_terms, dedekind_eta
+from .special import _eta_product, _log_theta1_over_z, _require_tau, _term_count, _theta_count, _theta_s_terms
 
 __all__ = [
     "GreenEvalConfig",
@@ -52,7 +53,7 @@ __all__ = [
 ]
 
 _SINGULAR_TOL = 1e-13
-_NODE = 1e-2  # |p| below which green_grid's difference of exps loses digits
+_CLOSED = 1e-12  # |p| below which green_grid takes G + ln|p| = Theta(tau) + O(|p|^2)
 _CIRCLE_POINTS = 48  # trapezoid nodes per circle in green_regularized
 
 
@@ -90,13 +91,12 @@ def min_lattice_distance(tau: complex) -> float:
 
 
 def _log_eta(tau):
-    """ln|eta(tau)| at one modulus or at each of an array of moduli.
-    |eta| = e^(-pi*Im(tau)/12) turns subnormal past Im tau ~ 2700 and loses
-    its digits (G is 2e-4 off at 2840i), so that raises NumericError."""
-    eta = np.abs(dedekind_eta(tau))
-    if not np.all(eta >= np.finfo(float).tiny):
-        raise NumericError(f"eta underflows at tau = {tau}")
-    return np.log(eta)
+    """ln|eta(tau)| = -pi*Im(tau)/12 + ln|prod_n (1 - q^(2n))| at one modulus
+    or at each of an array of moduli, in log space, so it stays finite
+    however deep in the cusp tau lies."""
+    t = np.atleast_1d(_require_tau(tau))
+    out = np.log(np.abs(_eta_product(t))) - np.pi / 12.0 * t.imag
+    return out if np.ndim(tau) else out[0]
 
 
 def theta_offset(tau):
@@ -143,58 +143,65 @@ def green_grid(tau, x1c, x2c, cap):
     exact lattice point then reads non-finite and raises NumericError,
     which a midpoint grid never hits.
 
-    Every point is taken at its centered representative z = x1 + tau*x2,
-    as in green_centered.  With each theta1 term
+    Every point is taken at its centered representative z = x1 + tau*x2 =
+    a + ib, as in green_centered, and theta1 = 2 q^(1/4) sin(pi*z) S(z) is
+    special's one series.  S's terms at w = tau*x2 (_theta_s_terms, each
+    column to the _theta_count of its own |b|) meet the tau-free phases:
 
-        e^(l_n +- i*w_n*z) = e^(+- i*w_n*x1) * e^(l_n +- i*w_n*tau*x2),
+        S(x1 + w) = sum_j cos(2*pi*j*x1) (P_j + M_j) + sin(2*pi*j*x1) i(P_j - M_j),
 
-    theta1 is the (len(x1c), 2n) x (2n, columns) complex product of the
-    tau-free x1 phases and each modulus's x2 factors, every column zero
-    past the _theta_count of its own |Im z|, taken as two real products
-    whose outputs are Re and Im theta1, so only real grids are stored.
-    Each column's factors are scaled by e^(-pi*Im(tau)*(|x2| - 1/4)), the
-    size of its largest term, so no factor under- or overflows and G =
-    pi*Im(tau)*(|x2| - 1/2)^2 + ln|eta| - ln|scaled theta1|.  The moduli
-    that share a term count n go through one stacked product, so each runs
-    the same products as alone.  An exact lattice point is Theta(tau) -
-    ln(cap), since theta1'(0) = 2*pi*eta^3; the node points take
-    _regular_part.
+    two real (len(x1c), 2n) x (2n, columns) products, whose outputs are Re
+    and Im S.  With
+
+        ln|sin(pi*z)| = pi*|b| - ln 2 + ln(L)/2,  L = 4 e^(-2*pi*|b|) sin(pi*a)^2 + expm1(-2*pi*|b|)^2,
+
+    which cancels nowhere and overflows nowhere, G = pi*Im(tau)*(|x2| -
+    1/2)^2 + ln|eta| - ln(L |S|^2)/2 at every cell down to |p| ~ 1e-150;
+    _near_lattice caps the cells next to the lattice point and gives those
+    closer than _CLOSED in closed form.  The moduli of one term count n
+    share one stacked product, taken in order of n, so each runs the same
+    products as alone.
     """
     taus = np.atleast_1d(np.asarray(tau, dtype=complex))
     caps = np.broadcast_to(np.asarray(cap, dtype=float), taus.shape)
     x1c, x2c = np.asarray(x1c, dtype=float), np.asarray(x2c, dtype=float)
-    y = taus.imag
     log_eta = _log_eta(taus)
-    shift = np.pi * y[:, None] * (np.abs(x2c) - 0.25)  # ln of each column's largest term
-    n_cut = _theta_count(taus[:, None], y[:, None] * np.abs(x2c))
+    t, b = taus[:, None], taus.imag[:, None] * np.abs(x2c)  # b = |Im z| per column
+    n_cut = _theta_count(t, b)
     n_max = n_cut.max(axis=1, initial=1)
-    phase = np.exp(1j * np.outer(x1c, _theta_log_terms(taus[0], n_max.max())[0]))
-    groups = []
+    front = np.pi * t.imag * (np.abs(x2c) - 0.5) ** 2 + log_eta[:, None]
+    order = np.argsort(n_max, kind="stable")
+    counts, start = np.unique(n_max[order], return_index=True)
+    out = np.empty((taus.size, x1c.size, x2c.size))  # the moduli in order of n
     with np.errstate(all="ignore"):
-        for n in np.unique(n_max):  # one stacked product per term count
-            ks = np.flatnonzero(n_max == n)
-            t, cut = taus[ks, None], n_cut[ks, None, :]
-            w, log_c = _theta_log_terms(t, n)
-            iwt = 1j * (w[:, None] * (t * x2c)[:, None, :])
-            log_c = log_c[:, :, None] - shift[ks, None, :]
-            plus, minus = np.exp(log_c + iwt), np.exp(log_c - iwt)
-            if cut.min(initial=n) < n:  # zero the terms past each column's own count
-                live = np.arange(n)[:, None] < cut
-                plus, minus = np.where(live, plus, 0.0), np.where(live, minus, 0.0)
-            # theta = L @ R with L = [phase, -conj(phase)] and R = [plus; minus],
-            # as real products of [Re L, -Im L] and [Im L, Re L] with [Re R; Im R]
-            ph = phase[:, :n]
-            right = np.concatenate((plus.real, minus.real, plus.imag, minus.imag), axis=1)
-            theta = np.hstack((ph.real, -ph.real, -ph.imag, -ph.imag)) @ right
-            np.hypot(theta, np.hstack((ph.imag, ph.imag, ph.real, -ph.real)) @ right, out=theta)
-            front = np.pi * y[ks, None] * (np.abs(x2c) - 0.5) ** 2 + log_eta[ks, None]
-            groups.append((ks, np.subtract(front[:, None, :], np.log(theta, out=theta), out=theta)))
-        if len(groups) == 1:
-            out = groups[0][1]
-        else:
-            out = np.empty((taus.size, x1c.size, x2c.size))
-            for ks, part in groups:
-                out[ks] = part
+        for n, lo, hi in zip(counts, start, [*start[1:], taus.size]):  # one stacked product per n
+            ks, g = order[lo:hi], out[lo:hi]
+            # Re and Im of S's factors of cos(2*pi*j*x1) (rows j) and sin(2*pi*j*x1) (rows n + j)
+            re, im = np.empty((ks.size, 2 * n, x2c.size)), np.empty((ks.size, 2 * n, x2c.size))
+            for j, (p, m) in enumerate(_theta_s_terms(t[ks], t[ks] * x2c, n_cut[ks])):
+                c, d = p + m, p - m  # the sin factor is i*d
+                re[:, j], im[:, j], re[:, n + j], im[:, n + j] = c.real, c.imag, -d.imag, d.real
+            angle = 2.0 * np.pi * np.outer(x1c, np.arange(n))
+            phase = np.concatenate((np.cos(angle), np.sin(angle)), axis=1)
+            np.matmul(phase, re, out=g)
+            el = phase @ im
+            del re, im
+            g *= g
+            g += np.square(el, out=el)  # |S|^2
+            el[...] = (t[ks].real * x2c)[:, None, :]
+            el += x1c[:, None]  # a, as p_tau forms it
+            el *= np.pi
+            np.sin(el, out=el)
+            el *= 2.0 * np.exp(-np.pi * b[ks, None, :])
+            el *= el
+            el += np.expm1(-2.0 * np.pi * b[ks, None, :]) ** 2  # L
+            g *= el
+            del el
+            np.log(g, out=g)
+            g *= -0.5
+            g += front[ks, None, :]
+        if np.any(order[1:] < order[:-1]):
+            out = out[np.argsort(order)]
         _near_lattice(out, taus, caps, log_eta, x1c, x2c)  # ln(cap = 0) is caught below
     if not np.all(np.isfinite(out)):
         raise NumericError(f"Green function grid is not finite at tau = {tau}")
@@ -202,28 +209,24 @@ def green_grid(tau, x1c, x2c, cap):
 
 
 def _near_lattice(out, taus, caps, log_eta, x1c, x2c):
-    """green_grid's points next to the lattice point, in place: the cap
-    where |p| < min(cap, r), Theta(tau) - ln(cap) at p = 0, _regular_part
-    where 0 < |p| < min(_NODE, r).  Only columns with |Im p| below the
-    larger reach hold such points, so |p| is formed on those alone."""
-    y = taus.imag
-    r = 0.25 * np.array([min_lattice_distance(t) for t in taus])
-    reach = np.minimum(r, np.maximum(caps, _NODE))
-    kc, jc = np.nonzero(y[:, None] * np.abs(x2c) < reach[:, None])
+    """green_grid's points next to the lattice point, in place: + ln|p| -
+    ln(cap) where |p| < min(cap, r), and Theta(tau) - ln max(|p|, cap)
+    where |p| < _CLOSED, the lattice point included.  Only columns with
+    |Im p| below max(cap, _CLOSED) hold such points, so r and |p| are
+    formed for those alone."""
+    wide = np.maximum(caps, _CLOSED)
+    kc, jc = np.nonzero(taus.imag[:, None] * np.abs(x2c) < wide[:, None])
+    r = np.zeros(taus.size)
+    near = np.unique(kc)
+    r[near] = [0.25 * min_lattice_distance(t) for t in taus[near]]
     az = np.abs(x1c + (taus[kc] * x2c[jc])[:, None])  # |p_tau|, as green_centered forms it
-    p, i = np.nonzero(az < reach[kc, None])
+    p, i = np.nonzero(az < np.minimum(r, wide)[kc, None])
     k, j, az = kc[p], jc[p], az[p, i]
-    capped = (az > 0) & (az < np.minimum(caps[k], r[k]))
-    kk, ii, jj = k[capped], i[capped], j[capped]
-    out[kk, ii, jj] += np.log(az[capped]) - np.log(caps[kk])
-    node = az < np.minimum(_NODE, r[k])
-    k, i, j, az = k[node], i[node], j[node], az[node]
-    zero = az == 0
-    out[k[zero], i[zero], j[zero]] = -math.log(2.0 * math.pi) - 2.0 * log_eta[k[zero]] - np.log(caps[k[zero]])
-    for m in np.unique(k[~zero]):
-        s = ~zero & (k == m)
-        x1, x2, floor = x1c[i[s]], x2c[j[s]], np.maximum(az[s], caps[m])
-        out[m, i[s], j[s]] = _regular_part(taus[m], x1 + taus[m] * x2, x2, log_eta[m], floor)
+    closed = az < _CLOSED
+    capped = ~closed & (az < np.minimum(caps[k], r[k]))
+    out[k[capped], i[capped], j[capped]] += np.log(az[capped]) - np.log(caps[k[capped]])
+    k, i, j, az = k[closed], i[closed], j[closed], az[closed]
+    out[k, i, j] = -math.log(2.0 * math.pi) - 2.0 * log_eta[k] - np.log(np.maximum(az, caps[k]))
 
 
 def _green_closed(tau: complex, x1, x2):

@@ -12,9 +12,11 @@ space, so no exp underflows, and refuses counts above MAX_TERMS.  A theta
 point's count comes from tau and its own |Im z|, so it evaluates to the
 same value alone and inside any array.
 
-theta1 is one series, _theta_kernel's theta1(z)/z, exact through z = 0:
-theta1 = z * (theta1/z), theta1'(0) = (theta1/z)(0), and the Green
-function takes ln|theta1/z| from it in log space.
+theta1 = 2 q^(1/4) sin(pi*z) S(z) is one series, whose terms
+_theta_s_terms forms.  _theta_kernel sums them into theta1(z)/z, exact
+through z = 0, the source of theta1, theta1'(0) and the Green function's
+ln|theta1/z|; theta2 = theta1(1/2) sums them with alternating signs, and
+green.green_grid multiplies them by the phases of its grid.
 
 Double precision limits how far tau may approach the real axis: below
 MIN_IM_TAU the term counts explode and we refuse to evaluate rather than
@@ -127,27 +129,18 @@ def _float_count(what, a, b, c, s, log_eps, tolerance):
     return n
 
 
-def _theta_cut(tau, b):
-    """Per bound b on |Im z|, the absolute term count of a theta1-type
-    series, whose term n has modulus at most 2*|q|^((n+1/2)^2) *
-    exp((2n+1)*pi*b).  tau may be an array broadcasting with b."""
-    if not np.all(np.isfinite(b)):
-        raise NonConvergence("theta series diverges at a non-finite |Im z|")
-    return _term_count("theta series", -math.pi * np.imag(tau), 2.0 * math.pi * b, math.log(2.0), 0.5)
-
-
 def _theta_count(tau, b):
     """Per bound b on |Im z|, the term count of theta1, theta1/z and (b = 0)
-    theta2: its tail is within the tolerance both absolutely, as
-    _theta_cut's, and relative to the first term.  For all three |term_n /
-    term_0| <= |q|^(n^2+n) |sin((2n+1)u) / sin(u)|, u = pi*z, at most
-    (2n+1) exp(-pi y (n^2+n) + 2 pi b n), y = Im tau; ln(2n+1) is at most
-    its tangent at m, about the absolute count at b = 0, g + beta*n with
-    beta = 2/(2m+1), g = ln(2m+1) - m*beta.  In x = n + 1/2 one quadratic
-    bounds both terms: -pi y x^2 + (2 pi b + beta) x + max(ln 2,
-    pi y/4 + g - beta/2).  The absolute count alone stops theta1'(0)
-    after one term near y = 4.4, 3e-12 short of it relative; this keeps
-    a second.  tau may be an array broadcasting with b."""
+    theta2: its tail is within the tolerance both absolutely (term n is at
+    most 2|q|^((n+1/2)^2) e^((2n+1) pi b)) and relative to the first term.
+    For all three |term_n / term_0| <= |q|^(n^2+n) |sin((2n+1)u) / sin(u)|,
+    u = pi*z, at most (2n+1) exp(-pi y (n^2+n) + 2 pi b n), y = Im tau;
+    ln(2n+1) is at most its tangent at m, about the absolute count at b = 0,
+    g + beta*n with beta = 2/(2m+1), g = ln(2m+1) - m*beta.  In x = n + 1/2
+    one quadratic bounds both terms: -pi y x^2 + (2 pi b + beta) x +
+    max(ln 2, pi y/4 + g - beta/2).  The absolute count alone stops
+    theta1'(0) after one term near y = 4.4, 3e-12 short of it relative;
+    this keeps a second.  tau may be an array broadcasting with b."""
     if not np.all(np.isfinite(b)):
         raise NonConvergence("theta series diverges at a non-finite |Im z|")
     y = np.imag(tau)
@@ -158,89 +151,89 @@ def _theta_count(tau, b):
     return _term_count("theta series", -math.pi * y, 2.0 * math.pi * b + beta, c, 0.5)
 
 
-def _partial_sums(terms: np.ndarray, cut) -> np.ndarray:
-    """The sums of terms[..., j] over j < cut, added term by term, so an
-    entry's sum does not depend on the counts of the others."""
-    out = np.zeros(terms.shape[:-1], dtype=terms.dtype)
-    for j in range(terms.shape[-1]):
-        np.add(out, terms[..., j], out=out, where=j < cut)
-    return out
+def _eta_product(t: np.ndarray) -> np.ndarray:
+    """prod_{n>=1} (1 - q^(2n)) at each modulus of the array t, to its own
+    factor count (ones past it), so the same alone and inside any array."""
+    # tail of sum_n log(1 - q^(2n)) is below |q2|^(N+1)/(1-|q2|)
+    n_terms = _term_count("eta product", 0.0, -2.0 * math.pi * t.imag, 0.0, 0.0)
+    ns = np.arange(1, n_terms.max() + 1)
+    factors = 1.0 - _exp_i_pi(2.0 * t)[..., None] ** ns
+    if n_terms.min() < ns.size:
+        factors[ns > n_terms[..., None]] = 1.0
+    return np.prod(factors, axis=-1)
 
 
 def dedekind_eta(tau):
     """eta(tau) = q^(1/12) * prod_{n>=1} (1 - q^(2n)), q = exp(i*pi*tau).
 
-    tau may be an array of moduli: each takes its own factor count, the
-    factors past it are ones, and a scalar tau is an array of one, so a
-    value is the same alone and inside any array.
+    tau may be an array of moduli, each with its own factor count; a
+    scalar tau is an array of one.
     """
     tau = _require_tau(tau)
-    # tail of sum_n log(1 - q^(2n)) is below |q2|^(N+1)/(1-|q2|)
-    n_terms = np.atleast_1d(_term_count("eta product", 0.0, -2.0 * math.pi * np.imag(tau), 0.0, 0.0))
     t = np.atleast_1d(tau)
-    ns = np.arange(1, n_terms.max() + 1)
-    factors = 1.0 - _exp_i_pi(2.0 * t)[..., None] ** ns
-    if n_terms.min() < ns.size:
-        factors[ns > n_terms[..., None]] = 1.0
-    out = _exp_i_pi(t / 12.0) * np.prod(factors, axis=-1)
+    out = _exp_i_pi(t / 12.0) * _eta_product(t)
     return out if _is_array(tau) else complex(out[0])
 
 
 def _exp_i_pi(t: np.ndarray) -> np.ndarray:
-    """exp(i*pi*t) with its exponent -pi*Im t + i*pi*Re t formed in real
-    arithmetic, so it rounds once per part."""
-    return np.exp(-np.pi * t.imag + 1j * (np.pi * t.real))
+    """exp(i*pi*t), its exponent -pi*Im t + i*pi*Re t rounded once per part
+    (the product with i*pi adds only exact zeros)."""
+    return np.exp(t * (1j * np.pi))
 
 
-def _theta_terms(tau, n_terms: int):
-    """The first n_terms coefficients 2*(-1)^n*q^((n+1/2)^2) of theta1-type
-    series, along a last axis for an array tau."""
-    ns = np.arange(n_terms)
-    q = np.expand_dims(np.exp(1j * np.pi * tau), -1)
-    return ns, 2.0 * (-1.0) ** ns * q ** ((ns + 0.5) ** 2)
+def _theta_s_terms(tau, w, cut):
+    """Yield the terms (P_j, M_j), j < max(cut), of S, the one theta1
+    series theta1(z) = 2 q^(1/4) sin(pi*z) S(z), at z = x + w, x real:
 
+        S(z) = sum_{m<cut} (-1)^m q^(m^2+m) sin((2m+1)*pi*z) / sin(pi*z)
+             = A_0 + 2 sum_{j>=1} A_j cos(2*pi*j*z) = sum_j e^(2*pi*i*j*x) P_j + e^(-2*pi*i*j*x) M_j,
 
-def _theta_log_terms(tau: complex, n_terms: int):
-    """Frequencies w_n = (2n+1)*pi and log coefficients l_n = log(c_n / 2i) =
-    i*pi*(tau*(n+1/2)^2 + n - 1/2) of the first n_terms theta1 terms, so that
-    c_n*sin(w_n*z) = e^(l_n + i*w_n*z) - e^(l_n - i*w_n*z) with no factor that
-    under- or overflows alone."""
-    ns = np.arange(n_terms)
-    return (2 * ns + 1) * np.pi, 1j * np.pi * (tau * (ns + 0.5) ** 2 + ns - 0.5)
+    A_j = sum_{j<=m<cut} (-1)^m q^(m^2+m) and P_j, M_j = A_j e^(+-2*pi*i*j*w),
+    halved at j = 0.  With q^(j^2+j) folded into the exponentials, P_j, M_j
+    = B_j e^(i*pi*(tau*(j^2+j) +- 2*j*w)), B_j = sum_{j<=m<cut} (-1)^m
+    q^((m-j)(m+j+1)) ~ (-1)^j: for |Im w| <= Im(tau)/2 no factor exceeds 1
+    and none underflows before its term is negligible.  B_j at an entry's
+    count is a running sum from one table per modulus (zero from the count
+    on), so the entry's terms are the same alone and inside any array.
+    tau, w and cut broadcast together.
+    """
+    cut, t = np.asarray(cut), np.asarray(tau)
+    rows, last = np.arange(t.size).reshape(t.shape), cut - 1
+    j = np.arange(cut.max(initial=1))
+    m, jm = j, j[:, None]
+    power = np.maximum((m - jm) * (m + jm + 1), 0)
+    q_powers = np.where(m >= jm, (-1.0) ** m * _exp_i_pi(t.reshape(-1, 1, 1) * power), 0.0)
+    running = np.cumsum(q_powers, axis=-1)  # running[row, j, c - 1] is B_j at count c
+    running[:, 0] *= 0.5
+    for k in j:
+        b = running[rows, k, last]
+        base, arg = t * (k * k + k), (2 * k) * w
+        yield b * _exp_i_pi(base + arg), b * _exp_i_pi(base - arg)
 
 
 def _theta_kernel(z, tau: complex):
     """(z, E(z)*S(z)) over z flattened to one dimension and taken to
-    Im z >= 0, the one theta1 series:
+    Im z >= 0, theta1's one series at points:
 
         theta1(z)/z = -i q^(1/4) e^(-i*pi*z) E(z) S(z),  E(z) = (e^(2*pi*i*z) - 1)/z,
-        S(z) = sum_n (-1)^n q^(n^2+n) sin((2n+1)*pi*z) / sin(pi*z).
 
-    theta1/z is even, so z and -z are one point.  Term n of S is (-1)^n
-    e^(i*pi*(tau*(n^2+n) - 2n*z)) D_n(z) with D_n = sum_{j<=2n}
-    e^(2*pi*i*j*z) = 1 + e^(2*pi*i*z) + e^(4*pi*i*z) D_(n-1), so for |Im z|
-    <= Im(tau)/2 no term exceeds (2n+1)|q|^(n^2) and S is finite at z = 0.
-    Each point stops at the _theta_count of its own Im z, which bounds
-    |term_n / term_0| of exactly this S, so its value does not depend on
-    the other points.  E takes its Taylor expansion where |2*pi*z| < 1e-6,
-    so a subnormal z keeps every digit.  Callers reshape: a scalar is an
-    array of one, since numpy's scalar complex product rounds differently.
-    Raises NumericError when E*S is not finite.
+    S being _theta_s_terms summed at x = 0.  theta1/z is even, so z and -z
+    are one point.  Each point stops at the _theta_count of its own Im z,
+    which bounds |term_m / term_0| of S, and its terms are summed in one
+    order, so its value does not depend on the other points.  E takes its
+    Taylor expansion where |2*pi*z| < 1e-6, so a subnormal z keeps every
+    digit.  Callers reshape: a scalar is an array of one, since numpy's
+    scalar complex product rounds differently.  Raises NumericError when
+    E*S is not finite.
     """
     z = np.asarray(z, dtype=complex).ravel()
     z = np.where(z.imag < 0, -z, z)
     n_cut = _theta_count(tau, z.imag)
     w = 2j * np.pi * z
     small = np.abs(w) < 1e-6
-    e_minus_1 = np.expm1(w)
-    ew = e_minus_1 + 1.0  # e^(2*pi*i*z)
-    head, ew2, d, s = ew + 1.0, ew * ew, np.ones_like(z), np.ones_like(z)
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, n_cut.max(initial=1)):
-            d = head + ew2 * d
-            term = _exp_i_pi(tau * (n * n + n) - 2 * n * z) * d
-            (np.subtract if n % 2 else np.add)(s, term, out=s, where=n < n_cut)
-        e = np.where(small, 2j * np.pi * (1.0 + w * (0.5 + w / 6.0)), e_minus_1 / np.where(small, 1.0, z))
+        s = sum(plus + minus for plus, minus in _theta_s_terms(tau, z, n_cut))
+        e = np.where(small, 2j * np.pi * (1.0 + w * (0.5 + w / 6.0)), np.expm1(w) / np.where(small, 1.0, z))
         out = e * s
     if not np.all(np.isfinite(out)):
         raise NumericError(f"theta series is not finite at tau = {tau}")
@@ -306,25 +299,26 @@ def theta1_z_derivative_at_zero(tau: complex) -> complex:
 def theta_aux(k: int, tau):
     """Auxiliary theta constants theta_k(0, tau) for k in {2, 3, 4}.
 
-    theta2 keeps theta1/z's count at z = 0 (relative to its first term).
+    theta2 is theta1(1/2) from theta1's one series, at the count of
+    |Im z| = 0 (relative to its first term).
     tau may be an array of moduli, each summing its own term count; a
     scalar tau is an array of one.
     """
     tau = _require_tau(tau)
     t = np.atleast_1d(tau)
     if k == 2:
-        n_cut = np.atleast_1d(_theta_count(tau, 0.0))
-        ns, coeff = _theta_terms(t, n_cut.max())
-        # same Gaussian exponents as theta1 with the alternating sign undone
-        out = _partial_sums(coeff * (-1.0) ** ns, n_cut)
+        # theta1(1/2) = 2 q^(1/4) S(1/2): S's phases at x = 1/2 are the signs (-1)^j
+        n_cut = np.atleast_1d(_theta_count(t, 0.0))
+        s = sum((-1) ** j * (p + m) for j, (p, m) in enumerate(_theta_s_terms(t, 0.0, n_cut)))
+        out = 2.0 * _exp_i_pi(0.25 * t) * s
     elif k in (3, 4):
         # integer-square series 2*|q|^(n^2) from n = 1, the count itself included
         what = f"theta_{k} series"
         n_cut = np.atleast_1d(_term_count(what, -math.pi * np.imag(tau), 0.0, math.log(2.0), 0.0))
         ns = np.arange(1, n_cut.max() + 1)
         sign = (-1.0) ** ns if k == 4 else np.ones_like(ns, dtype=float)
-        q = np.exp(1j * np.pi * t)[..., None]
-        out = 1.0 + 2.0 * _partial_sums(sign * q ** (ns * ns), n_cut)
+        terms = np.where(ns <= n_cut[..., None], sign * np.exp(1j * np.pi * t)[..., None] ** (ns * ns), 0.0)
+        out = 1.0 + 2.0 * sum(terms[..., j] for j in range(ns.size))  # in order: alone = in any array
     else:
         raise ValidationError(f"theta_aux index must be 2, 3 or 4, got {k}")
     return out if _is_array(tau) else complex(out[0])

@@ -27,7 +27,7 @@ from torus_lqg.green import (
     theta_offset,
 )
 from torus_lqg.modular import S, T, p_tau, wrap_centered
-from torus_lqg.special import TOLERANCE, _theta_cut, theta1, theta1_over_z
+from torus_lqg.special import TOLERANCE, _term_count, theta1, theta1_over_z
 
 TAU = 0.3 + 1.2j
 # the package exports the function green under the module's name
@@ -85,7 +85,7 @@ def test_evenness():
 
 
 def test_vectorized_matches_scalar():
-    # two points near the lattice and one node point (|p| < 1e-2) make the array mixed node/bulk
+    # two points near the lattice and one within 1e-2 of it share the array with the bulk
     points = POINTS + [(0.03, -0.02), (-0.96, 0.99), (1.004, -0.003)]
     x1 = np.array([p[0] for p in points])
     x2 = np.array([p[1] for p in points])
@@ -114,7 +114,9 @@ def test_point_value_independent_of_batch(re, im, size, seed):
             assert fn(complex(z[k]), tau) == batch[k]
     # each point's truncation leaves a tail bound within a tenth of the target
     b = np.abs(z.imag)
-    n, log_absq = _theta_cut(tau, b), -math.pi * im
+    # at least theta1's absolute count, term_n <= 2 |q|^((n+1/2)^2) e^((2n+1) pi b)
+    n = _term_count("theta series", -math.pi * im, 2.0 * math.pi * b, math.log(2.0), 0.5)
+    log_absq = -math.pi * im
     term = 2.0 * np.exp(log_absq * (n + 0.5) ** 2 + (2 * n + 1) * math.pi * b)
     ratio = np.exp(log_absq * (2 * n + 2) + 2.0 * math.pi * b)
     assert np.all(ratio < 1.0) and np.all(term / (1.0 - ratio) <= 0.1 * TOLERANCE)
@@ -130,7 +132,7 @@ def test_point_value_independent_of_batch(re, im, size, seed):
             assert fn(tau, (x1[k], x2[k])) == batch[k]
 
 
-# an axis shift of 0 puts a point on the lattice, one below 1e-2 on a node
+# an axis shift of 0 puts a point on the lattice, one below 1e-2 next to it
 SHIFT = st.one_of(st.just(0.0), st.floats(-1e-2, 1e-2), st.floats(0.0, 1.0))
 
 
@@ -184,17 +186,22 @@ def test_closed_route_agrees_with_the_appendix_deep_in_the_cusp():
         assert abs(grid[i, j] - want) <= 1e-12 * abs(want)
 
 
-@pytest.mark.parametrize("im", [2800.0, 2900.0])
-def test_closed_route_refuses_once_eta_underflows(im):
-    # |eta| = e^(-pi Im tau / 12) is subnormal at 2800i (G would be 6e-9
-    # off) and 0 at 2900i (G would be -inf): an error, never a wrong value
-    u = wrap_centered((np.arange(8) + 0.5) / 8)
-    with pytest.raises(NumericError):
-        green(complex(0.0, im), (0.3, 0.5))
-    with pytest.raises(NumericError):
-        green(complex(0.0, im), (np.array([0.3, 0.004]), np.array([0.5, 0.0])))
-    with pytest.raises(NumericError):
-        green_grid(complex(0.0, im), u, u, 0.0)
+@pytest.mark.parametrize("im", [2800.0, 2900.0, 5000.0])
+def test_closed_route_agrees_with_the_appendix_past_eta_underflow(im):
+    # |eta| = e^(-pi Im tau / 12) is subnormal at 2800i and 0 from 2900i;
+    # ln|eta| is formed in log space, so G stays within 1e-12 of the appendix
+    tau = complex(0.0, im)
+
+    def close(value, x1, x2):
+        want = green(tau, (x1, x2), APPENDIX_FINE)
+        return abs(value - want) <= 1e-12 * abs(want)
+
+    assert close(green(tau, (0.3, 0.5)), 0.3, 0.5)
+    x1, x2 = np.array([0.3, 0.004, 0.2]), np.array([0.5, 0.0, 0.3])
+    assert all(close(v, a, b) for v, a, b in zip(green(tau, (x1, x2)), x1, x2))
+    u = (np.arange(8) + 0.5) / 8
+    grid = green_grid(tau, wrap_centered(u), wrap_centered(u), 0.0)
+    assert all(close(grid[i, j], u[i], u[j]) for i, j in np.ndindex(grid.shape))
 
 
 def test_eigen_route_is_the_truncated_covariance():
@@ -261,8 +268,8 @@ def test_short_distance_expansion():
 
 
 def test_no_jump_at_route_switch():
-    # one formula at every point: second differences stay smooth across
-    # |z| = 1e-2, where green_grid's node cells begin
+    # one formula at every distance from the lattice: second differences
+    # stay smooth across |z| = 1e-2
     xs = np.linspace(0.0095, 0.0105, 41)
     vals = np.array([green(1j, (x, 0.0)) for x in xs])
     second = np.abs(np.diff(vals, n=2))
@@ -272,7 +279,7 @@ def test_no_jump_at_route_switch():
 
 
 def test_one_kernel_call_per_green_call(monkeypatch):
-    # node points (|p| < 1e-2) and bulk points in one array take one theta1 series pass
+    # points within 1e-2 of the lattice and bulk points in one array take one theta1 series pass
     x = (np.array([0.3, 0.004, 0.45, -0.003, -0.2]), np.array([0.4, 0.0, 0.1, 0.002, 0.35]))
     want = green(TAU, x)
     calls = []

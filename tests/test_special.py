@@ -21,7 +21,6 @@ from torus_lqg.special import (
     TOLERANCE,
     _term_count,
     _theta_count,
-    _theta_cut,
     dedekind_eta,
     theta1,
     theta1_over_z,
@@ -49,6 +48,9 @@ DTHETA1_A = 0.184723923470741114448165 + 0.07327166839154732413114958j  # 0.4808
 DTHETA1_B = 0.177850925317502983027842  # 4.5387i
 # theta2 where its absolute tail bound alone keeps one term
 THETA2_A = 0.0606577164724852901628098 - 0.0251252488254853007184419j  # -0.5 + 4.35i
+# theta2 deep in the cusp, where q = e^(i pi tau) alone underflows
+THETA2_300I = 9.392981295735652150967562e-103
+THETA2_CUSP = 2.056484303255615947381388e-80 + 1.618488247242532237557763e-81j  # 0.1 + 234.5i
 
 TIGHT = 1e-13
 GRID_TOL = 1e-10
@@ -119,6 +121,16 @@ def test_theta2_is_relatively_exact():
     assert abs(theta_aux(2, -0.5 + 4.35j) - THETA2_A) <= 1e-13 * abs(THETA2_A)
 
 
+@pytest.mark.parametrize(
+    "tau, want", ((300j, THETA2_300I), (0.1 + 234.5j, THETA2_CUSP)), ids=["300i", "0.1+234.5i"]
+)
+def test_theta2_in_the_cusp(tau, want):
+    # theta2 = theta1(1/2) from theta1's series, each q power folded into one
+    # exponential: q^(1/4) stays normal where q itself is 0
+    assert abs(theta_aux(2, tau) - want) <= 1e-13 * abs(want)
+    assert theta_aux(2, np.array([tau]))[0] == theta_aux(2, tau)
+
+
 def test_theta1_derivative_against_mpmath_over_the_cusp():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
@@ -141,7 +153,7 @@ def test_theta_count_keeps_the_absolute_and_relative_bounds(log_y, b_frac):
     y = 10.0**log_y
     b = b_frac * y
     n = int(_theta_count(complex(0.2, y), b))
-    assert n >= int(_theta_cut(complex(0.2, y), b))
+    assert n >= _term_count("theta series", -math.pi * y, 2.0 * math.pi * b, math.log(2.0), 0.5)
     k = np.arange(n, n + 400)
     rel = np.exp(np.log(2 * k + 1) - math.pi * y * (k * k + k) + 2 * math.pi * b * k)
     assert rel.sum() <= 0.1 * TOLERANCE
@@ -266,7 +278,7 @@ def test_term_count_is_smallest_meeting_tail_bound(log_y, frac, x2, site):
     bz = frac * y  # a bound on |Im z|; 0 is the theta2 / theta1'(0) case
     tol = TOLERANCE
     if site == "theta1":
-        n = int(_theta_cut(complex(0.3, y), bz))
+        n = _term_count("theta series", -math.pi * y, 2.0 * math.pi * bz, math.log(2.0), 0.5)
         log_term = lambda n: (
             math.log(2.0) - math.pi * y * (n + 0.5) ** 2 + (2 * n + 1) * math.pi * bz
         )
@@ -341,7 +353,7 @@ def test_term_count_refuses_non_finite_bounds_on_both_paths(bad):
         _term_count("theta series", a, np.array([0.0, bad, 1.0]), c, 0.5)
     for b in (bad, np.array([0.1, bad])):
         with pytest.raises(NonConvergence, match="non-finite"):
-            _theta_cut(1j, b)
+            _theta_count(1j, b)
 
 
 def test_term_count_refuses_counts_above_cap_on_both_paths():
@@ -360,10 +372,10 @@ def test_term_count_refuses_counts_above_cap_on_both_paths():
     log_y=st.floats(math.log10(MIN_IM_TAU), math.log10(110.0)),
     fracs=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=40),
 )
-def test_theta_cut_is_the_same_alone_and_in_any_array(re, log_y, fracs):
+def test_theta_count_is_the_same_alone_and_in_any_array(re, log_y, fracs):
     tau = complex(re, 10.0**log_y)
     b = np.array(fracs) * tau.imag
-    cut = _theta_cut(tau, b)
+    cut = _theta_count(tau, b)
     assert cut.dtype.kind == "i"
-    assert cut.tolist() == [_theta_cut(tau, float(v)) for v in b]
-    assert cut[::-1].tolist() == _theta_cut(tau, b[::-1]).tolist()
+    assert cut.tolist() == [_theta_count(tau, float(v)) for v in b]
+    assert cut[::-1].tolist() == _theta_count(tau, b[::-1]).tolist()

@@ -85,6 +85,9 @@ ROWS = [
     ("THETA4_I", theta_aux(4, 1j)),
     # where theta2's absolute tail bound alone keeps one term
     ("THETA2_A", theta_aux(2, mp.mpc("-0.5", "4.35"))),
+    # deep in the cusp, where q = e^(i pi tau) alone underflows
+    ("THETA2_300I", theta_aux(2, mp.mpc(0, 300))),
+    ("THETA2_CUSP", theta_aux(2, mp.mpc("0.1", "234.5"))),
     ("DTHETA1_I", dtheta1_at_zero(1j)),
     # where theta1's absolute tail bound alone keeps one term
     ("DTHETA1_A", dtheta1_at_zero(mp.mpc("0.4808", "4.3974"))),
