@@ -118,10 +118,10 @@ def _check_singular(tau, x1c, x2c):
         raise SingularPoint(f"green function diverges at the lattice point, x=({x1c}, {x2c})")
 
 
-def _regular_part(tau, z, x2, log_eta, s):
-    """pi*Im(tau)*x2^2 + ln|eta| - ln|theta1(z)/z| - ln(s) at z = p_tau(x1, x2):
-    G + ln|z| - ln(s), stable through z = 0 and deep in the cusp."""
-    return np.pi * tau.imag * (x2 * x2) + log_eta - _log_theta1_over_z(z, tau) - np.log(s)
+def _regular_part(tau, z, x2):
+    """pi*Im(tau)*x2^2 + ln|eta| - ln|theta1(z)/z| at z = p_tau(x1, x2): G +
+    ln|z|, stable through z = 0 and deep in the cusp."""
+    return np.pi * tau.imag * (x2 * x2) + _log_eta(tau) - _log_theta1_over_z(z, tau)
 
 
 def green_centered(tau: complex, x1c, x2c):
@@ -131,7 +131,7 @@ def green_centered(tau: complex, x1c, x2c):
     tau = complex(tau)
     x1c, x2c = np.broadcast_arrays(np.asarray(x1c, dtype=float), np.asarray(x2c, dtype=float))
     z = p_tau(tau, x1c, x2c)
-    return _regular_part(tau, z, x2c, _log_eta(tau), 1.0) - np.log(np.abs(z))
+    return _regular_part(tau, z, x2c) - np.log(np.abs(z))
 
 
 def green_grid(tau, x1c, x2c, cap):
@@ -158,9 +158,12 @@ def green_grid(tau, x1c, x2c, cap):
     which cancels nowhere and overflows nowhere, G = pi*Im(tau)*(|x2| -
     1/2)^2 + ln|eta| - ln(L |S|^2)/2 at every cell down to |p| ~ 1e-150;
     _near_lattice caps the cells next to the lattice point and gives those
-    closer than _CLOSED in closed form.  The moduli of one term count n
-    share one stacked product, taken in order of n, so each runs the same
-    products as alone.
+    closer than _CLOSED in closed form.  Every modulus takes the call's
+    largest count n, its terms past its own count being zero, so one
+    stacked product serves the call.  The zeros add nothing: with OpenBLAS
+    a modulus reads byte for byte as alone in any block with 2n < 16
+    (every Im(tau) above 0.25; the fundamental domain has counts of at
+    most 4), and past that the moved sin rows may change its last bit.
     """
     taus = np.atleast_1d(np.asarray(tau, dtype=complex))
     caps = np.broadcast_to(np.asarray(cap, dtype=float), taus.shape)
@@ -168,40 +171,32 @@ def green_grid(tau, x1c, x2c, cap):
     log_eta = _log_eta(taus)
     t, b = taus[:, None], taus.imag[:, None] * np.abs(x2c)  # b = |Im z| per column
     n_cut = _theta_count(t, b)
-    n_max = n_cut.max(axis=1, initial=1)
-    front = np.pi * t.imag * (np.abs(x2c) - 0.5) ** 2 + log_eta[:, None]
-    order = np.argsort(n_max, kind="stable")
-    counts, start = np.unique(n_max[order], return_index=True)
-    out = np.empty((taus.size, x1c.size, x2c.size))  # the moduli in order of n
+    n = int(n_cut.max(initial=1))
     with np.errstate(all="ignore"):
-        for n, lo, hi in zip(counts, start, [*start[1:], taus.size]):  # one stacked product per n
-            ks, g = order[lo:hi], out[lo:hi]
-            # Re and Im of S's factors of cos(2*pi*j*x1) (rows j) and sin(2*pi*j*x1) (rows n + j)
-            re, im = np.empty((ks.size, 2 * n, x2c.size)), np.empty((ks.size, 2 * n, x2c.size))
-            for j, (p, m) in enumerate(_theta_s_terms(t[ks], t[ks] * x2c, n_cut[ks])):
-                c, d = p + m, p - m  # the sin factor is i*d
-                re[:, j], im[:, j], re[:, n + j], im[:, n + j] = c.real, c.imag, -d.imag, d.real
-            angle = 2.0 * np.pi * np.outer(x1c, np.arange(n))
-            phase = np.concatenate((np.cos(angle), np.sin(angle)), axis=1)
-            np.matmul(phase, re, out=g)
-            el = phase @ im
-            del re, im
-            g *= g
-            g += np.square(el, out=el)  # |S|^2
-            el[...] = (t[ks].real * x2c)[:, None, :]
-            el += x1c[:, None]  # a, as p_tau forms it
-            el *= np.pi
-            np.sin(el, out=el)
-            el *= 2.0 * np.exp(-np.pi * b[ks, None, :])
-            el *= el
-            el += np.expm1(-2.0 * np.pi * b[ks, None, :]) ** 2  # L
-            g *= el
-            del el
-            np.log(g, out=g)
-            g *= -0.5
-            g += front[ks, None, :]
-        if np.any(order[1:] < order[:-1]):
-            out = out[np.argsort(order)]
+        # Re and Im of S's factors of cos(2*pi*j*x1) (rows j) and sin(2*pi*j*x1) (rows n + j)
+        re, im = np.empty((taus.size, 2 * n, x2c.size)), np.empty((taus.size, 2 * n, x2c.size))
+        for j, (p, m) in enumerate(_theta_s_terms(t, t * x2c, n_cut)):
+            c, d = p + m, p - m  # the sin factor is i*d
+            re[:, j], im[:, j], re[:, n + j], im[:, n + j] = c.real, c.imag, -d.imag, d.real
+        angle = 2.0 * np.pi * np.outer(x1c, np.arange(n))
+        phase = np.concatenate((np.cos(angle), np.sin(angle)), axis=1)
+        out = phase @ re
+        el = phase @ im
+        del re, im
+        out *= out
+        out += np.square(el, out=el)  # |S|^2
+        el[...] = (t.real * x2c)[:, None, :]
+        el += x1c[:, None]  # a, as p_tau forms it
+        el *= np.pi
+        np.sin(el, out=el)
+        el *= 2.0 * np.exp(-np.pi * b[:, None, :])
+        el *= el
+        el += np.expm1(-2.0 * np.pi * b[:, None, :]) ** 2  # L
+        out *= el
+        del el
+        np.log(out, out=out)
+        out *= -0.5
+        out += (np.pi * t.imag * (np.abs(x2c) - 0.5) ** 2 + log_eta[:, None])[:, None, :]
         _near_lattice(out, taus, caps, log_eta, x1c, x2c)  # ln(cap = 0) is caught below
     if not np.all(np.isfinite(out)):
         raise NumericError(f"Green function grid is not finite at tau = {tau}")
@@ -244,7 +239,7 @@ def green_log_subtracted(tau: complex, x1, x2):
     """
     tau = complex(tau)
     x1c, x2c = wrap_centered(x1), wrap_centered(x2)
-    return _regular_part(tau, p_tau(tau, x1c, x2c), x2c, _log_eta(tau), 1.0)
+    return _regular_part(tau, p_tau(tau, x1c, x2c), x2c)
 
 
 def _green_eigen(tau: complex, x1: float, x2: float, cutoff: int, tolerance: float):
@@ -348,5 +343,5 @@ def green_regularized(tau: complex, x, eps: float) -> float:
     z0 = p_tau(tau, wrap_centered(x1), wrap_centered(x2))
     if abs(z0) < _SINGULAR_TOL:
         # R(c_tau(w)) with p exactly w: no re-wrapping, the offsets are tiny
-        return float(-math.log(eps) + np.mean(_regular_part(tau, diff, d2, _log_eta(tau), 1.0)))
+        return float(-math.log(eps) + np.mean(_regular_part(tau, diff, d2)))
     return float(np.mean(_green_closed(tau, x1 + d1, x2 + d2)))

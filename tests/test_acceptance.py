@@ -147,25 +147,27 @@ def _variances_at(tau, cutoff, eps, xs):
 def test_05_gff_covariance_matches_series():
     t0 = time.monotonic()
     tau, cutoff, replicas = 1j, 64, 10_000
-    idx = np.arange(-cutoff, cutoff + 1)
-    n, m = np.meshgrid(idx, idx, indexing="ij")
+    # the half-spectrum m >= 0: X = 2 Re sum_{m >= 1} + the real m = 0 column,
+    # so the phases of m >= 1 are doubled
+    n, m = np.meshgrid(np.arange(-cutoff, cutoff + 1), np.arange(cutoff + 1), indexing="ij")
     base = (0.15, 0.2)
     disps = ((0.1, 0.0), (0.0, 0.1), (0.2, 0.3), (0.35, 0.15), (0.45, 0.45))
     pts = [base] + [(base[0] + d[0], base[1] + d[1]) for d in disps]
+    double = np.where(m > 0, 2.0, 1.0)
     phases = np.stack(
-        [np.exp(2j * np.pi * (n * x1 + m * x2)).ravel() for x1, x2 in pts], axis=1
+        [(double * np.exp(2j * np.pi * (n * x1 + m * x2))).ravel() for x1, x2 in pts], axis=1
     )
-    # field r is row r of draw_modes under seed 31, drawn in batches and
-    # mirrored to the full box as sample_gff does
+    # field r is row r of draw_modes under seed 31, drawn in batches
     weights = scaled_mode_weights(tau, cutoff)[0][:, cutoff:]
     batch = 100
     prods = np.empty((replicas, len(disps)))
     for start in range(0, replicas, batch):
         half = draw_modes(RngStream(31, start), batch, cutoff) * weights
-        coeffs = np.concatenate([np.conj(half[:, ::-1, :0:-1]), half], axis=2)
-        vals = (coeffs.reshape(batch, -1) @ phases).real
+        vals = (half.reshape(batch, -1) @ phases).real
         prods[start : start + batch] = vals[:, :1] * vals[:, 1:]
-    assert np.array_equal(coeffs[-1], sample_gff(tau, cutoff, RngStream(31, replicas - 1)).coeffs)
+    # the last field, mirrored to the full box, is the one sample_gff draws
+    coeffs = np.concatenate([np.conj(half[-1, ::-1, :0:-1]), half[-1]], axis=1)
+    assert np.array_equal(coeffs, sample_gff(tau, cutoff, RngStream(31, replicas - 1)).coeffs)
     worst = 0.0
     for k, d in enumerate(disps):
         want = truncated_covariance(tau, cutoff, d)

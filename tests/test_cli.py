@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,7 +20,7 @@ from torus_lqg.chaos import sample_total_masses
 from torus_lqg.checks import CheckResult
 from torus_lqg.config import FieldResolution, MonteCarloConfig
 from torus_lqg.gff import RngStream, evaluate_on_grid, sample_gff
-from torus_lqg.green import green, green_grid
+from torus_lqg.green import GreenEvalConfig, green, green_grid
 from torus_lqg.lqft import LQFTParams
 from torus_lqg.lqg import (
     MatterCFT,
@@ -26,7 +30,7 @@ from torus_lqg.lqg import (
     template_from_matter,
 )
 from torus_lqg.modular import wrap_centered
-from torus_lqg.special import dedekind_eta
+from torus_lqg.special import dedekind_eta, theta1, theta_aux
 
 
 def run(capsys, *argv):
@@ -43,24 +47,38 @@ def test_version_flag(capsys):
 
 
 def test_special_eval_matches_library(capsys):
-    code, out, _ = run(capsys, "special-fn", "eval", "--fn", "eta", "--tau", "0.3,1.2")
-    assert code == 0
-    doc = json.loads(out)
-    want = dedekind_eta(0.3 + 1.2j)
-    assert abs(complex(*doc["value"]) - want) < 1e-15
+    tau = 0.3 + 1.2j
+    for fn, z, want in (
+        ("eta", (), dedekind_eta(tau)),
+        ("theta1", ("--z", "0.17,0.23"), theta1(0.17 + 0.23j, tau)),
+        ("theta3", (), theta_aux(3, tau)),
+    ):
+        code, out, _ = run(capsys, "special-fn", "eval", "--fn", fn, "--tau", "0.3,1.2", *z)
+        assert code == 0
+        doc = json.loads(out)
+        assert abs(complex(*doc["value"]) - want) < 1e-15
+        assert doc["meta"]["config"]["fn"] == fn
     assert doc["meta"]["version"] == __version__
-    assert doc["meta"]["config"]["fn"] == "eta"
     assert "duration_s" in doc["meta"]
 
 
 def test_green_eval_to_file(tmp_path, capsys):
     out_path = tmp_path / "g.json"
-    code, _, _ = run(
-        capsys, "green", "eval", "--tau", "0,1", "--x", "0.3,0.4", "--out", str(out_path)
-    )
-    assert code == 0
-    doc = json.loads(out_path.read_text())
-    assert abs(doc["green"] - green(1j, (0.3, 0.4))) < 1e-15
+    appendix = ("--mode", "appendix", "--tolerance", "1e-10")
+    for tau, x, flags, want in (
+        ("0,1", "0.3,0.4", (), green(1j, (0.3, 0.4))),
+        ("0.3,1.2", "0.3,0.4", (), green(0.3 + 1.2j, (0.3, 0.4))),
+        ("0.3,1.2", "0.3,0.4", appendix,
+         green(0.3 + 1.2j, (0.3, 0.4), GreenEvalConfig(mode="appendix", tolerance=1e-10))),
+        # within 1e-2 of the lattice, on the one theta1 series as every point
+        ("0.3,1.2", "0.004,0.002", (), green(0.3 + 1.2j, (0.004, 0.002))),
+    ):
+        code, _, _ = run(
+            capsys, "green", "eval", "--tau", tau, "--x", x, *flags, "--out", str(out_path)
+        )
+        assert code == 0
+        doc = json.loads(out_path.read_text())
+        assert abs(doc["green"] - want) < 1e-15
 
 
 def test_modular_reduce(capsys):
@@ -249,6 +267,19 @@ def test_eta_in_the_cusp_exits_0(capsys):
     assert complex(*json.loads(out)["value"]) == dedekind_eta(300j)
 
 
+@pytest.mark.parametrize("argv", (
+    # the deep cusp on the grid path, where the columns' term counts differ
+    ["green", "table", "--tau", "0,12", "--grid", "64"],
+    ["green", "table", "--tau", "-0.4,0.9", "--grid", "1"],
+    ["lqft", "check-kpz", "--replicas", "32", "--cutoff", "12"],
+    ["lqft", "check-modular", "--replicas", "400", "--seed", "23"],
+), ids=" ".join)
+def test_command_exits_0(tmp_path, capsys, argv):
+    out = ["--out", str(tmp_path / "t.csv")] if argv[0] == "green" else []
+    code, _, err = run(capsys, *argv, *out)
+    assert code == 0, err
+
+
 @pytest.mark.parametrize("cells", (["--re-cells", "1"], ["--im-cells", "1", "--tail-tol", "1"]))
 def test_sample_joint_with_one_cell_along_an_axis(tmp_path, capsys, cells):
     # a table axis with a single center is constant: no division by a zero spacing
@@ -264,10 +295,12 @@ def test_sample_joint_with_one_cell_along_an_axis(tmp_path, capsys, cells):
 
 
 def test_check_quick_suite(capsys):
-    code, out, _ = run(capsys, "check", "all", "--quick")
-    assert code == 0
-    assert "checks passed" in out
-    assert "FAIL" not in out
+    # --quick, then the full battery (gmc-mean-mass, partition-modular, the variance check at cutoff 15000)
+    for flags in (["--quick"], []):
+        code, out, _ = run(capsys, "check", "all", *flags)
+        assert code == 0
+        assert "checks passed" in out
+        assert "FAIL" not in out
 
 
 def test_check_failure_exits_3(capsys, monkeypatch):
@@ -330,6 +363,60 @@ def test_gmc_sample_of_one_pair_is_valid(tmp_path, capsys):
     args = ["gmc", "sample", "--tau", "0,1", "--replicas", "2", "--cutoff", "8", "--out", str(out)]
     assert run(capsys, *args)[0] == 0
     assert len([ln for ln in out.read_text().splitlines() if not ln.startswith("#")]) == 3
+
+
+# seeded commands whose outputs repeat bit for bit in a fresh interpreter
+RERUNS = (
+    ["gff", "sample", "--tau", "0,1", "--cutoff", "4", "--seed", "3", "--stream", "2",
+     "--out", "gff.csv"],
+    # the tilted setup of one modulus
+    ["lqft", "partition", "--tau", "0.3,1.2", "--gamma", "1.0",
+     "--insertions", "0.2,0.3,0.8;0.7,0.6,0.5", "--replicas", "64", "--cutoff", "8",
+     "--out", "part.json"],
+    ["lqg", "sample-joint", "--matter", "pure", "--t-max", "12", "--cutoff", "8",
+     "--replicas", "32", "--samples", "50", "--no-cache", "--out", "joint.csv"],
+    # a tilted moment table; 33 replicas end on a lone replica
+    ["lqg", "modulus-density", "--matter", "pure", "--t-max", "12", "--cutoff", "8",
+     "--replicas", "33", "--no-cache", "--out", "density.csv"],
+    ["gmc", "sample", "--tau", "0,1", "--replicas", "7", "--cutoff", "8", "--seed", "3",
+     "--out", "pairs.csv"],
+    ["gmc", "sample", "--tau", "0,1", "--critical", "--eps", "0.08", "--cutoff", "8",
+     "--replicas", "7", "--seed", "3", "--out", "crit.csv"],
+    # the synthesis product along m at the inherited BLAS thread count
+    ["gmc", "sample", "--tau", "0,1", "--replicas", "7", "--cutoff", "32", "--seed", "3",
+     "--out", "c32.csv"],
+    # the Green table, written in row blocks
+    ["green", "table", "--tau", "0.3,1.2", "--grid", "256", "--out", "green.csv"],
+)
+
+
+def test_reruns_in_fresh_interpreters_are_bit_identical(tmp_path):
+    # two fresh interpreters, each in its own directory at its own hash seed,
+    # run every command; their outputs agree but for the duration lines
+    src = str(Path(cli.__file__).parents[1])
+    code = ("import json, sys, torus_lqg.cli as cli; "
+            "sys.exit(max(cli.main(argv) for argv in json.loads(sys.argv[1])))")
+    sides = []
+    for seed in ("1", "2"):
+        cwd = tmp_path / seed
+        cwd.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        sides.append((cwd, subprocess.Popen([sys.executable, "-c", code, json.dumps(RERUNS)],
+                                            cwd=cwd, env=env, stderr=subprocess.PIPE, text=True)))
+    for _, proc in sides:
+        err = proc.communicate(timeout=120)[1]
+        assert proc.returncode == 0, err
+    for argv in RERUNS:
+        a, b = ([ln for ln in (cwd / argv[-1]).read_text().splitlines() if "duration_s" not in ln]
+                for cwd, _ in sides)
+        assert a == b, argv
+
+
+def test_ci_workflow_runs_no_inline_python():
+    # every check lives in tier 1; CI adds only the installed-CLI and cache steps
+    workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+    assert "python -c" not in workflow.read_text()
 
 
 def oracle_fmt_cell(v) -> str:

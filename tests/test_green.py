@@ -164,6 +164,10 @@ def test_eigen_route_agrees():
     for tau in (1j, TAU):
         for x1, x2 in POINTS[:3]:
             assert abs(green(tau, (x1, x2), cfg) - green(tau, (x1, x2))) < 1e-2
+    # within its own error estimate 4/N^1.5; at N = 3000 the series sums many row chunks
+    for cutoff in (400, 3000):
+        cfg = GreenEvalConfig(mode="eigen", eigen_cutoff=cutoff)
+        assert abs(green(TAU, (0.3, 0.4), cfg) - green(TAU, (0.3, 0.4))) <= 4 / cutoff**1.5
 
 
 def test_appendix_route_agrees():
