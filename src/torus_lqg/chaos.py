@@ -47,7 +47,7 @@ from .gff import (
     scaled_mode_weights,
 )
 from .green import theta_offset
-from .modular import ModularElement
+from .modular import ModularElement, require_tau
 
 __all__ = [
     "ChaosMeasure",
@@ -136,7 +136,7 @@ def chaos_points(taus, gamma: float, q: float, res: FieldResolution, h_grids=Non
     weights and the variance in the factor.  A modulus's point is byte for
     byte the same alone and in any block.  Callers validate gamma.
     """
-    taus = np.asarray(taus, dtype=complex)
+    taus = require_tau(np.asarray(taus, dtype=complex))
     eps = res.eps_for(taus)
     weights, variance = scaled_mode_weights(taus, res.cutoff, eps)
     weights *= gamma

@@ -58,32 +58,36 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _tau(text: str) -> complex:
+def _numbers(text: str, what: str, count: int | None = None) -> tuple[float, ...]:
+    """The comma-separated numbers of a flag's text, exactly count of them
+    when count is given; anything else is a usage error naming what the
+    flag expects."""
     try:
-        re, im = (float(p) for p in text.split(","))
+        values = tuple(float(p) for p in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected RE,IM pair, got {text!r}")
-    return complex(re, im)
+        values = ()
+    if not values or count not in (None, len(values)):
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return values
+
+
+def _tau(text: str) -> complex:
+    return complex(*_numbers(text, "RE,IM pair", 2))
 
 
 def _point(text: str) -> tuple[float, float]:
-    try:
-        a, b = (float(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected X1,X2 pair, got {text!r}")
-    return a, b
+    return _numbers(text, "X1,X2 pair", 2)
 
 
 def _insertions(text: str) -> tuple:
-    out = []
-    for chunk in text.split(";"):
-        parts = chunk.split(",")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError(
-                f"expected X1,X2,ALPHA triples joined by ';', got {chunk!r}"
-            )
-        out.append(tuple(float(p) for p in parts))
-    return tuple(out)
+    return tuple(_numbers(c, "X1,X2,ALPHA triples joined by ';'", 3) for c in text.split(";"))
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    return _numbers(text, "comma-separated numbers")
+
+
+_FFPOWER = "ffpower:<c_m>, c_m one number at most 1"
 
 
 def _matter(text: str) -> MatterCFT:
@@ -92,17 +96,13 @@ def _matter(text: str) -> MatterCFT:
     if text == "ising":
         return MatterCFT.ising()
     if text.startswith("ffpower:"):
-        return MatterCFT.free_field_power(float(text.split(":", 1)[1]))
+        try:
+            return MatterCFT.free_field_power(_numbers(text[len("ffpower:"):], _FFPOWER, 1)[0])
+        except ValidationError as exc:
+            raise argparse.ArgumentTypeError(f"expected {_FFPOWER}, got {text!r}: {exc}")
     raise argparse.ArgumentTypeError(
         f"matter must be pure, ising, or ffpower:<c_m>, got {text!r}"
     )
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
 def _json_safe(v):
@@ -250,6 +250,8 @@ def _cmd_green_eval(args, write):
 
 def _cmd_green_table(args, write):
     g = args.grid
+    if g < 1:
+        raise ValidationError(f"--grid must be at least 1, got {g}")
     u = (np.arange(g) + 0.5) / g
     x1, x2 = np.meshgrid(u, u, indexing="ij")
     vals = green_grid(args.tau, wrap_centered(u), wrap_centered(u), 0.0)
@@ -680,13 +682,10 @@ def main(argv=None) -> int:
         if args.config:
             args = _config_defaults(args.config, parser, registry, argv)
         return args.func(args, partial(_write, args, argv, t0))
-    except ValidationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except NumericError as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return 2
-    except TorusLQGError as exc:
+    except (TorusLQGError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -122,7 +122,7 @@ from scipy.special import j0, j1, ndtri, y0
 
 from .config import MonteCarloConfig
 from .errors import IndexOutOfCutoff, ValidationError
-from .modular import reduce_to_fundamental
+from .modular import reduce_to_fundamental, require_tau
 from .special import dedekind_eta
 
 __all__ = [
@@ -271,11 +271,6 @@ def _per_modulus(v) -> np.ndarray:
     return np.asarray(v, dtype=float)[..., None, None]
 
 
-def _coefficient_weights(tau: complex, cutoff: int) -> np.ndarray:
-    """sqrt(c_{n,m}(tau)) on the box, zero at the origin mode."""
-    return np.sqrt(_spectral_box(tau, cutoff, _mode_moduli(tau, cutoff)))
-
-
 def scaled_mode_weights(tau, cutoff: int, eps=0.0):
     """(weights, variance): the sqrt(c_k) mode weights times the
     circle-average multiplier J0 (exactly 1 at eps = 0) of one modulus, or
@@ -328,12 +323,10 @@ def sample_gff(tau: complex, cutoff: int, rng: RngStream) -> SpectralField:
     mode draw under seed rng.seed, mirrored to the full box.  That is
     replica 2 * rng.stream of replica_grids under the same seed; replica
     2 * rng.stream + 1 is its negation."""
-    tau = complex(tau)
-    if not tau.imag > 0:
-        raise ValidationError(f"tau must lie in the upper half-plane, got {tau}")
+    tau = require_tau(complex(tau))
     if cutoff < 1:
         raise ValidationError("cutoff must be at least 1")
-    half = draw_modes(rng, 1, cutoff)[0] * _coefficient_weights(tau, cutoff)[:, cutoff:]
+    half = draw_modes(rng, 1, cutoff)[0] * scaled_mode_weights(tau, cutoff)[0][:, cutoff:]
     coeffs = np.concatenate([np.conj(half[::-1, :0:-1]), half], axis=1)
     return SpectralField(tau=tau, cutoff=cutoff, coeffs=coeffs)
 
@@ -811,7 +804,7 @@ def build_log_conformal_factor(
                 f"relabeled mode ({n}, {m}) outside cutoff {N}; enlarge the spec box"
             )
         coeffs[N + n, N + m] = v
-    weights = _coefficient_weights(tau, N)
+    weights = scaled_mode_weights(tau, N)[0]
     return SpectralField(tau=tau, cutoff=N, coeffs=coeffs * weights)
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergence, NumericError, SingularPoint, ValidationError
-from .modular import c_tau, p_tau, wrap_centered, wrap_unit
+from .modular import c_tau, p_tau, require_tau, wrap_centered, wrap_unit
 from .special import _eta_product, _log_theta1_over_z, _require_tau, _term_count, _theta_count, _theta_s_terms
 
 __all__ = [
@@ -286,9 +286,7 @@ def green(tau: complex, x, cfg: GreenEvalConfig = _DEFAULT):
     scalar.  Raises SingularPoint at lattice points and NonConvergence
     when the eigen estimate misses cfg.tolerance.
     """
-    tau = complex(tau)
-    if not tau.imag > 0:
-        raise ValidationError(f"tau must lie in the upper half-plane, got {tau}")
+    tau = require_tau(complex(tau))
     x1, x2 = x
     if cfg.mode == "closed":
         out = _green_closed(tau, x1, x2)

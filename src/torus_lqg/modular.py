@@ -17,6 +17,7 @@ parallelogram of C / (Z + tau*Z), and c_tau is its inverse.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -31,11 +32,27 @@ __all__ = [
     "T",
     "S",
     "reduce_to_fundamental",
+    "require_tau",
     "wrap_unit",
     "wrap_centered",
     "p_tau",
     "c_tau",
 ]
+
+
+def require_tau(tau):
+    """tau as a complex, or an array of moduli as a complex array, each
+    with finite parts and Im tau > 0: the one check of a modulus.  A
+    scalar takes a cmath path, with no numpy call."""
+    if isinstance(tau, np.ndarray) and tau.ndim > 0:
+        tau = np.asarray(tau, dtype=complex)
+        bad = tau[~(np.isfinite(tau) & (tau.imag > 0))]
+    else:
+        tau = complex(tau)
+        bad = () if cmath.isfinite(tau) and tau.imag > 0 else (tau,)
+    if len(bad):
+        raise ValidationError(f"tau must have finite parts and Im tau > 0, got {bad[0]}")
+    return tau
 
 
 @dataclass(frozen=True)
@@ -60,9 +77,7 @@ class ModularElement:
 
     def act_on_uhp(self, tau: complex) -> complex:
         """Mobius action on the upper half-plane."""
-        tau = complex(tau)
-        if not tau.imag > 0:
-            raise ValidationError(f"tau must lie in the upper half-plane, got {tau}")
+        tau = require_tau(complex(tau))
         return (self.a * tau + self.b) / (self.c * tau + self.d)
 
     def act_on_torus(self, x1, x2):
@@ -125,9 +140,7 @@ def reduce_to_fundamental(tau: complex) -> FundamentalDomainPoint:
     on the unit arc, to Re tau >= 0.  The returned witness w satisfies
     w.act_on_uhp(input) == reduced tau up to floating-point error.
     """
-    z = complex(tau)
-    if not z.imag > 0:
-        raise ValidationError(f"tau must lie in the upper half-plane, got {tau}")
+    z = require_tau(complex(tau))
     w = IDENTITY
     for _ in range(10_000):
         n = math.floor(z.real + 0.5)

@@ -30,6 +30,7 @@ import math
 import numpy as np
 
 from .errors import NonConvergence, NumericError, ValidationError
+from .modular import require_tau
 
 __all__ = [
     "MAX_TERMS",
@@ -57,14 +58,9 @@ def _is_array(v) -> bool:
 
 
 def _require_tau(tau):
-    """tau as a complex, or an array of moduli as a complex array, each
-    in the upper half-plane with Im tau >= MIN_IM_TAU."""
-    scalar = not _is_array(tau)
-    tau = complex(tau) if scalar else np.asarray(tau, dtype=complex)
-    low = tau.imag if scalar else tau.imag.min(initial=math.inf)
-    if not low > 0:  # a NaN imaginary part fails here too
-        bad = tau if scalar else tau[~(tau.imag > 0)][0]
-        raise ValidationError(f"tau must lie in the upper half-plane, got {bad}")
+    """modular.require_tau, and Im tau >= MIN_IM_TAU."""
+    tau = require_tau(tau)
+    low = tau.imag.min(initial=math.inf) if _is_array(tau) else tau.imag
     if low < MIN_IM_TAU:
         raise NonConvergence(f"Im tau = {low:g} below supported minimum {MIN_IM_TAU:g}")
     return tau

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -24,6 +25,7 @@ from torus_lqg.green import GreenEvalConfig, green, green_grid
 from torus_lqg.lqft import LQFTParams
 from torus_lqg.lqg import (
     MatterCFT,
+    _in_fundamental_domain,
     build_density_table,
     joint_law_sampler,
     params_from_matter,
@@ -34,7 +36,10 @@ from torus_lqg.special import dedekind_eta, theta1, theta_aux
 
 
 def run(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as info:  # a usage error that argparse reports
+        code = info.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -149,6 +154,9 @@ def test_validation_error_exits_1(tmp_path, capsys):
         (["lqft", "partition", "--tau", "0,1", "--gamma", "1", "--insertions", "0.2,0.3,0.8",
           "--replicas", "2", "--cutoff", "4"], "two pairs"),
         (["lqft", "check-kpz", "--replicas", "2", "--cutoff", "4"], "two pairs"),
+        # a table of no cells is refused, not written as a lone column line
+        *((["green", "table", "--tau", "0,1", "--grid", g, "--out", str(out)], "--grid")
+          for g in ("0", "-3")),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 1
@@ -156,6 +164,91 @@ def test_validation_error_exits_1(tmp_path, capsys):
         assert needle in err
         assert "Traceback" not in err
     assert not out.exists()
+
+
+_TINY = ("--replicas", "4", "--cutoff", "4")
+
+
+BAD_INPUTS = (
+    # a modulus with a non-finite part, or below the real axis, from require_tau
+    (("gmc", "sample", "--tau", "nan,1", *_TINY), "got (nan+1j)"),
+    (("gmc", "sample", "--tau", "0,inf", *_TINY), "got infj"),
+    (("gff", "sample", "--tau", "inf,1", "--cutoff", "4"), "got (inf+1j)"),
+    (("special-fn", "eval", "--fn", "eta", "--tau", "nan,1"), "got (nan+1j)"),
+    (("modular", "reduce", "--tau", "0,inf"), "got infj"),
+    (("modular", "reduce", "--tau", "nan,1"), "got (nan+1j)"),
+    (("modular", "reduce", "--tau", "0,-1"), "got -1j"),
+    (("green", "eval", "--tau", "nan,1", "--x", "0.3,0.4"), "got (nan+1j)"),
+    (("lqft", "partition", "--tau", "nan,1", "--gamma", "1", "--insertions", "0.2,0.3,0.8",
+      *_TINY), "got (nan+1j)"),
+    # a malformed number or matter, from the flag's parser, named with its form
+    (("lqg", "modulus-density", "--matter", "ffpower:1.2"),
+     "argument --matter: expected ffpower:<c_m>, c_m one number at most 1, got 'ffpower:1.2'"),
+    (("lqg", "modulus-density", "--matter", "ffpower:abc"),
+     "argument --matter: expected ffpower:<c_m>"),
+    (("lqft", "partition", "--tau", "0,1", "--gamma", "1", "--insertions", "0,0,abc"),
+     "argument --insertions: expected X1,X2,ALPHA triples joined by ';', got '0,0,abc'"),
+)
+
+
+@pytest.mark.parametrize("argv, needle", BAD_INPUTS, ids=[" ".join(a) for a, _ in BAD_INPUTS])
+def test_bad_modulus_or_number_exits_1(tmp_path, capsys, argv, needle):
+    out = tmp_path / "out.txt"
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 1
+    assert err.startswith("error: ") or "\nerror: " in err
+    assert needle in err
+    assert "Traceback" not in err and "invalid _" not in err
+    assert not out.exists()
+
+
+def test_unwritable_out_exits_1_with_one_line(tmp_path, capsys):
+    # the run completes, then its --out cannot be opened
+    out = tmp_path / "missing" / "g.csv"
+    code, _, err = run(capsys, "green", "table", "--tau", "0,1", "--grid", "4", "--out", str(out))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "No such file or directory" in err
+
+
+def test_cache_dir_under_a_file_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    (tmp_path / "file").write_text("")
+    monkeypatch.setenv("TORUS_LQG_CACHE_DIR", str(tmp_path / "file" / "cache"))
+    out = tmp_path / "d.csv"
+    code, _, err = run(capsys, "lqg", "modulus-density", "--matter", "pure", "--t-max", "12",
+                       *_TINY, "--out", str(out))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Not a directory" in err
+    assert not out.exists()
+
+
+_SMALL_TABLE = ("--cutoff", "4", "--replicas", "8", "--re-cells", "3", "--im-cells", "4",
+                "--no-cache")
+
+
+@pytest.mark.parametrize("matter, t_max, code, needle", (
+    ("ising", "30", 0, None),
+    ("ffpower:0.7", "30", 0, None),
+    ("ising", None, 2, "increase t_max"),
+    ("ffpower:0.7", None, 2, "increase t_max"),
+    ("ffpower:1", "30", 2, "dressing root equals Q"),
+))
+def test_matter_through_the_cli(tmp_path, capsys, matter, t_max, code, needle):
+    out = tmp_path / "d.csv"
+    flags = ("--t-max", t_max) if t_max else ()
+    got, _, err = run(capsys, "lqg", "modulus-density", "--matter", matter, *flags,
+                      *_SMALL_TABLE, "--out", str(out))
+    assert got == code, err
+    if needle:
+        assert err.startswith("numeric failure:") and needle in err
+        assert not out.exists()
+        return
+    # every one of the 3 x 4 cell centers lies in the fundamental domain
+    rows = np.array([[float(v) for v in ln.split(",")] for ln in csv_parts(out)[1][1:]])
+    assert rows.shape == (12, 4)
+    assert np.all(_in_fundamental_domain(rows[:, 0], rows[:, 1]))
+    assert np.all(rows[:, 2] > 0)
 
 
 def test_critical_eps_outside_unit_interval_exits_1(tmp_path, capsys):
@@ -417,6 +510,10 @@ def test_ci_workflow_runs_no_inline_python():
     # every check lives in tier 1; CI adds only the installed-CLI and cache steps
     workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
     assert "python -c" not in workflow.read_text()
+    # the --help loop names every command of the CLI, `check` standing for its group
+    loop = re.search(r"for cmd in (.*?); do", workflow.read_text(), re.S).group(1)
+    helped = re.findall(r'"([^"]+)"', loop)
+    assert helped == [g if g == "check" else f"{g} {c}" for g, c in cli._COMMANDS]
 
 
 def oracle_fmt_cell(v) -> str:
@@ -460,11 +557,14 @@ def test_green_table_matches_row_oracle(tmp_path, capsys, grid):
     assert csv_parts(out)[1] == oracle_body(["x1", "x2", "green"], rows)
 
 
-def test_empty_green_table_writes_its_column_line(tmp_path, capsys):
-    out = tmp_path / "g.csv"
-    code, _, err = run(capsys, "green", "table", "--tau", "0.3,1.2", "--grid", "0", "--out", str(out))
-    assert code == 0, err
-    assert csv_parts(out)[1] == ["x1,x2,green"]
+def test_empty_csv_writes_its_column_line():
+    # no command writes an empty table (green table --grid 0 is a usage error),
+    # but the writer keeps its column line for zero rows
+    record = {"version": __version__, "command": "-", "config": {}, "seed": "-",
+              "duration_s": 0.0}
+    empty = np.zeros(0)
+    text = "".join(cli._render("csv", (["x1", "x2", "green"], [empty, empty, empty]), record))
+    assert text.endswith("\n# duration_s: 0.000\nx1,x2,green\n")
 
 
 def test_sampled_csvs_match_row_oracle(tmp_path, capsys):

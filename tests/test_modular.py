@@ -2,12 +2,14 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
 from torus_lqg.errors import ValidationError
-from torus_lqg.green import spectral_coefficient
+from torus_lqg.gff import RngStream, sample_gff
+from torus_lqg.green import green, spectral_coefficient
 from torus_lqg.modular import (
     IDENTITY,
     S,
@@ -16,9 +18,11 @@ from torus_lqg.modular import (
     c_tau,
     p_tau,
     reduce_to_fundamental,
+    require_tau,
     wrap_centered,
     wrap_unit,
 )
+from torus_lqg.special import dedekind_eta
 
 SEED = 21
 N_RANDOM = 40
@@ -185,6 +189,49 @@ def test_reduce_orbit_invariance():
 def test_reduce_rejects_lower_half_plane():
     with pytest.raises(ValidationError):
         reduce_to_fundamental(1.0 - 0.5j)
+
+
+BAD_TAUS = (
+    complex(math.nan, 1.0),
+    complex(0.0, math.nan),
+    complex(math.inf, 1.0),
+    complex(-math.inf, 1.0),
+    complex(0.0, math.inf),
+    0.3,
+    0.3 - 1.2j,
+)
+# each public entry point that takes a modulus checks it through require_tau
+ENTRY_POINTS = {
+    "require_tau": require_tau,
+    "dedekind_eta": dedekind_eta,
+    "green": lambda tau: green(tau, (0.3, 0.4)),
+    "sample_gff": lambda tau: sample_gff(tau, 4, RngStream(0)),
+    "reduce_to_fundamental": reduce_to_fundamental,
+    "S.act_on_uhp": S.act_on_uhp,
+}
+
+
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+@pytest.mark.parametrize("tau", BAD_TAUS, ids=str)
+def test_bad_modulus_is_refused(call, tau):
+    with pytest.raises(ValidationError, match=r"finite parts and Im tau > 0, got "):
+        call(tau)
+
+
+@pytest.mark.parametrize("bad", BAD_TAUS, ids=str)
+def test_one_bad_modulus_in_an_array_is_named(bad):
+    taus = np.array([[1j, 0.2 + 3j], [bad, 0.5 + 0.5j]])
+    with pytest.raises(ValidationError, match=r"got " + re.escape(str(complex(bad))) + "$"):
+        require_tau(taus)
+    with pytest.raises(ValidationError):
+        dedekind_eta(taus[1])
+
+
+def test_require_tau_keeps_scalars_and_arrays():
+    assert require_tau(1j) == 1j and type(require_tau(2.0j)) is complex
+    assert type(require_tau(np.complex128(0.5 + 2j))) is complex
+    taus = np.array([1j, 0.5 + 0.9j, -0.2 + 2500j])
+    assert np.array_equal(require_tau(taus), taus)
 
 
 def test_wrap_functions():
