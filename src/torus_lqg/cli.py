@@ -14,7 +14,9 @@ Exit codes: 0 success, 1 validation or usage error, 2 numeric failure,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import re
 import sys
 import time
@@ -193,6 +195,24 @@ def _csv_pieces(head: list[str], data):
         for k, c in enumerate(data):
             rows[:, 2 * k] = _cells(c[start : start + _BLOCK_ROWS])
         yield "".join(rows.ravel().tolist())
+
+
+def _require_writable(path: str) -> None:
+    """Raise the OSError that opening path for writing would raise, without
+    opening it, so a run with an unwritable --out fails before its work and
+    leaves no file behind."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _write(args, argv, t0: float, result) -> None:
@@ -681,6 +701,8 @@ def main(argv=None) -> int:
     try:
         if args.config:
             args = _config_defaults(args.config, parser, registry, argv)
+        if getattr(args, "out", None):
+            _require_writable(args.out)
         return args.func(args, partial(_write, args, argv, t0))
     except NumericError as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")

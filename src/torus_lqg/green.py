@@ -283,11 +283,14 @@ def green(tau: complex, x, cfg: GreenEvalConfig = _DEFAULT):
     """Evaluate G_tau at torus coordinates x = (x1, x2), taken mod 1.
 
     The closed route accepts numpy arrays in x; the oracle routes are
-    scalar.  Raises SingularPoint at lattice points and NonConvergence
-    when the eigen estimate misses cfg.tolerance.
+    scalar.  Raises ValidationError at a non-finite x, SingularPoint at
+    lattice points and NonConvergence when the eigen estimate misses
+    cfg.tolerance.
     """
     tau = require_tau(complex(tau))
     x1, x2 = x
+    if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))):
+        raise ValidationError(f"torus point must be finite, got x = ({x1}, {x2})")
     if cfg.mode == "closed":
         out = _green_closed(tau, x1, x2)
         return float(out) if out.ndim == 0 else out

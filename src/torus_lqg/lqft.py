@@ -119,6 +119,9 @@ class InsertionSet:
             i if isinstance(i, Insertion) else Insertion(*i) for i in self.insertions
         )
         object.__setattr__(self, "insertions", ins)
+        for i in ins:
+            if not all(math.isfinite(v) for v in (i.x1, i.x2, i.alpha)):
+                raise ValidationError(f"insertion ({i.x1}, {i.x2}, {i.alpha}) is not finite")
         for a in range(len(ins)):
             for b in range(a + 1, len(ins)):
                 d1 = wrap_centered(ins[a].x1 - ins[b].x1)
@@ -233,18 +236,24 @@ def _tilted_points(params: LQFTParams, taus, ins: InsertionSet, res: FieldResolu
 def insertion_mass_table(
     params: LQFTParams,
     taus,
-    ins: InsertionSet,
+    sets,
     mc: MonteCarloConfig,
     res: FieldResolution,
 ) -> np.ndarray:
-    """Replica arrays of I at several moduli, shape (len(taus), replicas).
+    """Replica arrays of I at several moduli, shape (len(taus), replicas),
+    sets[k] being the InsertionSet of taus[k].
 
     Every modulus reuses the same replica draws (common random numbers),
-    so row k equals insertion_mass_samples at taus[k].  The points are
-    formed block by block (_tilted_points); the pass holds one G x G tilt
-    grid per modulus while the batches run.
+    so row k equals insertion_mass_samples at taus[k] and sets[k].  The
+    points of each set's moduli are formed block by block
+    (_tilted_points); the pass holds one G x G tilt grid per modulus while
+    the batches run.
     """
-    points = list(_tilted_points(params, taus, ins, res))
+    points = [None] * len(taus)
+    for ins in dict.fromkeys(sets):
+        at = [k for k, s in enumerate(sets) if s == ins]
+        for k, point in zip(at, _tilted_points(params, [taus[k] for k in at], ins, res)):
+            points[k] = point
     return total_mass_table(points, mc)
 
 
@@ -261,7 +270,7 @@ def insertion_mass_samples(
     exact per cell, so resolution bias enters only through truncation of
     the field itself and the eps cap on H.
     """
-    return insertion_mass_table(params, [tau], ins, mc, res)[0]
+    return insertion_mass_table(params, [tau], [ins], mc, res)[0]
 
 
 def _inverse_powers(masses: np.ndarray, p: float) -> np.ndarray:

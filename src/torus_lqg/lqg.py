@@ -187,10 +187,25 @@ def _cached_moment(record):
     return (moment, se) if math.isfinite(moment) and math.isfinite(se) else None
 
 
+def _mirrored(ins: InsertionSet) -> InsertionSet:
+    """The insertions under the mirror (x1, x2) -> (-x1 mod 1, x2), in order."""
+    return InsertionSet(tuple((-i.x1 % 1.0, i.x2, i.alpha) for i in ins.insertions))
+
+
 def _negative_moments(params, taus, ins, mc, res, cache):
     """negative_moment at every tau of taus from one common-random-numbers
     pass: every tau is looked up in the cache first, and replicas are
-    drawn only when some tau misses, once for all of them."""
+    drawn only when some tau misses, once for all of them.
+
+    The torus at -conj(tau) is the mirror (x1, x2) -> (-x1, x2) of the
+    torus at tau, and the mirror permutes the grid cells, so I at
+    (-conj(tau), mirrored insertions) has the law of I at (tau, insertions).
+    A tau with Re tau < 0 is evaluated as that mirror, and missing moduli
+    whose (modulus, insertions) then coincide share one row of
+    insertion_mass_table: where the mirror fixes the insertions (every
+    point on x1 = 0 or 1/2), tau and -conj(tau) get the same moment bit for
+    bit.  Each tau keeps its own cache key and record.
+    """
     ins.require_seiberg(params.q)
     keys = [None] * len(taus)
     found = [None] * len(taus)
@@ -211,11 +226,17 @@ def _negative_moments(params, taus, ins, mc, res, cache):
     missing = [i for i, f in enumerate(found) if f is None]
     if not missing:
         return found
+    rows, at = {}, []
+    mirrored = _mirrored(ins)
+    for i in missing:
+        tau = taus[i]
+        row = (complex(-tau.real, tau.imag), mirrored) if tau.real < 0 else (tau, ins)
+        at.append(rows.setdefault(row, len(rows)))
+    masses = insertion_mass_table(params, [t for t, _ in rows], [s for _, s in rows], mc, res)
     p = ins.alpha_sum / params.gamma
-    masses = insertion_mass_table(params, [taus[i] for i in missing], ins, mc, res)
-    for i, row in zip(missing, masses):
-        moment, se = inverse_power_mean(row, p)
-        found[i] = (moment, se)
+    moments = [inverse_power_mean(row, p) for row in masses]
+    for i, k in zip(missing, at):
+        moment, se = found[i] = moments[k]
         if cache is not None:
             tau = taus[i]
             cache.put(
@@ -293,6 +314,12 @@ class DensityTable:
         return float(self.cell_mass.sum())
 
 
+def _re_edges(re_cells: int) -> np.ndarray:
+    """(2k - n)/(2n) for k = 0..n: uniform on [-1/2, 1/2] and exactly
+    antisymmetric, so the cell centers come in exact pairs re, -re."""
+    return (2 * np.arange(re_cells + 1) - re_cells) / (2 * re_cells)
+
+
 def _im_edges(im_cells: int, t_max: float) -> np.ndarray:
     """Uniform spacing up to Im = 2, logarithmic above to t_max > 2; one
     cell spans the whole range."""
@@ -331,12 +358,17 @@ def build_density_table(
     All grid points share the replica streams (common random numbers),
     so the table is smooth in tau and bit-for-bit reproducible for a
     fixed (seed, grid); each cell equals modulus_density at its center.
-    Every point is looked up in the cache first.  Only when some point
-    misses are the replicas drawn, each one once, batch by batch, and
-    every batch is reused for all missing points; each point then gets
-    its own cache entry.  Besides one replica batch (at most 2^16 grid
-    cells), the pass holds a mode-weight box and a G x G tilt grid per
-    missing point.
+    The Re edges are exactly antisymmetric (_re_edges), so the centers
+    come in exact mirror pairs tau, -conj(tau), and _negative_moments
+    evaluates the one with Re tau < 0 as its mirror.  Where the mirror
+    fixes the insertions (the default one at the origin, or points on
+    x1 = 0 and 1/2, in order), a pair shares one replica row and one
+    moment, so a cold table does half the replica work.  Every point is
+    looked up in the cache first.  Only when some point misses are the
+    replicas drawn, each one once, batch by batch, and every batch is
+    reused for all missing points; each point then gets its own cache
+    entry.  Besides one replica batch (at most 2^16 grid cells), the pass
+    holds a mode-weight box and a G x G tilt grid per replica row.
     """
     if re_cells < 1 or im_cells < 1:
         raise ValidationError(f"cell counts must be positive, got {re_cells} x {im_cells}")
@@ -344,7 +376,7 @@ def build_density_table(
         raise ValidationError(f"t_max must be finite and exceed 2, got {t_max}")
     if not tail_tol > 0:
         raise ValidationError(f"tail_tol must be positive, got {tail_tol}")
-    re_edges = np.linspace(-0.5, 0.5, re_cells + 1)
+    re_edges = _re_edges(re_cells)
     im_edges = _im_edges(im_cells, t_max)
     re_c = 0.5 * (re_edges[:-1] + re_edges[1:])
     im_c = 0.5 * (im_edges[:-1] + im_edges[1:])

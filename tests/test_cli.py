@@ -181,6 +181,12 @@ BAD_INPUTS = (
     (("green", "eval", "--tau", "nan,1", "--x", "0.3,0.4"), "got (nan+1j)"),
     (("lqft", "partition", "--tau", "nan,1", "--gamma", "1", "--insertions", "0.2,0.3,0.8",
       *_TINY), "got (nan+1j)"),
+    # a non-finite insertion or torus point, from InsertionSet and green
+    *((("lqft", "partition", "--tau", "0,1", "--gamma", "1", "--insertions", triple, *_TINY),
+       f"insertion ({triple.replace(',', ', ')}) is not finite")
+      for triple in ("nan,0.3,0.8", "inf,0.3,0.8", "0.2,0.3,nan")),
+    (("green", "eval", "--tau", "0,1", "--x", "inf,0.3"),
+     "torus point must be finite, got x = (inf, 0.3)"),
     # a malformed number or matter, from the flag's parser, named with its form
     (("lqg", "modulus-density", "--matter", "ffpower:1.2"),
      "argument --matter: expected ffpower:<c_m>, c_m one number at most 1, got 'ffpower:1.2'"),
@@ -202,13 +208,23 @@ def test_bad_modulus_or_number_exits_1(tmp_path, capsys, argv, needle):
     assert not out.exists()
 
 
-def test_unwritable_out_exits_1_with_one_line(tmp_path, capsys):
-    # the run completes, then its --out cannot be opened
-    out = tmp_path / "missing" / "g.csv"
-    code, _, err = run(capsys, "green", "table", "--tau", "0,1", "--grid", "4", "--out", str(out))
-    assert code == 1
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "No such file or directory" in err
+def test_unwritable_out_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    # an --out that cannot be opened fails before the handler computes
+    # anything, and no file is left behind
+    def no_compute(*args):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setattr(cli, "green_grid", no_compute)
+    (tmp_path / "file").write_text("")
+    for out, needle in ((tmp_path / "missing" / "g.csv", "No such file or directory"),
+                        (tmp_path / "file" / "g.csv", "Not a directory"),
+                        (tmp_path, "Is a directory")):
+        code, _, err = run(capsys, "green", "table", "--tau", "0,1", "--grid", "4",
+                           "--out", str(out))
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err and str(out) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 def test_cache_dir_under_a_file_exits_1_with_one_line(tmp_path, capsys, monkeypatch):

@@ -346,3 +346,13 @@ def test_bad_mode_rejected():
 def test_tolerance_outside_domain_rejected(tolerance):
     with pytest.raises(ValidationError, match="tolerance"):
         GreenEvalConfig(mode="appendix", tolerance=tolerance)
+
+
+@pytest.mark.parametrize("mode", ("closed", "eigen", "appendix"))
+def test_green_rejects_a_non_finite_point(mode):
+    cfg = GreenEvalConfig(mode=mode)
+    for x in ((math.inf, 0.3), (0.2, math.nan)):
+        with pytest.raises(ValidationError, match="torus point must be finite"):
+            green(1j, x, cfg)
+    with pytest.raises(ValidationError, match="torus point must be finite"):
+        green(1j, (np.array([0.1, np.nan]), np.array([0.2, 0.3])))

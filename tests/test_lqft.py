@@ -102,6 +102,13 @@ def test_duplicate_insertions_rejected():
         InsertionSet(((0.1, 0.2, 0.8), (1.1, -0.8, 0.5)))   # same point mod 1
 
 
+@pytest.mark.parametrize("bad", ((math.nan, 0.3, 0.8), (math.inf, 0.3, 0.8),
+                                 (0.2, -math.inf, 0.8), (0.2, 0.3, math.nan)))
+def test_non_finite_insertion_rejected(bad):
+    with pytest.raises(ValidationError, match="is not finite"):
+        InsertionSet(((0.7, 0.6, 0.5), bad))
+
+
 def test_insertion_potential_is_green_sum():
     x = (0.45, 0.15)
     want = 0.8 * green(TAU, (x[0] - 0.2, x[1] - 0.3)) + 0.5 * green(
@@ -324,6 +331,40 @@ def test_partition_prefactor_in_log_space():
     )
     assert math.isclose(est.value, front * mean, rel_tol=1e-13)
     assert math.isclose(est.std_error, front * se, rel_tol=1e-13)
+
+
+PURE_GAMMA = math.sqrt(8.0 / 3.0)
+
+
+@pytest.mark.parametrize("points", (
+    ((0.0, 0.0, PURE_GAMMA),),  # the mirror fixes the origin
+    ((0.1, 0.3, PURE_GAMMA), (0.45, 0.7, PURE_GAMMA)),
+))
+def test_mirror_modulus_has_the_same_inverse_power_law(points):
+    # the torus at -conj(tau) is the mirror (x1, x2) -> (-x1, x2) of the one
+    # at tau, so I at (-conj(tau), mirrored insertions) has the law of I at
+    # (tau, insertions); the engine draws each modulus from its own mode
+    # weights, so the two rows differ, but their inverse-power means agree
+    params = LQFTParams(gamma=PURE_GAMMA)
+    tau = -0.3 + 1.1j
+    ins = InsertionSet(points)
+    mirrored = InsertionSet(tuple(((-x1) % 1.0, x2, a) for x1, x2, a in points))
+    mc = MonteCarloConfig(replicas=2000, seed=SEED)
+    mirror = -tau.conjugate()
+    rows = lqft.insertion_mass_table(
+        params, [tau, mirror, mirror], [ins, mirrored, ins], mc, RES_SMALL
+    )
+    assert not np.array_equal(rows[0], rows[1])
+    # each modulus takes its own insertion set
+    assert np.array_equal(rows[1], insertion_mass_samples(params, mirror, mirrored, mc, RES_SMALL))
+    w = lqft._inverse_powers(rows, ins.alpha_sum / PURE_GAMMA)
+    diff, se = gff.pair_mean_se(w[0] - w[1])
+    assert se > 0 and abs(diff) <= 3.0 * se
+    if len(points) == 2:
+        # the unmirrored pair at -conj(tau) has another law, and this
+        # comparison sees it
+        diff, se = gff.pair_mean_se(w[0] - w[2])
+        assert abs(diff) > 3.0 * se
 
 
 def test_mass_samples_deterministic():

@@ -14,6 +14,7 @@ from scipy import stats
 from scipy.interpolate import RegularGridInterpolator
 
 from torus_lqg import cache as cache_module
+from torus_lqg import lqg as lqg_module
 from torus_lqg.cache import MomentCache, moment_key
 from torus_lqg.config import FieldResolution, MonteCarloConfig
 from torus_lqg.errors import (
@@ -25,6 +26,7 @@ from torus_lqg.errors import (
 )
 from torus_lqg.gff import MODES, MODULUS, RESAMPLE, VOLUME, RngStream, free_field_partition
 from torus_lqg.lqft import InsertionSet, LQFTParams, conformal_weight, insertion_mass_samples
+from torus_lqg.lqft import insertion_mass_table
 from torus_lqg.lqft import liouville_field_law_sampler
 from torus_lqg.lqg import (
     _RESAMPLE_BATCH,
@@ -226,6 +228,7 @@ def test_cache_key_carries_sampler_version(tmp_path, monkeypatch):
     args = (TAU, params.gamma, ins.insertions, 8, 4, 0.05, 100, 0, 0)
     live = (TAU, params.gamma, ins.insertions, RES.cutoff, RES.grid_factor,
             RES.eps_for(TAU), MC.replicas, MC.seed, MC.base_stream)
+    assert cache_module.SAMPLER_VERSION == 16
     current = moment_key(*args)
     monkeypatch.setattr(cache_module, "SAMPLER_VERSION", cache_module.SAMPLER_VERSION - 1)
     old_key = moment_key(*args)
@@ -370,28 +373,89 @@ def test_density_table_deterministic():
     assert a.tail_fraction == b.tail_fraction
 
 
+# the origin is fixed by the mirror (x1, x2) -> (-x1, x2); (0.2, 0.3) is not
+MIRROR_POINTS = ((0.0, 0.0), (0.2, 0.3))
+
+
+def pure_at(point):
+    matter, params, _ = pure_setup()
+    return matter, params, template_from_matter(matter, params, points=(point,))
+
+
 def test_density_table_batched_matches_per_point(tmp_path):
+    for point in MIRROR_POINTS:
+        matter, params, ins = pure_at(point)
+        kw = dict(re_cells=6, im_cells=6, t_max=12.0)
+        plain = build_density_table(matter, params, ins, MC, RES, **kw)
+        re_c, im_c = plain.re_centers, plain.im_centers
+        inside = 0
+        for a in range(6):
+            for b in range(6):
+                if plain.density[a, b] > 0:
+                    inside += 1
+                    tau = complex(re_c[a], im_c[b])
+                    want, want_se = modulus_density(matter, params, ins, tau, MC, RES)
+                    assert abs(plain.density[a, b] - want) <= 1e-12 * want
+                    assert abs(plain.std_error[a, b] - want_se) <= 1e-12 * want_se
+        assert inside > 0
+        cache = MomentCache(tmp_path)
+        cold = build_density_table(matter, params, ins, MC, RES, cache=cache, **kw)
+        warm = build_density_table(matter, params, ins, MC, RES, cache=cache, **kw)
+        for tab in (cold, warm):
+            assert np.array_equal(tab.density, plain.density)
+            assert np.array_equal(tab.std_error, plain.std_error)
+            assert np.array_equal(tab.cell_mass, plain.cell_mass)
+
+
+def test_re_edges_are_exactly_antisymmetric():
+    for n in range(1, 41):
+        edges = lqg_module._re_edges(n)
+        assert np.array_equal(edges, -edges[::-1])
+        assert edges[0] == -0.5 and edges[-1] == 0.5 and len(edges) == n + 1
     matter, params, ins = pure_setup()
-    kw = dict(re_cells=6, im_cells=6, t_max=12.0)
-    plain = build_density_table(matter, params, ins, MC, RES, **kw)
-    re_c, im_c = plain.re_centers, plain.im_centers
-    inside = 0
-    for a in range(6):
-        for b in range(6):
-            if plain.density[a, b] > 0:
-                inside += 1
-                tau = complex(re_c[a], im_c[b])
-                want, want_se = modulus_density(matter, params, ins, tau, MC, RES)
-                assert abs(plain.density[a, b] - want) <= 1e-12 * want
-                assert abs(plain.std_error[a, b] - want_se) <= 1e-12 * want_se
-    assert inside > 0
-    cache = MomentCache(tmp_path)
-    cold = build_density_table(matter, params, ins, MC, RES, cache=cache, **kw)
-    warm = build_density_table(matter, params, ins, MC, RES, cache=cache, **kw)
-    for tab in (cold, warm):
-        assert np.array_equal(tab.density, plain.density)
-        assert np.array_equal(tab.std_error, plain.std_error)
-        assert np.array_equal(tab.cell_mass, plain.cell_mass)
+    tab = build_density_table(matter, params, ins, MC, RES, re_cells=3, im_cells=2,
+                              t_max=12.0, tail_tol=0.5)
+    assert np.array_equal(tab.re_edges, lqg_module._re_edges(3))
+
+
+def _records(directory):
+    return {tuple(r["tau"]): r for r in
+            (json.loads(f.read_text()) for f in Path(directory).glob("*.json"))}
+
+
+@pytest.mark.parametrize("point", MIRROR_POINTS)
+def test_cold_table_runs_one_engine_row_per_mirror_pair(tmp_path, monkeypatch, point):
+    matter, params, ins = pure_at(point)
+    rows = []
+
+    def counted(params, taus, *args):
+        rows.append(len(taus))
+        return insertion_mass_table(params, taus, *args)
+
+    monkeypatch.setattr(lqg_module, "insertion_mass_table", counted)
+    kw = dict(re_cells=6, im_cells=6, t_max=12.0, cache=MomentCache(tmp_path))
+    cold = build_density_table(matter, params, ins, MC, RES, **kw)
+    inside = int(np.count_nonzero(cold.density))
+    records = _records(tmp_path)
+    assert len(records) == inside and inside % 2 == 0
+    fixed = point == (0.0, 0.0)
+    # the mirror fixes the origin: a pair shares one row and one moment
+    assert rows == [inside // 2 if fixed else inside]
+    for (re, im), rec in records.items():
+        if re < 0:
+            mirror = records[(-re, im)]
+            same = (rec["moment"], rec["std_error"]) == (mirror["moment"], mirror["std_error"])
+            assert same == fixed
+    # recompute every Re tau < 0 moment, its mirror cached: one row each,
+    # and the partly warm table is the cold one bit for bit
+    for f in tmp_path.glob("*.json"):
+        if json.loads(f.read_text())["tau"][0] < 0:
+            f.unlink()
+    rows.clear()
+    again = build_density_table(matter, params, ins, MC, RES, **kw)
+    assert rows == [inside // 2]
+    assert np.array_equal(again.density, cold.density)
+    assert np.array_equal(again.std_error, cold.std_error)
 
 
 def test_warm_density_table_draws_no_replicas(tmp_path, monkeypatch):
