@@ -30,8 +30,10 @@ __all__ = ["MomentCache", "SAMPLER_VERSION", "default_cache_dir", "moment_key"]
 # chaos normalization, which moves moments in any bit, never reads the
 # moments an earlier sampler wrote.  Version 16 evaluates a modulus with
 # Re tau < 0 as its mirror -conj(tau), with the mirrored insertions, which
-# has the same law but other draws; CHANGES.md records earlier versions.
-SAMPLER_VERSION = 16
+# has the same law but other draws.  Version 17 keeps the original order
+# of insertions that the mirror maps onto themselves as a multiset, so the
+# Re tau < 0 moments of such sets move; CHANGES.md records earlier versions.
+SAMPLER_VERSION = 17
 
 # per-process counter in temp file names, so no two puts share one
 _TEMP_IDS = itertools.count()

@@ -27,9 +27,14 @@ K moduli, then chaos.chaos_points.  A density table's missing moduli, the
 joint sampler's samples and the single modulus of partition_function and
 the law sampler all take this one path.
 
+negative_moments is the one path from masses to E[I^{-s/gamma}], for
+partition_function and the lqg density tables: a cache lookup per
+modulus, the mirror rule, one insertion_mass_table row per distinct
+(modulus, insertions), inverse_power_mean and a put per modulus.
+
 The law of the Liouville field weighs a replica of tilted mass I by
-I^{-s/gamma} (_inverse_powers, also the terms of the partition function's
-moment) and draws its volume from Gamma(s/gamma, mu) (_volume_law); the
+I^{-s/gamma} (_inverse_powers, also the terms of the negative moment)
+and draws its volume from Gamma(s/gamma, mu) (_volume_law); the
 law sampler and resampled_measure iterate chaos_batches of the one
 tilted point themselves, and _law_measure forms a replica's measure from
 that point, which carries its own gamma and grid.
@@ -38,11 +43,13 @@ that point, which carries its own gamma and grid.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
 
+from .cache import MomentCache, moment_key
 from .config import FieldResolution, MonteCarloConfig
 from .errors import (
     DuplicateInsertion,
@@ -69,9 +76,10 @@ __all__ = [
     "insertion_constant",
     "insertion_potential",
     "insertion_potential_grid",
-    "insertion_mass_samples",
     "insertion_mass_table",
     "inverse_power_mean",
+    "negative_moment",
+    "negative_moments",
     "partition_function",
     "weyl_anomaly_factor",
     "weyl_anomaly_log_factor",
@@ -244,7 +252,9 @@ def insertion_mass_table(
     sets[k] being the InsertionSet of taus[k].
 
     Every modulus reuses the same replica draws (common random numbers),
-    so row k equals insertion_mass_samples at taus[k] and sets[k].  The
+    so row k is the same in any table that holds (taus[k], sets[k]).  The
+    chaos normalization is exact per cell, so resolution bias enters only
+    through truncation of the field itself and the eps cap on H.  The
     points of each set's moduli are formed block by block
     (_tilted_points); the pass holds one G x G tilt grid per modulus while
     the batches run.
@@ -257,22 +267,6 @@ def insertion_mass_table(
     return total_mass_table(points, mc)
 
 
-def insertion_mass_samples(
-    params: LQFTParams,
-    tau: complex,
-    ins: InsertionSet,
-    mc: MonteCarloConfig,
-    res: FieldResolution,
-) -> np.ndarray:
-    """Replica array of I = int e^{gamma H} dM_{gamma, tau}.
-
-    Deterministic per (seed, base_stream + r); the chaos normalization is
-    exact per cell, so resolution bias enters only through truncation of
-    the field itself and the eps cap on H.
-    """
-    return insertion_mass_table(params, [tau], [ins], mc, res)[0]
-
-
 def _inverse_powers(masses: np.ndarray, p: float) -> np.ndarray:
     """masses^{-p}: the terms inverse_power_mean averages, and the weights of
     the law sampler and of resampled_measure's pick, bit-equal in all three."""
@@ -282,6 +276,90 @@ def _inverse_powers(masses: np.ndarray, p: float) -> np.ndarray:
 def inverse_power_mean(masses: np.ndarray, p: float) -> tuple[float, float]:
     """(mean, SE) of masses^{-p} over a replica array of antithetic pairs."""
     return pair_mean_se(_inverse_powers(masses, p))
+
+
+def _representable(moment: float, se: float) -> bool:
+    """A moment that is a finite positive float, with a finite SE."""
+    return 0.0 < moment < math.inf and math.isfinite(se)
+
+
+def _cached_moment(record):
+    """(moment, se) of a cache record if both parse as floats and are
+    _representable, else None: a miss, recomputed and rewritten (a nan SE
+    is refused anew, a zero moment raises anew)."""
+    try:
+        moment, se = float(record["moment"]), float(record["std_error"])
+    except (TypeError, KeyError, ValueError, OverflowError):
+        return None
+    return (moment, se) if _representable(moment, se) else None
+
+
+def negative_moments(
+    params: LQFTParams,
+    taus,
+    ins: InsertionSet,
+    mc: MonteCarloConfig,
+    res: FieldResolution,
+    cache: MomentCache | None = None,
+) -> list[tuple[float, float]]:
+    """(estimate, SE) of E[I^{-s/gamma}] at every modulus of taus, from one
+    common-random-numbers pass: every tau is looked up in the cache first,
+    and replicas are drawn only when some tau misses, once for all of them.
+
+    The torus at -conj(tau) is the mirror (x1, x2) -> (-x1, x2) of the
+    torus at tau, and the mirror permutes the grid cells, so I at
+    (-conj(tau), mirrored insertions) has the law of I at (tau, insertions).
+    A tau with Re tau < 0 is evaluated as that mirror.  Where the mirrored
+    insertions equal the originals as a multiset, the original order stands
+    for both, so tau and -conj(tau) share one row of insertion_mass_table
+    and get the same moment bit for bit.  Each tau keeps its own cache key
+    and record.  Raises when a Seiberg bound fails, and NumericError naming
+    tau when its moment is not _representable; such a moment is never
+    cached.
+    """
+    ins.require_seiberg(params.q)
+    taus = [complex(t) for t in taus]
+    keys = [None] * len(taus)
+    found = [None] * len(taus)
+    if cache is not None:
+        for i, tau in enumerate(taus):
+            keys[i] = moment_key(
+                tau, params.gamma, ins.insertions, res.cutoff, res.grid_factor,
+                res.eps_for(tau), mc.replicas, mc.seed, mc.base_stream,
+            )
+            found[i] = _cached_moment(cache.get(keys[i]))
+    missing = [i for i, f in enumerate(found) if f is None]
+    if not missing:
+        return found
+    mirrored = InsertionSet(tuple((-i.x1 % 1.0, i.x2, i.alpha) for i in ins.insertions))
+    if Counter(mirrored.insertions) == Counter(ins.insertions):
+        mirrored = ins
+    rows, at = {}, []
+    for i in missing:
+        tau = taus[i]
+        row = (complex(-tau.real, tau.imag), mirrored) if tau.real < 0 else (tau, ins)
+        at.append(rows.setdefault(row, len(rows)))
+    masses = insertion_mass_table(params, [t for t, _ in rows], [s for _, s in rows], mc, res)
+    p = ins.alpha_sum / params.gamma
+    moments = [inverse_power_mean(row, p) for row in masses]
+    for i, k in zip(missing, at):
+        tau = taus[i]
+        moment, se = found[i] = moments[k]
+        if not _representable(moment, se):
+            raise NumericError(
+                f"E[I^(-s/gamma)] at tau = {tau.real:g},{tau.imag:g} is {moment:g} "
+                f"+- {se:g}, not a finite positive float"
+            )
+        if cache is not None:
+            record = {"tau": [tau.real, tau.imag], "gamma": params.gamma, "moment": moment,
+                      "std_error": se, "replicas": mc.replicas}
+            cache.put(keys[i], record)
+    return found
+
+
+def negative_moment(params, tau, ins, mc, res, cache=None) -> tuple[float, float]:
+    """negative_moments at the one modulus tau."""
+    return negative_moments(params, [tau], ins, mc, res, cache)[0]
 
 
 def partition_function(
@@ -296,10 +374,11 @@ def partition_function(
     Raises SeibergViolationSum when sum(alpha) <= 0 (the zero-mode
     integral diverges); returns an exact zero with a diagnostic when some
     alpha_i >= Q (the chaos moment vanishes in the limit), and
-    NumericError when the estimate is not a finite float.  The prefactor
-    stays in log space, log Z^FF + C_tau + log Gamma(s/gamma)
-    - (s/gamma) log mu - log gamma, and meets the moment in one exp, so a
-    large s/gamma overflows only if the estimate itself does.
+    NumericError when the moment (negative_moment) or the estimate is not
+    a finite float.  The prefactor stays in log space, log Z^FF + C_tau
+    + log Gamma(s/gamma) - (s/gamma) log mu - log gamma, and meets the
+    moment in one exp, so a large s/gamma overflows only if the estimate
+    itself does.
     """
     tau = complex(tau)
     ins.require_seiberg_sum()
@@ -322,7 +401,7 @@ def partition_function(
         - p * math.log(params.mu)
         - math.log(params.gamma)
     )
-    moment = inverse_power_mean(insertion_mass_samples(params, tau, ins, mc, res), p)
+    moment = negative_moment(params, tau, ins, mc, res)
     with np.errstate(over="ignore", divide="ignore"):
         value, std_error = (float(v) for v in np.exp(log_front + np.log(moment)))
     if not (math.isfinite(value) and math.isfinite(std_error)):

@@ -12,7 +12,10 @@ lambda_S(d tau) = d^2 tau / (Im tau)^2,
 with I the insertion-tilted chaos mass.  Everything stochastic in rho is
 the single negative moment, which is what gets tabulated (and cached)
 over a fundamental-domain grid; the volume is an independent
-Gamma(s/gamma, mu) draw, so joint sampling factorizes.
+Gamma(s/gamma, mu) draw, so joint sampling factorizes.  The moment, its
+cache and its mirror rule are lqft.negative_moments, the path
+lqft.partition_function takes too; this layer adds the deterministic
+factors.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import MomentCache, moment_key
+from .cache import MomentCache
 from .config import FieldResolution, MonteCarloConfig
 from .errors import (
     InvalidCentralCharge,
@@ -31,8 +34,8 @@ from .errors import (
     ValidationError,
 )
 from .gff import MODULUS, RESAMPLE, VOLUME, RngStream, free_field_partition
-from .lqft import InsertionSet, LQFTParams, insertion_constant, insertion_mass_table
-from .lqft import _tilted_points, _volume_law, inverse_power_mean, resampled_measure
+from .lqft import InsertionSet, LQFTParams, insertion_constant, negative_moment, negative_moments
+from .lqft import _tilted_points, _volume_law, resampled_measure
 from .special import dedekind_eta, theta_aux
 
 __all__ = [
@@ -45,7 +48,6 @@ __all__ = [
     "template_from_matter",
     "ghost_partition",
     "matter_partition",
-    "negative_moment",
     "modulus_density",
     "build_density_table",
     "sample_modulus",
@@ -165,93 +167,6 @@ def matter_partition(matter: MatterCFT, tau):
     return free_field_partition(tau) ** matter.central_charge
 
 
-def negative_moment(
-    params: LQFTParams,
-    tau: complex,
-    ins: InsertionSet,
-    mc: MonteCarloConfig,
-    res: FieldResolution,
-    cache: MomentCache | None = None,
-) -> tuple[float, float]:
-    """(estimate, SE) of E[I^{-s/gamma}], memoized when a cache is given."""
-    return _negative_moments(params, [complex(tau)], ins, mc, res, cache)[0]
-
-
-def _cached_moment(record):
-    """(moment, se) of a cache record if both parse as finite floats, else
-    None: a miss, recomputed and rewritten (a nan SE is refused anew)."""
-    try:
-        moment, se = float(record["moment"]), float(record["std_error"])
-    except (TypeError, KeyError, ValueError, OverflowError):
-        return None
-    return (moment, se) if math.isfinite(moment) and math.isfinite(se) else None
-
-
-def _mirrored(ins: InsertionSet) -> InsertionSet:
-    """The insertions under the mirror (x1, x2) -> (-x1 mod 1, x2), in order."""
-    return InsertionSet(tuple((-i.x1 % 1.0, i.x2, i.alpha) for i in ins.insertions))
-
-
-def _negative_moments(params, taus, ins, mc, res, cache):
-    """negative_moment at every tau of taus from one common-random-numbers
-    pass: every tau is looked up in the cache first, and replicas are
-    drawn only when some tau misses, once for all of them.
-
-    The torus at -conj(tau) is the mirror (x1, x2) -> (-x1, x2) of the
-    torus at tau, and the mirror permutes the grid cells, so I at
-    (-conj(tau), mirrored insertions) has the law of I at (tau, insertions).
-    A tau with Re tau < 0 is evaluated as that mirror, and missing moduli
-    whose (modulus, insertions) then coincide share one row of
-    insertion_mass_table: where the mirror fixes the insertions (every
-    point on x1 = 0 or 1/2), tau and -conj(tau) get the same moment bit for
-    bit.  Each tau keeps its own cache key and record.
-    """
-    ins.require_seiberg(params.q)
-    keys = [None] * len(taus)
-    found = [None] * len(taus)
-    if cache is not None:
-        for i, tau in enumerate(taus):
-            keys[i] = moment_key(
-                tau,
-                params.gamma,
-                ins.insertions,
-                res.cutoff,
-                res.grid_factor,
-                res.eps_for(tau),
-                mc.replicas,
-                mc.seed,
-                mc.base_stream,
-            )
-            found[i] = _cached_moment(cache.get(keys[i]))
-    missing = [i for i, f in enumerate(found) if f is None]
-    if not missing:
-        return found
-    rows, at = {}, []
-    mirrored = _mirrored(ins)
-    for i in missing:
-        tau = taus[i]
-        row = (complex(-tau.real, tau.imag), mirrored) if tau.real < 0 else (tau, ins)
-        at.append(rows.setdefault(row, len(rows)))
-    masses = insertion_mass_table(params, [t for t, _ in rows], [s for _, s in rows], mc, res)
-    p = ins.alpha_sum / params.gamma
-    moments = [inverse_power_mean(row, p) for row in masses]
-    for i, k in zip(missing, at):
-        moment, se = found[i] = moments[k]
-        if cache is not None:
-            tau = taus[i]
-            cache.put(
-                keys[i],
-                {
-                    "tau": [tau.real, tau.imag],
-                    "gamma": params.gamma,
-                    "moment": moment,
-                    "std_error": se,
-                    "replicas": mc.replicas,
-                },
-            )
-    return found
-
-
 def _deterministic_factors(matter: MatterCFT, params: LQFTParams, ins: InsertionSet, taus):
     """e^{C_tau(z)} Z_Matter (Im tau)^n sqrt(Im tau) |eta|^2 at each of the
     moduli taus, in array passes (each pair Green term of C in one of them)."""
@@ -276,7 +191,6 @@ def modulus_density(
     cache: MomentCache | None = None,
 ) -> tuple[float, float]:
     """Unnormalized modulus density w.r.t. lambda_S at one point, with SE."""
-    tau = complex(tau)
     moment, se = negative_moment(params, tau, ins, mc, res, cache)
     det = float(_deterministic_factors(matter, params, ins, [tau])[0])
     return det * moment, det * se
@@ -359,11 +273,13 @@ def build_density_table(
     so the table is smooth in tau and bit-for-bit reproducible for a
     fixed (seed, grid); each cell equals modulus_density at its center.
     The Re edges are exactly antisymmetric (_re_edges), so the centers
-    come in exact mirror pairs tau, -conj(tau), and _negative_moments
+    come in exact mirror pairs tau, -conj(tau), and lqft.negative_moments
     evaluates the one with Re tau < 0 as its mirror.  Where the mirror
-    fixes the insertions (the default one at the origin, or points on
-    x1 = 0 and 1/2, in order), a pair shares one replica row and one
-    moment, so a cold table does half the replica work.  Every point is
+    maps the insertions onto themselves (the default one at the origin,
+    points on x1 = 0 and 1/2, or pairs at x1 and -x1), a pair shares one
+    replica row and one moment, so a cold table does half the replica
+    work.  Cells are kept by the domain, so a moment that cannot be
+    represented raises rather than drops its cell.  Every point is
     looked up in the cache first.  Only when some point misses are the
     replicas drawn, each one once, batch by batch, and every batch is
     reused for all missing points; each point then gets its own cache
@@ -380,23 +296,20 @@ def build_density_table(
     im_edges = _im_edges(im_cells, t_max)
     re_c = 0.5 * (re_edges[:-1] + re_edges[1:])
     im_c = 0.5 * (im_edges[:-1] + im_edges[1:])
-    density = np.zeros((re_cells, im_cells))
-    stderr = np.zeros((re_cells, im_cells))
-
-    cells = list(zip(*np.nonzero(_in_fundamental_domain(re_c[:, None], im_c[None, :]))))
-    taus = [complex(re_c[a], im_c[b]) for a, b in cells]
-    moments = _negative_moments(params, taus, ins, mc, res, cache)
+    inside = _in_fundamental_domain(re_c[:, None], im_c[None, :])
+    a, b = np.nonzero(inside)
+    taus = [complex(re, im) for re, im in zip(re_c[a], im_c[b])]
+    moment, se = np.array(negative_moments(params, taus, ins, mc, res, cache)).T
     dets = _deterministic_factors(matter, params, ins, taus)
-    for (a, b), det, (moment, se) in zip(cells, dets.tolist(), moments):
-        density[a, b] = det * moment
-        stderr[a, b] = det * se
+    density, stderr = np.zeros((2, re_cells, im_cells))
+    density[a, b] = dets * moment
+    stderr[a, b] = dets * se
 
     # exact lambda_S area of each rectangle, masked to the domain
     d_re = np.diff(re_edges)
     inv_im = 1.0 / im_edges[:-1] - 1.0 / im_edges[1:]
     area = np.outer(d_re, inv_im)
-    mask = density > 0
-    cell_mass = np.where(mask, density * area, 0.0)
+    cell_mass = np.where(inside, density * area, 0.0)
 
     total = float(cell_mass.sum())
     if total <= 0:

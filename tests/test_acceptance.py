@@ -434,10 +434,15 @@ def test_14_modulus_density_reduction(pure_gravity_table):
     se_mean = 1.0 / math.sqrt(float(np.sum(1.0 / ses**2)))
     worst = float(np.max(np.abs(ratios - mean) / np.hypot(ses, se_mean)))
     # fundamental-domain boundary identifications: left/right edge under
-    # the translation, arc under the inversion
+    # the translation, arc under the inversion; these are mirror pairs too,
+    # which share one engine row, so T and S are also checked at a point of
+    # the domain against its images outside it
     arc = complex(math.cos(1.75), math.sin(1.75))
+    inner = 0.3 + 1.2j
     worst_pair = 0.0
-    for ta, tb in ((-0.5 + 1.2j, 0.5 + 1.2j), (arc, -arc.conjugate())):
+    for ta, tb in (
+        (-0.5 + 1.2j, 0.5 + 1.2j), (arc, -arc.conjugate()), (inner, inner + 1), (inner, -1 / inner)
+    ):
         da, sa = modulus_density(
             st["matter"], st["params"], st["ins"], ta, st["mc"], st["res"], st["cache"]
         )

@@ -317,6 +317,29 @@ def test_numeric_failure_exits_2(tmp_path, capsys):
     )
 
 
+def test_unrepresentable_moment_exits_2(tmp_path, capsys, monkeypatch):
+    # from Im tau ~ 500 up, e^{gamma H} overflows at the insertion and
+    # E[I^-1] reads 0: exit 2 naming tau, not a zero value or a dropped cell
+    monkeypatch.setenv("TORUS_LQG_CACHE_DIR", str(tmp_path / "cache"))
+    gamma = "1.632993161855452"
+    with np.errstate(all="ignore"):
+        code, out, err = run(
+            capsys, "lqft", "partition", "--tau", "0,574", "--gamma", gamma,
+            "--insertions", f"0,0,{gamma}", "--cutoff", "4", "--replicas", "8",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("numeric failure: ") and "tau = 0,574" in err
+        table = tmp_path / "deep.csv"
+        code, _, err = run(
+            capsys, "lqg", "modulus-density", "--matter", "pure", "--t-max", "3000",
+            "--cutoff", "4", "--replicas", "8", "--out", str(table),
+        )
+    assert code == 2 and err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert not table.exists()
+    records = [json.loads(f.read_text()) for f in (tmp_path / "cache").glob("*.json")]
+    assert records and all(0 < r["moment"] < math.inf for r in records)
+
+
 def test_partition_with_a_huge_prefactor_exits_0(capsys):
     # Gamma(s/gamma) = Gamma(180) alone overflows a float; the estimate,
     # near 1e266, does not, and the prefactor stays in log space

@@ -37,7 +37,7 @@ from torus_lqg.lqft import (
     LQFTParams,
     conformal_weight,
     insertion_constant,
-    insertion_mass_samples,
+    insertion_mass_table,
     insertion_potential,
     insertion_potential_grid,
     inverse_power_mean,
@@ -320,7 +320,7 @@ def test_partition_prefactor_in_log_space():
     params = LQFTParams(gamma=1.3, mu=1.7)
     p = TWO_POINTS.alpha_sum / params.gamma
     est = partition_function(params, TAU, TWO_POINTS, MC_SMALL, RES_SMALL)
-    masses = insertion_mass_samples(params, TAU, TWO_POINTS, MC_SMALL, RES_SMALL)
+    masses = insertion_mass_table(params, [TAU], [TWO_POINTS], MC_SMALL, RES_SMALL)[0]
     mean, se = inverse_power_mean(masses, p)
     front = (
         free_field_partition(TAU)
@@ -331,6 +331,27 @@ def test_partition_prefactor_in_log_space():
     )
     assert math.isclose(est.value, front * mean, rel_tol=1e-13)
     assert math.isclose(est.std_error, front * se, rel_tol=1e-13)
+
+
+def test_partition_reads_the_mirror_row_at_negative_re_tau(monkeypatch):
+    # partition_function takes its moment from the one moment path, so at
+    # Re tau < 0 the engine runs -conj(tau) with the mirrored insertions
+    params = LQFTParams(gamma=1.0)
+    tau = -0.3 + 1.1j
+    table, calls = lqft.insertion_mass_table, []
+
+    def recorded(params, taus, sets, *args):
+        calls.append((list(taus), list(sets), table(params, taus, sets, *args)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(lqft, "insertion_mass_table", recorded)
+    est = partition_function(params, tau, TWO_POINTS, MC_SMALL, RES_SMALL)
+    assert est.value > 0 and len(calls) == 1
+    (taus, sets, masses), = calls
+    mirrored = InsertionSet(tuple((-i.x1 % 1.0, i.x2, i.alpha) for i in TWO_POINTS.insertions))
+    assert taus == [0.3 + 1.1j] and sets == [mirrored]
+    moment = inverse_power_mean(masses[0], TWO_POINTS.alpha_sum / params.gamma)
+    assert moment == lqft.negative_moment(params, tau, TWO_POINTS, MC_SMALL, RES_SMALL)
 
 
 PURE_GAMMA = math.sqrt(8.0 / 3.0)
@@ -356,7 +377,8 @@ def test_mirror_modulus_has_the_same_inverse_power_law(points):
     )
     assert not np.array_equal(rows[0], rows[1])
     # each modulus takes its own insertion set
-    assert np.array_equal(rows[1], insertion_mass_samples(params, mirror, mirrored, mc, RES_SMALL))
+    alone = insertion_mass_table(params, [mirror], [mirrored], mc, RES_SMALL)[0]
+    assert np.array_equal(rows[1], alone)
     w = lqft._inverse_powers(rows, ins.alpha_sum / PURE_GAMMA)
     diff, se = gff.pair_mean_se(w[0] - w[1])
     assert se > 0 and abs(diff) <= 3.0 * se
@@ -369,8 +391,8 @@ def test_mirror_modulus_has_the_same_inverse_power_law(points):
 
 def test_mass_samples_deterministic():
     params = LQFTParams(gamma=1.0)
-    a = insertion_mass_samples(params, TAU, TWO_POINTS, MC_SMALL, RES_SMALL)
-    b = insertion_mass_samples(params, TAU, TWO_POINTS, MC_SMALL, RES_SMALL)
+    a = insertion_mass_table(params, [TAU], [TWO_POINTS], MC_SMALL, RES_SMALL)[0]
+    b = insertion_mass_table(params, [TAU], [TWO_POINTS], MC_SMALL, RES_SMALL)[0]
     assert np.array_equal(a, b)
     assert np.all(a > 0)
 
@@ -380,9 +402,9 @@ def test_zero_mode_integral_closed_form():
     params = LQFTParams(gamma=1.3, mu=1.7)
     s = TWO_POINTS.alpha_sum
     p = s / params.gamma
-    masses = insertion_mass_samples(
-        params, TAU, TWO_POINTS, MonteCarloConfig(replicas=3, seed=SEED), RES_SMALL
-    )
+    masses = insertion_mass_table(
+        params, [TAU], [TWO_POINTS], MonteCarloConfig(replicas=3, seed=SEED), RES_SMALL
+    )[0]
     for mass in masses:
         quad, err = integrate.quad(
             lambda c: math.exp(s * c - params.mu * math.exp(params.gamma * c) * mass),
@@ -468,13 +490,13 @@ def test_sampler_forms_h_once(monkeypatch):
 
 
 def test_sampler_weights_are_mass_powers():
-    # the law sampler and insertion_mass_samples share one cell-weight kernel,
+    # the law sampler and insertion_mass_table share one cell-weight kernel,
     # and each weight is the term partition_function averages
     params = LQFTParams(gamma=1.0, mu=2.0)
     res = FieldResolution(cutoff=12, grid_factor=4)
     mc = MonteCarloConfig(replicas=60, seed=5)
     p = TWO_POINTS.alpha_sum / params.gamma
-    masses = insertion_mass_samples(params, TAU, TWO_POINTS, mc, res)
+    masses = insertion_mass_table(params, [TAU], [TWO_POINTS], mc, res)[0]
     samples = list(liouville_field_law_sampler(params, TAU, TWO_POINTS, mc, res))
     assert len(samples) == mc.replicas
     weights = [sample.weight for sample in samples]
@@ -539,7 +561,7 @@ def test_untilted_mass_is_the_tilted_mass_of_no_insertions(gamma, cutoff, replic
     res = FieldResolution(cutoff=cutoff)
     mc = MonteCarloConfig(replicas=replicas, seed=SEED, base_stream=3)
     plain = sample_total_masses(TAU, gamma, params.q, mc, res)
-    tilted = insertion_mass_samples(params, TAU, InsertionSet(()), mc, res)
+    tilted = insertion_mass_table(params, [TAU], [InsertionSet(())], mc, res)[0]
     assert plain.tobytes() == tilted.tobytes()
 
 
@@ -570,7 +592,7 @@ def direct_cells(tau, gamma, q, mc, res, h_grid):
 )
 @example(gamma=1.0, cutoff=4, replicas=7, batch=2, base_stream=3, tau=TAU)
 def test_masses_and_measures_match_the_cell_formula(gamma, cutoff, replicas, batch, base_stream, tau):
-    # untilted (sample_total_masses) and tilted (insertion_mass_samples)
+    # untilted (sample_total_masses) and tilted (insertion_mass_table)
     # masses equal the cell formula summed directly, replica by replica,
     # across split batches and a lone last replica; every sampled measure
     # is y times the tilted cell weights over the mass, and sums to y
@@ -583,7 +605,7 @@ def test_masses_and_measures_match_the_cell_formula(gamma, cutoff, replicas, bat
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gff, "_BATCH_CELLS", batch * G * G)
         plain = sample_total_masses(tau, gamma, q, mc, res)
-        tilted = insertion_mass_samples(params, tau, TWO_POINTS, mc, res)
+        tilted = insertion_mass_table(params, [tau], [TWO_POINTS], mc, res)[0]
         samples = list(liouville_field_law_sampler(params, tau, TWO_POINTS, mc, res))
     for h, masses in ((np.zeros((G, G)), plain), (h_grid, tilted)):
         direct = direct_cells(tau, gamma, q, mc, res, h)[1].sum(axis=(1, 2))

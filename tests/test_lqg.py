@@ -20,13 +20,15 @@ from torus_lqg.config import FieldResolution, MonteCarloConfig
 from torus_lqg.errors import (
     InvalidCentralCharge,
     NoAdmissibleRoot,
+    NumericError,
     SeibergViolationLocal,
     TruncationTooTight,
     ValidationError,
 )
 from torus_lqg.gff import MODES, MODULUS, RESAMPLE, VOLUME, RngStream, free_field_partition
-from torus_lqg.lqft import InsertionSet, LQFTParams, conformal_weight, insertion_mass_samples
-from torus_lqg.lqft import insertion_mass_table
+from torus_lqg import lqft as lqft_module
+from torus_lqg.lqft import InsertionSet, LQFTParams, conformal_weight, insertion_mass_table
+from torus_lqg.lqft import negative_moment
 from torus_lqg.lqft import liouville_field_law_sampler
 from torus_lqg.lqg import (
     _RESAMPLE_BATCH,
@@ -39,7 +41,6 @@ from torus_lqg.lqg import (
     joint_law_sampler,
     matter_partition,
     modulus_density,
-    negative_moment,
     params_from_matter,
     sample_modulus,
     template_from_matter,
@@ -172,11 +173,22 @@ def test_matter_partition_of_an_array_of_moduli():
 def test_negative_moment_matches_mass_samples():
     matter, params, ins = pure_setup()
     p = ins.alpha_sum / params.gamma
-    masses = insertion_mass_samples(params, TAU, ins, MC, RES)
+    masses = insertion_mass_table(params, [TAU], [ins], MC, RES)[0]
     want = float(np.mean(masses ** (-p)))
     got, se = negative_moment(params, TAU, ins, MC, RES)
     assert abs(got - want) < 1e-12 * want
     assert se > 0
+
+
+def test_unrepresentable_moment_raises_and_is_not_cached(tmp_path):
+    # at Im tau = 574, e^{gamma H} overflows at the insertion, every I is inf
+    # and E[I^-1] reads 0
+    matter, params, ins = pure_setup()
+    cache = MomentCache(tmp_path)
+    mc, res = MonteCarloConfig(replicas=8), FieldResolution(cutoff=4)
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="tau = 0,574"):
+        negative_moment(params, 574j, ins, mc, res, cache=cache)
+    assert not list(tmp_path.iterdir())
 
 
 def test_negative_moment_gates_local_bound():
@@ -228,7 +240,7 @@ def test_cache_key_carries_sampler_version(tmp_path, monkeypatch):
     args = (TAU, params.gamma, ins.insertions, 8, 4, 0.05, 100, 0, 0)
     live = (TAU, params.gamma, ins.insertions, RES.cutoff, RES.grid_factor,
             RES.eps_for(TAU), MC.replicas, MC.seed, MC.base_stream)
-    assert cache_module.SAMPLER_VERSION == 16
+    assert cache_module.SAMPLER_VERSION == 17
     current = moment_key(*args)
     monkeypatch.setattr(cache_module, "SAMPLER_VERSION", cache_module.SAMPLER_VERSION - 1)
     old_key = moment_key(*args)
@@ -254,6 +266,8 @@ def test_cache_tolerates_corruption(tmp_path):
     junks = (
         b"not json at all", b"[]", b"\xff\xfe", b"{}", b'{"moment": 1.0}',
         b'{"moment": "x", "std_error": 0.1}', b'{"moment": null, "std_error": 0.1}',
+        # nor a moment that is not positive, as older versions cached
+        b'{"moment": 0.0, "std_error": 0.0}', b'{"moment": -1.0, "std_error": 0.1}',
     )
     for junk in junks:
         for f in tmp_path.iterdir():
@@ -373,18 +387,19 @@ def test_density_table_deterministic():
     assert a.tail_fraction == b.tail_fraction
 
 
-# the origin is fixed by the mirror (x1, x2) -> (-x1, x2); (0.2, 0.3) is not
-MIRROR_POINTS = ((0.0, 0.0), (0.2, 0.3))
+# the mirror (x1, x2) -> (-x1, x2) fixes the origin, moves (0.2, 0.3) and
+# swaps (0.25, 0.1) with (0.75, 0.1), so it maps the third set onto itself
+MIRROR_SETS = (((0.0, 0.0),), ((0.2, 0.3),), ((0.25, 0.1), (0.75, 0.1)))
 
 
-def pure_at(point):
+def pure_at(points):
     matter, params, _ = pure_setup()
-    return matter, params, template_from_matter(matter, params, points=(point,))
+    return matter, params, template_from_matter(matter, params, points=points)
 
 
 def test_density_table_batched_matches_per_point(tmp_path):
-    for point in MIRROR_POINTS:
-        matter, params, ins = pure_at(point)
+    for points in MIRROR_SETS:
+        matter, params, ins = pure_at(points)
         kw = dict(re_cells=6, im_cells=6, t_max=12.0)
         plain = build_density_table(matter, params, ins, MC, RES, **kw)
         re_c, im_c = plain.re_centers, plain.im_centers
@@ -423,23 +438,24 @@ def _records(directory):
             (json.loads(f.read_text()) for f in Path(directory).glob("*.json"))}
 
 
-@pytest.mark.parametrize("point", MIRROR_POINTS)
-def test_cold_table_runs_one_engine_row_per_mirror_pair(tmp_path, monkeypatch, point):
-    matter, params, ins = pure_at(point)
+@pytest.mark.parametrize("points", MIRROR_SETS, ids=("point0", "point1", "point2"))
+def test_cold_table_runs_one_engine_row_per_mirror_pair(tmp_path, monkeypatch, points):
+    matter, params, ins = pure_at(points)
     rows = []
 
     def counted(params, taus, *args):
         rows.append(len(taus))
         return insertion_mass_table(params, taus, *args)
 
-    monkeypatch.setattr(lqg_module, "insertion_mass_table", counted)
+    monkeypatch.setattr(lqft_module, "insertion_mass_table", counted)
     kw = dict(re_cells=6, im_cells=6, t_max=12.0, cache=MomentCache(tmp_path))
     cold = build_density_table(matter, params, ins, MC, RES, **kw)
     inside = int(np.count_nonzero(cold.density))
     records = _records(tmp_path)
     assert len(records) == inside and inside % 2 == 0
-    fixed = point == (0.0, 0.0)
-    # the mirror fixes the origin: a pair shares one row and one moment
+    fixed = points != ((0.2, 0.3),)
+    # where the mirror maps the set onto itself, in any order, a pair
+    # shares one row and one moment
     assert rows == [inside // 2 if fixed else inside]
     for (re, im), rec in records.items():
         if re < 0:
