@@ -26,14 +26,12 @@ from pathlib import Path
 __all__ = ["MomentCache", "SAMPLER_VERSION", "default_cache_dir", "moment_key"]
 
 # Version of the replica sampler that produced a moment.  It enters every
-# key, so a change to the draws, the field synthesis, the potential H or the
-# chaos normalization, which moves moments in any bit, never reads the
-# moments an earlier sampler wrote.  Version 16 evaluates a modulus with
-# Re tau < 0 as its mirror -conj(tau), with the mirrored insertions, which
-# has the same law but other draws.  Version 17 keeps the original order
-# of insertions that the mirror maps onto themselves as a multiset, so the
-# Re tau < 0 moments of such sets move; CHANGES.md records earlier versions.
-SAMPLER_VERSION = 17
+# key, so a change to the draws, the field synthesis, the potential H, the
+# chaos normalization or the standard error, which moves a record in any
+# bit, never reads the records an earlier sampler wrote.  Version 18 keeps
+# a standard error whose squared pair deviations underflow from reading 0
+# (pair_mean_se); README and CHANGES.md record earlier versions.
+SAMPLER_VERSION = 18
 
 # per-process counter in temp file names, so no two puts share one
 _TEMP_IDS = itertools.count()

@@ -22,7 +22,7 @@ size being the tilt's.  chaos_batches has the engine synthesize gamma X
 from the point's weights, forms the cells of an antithetic pair from its
 even grid alone, the odd cells being the reciprocals, and sums them
 against the tilts in one matrix-vector product per stack; it yields one
-flat tuple per batch and modulus, as replica_grids does.
+flat tuple of cells and masses per batch and modulus, and no grid of gamma X.
 
 At the critical point gamma = 2 the same recipe acquires the
 sqrt(ln(1/eps)) push and a sqrt(pi/2) constant; the critical mass has
@@ -167,18 +167,18 @@ def chaos_batches(points, mc: MonteCarloConfig, purpose: int = MODES):
 
     points holds one (mode weights of gamma X, factor, tilt) per modulus,
     from chaos_points; the engine synthesizes gamma X on the tilts' grid.
-    Yields (start, k, gx, cells, masses) per batch of B replicas and point
-    k, in the order of points: gx the (P, G, G) even grids of gamma X,
-    cells their paired chaos_cells, cells[r % 2, r // 2] those of replica
-    start + r, and masses the B totals factor * sum(cells * tilt) in
-    replica order, from one matrix-vector product of the (2P, G^2) cells
-    with the tilt.  When B = 2P - 1, the batch ends on a lone replica and
-    cells[1, P - 1] belongs to none.  gx is replica_grids' view into its
-    workspace and cells a view into one cell workspace of the call, both
-    valid until the next tuple is yielded; masses is a new array.  The
-    product rounds a replica's mass by about 1e-15 relative differently in
-    a batch of another size, so grids are the same in any batch but masses
-    are bit-identical for a fixed (mc.replicas, seed).
+    Yields (start, k, cells, masses) per batch of B replicas and point k,
+    in the order of points: cells the (2, P, G, G) paired chaos_cells of
+    the batch's P even grids of gamma X, cells[r % 2, r // 2] those of
+    replica start + r, and masses the B totals factor * sum(cells * tilt)
+    in replica order, from one matrix-vector product of the (2P, G^2)
+    cells with the tilt.  When B = 2P - 1, the batch ends on a lone
+    replica and cells[1, P - 1] belongs to none.  cells is a view into one
+    cell workspace of the call, valid until the next tuple is yielded;
+    masses is a new array.  The product rounds a replica's mass by about
+    1e-15 relative differently in a batch of another size, so cells are
+    the same in any batch but masses are bit-identical for a fixed
+    (mc.replicas, seed).
     """
     work = None
     grid = points[0][2].shape[0]  # the tilts' G
@@ -190,13 +190,13 @@ def chaos_batches(points, mc: MonteCarloConfig, purpose: int = MODES):
         sums = cells.reshape(2 * len(gx), -1) @ tilt.ravel()
         # (evens, odds) to replica order
         masses = sums.reshape(2, -1).T.ravel()[: mc.replicas - start]
-        yield start, k, gx, cells, factor * masses
+        yield start, k, cells, factor * masses
 
 
 def total_mass_table(points, mc: MonteCarloConfig) -> np.ndarray:
     """Total masses of chaos_batches, shape (len(points), mc.replicas)."""
     out = np.empty((len(points), mc.replicas))
-    for start, k, _, _, masses in chaos_batches(points, mc):
+    for start, k, _, masses in chaos_batches(points, mc):
         out[k, start : start + len(masses)] = masses
     return out
 

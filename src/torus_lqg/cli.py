@@ -353,6 +353,8 @@ def _cmd_lqft_check_modular(args, write):
 
 
 def _build_table(args):
+    if args.n < 1:
+        raise ValidationError(f"--n must be at least 1, got {args.n}")
     matter = args.matter
     params = params_from_matter(matter, mu=args.mu)
     pts = [(k / args.n, k / args.n) for k in range(args.n)]

@@ -417,8 +417,9 @@ def pair_mean_se(values) -> tuple[float, float]:
     estimator over pairs, sqrt(C/(C-1)) sqrt(sum_c (S_c - n_c m)^2) / R for
     C clusters of sums S_c and sizes n_c about the mean m, the last replica
     of an odd R being a cluster of one; for even R it is the standard error
-    of the R/2 pair means.  Raises ValidationError below two clusters
-    (R < 3), where no SE exists.
+    of the R/2 pair means.  Deviations whose squares sum below the smallest
+    normal float are squared over the largest one, so tiny values keep a
+    positive SE.  Raises ValidationError below two clusters (R < 3).
     """
     values = np.asarray(values, dtype=float)
     R = len(values)
@@ -430,7 +431,11 @@ def pair_mean_se(values) -> tuple[float, float]:
     firsts = np.arange(0, R, 2)
     dev = np.add.reduceat(values, firsts) - np.minimum(2, R - firsts) * mean
     C = len(firsts)
-    return mean, math.sqrt(C / (C - 1) * float(np.dot(dev, dev))) / R
+    squares, scale = float(np.dot(dev, dev)), 1.0
+    if squares < np.finfo(float).tiny:
+        scale = float(np.max(np.abs(dev))) or 1.0
+        squares = float(np.dot(dev / scale, dev / scale))
+    return mean, math.sqrt(C / (C - 1) * squares) * scale / R
 
 
 def evaluate_on_grid(fld: SpectralField, grid: int | None = None) -> np.ndarray:

@@ -36,8 +36,8 @@ The law of the Liouville field weighs a replica of tilted mass I by
 I^{-s/gamma} (_inverse_powers, also the terms of the negative moment)
 and draws its volume from Gamma(s/gamma, mu) (_volume_law); the
 law sampler and resampled_measure iterate chaos_batches of the one
-tilted point themselves, and _law_measure forms a replica's measure from
-that point, which carries its own gamma and grid.
+tilted point themselves.  A replica's field and measure both come from
+its density, cells * tilt = e^{gamma (X + H)}, so lqft reads no grid of X.
 """
 
 from __future__ import annotations
@@ -422,8 +422,8 @@ def weyl_anomaly_factor(conformal: SpectralField, q: float) -> float:
 class LiouvilleSample:
     """One weighted draw from the Liouville field law.
 
-    field is c + X + H - (Q/2) ln(Im tau) on the grid, measure the matched
-    quantum-area cell weights with total mass exactly equal to volume.
+    field is c + X + H - (Q/2) ln(Im tau) on the grid, ln(density)/gamma
+    plus constants, and measure the density scaled to total mass volume.
     Expectations under the Liouville law are weighted averages with
     weight proportional to importance (the I^{-s/gamma} tilt).
     """
@@ -439,14 +439,6 @@ def _volume_law(params: LQFTParams, ins: InsertionSet, u):
     return scipy.special.gammaincinv(ins.alpha_sum / params.gamma, u) / params.mu
 
 
-def _law_measure(y: float, point, mass: float, cells: np.ndarray):
-    """The quantum-area measure of a replica of the chaos point point, of total
-    tilted mass mass and cells cells, conditioned on volume y: factor *
-    cells * tilt scaled to y."""
-    _, factor, tilt = point
-    return (y * factor / mass) * (cells * tilt)
-
-
 def liouville_field_law_sampler(
     params: LQFTParams,
     tau: complex,
@@ -458,21 +450,18 @@ def liouville_field_law_sampler(
 ):
     """Yield mc.replicas weighted samples of (field, quantum area measure).
 
-    The volume marginal is Gamma(s/gamma, rate mu), independent of the
-    modulus and of the shape of the measure, drawn from volume row
-    base_stream + r; when y_volume is given every sample is conditioned
-    on that total volume instead.  The fields draw under purpose.  Raises
-    when a Seiberg bound fails.
+    Both come from one product per replica, its density cells * tilt =
+    e^{gamma (X + H)} at tau's point from _tilted_points.  The volume
+    marginal is Gamma(s/gamma, rate mu), independent of the modulus and of
+    the shape of the measure, drawn from volume row base_stream + r; when
+    y_volume is given every sample is conditioned on it instead.  The
+    fields draw under purpose.  Raises when a Seiberg bound fails.
     """
     tau = complex(tau)
     gamma = params.gamma
     ins.require_seiberg(params.q)
-    # H as a block of one, as _tilted_points forms it: the field keeps a
-    # copy, and chaos_points turns the block into the tilt in place
-    block = np.array([tau])
-    h_grids = insertion_potential_grid(block, ins, res.grid, res.eps_for(block))
-    h_grid = h_grids[0].copy()
-    (point,) = chaos_points(block, gamma, params.q, res, h_grids)
+    (point,) = _tilted_points(params, [tau], ins, res)
+    _, factor, tilt = point
     p = ins.alpha_sum / gamma
     shift = -0.5 * params.q * math.log(tau.imag)
     if y_volume is None:
@@ -480,15 +469,15 @@ def liouville_field_law_sampler(
         volumes = _volume_law(params, ins, u)
     else:
         volumes = np.full(mc.replicas, float(y_volume))
-    for start, _, gxs, cells, masses in chaos_batches([point], mc, purpose):
+    for start, _, cells, masses in chaos_batches([point], mc, purpose):
         weights = _inverse_powers(masses, p)
         for r, (mass, weight, y) in enumerate(zip(masses, weights, volumes[start:])):
             mass, y = float(mass), float(y)
             c = (math.log(y) - math.log(mass)) / gamma
-            # replica start + r is (-1)^r times even grid r // 2 of gamma X
+            density = cells[r % 2, r // 2] * tilt  # e^{gamma (X_r + H)}
             yield LiouvilleSample(
-                field=gxs[r // 2] * ((-1) ** r / gamma) + h_grid + (c + shift),
-                measure=_law_measure(y, point, mass, cells[r % 2, r // 2]),
+                field=np.log(density) / gamma + (c + shift),
+                measure=(y * factor / mass) * density,
                 volume=y,
                 weight=float(weight),
             )
@@ -514,7 +503,7 @@ def resampled_measure(
     ins.require_seiberg(params.q)
     p = ins.alpha_sum / params.gamma
     held, masses, weights = [], [], []
-    for start, _, _, cells, m in chaos_batches([point], mc, purpose):
+    for start, _, cells, m in chaos_batches([point], mc, purpose):
         held.append(cells if start + len(m) == mc.replicas else cells.copy())
         masses.append(m)
         weights.append(_inverse_powers(m, p))
@@ -522,4 +511,5 @@ def resampled_measure(
     pick = min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), mc.replicas - 1)
     mass = float(np.concatenate(masses)[pick])
     j, r = divmod(pick, len(masses[0]))
-    return _law_measure(float(y_volume), point, mass, held[j][r % 2, r // 2])
+    _, factor, tilt = point
+    return (float(y_volume) * factor / mass) * (held[j][r % 2, r // 2] * tilt)

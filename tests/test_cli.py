@@ -147,7 +147,8 @@ def test_validation_error_exits_1(tmp_path, capsys):
                                (["--re-cells", "-3"], "cell counts"),
                                (["--im-cells", "-2"], "cell counts"),
                                (["--re-cells", "0"], "cell counts"),
-                               (["--tail-tol", "0"], "tail_tol"))),
+                               (["--tail-tol", "0"], "tail_tol"),
+                               (["--n", "0"], "--n"), (["--n", "-1"], "--n"))),
         # one antithetic pair gives no standard error
         (["lqg", "modulus-density", "--matter", "pure", "--cutoff", "8", "--replicas", "2",
           "--no-cache", "--out", str(out)], "two pairs"),
@@ -291,10 +292,9 @@ def test_numeric_failure_exits_2(tmp_path, capsys):
         ["lqft", "check-modular", "--alpha", "3", "--replicas", "4", "--cutoff", "4"],
         # theta1 itself, near e^(pi*40000), overflows
         ["special-fn", "eval", "--fn", "theta1", "--tau", "0,1", "--z", "0,200"],
-        # no insertions (or s = sum(alpha) <= 0) break the torus Seiberg bound
-        *(["lqg", cmd, "--matter", "pure", "--n", n, "--replicas", "4", "--cutoff", "4",
-           "--out", str(out)]
-          for cmd in ("modulus-density", "sample-joint") for n in ("0", "-1")),
+        # s = sum(alpha) <= 0 breaks the torus Seiberg bound
+        ["lqft", "partition", "--tau", "0,1", "--gamma", "1", "--insertions", "0.2,0.3,0",
+         "--replicas", "4", "--cutoff", "4", "--out", str(out)],
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2
@@ -338,6 +338,20 @@ def test_unrepresentable_moment_exits_2(tmp_path, capsys, monkeypatch):
     assert not table.exists()
     records = [json.loads(f.read_text()) for f in (tmp_path / "cache").glob("*.json")]
     assert records and all(0 < r["moment"] < math.inf for r in records)
+
+
+def test_deep_table_standard_errors_are_positive(tmp_path, capsys):
+    # the top row, Im tau = 282.7, has moments near 1e-155 whose pair
+    # deviations square below the smallest float: no standard error reads 0
+    out = tmp_path / "deep.csv"
+    code, _, err = run(capsys, "lqg", "modulus-density", "--matter", "pure", "--t-max", "400",
+                       "--cutoff", "4", "--replicas", "8", "--no-cache", "--out", str(out))
+    assert code == 0, err
+    rows = np.array([[float(v) for v in ln.split(",")] for ln in csv_parts(out)[1][1:]])
+    assert rows.shape == (138, 4)
+    top = rows[:, 1] == rows[:, 1].max()
+    assert np.count_nonzero(top) == 12 and np.all(rows[top, 2] < 1e-150)
+    assert np.all(rows[:, 3] > 0)
 
 
 def test_partition_with_a_huge_prefactor_exits_0(capsys):

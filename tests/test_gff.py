@@ -205,13 +205,6 @@ def test_mode_boxes_of_several_moduli_give_weights_and_variances(cutoff):
         assert w[k].tobytes() == scaled_mode_weights(taus[k], cutoff, eps[k])[0].tobytes()
 
 
-def test_regularized_variance_equals_coincident_covariance():
-    for cutoff in (10, 40):
-        a = regularized_variance(TAU, cutoff, 0.05)
-        b = truncated_covariance(TAU, cutoff, (0.0, 0.0), eps=0.05)
-        assert abs(a - b) < 1e-10 * abs(a)
-
-
 def test_truncated_covariance_chunking_invariant(monkeypatch):
     a = truncated_covariance(TAU, 60, (0.3, 0.1), 0.02)
     monkeypatch.setattr(gff, "_VARIANCE_CELLS", 7 * 121)  # 7 of the 60 rows a chunk
@@ -378,6 +371,8 @@ def test_regularized_variance_matches_pinned_brute_sums():
 # the largest gap of 700 random cases, 5.8e-14 relative: rows 6..16 are
 # coarse rows of two to four panels
 @example(re=-1.0281571642624638, im=6.5880701094894425, eps=1.86e-4, cutoff=16)
+@example(re=TAU.real, im=TAU.imag, eps=0.05, cutoff=10)
+@example(re=TAU.real, im=TAU.imag, eps=0.05, cutoff=40)
 def test_regularized_variance_matches_the_box_below_cutoff_1024(re, im, eps, cutoff):
     tau = complex(re, im)
     want = truncated_covariance(tau, cutoff, (0.0, 0.0), eps)
@@ -662,11 +657,12 @@ def test_replica_engine_is_bit_identical_to_rows_alone(
 def test_replica_pairs_are_negated_rows(
     cutoff, grid_factor, shave, boxes, batch, replicas, base_stream
 ):
-    # even grid j of a stack is gamma X of row base_stream + start / 2 + j,
-    # byte for byte the modes_to_grid of that row drawn alone with weights
-    # gamma w (and irfft2's grid to rounding); replica 2j + 1 is its
-    # negation, so its chaos cells are the reciprocals of replica 2j's and
-    # its mass sums exp(-gamma X + offset)
+    # even grid j of a replica_grids stack is gamma X of row base_stream +
+    # start / 2 + j, byte for byte the modes_to_grid of that row drawn alone
+    # with weights gamma w (and irfft2's grid to rounding); chaos_batches'
+    # cells of replica 2j are its exp, and replica 2j + 1 is its negation,
+    # so its cells are the reciprocals of replica 2j's and its mass sums
+    # exp(-gamma X + offset)
     grid = grid_factor * (cutoff + 1) - shave
     mc = MonteCarloConfig(replicas=replicas, seed=SEED, base_stream=base_stream)
     gamma, offset = 1.3, -0.7
@@ -679,12 +675,15 @@ def test_replica_pairs_are_negated_rows(
     seen, keys = 0, []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gff, "_BATCH_CELLS", batch * grid * grid)
-        for start, i, gxs, cells, masses in chaos_batches(points, mc):
+        grids = replica_grids([pt[0] for pt in points], grid, mc)
+        for (start, i, cells, masses), (_, _, gxs) in zip(chaos_batches(points, mc), grids,
+                                                          strict=True):
             keys.append((start, i))
             w = points[i][0]
             rows = len(masses)
             assert rows == min(2 * len(gxs), replicas - start)
             assert cells.shape == (2,) + gxs.shape
+            assert cells[0].tobytes() == np.exp(gxs).tobytes()
             assert cells[1].tobytes() == np.reciprocal(cells[0]).tobytes()
             for j in range(len(gxs)):
                 rng = RngStream(SEED, base_stream + start // 2 + j)
@@ -714,6 +713,12 @@ def test_pair_mean_se():
     dev = np.append(values[:10].reshape(5, 2).sum(axis=1) - 2 * m, values[10] - m)
     assert mean == m
     assert math.isclose(se, math.sqrt(6 / 5 * np.sum(dev**2)) / 11, rel_tol=1e-13)
+    # values near 1e-181 square below the smallest float; the SE scales with them
+    for n in (12, 11):
+        tiny_mean, tiny_se = pair_mean_se(values[:n] * 2.0**-600)
+        mean, se = pair_mean_se(values[:n])
+        assert tiny_mean == mean * 2.0**-600
+        assert 0 < tiny_se and math.isclose(tiny_se, se * 2.0**-600, rel_tol=1e-13)
     # one pair, or a lone replica, carries no error estimate
     for n in (1, 2):
         with pytest.raises(ValidationError, match="at least two pairs"):

@@ -469,8 +469,8 @@ def test_sampler_determinism_and_shapes():
 
 
 def test_sampler_forms_h_once(monkeypatch):
-    # one insertion_potential_grid call per sampler call: the field keeps a
-    # copy of the H that chaos_points turns into the tilt
+    # one insertion_potential_grid call per sampler call, in _tilted_points:
+    # the field is the log of the density cells * tilt over gamma, plus constants
     inner = lqft.insertion_potential_grid
     calls = []
 
@@ -482,11 +482,24 @@ def test_sampler_forms_h_once(monkeypatch):
     params = LQFTParams(gamma=1.0, mu=2.0)
     res = FieldResolution(cutoff=6, grid_factor=4)
     mc = MonteCarloConfig(replicas=4, seed=SEED)
-    a, b = list(liouville_field_law_sampler(params, TAU, TWO_POINTS, mc, res))[:2]
+    samples = list(liouville_field_law_sampler(params, TAU, TWO_POINTS, mc, res))
     assert len(calls) == 1
     # replicas 0 and 1 carry X and -X, so their fields sum to 2H + a constant
     h = inner(TAU, TWO_POINTS, res.grid, res.eps_for(TAU))
+    a, b = samples[:2]
     assert np.ptp(a.field + b.field - 2.0 * h) < 1e-12
+    # each field is (-1)^r X_r + H + c - (Q/2) ln Im tau, X_r the even grid
+    # r // 2 of the engine on the point's weights of gamma X
+    (point,) = lqft._tilted_points(params, [TAU], TWO_POINTS, res)
+    xs = [sign * gx / params.gamma
+          for _, _, stack in gff.replica_grids([point[0]], res.grid, mc)
+          for gx in stack for sign in (1, -1)]
+    masses = insertion_mass_table(params, [TAU], [TWO_POINTS], mc, res)[0]
+    shift = -0.5 * params.q * math.log(TAU.imag)
+    for smp, x, mass in zip(samples, xs, masses, strict=True):
+        c = (math.log(smp.volume) - math.log(mass)) / params.gamma
+        want = x + h + c + shift
+        assert np.all(np.abs(smp.field - want) <= 1e-12 * np.maximum(1.0, np.abs(smp.field)))
 
 
 def test_sampler_weights_are_mass_powers():

@@ -240,7 +240,7 @@ def test_cache_key_carries_sampler_version(tmp_path, monkeypatch):
     args = (TAU, params.gamma, ins.insertions, 8, 4, 0.05, 100, 0, 0)
     live = (TAU, params.gamma, ins.insertions, RES.cutoff, RES.grid_factor,
             RES.eps_for(TAU), MC.replicas, MC.seed, MC.base_stream)
-    assert cache_module.SAMPLER_VERSION == 17
+    assert cache_module.SAMPLER_VERSION == 18
     current = moment_key(*args)
     monkeypatch.setattr(cache_module, "SAMPLER_VERSION", cache_module.SAMPLER_VERSION - 1)
     old_key = moment_key(*args)
